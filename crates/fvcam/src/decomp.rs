@@ -156,7 +156,8 @@ pub fn exchange_lat_halos(
         let peer = decomp.rank_of(jz, jy + 1);
         let buf = pack(levels, false);
         sent += buf.len() * 8;
-        let got = comm.sendrecv_f64(peer, peer, tag_base, &buf);
+        comm.send_vec_f64(peer, tag_base, buf);
+        let got = comm.recv_f64(peer, tag_base);
         unpack(levels, &got, false);
     } else {
         mirror(levels, false);
@@ -165,7 +166,8 @@ pub fn exchange_lat_halos(
         let peer = decomp.rank_of(jz, jy - 1);
         let buf = pack(levels, true);
         sent += buf.len() * 8;
-        let got = comm.sendrecv_f64(peer, peer, tag_base, &buf);
+        comm.send_vec_f64(peer, tag_base, buf);
+        let got = comm.recv_f64(peer, tag_base);
         unpack(levels, &got, true);
     } else {
         mirror(levels, true);
@@ -247,7 +249,7 @@ pub fn transpose_to_columns(
             }
         }
         sent += buf.len() * 8;
-        comm.send_f64(decomp.rank_of(kz, jy), tag, &buf);
+        comm.send_vec_f64(decomp.rank_of(kz, jy), tag, buf);
     }
 
     // Assemble my column block: my own levels directly, peers' by receive.
@@ -315,7 +317,7 @@ pub fn transpose_to_levels(
             }
         }
         sent += buf.len() * 8;
-        comm.send_f64(decomp.rank_of(kz, jy), tag, &buf);
+        comm.send_vec_f64(decomp.rank_of(kz, jy), tag, buf);
     }
 
     // My own levels of my chunk.

@@ -365,8 +365,10 @@ impl GtcSim {
 
         let next = self.neighbor_rank(1);
         let prev = self.neighbor_rank(-1);
-        let from_prev = world.sendrecv_f64(next, prev, 31, &fwd_buf);
-        let from_next = world.sendrecv_f64(prev, next, 32, &bwd_buf);
+        world.send_vec_f64(next, 31, fwd_buf);
+        let from_prev = world.recv_f64(prev, 31);
+        world.send_vec_f64(prev, 32, bwd_buf);
+        let from_next = world.recv_f64(next, 32);
         self.particles.absorb(&from_prev);
         self.particles.absorb(&from_next);
     }

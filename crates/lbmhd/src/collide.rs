@@ -27,26 +27,29 @@
 //!
 //! The hot path is written the way the paper's §5.1 describes the vector
 //! ports: the direction loop is *outside*, the grid loop is *inside*, and
-//! every inner loop is a unit-stride f64 stream over one contiguous lane
-//! of the flat [`Block`] storage. Each (j,k) lattice line is processed in
-//! three phases over per-line scratch lanes — moment gather (Q streaming
-//! passes), point-local prep (1/ρ, u, Π, tr Π), and per-direction
-//! equilibrium+relax+write — so the autovectorizer sees plain
-//! `for i { a[i] = b[i] op c[i] }` loops with no struct gathers.
+//! every inner loop is a unit-stride f64 stream over one x-line of the
+//! line-contiguous [`Block`] storage. Each (j,k) lattice line is processed
+//! in three phases over per-line scratch lanes — gather (Q streaming
+//! passes that copy the upwind x-lines into the destination and accumulate
+//! the moments), point-local prep (1/ρ, u, Π, tr Π), and per-direction
+//! equilibrium+relax in place on the destination — so the autovectorizer
+//! sees plain `for i { a[i] = b[i] op c[i] }` loops with no struct
+//! gathers. The gather reads x-lines of the nine neighbouring line blocks,
+//! once; the 108 destination x-lines are one contiguous run that stays in
+//! cache from the gather to the relaxation.
 //!
 //! Every floating-point chain replicates [`step_reference`] exactly
 //! (including multiplications by cᵢ components that are ±0 — eliding them
 //! could flip a zero's sign), so the lane kernel is **bitwise identical**
 //! to the scalar reference, at every worker count. Parallelism is over
-//! z-slabs: the destination lanes are pre-split at slab boundaries into
-//! disjoint `&mut` windows, so workers write in place with no per-call
-//! row materialization and no serial commit pass.
+//! z-slabs: each worker's destination planes are one contiguous `&mut`
+//! window, so workers write in place with no serial commit pass.
 
 use hec_core::pool::Threads;
 use hec_core::probe::{self, Counters};
 
 use crate::lattice::{C, Q, W};
-use crate::state::Block;
+use crate::state::{directions_mut, g_lane, Block};
 
 /// Flops per lattice point of the fused kernel, from the audited count
 /// below (moment gather 158, point-local prep 53, and 44 per direction for
@@ -72,8 +75,11 @@ const fn point_flops() -> f64 {
 /// vector-component doubles in, the same out.
 pub const BYTES_PER_POINT: f64 = (Q as f64) * 4.0 * 2.0 * 8.0;
 
-/// Number of concurrent unit-stride streams the kernel touches
-/// (27 f-reads + 81 g-reads + 27 f-writes + 81 g-writes).
+/// Number of concurrent unit-stride streams of the paper's formulation
+/// (27 f-reads + 81 g-reads + 27 f-writes + 81 g-writes over 216 separate
+/// arrays), which is what `hec-arch` models for the Table 5 machines. It
+/// does not describe this host's kernel: [`Block`]'s line-contiguous
+/// layout folds those into one write run and nine read neighbourhoods.
 pub const CONCURRENT_STREAMS: f64 = (Q as f64) * 4.0 * 2.0;
 
 /// Computes the discrete MHD equilibria for macroscopic state
@@ -123,175 +129,134 @@ pub fn step(src: &Block, dst: &mut Block, omega: f64, omega_m: f64) -> usize {
     step_with(&Threads::from_env(), src, dst, omega, omega_m)
 }
 
-/// Per-line scratch lanes, allocated once per worker slab (never per line
-/// and never per call into the thread pool).
-struct Scratch {
-    rho: Vec<f64>,
-    /// Gathered ρu during phase 1; overwritten with the recomputed ρ·u of
-    /// `equilibrium` during phase 2 (the reference recomputes it, and the
-    /// two differ in the last bit for some inputs — so must we).
-    mom: [Vec<f64>; 3],
-    b: [Vec<f64>; 3],
-    u: [Vec<f64>; 3],
-    /// Π, 9 lanes `a*3+d` of `nx` each. Π is mathematically symmetric but
-    /// (ρ·u[a])·u[d] and (ρ·u[d])·u[a] can round differently, so all nine
-    /// entries are kept exactly as the reference computes them.
-    pi: Vec<f64>,
-    tr_pi: Vec<f64>,
-    cu: Vec<f64>,
-    cb: Vec<f64>,
-}
+/// Per-line scratch lanes (a padded x-line each, `nx` used): ρ, ρu (3),
+/// B (3), u (3), Π (9), tr Π, cᵢ·u, cᵢ·B.
+const SCRATCH_LANES: usize = 22;
 
-impl Scratch {
-    fn new(nx: usize) -> Self {
-        let l = || vec![0.0f64; nx];
-        Scratch {
-            rho: l(),
-            mom: [l(), l(), l()],
-            b: [l(), l(), l()],
-            u: [l(), l(), l()],
-            pi: vec![0.0f64; 9 * nx],
-            tr_pi: l(),
-            cu: l(),
-            cb: l(),
-        }
-    }
-}
-
-/// Collide+stream one (j,k) line of `nx` points. `base` is the padded
-/// linear index of the line's first interior point in `src`; `cut` is the
-/// flat-lane offset where this worker's destination windows begin.
-#[allow(clippy::too_many_arguments)]
+/// Collide+stream the lattice line at padded `(j, k)`: gathers from `src`,
+/// writes the line block `dst` (all lanes' padded x-lines, lane order).
 fn collide_line(
     src: &Block,
-    offs: &[isize; Q],
-    base: usize,
-    cut: usize,
+    (j, k): (usize, usize),
     omega: f64,
     omega_m: f64,
-    sf: &mut [&mut [f64]],
-    sg: &mut [&mut [f64]],
-    s: &mut Scratch,
+    dst: &mut [f64],
+    scratch: &mut [f64],
 ) {
-    let nx = src.nx;
-    let lane = src.padded_len();
+    let (nx, px) = (src.nx, src.px());
+    // The x-line streaming into this one along direction q: lane `lane` of
+    // the line block at (j − c_y, k − c_z), shifted by −c_x. Every slice
+    // below is cut to exactly `nx` once, so the loops carry no bounds checks.
+    let upwind = |lane: usize, q: usize| -> &[f64] {
+        let line = src.line(lane, (j as i32 - C[q][1]) as usize, (k as i32 - C[q][2]) as usize);
+        &line[(1 - C[q][0]) as usize..][..nx]
+    };
+    // The seven moment accumulators come first and start from zero.
+    scratch[..7 * px].fill(0.0);
+    let mut lanes = scratch.chunks_exact_mut(px);
+    let mut lane = || &mut lanes.next().expect("scratch holds SCRATCH_LANES x-lines")[..nx];
+    let rho = lane();
+    // Gathered ρu during phase 1; overwritten with the recomputed ρ·u of
+    // `equilibrium` during phase 2 (the reference recomputes it, and the
+    // two differ in the last bit for some inputs — so must we).
+    let m = [lane(), lane(), lane()];
+    let b = [lane(), lane(), lane()];
+    let u = [lane(), lane(), lane()];
+    // Π is mathematically symmetric but (ρ·u[a])·u[d] and (ρ·u[d])·u[a]
+    // can round differently, so all nine entries `a*3+d` are kept exactly
+    // as the reference computes them.
+    let pi: [&mut [f64]; 9] = std::array::from_fn(|_| lane());
+    let (tr_pi, cu_l, cb_l) = (lane(), lane(), lane());
 
-    // Phase 1 — moments. One unit-stride pass per direction; each
-    // accumulator sees its contributions in the same q order as the
-    // scalar reference, so the sums are bitwise identical.
-    {
-        let rho = &mut s.rho[..nx];
-        let [m0, m1, m2] = &mut s.mom;
-        let (m0, m1, m2) = (&mut m0[..nx], &mut m1[..nx], &mut m2[..nx]);
-        let [b0, b1, b2] = &mut s.b;
-        let (b0, b1, b2) = (&mut b0[..nx], &mut b1[..nx], &mut b2[..nx]);
-        rho.fill(0.0);
-        m0.fill(0.0);
-        m1.fill(0.0);
-        m2.fill(0.0);
-        b0.fill(0.0);
-        b1.fill(0.0);
-        b2.fill(0.0);
-        for q in 0..Q {
-            let up = (base as isize + offs[q]) as usize;
-            let c = [C[q][0] as f64, C[q][1] as f64, C[q][2] as f64];
-            let fs = &src.f[q * lane + up..][..nx];
-            // Multiplications by c components that are ±0 are kept: the
-            // reference performs them, and x + f·0 is not always x bitwise
-            // (the product's sign of zero matters).
-            for i in 0..nx {
-                let fv = fs[i];
-                rho[i] += fv;
-                m0[i] += fv * c[0];
-                m1[i] += fv * c[1];
-                m2[i] += fv * c[2];
-            }
-            let g0 = &src.g[(q * 3) * lane + up..][..nx];
-            for i in 0..nx {
-                b0[i] += g0[i];
-            }
-            let g1 = &src.g[(q * 3 + 1) * lane + up..][..nx];
-            for i in 0..nx {
-                b1[i] += g1[i];
-            }
-            let g2 = &src.g[(q * 3 + 2) * lane + up..][..nx];
-            for i in 0..nx {
-                b2[i] += g2[i];
-            }
-        }
-    }
-
-    // Phase 2 — point-local prep: 1/ρ, u, ρ·u (recomputed, see Scratch),
-    // Π, tr Π. Still one unit-stride pass.
-    {
-        let pi = &mut s.pi;
+    // Phase 1 — gather and moments. One unit-stride pass per direction
+    // copies the upwind line into `dst`; each accumulator sees its
+    // contributions in the same q order as the scalar reference, so the
+    // sums are bitwise identical.
+    for (q, (fd, gd)) in directions_mut(dst, px).enumerate() {
+        let c = [C[q][0] as f64, C[q][1] as f64, C[q][2] as f64];
+        let fs = upwind(q, q);
+        let fd = &mut fd[1..][..nx];
+        // Multiplications by c components that are ±0 are kept: the
+        // reference performs them, and x + f·0 is not always x bitwise
+        // (the product's sign of zero matters).
         for i in 0..nx {
-            let r = s.rho[i];
-            let inv = 1.0 / r;
-            let uu = [s.mom[0][i] * inv, s.mom[1][i] * inv, s.mom[2][i] * inv];
-            let bv = [s.b[0][i], s.b[1][i], s.b[2][i]];
-            let usqr = uu[0] * uu[0] + uu[1] * uu[1] + uu[2] * uu[2];
-            let bsqr = bv[0] * bv[0] + bv[1] * bv[1] + bv[2] * bv[2];
-            for a in 0..3 {
-                s.u[a][i] = uu[a];
-                s.mom[a][i] = r * uu[a];
-                for d in 0..3 {
-                    pi[(a * 3 + d) * nx + i] = r * uu[a] * uu[d] - bv[a] * bv[d];
-                }
-                pi[(a * 3 + a) * nx + i] += 0.5 * bsqr;
+            let fv = fs[i];
+            rho[i] += fv;
+            m[0][i] += fv * c[0];
+            m[1][i] += fv * c[1];
+            m[2][i] += fv * c[2];
+            fd[i] = fv;
+        }
+        for (a, gd) in gd.chunks_exact_mut(px).enumerate() {
+            let gs = upwind(g_lane(q, a), q);
+            let gd = &mut gd[1..][..nx];
+            for i in 0..nx {
+                let gv = gs[i];
+                b[a][i] += gv;
+                gd[i] = gv;
             }
-            s.tr_pi[i] = r * usqr + 0.5 * bsqr;
         }
     }
 
-    // Phase 3 — per direction: equilibrium, relax, write. The f pass also
-    // stores cᵢ·u and cᵢ·B so the three g passes reuse the exact values.
-    let off = base - cut;
-    for q in 0..Q {
-        let up = (base as isize + offs[q]) as usize;
+    // Phase 2 — point-local prep: 1/ρ, u, ρ·u (recomputed, see above),
+    // Π, tr Π. Still one unit-stride pass.
+    for i in 0..nx {
+        let r = rho[i];
+        let inv = 1.0 / r;
+        let uu = [m[0][i] * inv, m[1][i] * inv, m[2][i] * inv];
+        let bv = [b[0][i], b[1][i], b[2][i]];
+        let usqr = uu[0] * uu[0] + uu[1] * uu[1] + uu[2] * uu[2];
+        let bsqr = bv[0] * bv[0] + bv[1] * bv[1] + bv[2] * bv[2];
+        for a in 0..3 {
+            u[a][i] = uu[a];
+            m[a][i] = r * uu[a];
+            for d in 0..3 {
+                pi[a * 3 + d][i] = r * uu[a] * uu[d] - bv[a] * bv[d];
+            }
+            pi[a * 3 + a][i] += 0.5 * bsqr;
+        }
+        tr_pi[i] = r * usqr + 0.5 * bsqr;
+    }
+
+    // Phase 3 — per direction: equilibrium, then relax the gathered value
+    // in place. The f pass also stores cᵢ·u and cᵢ·B so the three g passes
+    // reuse the exact values.
+    for (q, (fd, gd)) in directions_mut(dst, px).enumerate() {
         let c = [C[q][0] as f64, C[q][1] as f64, C[q][2] as f64];
         let w = W[q];
-        {
-            let fs = &src.f[q * lane + up..][..nx];
-            let fd = &mut sf[q][off..off + nx];
-            let (rho, tr_pi, pi) = (&s.rho, &s.tr_pi, &s.pi);
-            let (m, u, b) = (&s.mom, &s.u, &s.b);
-            let (cu_l, cb_l) = (&mut s.cu, &mut s.cb);
-            for i in 0..nx {
-                let cmom = c[0] * m[0][i] + c[1] * m[1][i] + c[2] * m[2][i];
-                let cu = c[0] * u[0][i] + c[1] * u[1][i] + c[2] * u[2][i];
-                let cb = c[0] * b[0][i] + c[1] * b[1][i] + c[2] * b[2][i];
-                let mut cpc = 0.0;
-                for a in 0..3 {
-                    for d in 0..3 {
-                        cpc += c[a] * pi[(a * 3 + d) * nx + i] * c[d];
-                    }
+        let fd = &mut fd[1..][..nx];
+        for i in 0..nx {
+            let cmom = c[0] * m[0][i] + c[1] * m[1][i] + c[2] * m[2][i];
+            let cu = c[0] * u[0][i] + c[1] * u[1][i] + c[2] * u[2][i];
+            let cb = c[0] * b[0][i] + c[1] * b[1][i] + c[2] * b[2][i];
+            let mut cpc = 0.0;
+            for a in 0..3 {
+                for d in 0..3 {
+                    cpc += c[a] * pi[a * 3 + d][i] * c[d];
                 }
-                let feq = w * (rho[i] + 3.0 * cmom + 4.5 * cpc - 1.5 * tr_pi[i]);
-                let fg = fs[i];
-                fd[i] = fg + omega * (feq - fg);
-                cu_l[i] = cu;
-                cb_l[i] = cb;
             }
+            let feq = w * (rho[i] + 3.0 * cmom + 4.5 * cpc - 1.5 * tr_pi[i]);
+            let fg = fd[i];
+            fd[i] = fg + omega * (feq - fg);
+            cu_l[i] = cu;
+            cb_l[i] = cb;
         }
-        for a in 0..3 {
-            let gs = &src.g[(q * 3 + a) * lane + up..][..nx];
-            let gd = &mut sg[q * 3 + a][off..off + nx];
-            let (ba, ua) = (&s.b[a], &s.u[a]);
-            let (cu_l, cb_l) = (&s.cu, &s.cb);
+        for (a, gd) in gd.chunks_exact_mut(px).enumerate() {
+            let gd = &mut gd[1..][..nx];
+            let (ba, ua) = (&b[a], &u[a]);
             for i in 0..nx {
                 let geq = w * (ba[i] + 3.0 * (cu_l[i] * ba[i] - cb_l[i] * ua[i]));
-                let gg = gs[i];
+                let gg = gd[i];
                 gd[i] = gg + omega_m * (geq - gg);
             }
         }
     }
 }
 
-/// [`step`] with an explicit worker handle. Workers own disjoint z-slabs
-/// whose destination lane windows are split off up front, so every worker
-/// streams straight into `dst` — no intermediate rows, no commit pass —
-/// and the result is bitwise identical for every worker count.
+/// [`step`] with an explicit worker handle. Workers own disjoint z-slabs,
+/// each one contiguous window of `dst`, so every worker streams straight
+/// into `dst` — no intermediate rows, no commit pass — and the result is
+/// bitwise identical for every worker count.
 pub fn step_with(
     threads: &Threads,
     src: &Block,
@@ -301,79 +266,31 @@ pub fn step_with(
 ) -> usize {
     assert_eq!((src.nx, src.ny, src.nz), (dst.nx, dst.ny, dst.nz));
     let (nx, ny, nz) = (src.nx, src.ny, src.nz);
-    let px = src.px();
-    let pxy = src.px() * src.py();
-    let lane = src.padded_len();
+    let (line_block, plane) = (src.line_block_len(), src.plane_len());
 
-    // Upwind gather offsets: the value streaming into x along direction i
-    // comes from x − cᵢ.
-    let mut offs = [0isize; Q];
-    for i in 0..Q {
-        offs[i] = -(C[i][0] as isize
-            + (C[i][1] as isize) * px as isize
-            + (C[i][2] as isize) * pxy as isize);
-    }
-
-    // z-slab decomposition. A slab owning interior planes [k_lo, k_hi)
-    // writes only flat-lane indices in [pxy·(k_lo+1), pxy·(k_hi+1)), so
-    // cutting every lane at those offsets yields disjoint &mut windows.
     let nslabs = threads.workers().min(nz).max(1);
-    let mut cut = Vec::with_capacity(nslabs + 1);
-    cut.push(0usize);
-    for sidx in 1..nslabs {
-        cut.push(pxy * (sidx * nz / nslabs + 1));
-    }
-    cut.push(lane);
-
-    let mut slab_f: Vec<Vec<&mut [f64]>> = (0..nslabs).map(|_| Vec::with_capacity(Q)).collect();
-    let mut rest = &mut dst.f[..];
-    for _q in 0..Q {
-        for (sidx, f_slabs) in slab_f.iter_mut().enumerate() {
-            let (head, tail) = rest.split_at_mut(cut[sidx + 1] - cut[sidx]);
-            f_slabs.push(head);
-            rest = tail;
-        }
-    }
-    let mut slab_g: Vec<Vec<&mut [f64]>> = (0..nslabs).map(|_| Vec::with_capacity(Q * 3)).collect();
-    let mut rest = &mut dst.g[..];
-    for _qa in 0..Q * 3 {
-        for (sidx, g_slabs) in slab_g.iter_mut().enumerate() {
-            let (head, tail) = rest.split_at_mut(cut[sidx + 1] - cut[sidx]);
-            g_slabs.push(head);
-            rest = tail;
-        }
-    }
-
-    let tasks: Vec<_> = slab_f
+    // Taken out of `dst` for the call so it can be borrowed beside the
+    // slab windows; a no-op resize after the first step.
+    let mut scratch = std::mem::take(&mut dst.scratch);
+    let per_worker = SCRATCH_LANES * src.px();
+    scratch.resize(nslabs * per_worker, 0.0);
+    let tasks: Vec<_> = dst
+        .z_slabs_mut(nslabs)
         .into_iter()
-        .zip(slab_g)
-        .enumerate()
-        .map(|(sidx, (mut sf, mut sg))| {
-            let k_lo = sidx * nz / nslabs;
-            let k_hi = (sidx + 1) * nz / nslabs;
-            let cut_s = cut[sidx];
+        .zip(scratch.chunks_exact_mut(per_worker))
+        .map(|((k_lo, window), scratch)| {
             move || {
-                let mut scratch = Scratch::new(nx);
-                for k in k_lo..k_hi {
-                    for j in 0..ny {
-                        let base = 1 + px * (j + 1) + pxy * (k + 1);
-                        collide_line(
-                            src,
-                            &offs,
-                            base,
-                            cut_s,
-                            omega,
-                            omega_m,
-                            &mut sf,
-                            &mut sg,
-                            &mut scratch,
-                        );
+                for (k, planes) in window.chunks_exact_mut(plane).enumerate() {
+                    let lines = planes.chunks_exact_mut(line_block).enumerate();
+                    for (j, line) in lines.skip(1).take(ny) {
+                        collide_line(src, (j, k_lo + k + 1), omega, omega_m, line, scratch);
                     }
                 }
             }
         })
         .collect();
     threads.par_tasks(tasks);
+    dst.scratch = scratch;
 
     let points = (nx * ny * nz) as u64;
     // One x-line per (j,k) pair is the vectorizable loop; totals derive
@@ -400,29 +317,19 @@ pub fn step_with(
 pub fn step_reference(src: &Block, dst: &mut Block, omega: f64, omega_m: f64) -> usize {
     assert_eq!((src.nx, src.ny, src.nz), (dst.nx, dst.ny, dst.nz));
     let (nx, ny, nz) = (src.nx, src.ny, src.nz);
-    let px = src.px();
-    let pxy = src.px() * src.py();
-    let lane = src.padded_len();
 
-    let mut offs = [0isize; Q];
-    for i in 0..Q {
-        offs[i] = -(C[i][0] as isize
-            + (C[i][1] as isize) * px as isize
-            + (C[i][2] as isize) * pxy as isize);
-    }
-
-    for k in 0..nz {
-        for j in 0..ny {
-            let base = src.idx(1, j + 1, k + 1);
-            for i in 0..nx {
-                let ix = base + i;
+    for k in 1..=nz {
+        for j in 1..=ny {
+            for i in 1..=nx {
+                // Upwind gather: the value streaming into x along
+                // direction q comes from x − c_q.
                 let mut fg = [0.0f64; Q];
                 let mut gg = [[0.0f64; 3]; Q];
                 for q in 0..Q {
-                    let up = (ix as isize + offs[q]) as usize;
-                    fg[q] = src.f[q * lane + up];
+                    let up = [0, 1, 2].map(|a| ([i, j, k][a] as i32 - C[q][a]) as usize);
+                    fg[q] = src.at(q, up[0], up[1], up[2]);
                     for a in 0..3 {
-                        gg[q][a] = src.g[(q * 3 + a) * lane + up];
+                        gg[q][a] = src.at(g_lane(q, a), up[0], up[1], up[2]);
                     }
                 }
                 let mut rho = 0.0;
@@ -439,9 +346,9 @@ pub fn step_reference(src: &Block, dst: &mut Block, omega: f64, omega_m: f64) ->
                 let u = [mom[0] * inv_rho, mom[1] * inv_rho, mom[2] * inv_rho];
                 let (feq, geq) = equilibrium(rho, u, b);
                 for q in 0..Q {
-                    dst.f[q * lane + ix] = fg[q] + omega * (feq[q] - fg[q]);
+                    *dst.at_mut(q, i, j, k) = fg[q] + omega * (feq[q] - fg[q]);
                     for a in 0..3 {
-                        dst.g[(q * 3 + a) * lane + ix] =
+                        *dst.at_mut(g_lane(q, a), i, j, k) =
                             gg[q][a] + omega_m * (geq[q][a] - gg[q][a]);
                     }
                 }
@@ -454,40 +361,12 @@ pub fn step_reference(src: &Block, dst: &mut Block, omega: f64, omega_m: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{set_equilibrium, Moments};
+    use crate::state::{set_equilibrium, Moments, LANES};
 
     /// Fill src halo by periodic wrap from its own interior (serial helper).
     fn wrap_halo(b: &mut Block) {
-        let (px, py, pz) = (b.px(), b.py(), b.pz());
-        let (nx, ny, nz) = (b.nx, b.ny, b.nz);
-        let lane = b.padded_len();
-        let wrap = |v: usize, n: usize| -> usize {
-            if v == 0 {
-                n
-            } else if v == n + 1 {
-                1
-            } else {
-                v
-            }
-        };
-        for arr_ix in 0..(Q + Q * 3) {
-            for k in 0..pz {
-                for j in 0..py {
-                    for i in 0..px {
-                        let (wi, wj, wk) = (wrap(i, nx), wrap(j, ny), wrap(k, nz));
-                        if (wi, wj, wk) != (i, j, k) {
-                            let (src_ix, dst_ix) =
-                                (wi + px * (wj + py * wk), i + px * (j + py * k));
-                            if arr_ix < Q {
-                                b.f[arr_ix * lane + dst_ix] = b.f[arr_ix * lane + src_ix];
-                            } else {
-                                let qa = arr_ix - Q;
-                                b.g[qa * lane + dst_ix] = b.g[qa * lane + src_ix];
-                            }
-                        }
-                    }
-                }
-            }
+        for axis in 0..3 {
+            b.wrap_axis(axis);
         }
     }
 
@@ -597,30 +476,20 @@ mod tests {
         // must be exactly preserved (no element lost or duplicated).
         let n = 4;
         let mut src = Block::zeros(n, n, n);
-        let lane = src.padded_len();
+        let interior =
+            || (1..=n).flat_map(|k| (1..=n).flat_map(move |j| (1..=n).map(move |i| (i, j, k))));
         // Distinct values everywhere.
         for q in 0..Q {
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        let ix = src.interior_idx(i, j, k);
-                        src.f[q * lane + ix] = (q * 1000 + i * 100 + j * 10 + k) as f64;
-                    }
-                }
+            for (i, j, k) in interior() {
+                *src.at_mut(q, i, j, k) = (q * 1000 + i * 100 + j * 10 + k) as f64;
             }
         }
         wrap_halo(&mut src);
         let mut dst = Block::zeros(n, n, n);
         step(&src, &mut dst, 0.0, 0.0);
         for q in 0..Q {
-            let mut a: Vec<f64> = (0..n)
-                .flat_map(|k| (0..n).flat_map(move |j| (0..n).map(move |i| (i, j, k))))
-                .map(|(i, j, k)| src.f[q * lane + src.interior_idx(i, j, k)])
-                .collect();
-            let mut b: Vec<f64> = (0..n)
-                .flat_map(|k| (0..n).flat_map(move |j| (0..n).map(move |i| (i, j, k))))
-                .map(|(i, j, k)| dst.f[q * lane + dst.interior_idx(i, j, k)])
-                .collect();
+            let mut a: Vec<f64> = interior().map(|(i, j, k)| src.at(q, i, j, k)).collect();
+            let mut b: Vec<f64> = interior().map(|(i, j, k)| dst.at(q, i, j, k)).collect();
             a.sort_by(f64::total_cmp);
             b.sort_by(f64::total_cmp);
             assert_eq!(a, b, "direction {q} not a permutation");
@@ -629,45 +498,40 @@ mod tests {
 
     #[test]
     fn lane_kernel_is_bitwise_identical_to_scalar_reference() {
-        // The SoA lane kernel vs. the per-point scalar oracle, at several
-        // worker counts: every f64 bit must match (see module docs for why
-        // the chains are replicable at all).
-        let (nx, ny, nz) = (7, 5, 6);
-        let mut src = Block::zeros(nx, ny, nz);
-        set_equilibrium(&mut src, |i, j, k| {
-            let x = i as f64 / nx as f64 * std::f64::consts::TAU;
-            let y = j as f64 / ny as f64 * std::f64::consts::TAU;
-            let z = k as f64 / nz as f64 * std::f64::consts::TAU;
-            Moments {
-                rho: 1.0 + 0.05 * (x + 2.0 * y).sin() * z.cos(),
-                mom: [0.04 * (y + z).sin(), -0.03 * (x * 1.7).cos(), 0.02 * (z - x).sin()],
-                b: [0.05 * (z * 1.3).cos(), 0.04 * (x + y).sin(), -0.03 * (y * 0.7).cos()],
-            }
-        });
-        wrap_halo(&mut src);
+        // The line kernel vs. the per-point scalar oracle, at several
+        // worker counts and at x extents around the SIMD widths (a lone
+        // point, one short of / exactly / one past a multiple of 8, and
+        // several vectors plus a tail): every f64 bit must match (see
+        // module docs for why the chains are replicable at all).
+        for nx in [1, 7, 8, 9, 33] {
+            let (ny, nz) = (5, 6);
+            let mut src = Block::zeros(nx, ny, nz);
+            set_equilibrium(&mut src, |i, j, k| {
+                let x = i as f64 / nx as f64 * std::f64::consts::TAU;
+                let y = j as f64 / ny as f64 * std::f64::consts::TAU;
+                let z = k as f64 / nz as f64 * std::f64::consts::TAU;
+                Moments {
+                    rho: 1.0 + 0.05 * (x + 2.0 * y).sin() * z.cos(),
+                    mom: [0.04 * (y + z).sin(), -0.03 * (x * 1.7).cos(), 0.02 * (z - x).sin()],
+                    b: [0.05 * (z * 1.3).cos(), 0.04 * (x + y).sin(), -0.03 * (y * 0.7).cos()],
+                }
+            });
+            wrap_halo(&mut src);
 
-        let mut want = Block::zeros(nx, ny, nz);
-        step_reference(&src, &mut want, 1.9, 1.1);
+            let mut want = Block::zeros(nx, ny, nz);
+            step_reference(&src, &mut want, 1.9, 1.1);
 
-        for workers in [1, 2, 4] {
-            let mut got = Block::zeros(nx, ny, nz);
-            step_with(&Threads::new(workers), &src, &mut got, 1.9, 1.1);
-            let lane = src.padded_len();
-            for q in 0..Q {
-                for k in 0..nz {
-                    for j in 0..ny {
-                        for i in 0..nx {
-                            let ix = got.interior_idx(i, j, k);
-                            assert_eq!(
-                                got.f[q * lane + ix].to_bits(),
-                                want.f[q * lane + ix].to_bits(),
-                                "f q={q} ({i},{j},{k}) workers={workers}"
-                            );
-                            for a in 0..3 {
+            for workers in [1, 2, 4] {
+                let mut got = Block::zeros(nx, ny, nz);
+                step_with(&Threads::new(workers), &src, &mut got, 1.9, 1.1);
+                for lane in 0..LANES {
+                    for k in 1..=nz {
+                        for j in 1..=ny {
+                            for i in 1..=nx {
                                 assert_eq!(
-                                    got.g[(q * 3 + a) * lane + ix].to_bits(),
-                                    want.g[(q * 3 + a) * lane + ix].to_bits(),
-                                    "g q={q} a={a} ({i},{j},{k}) workers={workers}"
+                                    got.at(lane, i, j, k).to_bits(),
+                                    want.at(lane, i, j, k).to_bits(),
+                                    "lane {lane} ({i},{j},{k}) nx={nx} workers={workers}"
                                 );
                             }
                         }

@@ -5,10 +5,14 @@
 //! pair of face exchanges that *include the already-received halo layers*
 //! of previous sweeps — the standard trick that propagates edge and corner
 //! values without explicit diagonal messages.
+//!
+//! A face is copied plane by plane (`Block::pack_face`); a periodic
+//! self-wrap moves it in place; and face buffers circulate instead of being
+//! allocated: each one is handed to `msim` by value, and the buffer
+//! received from a neighbor becomes the next one sent.
 
 use msim::Comm;
 
-use crate::lattice::Q;
 use crate::state::Block;
 
 /// Factorization of `p` ranks into a 3D processor grid, closest to a cube.
@@ -76,94 +80,43 @@ pub fn local_extent(n: usize, parts: usize, coord: usize) -> usize {
     n / parts + usize::from(coord < n % parts)
 }
 
-/// Packs one face layer (padded plane at `fixed` along `axis`, including
-/// halo in the other two dimensions) of every distribution into a buffer.
-fn pack_face(b: &Block, axis: usize, fixed: usize) -> Vec<f64> {
-    let dims = [b.px(), b.py(), b.pz()];
-    let lane = b.padded_len();
-    let (u, v) = other_axes(axis);
-    let mut out = Vec::with_capacity((Q + 3 * Q) * dims[u] * dims[v]);
-    for arr in b.f.chunks_exact(lane).chain(b.g.chunks_exact(lane)) {
-        for jv in 0..dims[v] {
-            for ju in 0..dims[u] {
-                let mut c = [0usize; 3];
-                c[axis] = fixed;
-                c[u] = ju;
-                c[v] = jv;
-                out.push(arr[b.idx(c[0], c[1], c[2])]);
-            }
-        }
-    }
-    out
-}
-
-/// Unpacks a buffer produced by [`pack_face`] into the plane at `fixed`.
-fn unpack_face(b: &mut Block, axis: usize, fixed: usize, buf: &[f64]) {
-    let dims = [b.px(), b.py(), b.pz()];
-    let lane = b.padded_len();
-    let (u, v) = other_axes(axis);
-    let mut it = buf.iter();
-    let idx = |bb: &Block, c: [usize; 3]| bb.idx(c[0], c[1], c[2]);
-    for arr_ix in 0..(Q + 3 * Q) {
-        for jv in 0..dims[v] {
-            for ju in 0..dims[u] {
-                let mut c = [0usize; 3];
-                c[axis] = fixed;
-                c[u] = ju;
-                c[v] = jv;
-                let ix = idx(b, c);
-                let val = *it.next().expect("face buffer too short");
-                if arr_ix < Q {
-                    b.f[arr_ix * lane + ix] = val;
-                } else {
-                    b.g[(arr_ix - Q) * lane + ix] = val;
-                }
-            }
-        }
-    }
-}
-
-fn other_axes(axis: usize) -> (usize, usize) {
-    match axis {
-        0 => (1, 2),
-        1 => (0, 2),
-        2 => (0, 1),
-        _ => panic!("axis out of range"),
-    }
-}
-
 /// Exchanges all six face halos with the Cartesian neighbors (periodic).
-/// Returns the number of payload bytes this rank sent.
-pub fn exchange_halos(comm: &Comm, cart: &CartRank, b: &mut Block) -> usize {
+/// `spare` holds one face buffer per axis between calls (empty before the
+/// first). Returns the number of payload bytes this rank sent.
+pub fn exchange_halos(
+    comm: &Comm,
+    cart: &CartRank,
+    b: &mut Block,
+    spare: &mut [Vec<f64>; 3],
+) -> usize {
     let mut sent = 0;
     let interior_hi = [b.nx, b.ny, b.nz];
     for axis in 0..3 {
-        let lo_plane = 1; // first interior plane
+        if cart.dims[axis] == 1 {
+            b.wrap_axis(axis);
+            continue;
+        }
         let hi_plane = interior_hi[axis]; // last interior plane
         let n_lo = cart.neighbor(axis, -1);
         let n_hi = cart.neighbor(axis, 1);
         let tag = 100 + axis as u64;
 
-        if cart.dims[axis] == 1 {
-            // Periodic self-wrap: copy interior faces to opposite halos.
-            let lo = pack_face(b, axis, lo_plane);
-            let hi = pack_face(b, axis, hi_plane);
-            unpack_face(b, axis, interior_hi[axis] + 1, &lo);
-            unpack_face(b, axis, 0, &hi);
-            continue;
-        }
-
         // Send my low interior plane down, receive my high halo from up.
-        let lo = pack_face(b, axis, lo_plane);
-        sent += lo.len() * 8;
-        let got_hi = comm.sendrecv_f64(n_lo, n_hi, tag, &lo);
-        unpack_face(b, axis, interior_hi[axis] + 1, &got_hi);
+        let mut buf = std::mem::take(&mut spare[axis]);
+        buf.resize(b.face_len(axis), 0.0);
+        b.pack_face(axis, 1, &mut buf);
+        sent += buf.len() * 8;
+        comm.send_vec_f64(n_lo, tag, buf);
+        let mut buf = comm.recv_f64(n_hi, tag);
+        b.unpack_face(axis, hi_plane + 1, &buf);
 
         // Send my high interior plane up, receive my low halo from down.
-        let hi = pack_face(b, axis, hi_plane);
-        sent += hi.len() * 8;
-        let got_lo = comm.sendrecv_f64(n_hi, n_lo, tag + 10, &hi);
-        unpack_face(b, axis, 0, &got_lo);
+        b.pack_face(axis, hi_plane, &mut buf);
+        sent += buf.len() * 8;
+        comm.send_vec_f64(n_hi, tag + 10, buf);
+        let buf = comm.recv_f64(n_lo, tag + 10);
+        b.unpack_face(axis, 0, &buf);
+        spare[axis] = buf;
     }
     sent
 }
@@ -220,40 +173,13 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_round_trip() {
-        let mut b = Block::zeros(3, 4, 5);
-        let lane = b.padded_len();
-        for (n, arr) in b.f.chunks_exact_mut(lane).chain(b.g.chunks_exact_mut(lane)).enumerate() {
-            for (i, v) in arr.iter_mut().enumerate() {
-                *v = (n * 10_000 + i) as f64;
-            }
-        }
-        let buf = pack_face(&b, 1, 2);
-        let mut b2 = b.clone();
-        // Wipe the plane, then restore it from the buffer.
-        let snapshot = b.clone();
-        for arr in b2.f.chunks_exact_mut(lane).chain(b2.g.chunks_exact_mut(lane)) {
-            for k in 0..b.pz() {
-                for i in 0..b.px() {
-                    let ix = i + b.px() * (2 + b.py() * k);
-                    arr[ix] = -1.0;
-                }
-            }
-        }
-        unpack_face(&mut b2, 1, 2, &buf);
-        assert_eq!(snapshot.f, b2.f);
-        assert_eq!(snapshot.g, b2.g);
-    }
-
-    #[test]
     fn self_wrap_fills_halos_periodically() {
         let mut b = Block::zeros(3, 3, 3);
         // Tag interior points with their coordinates in f[0].
-        for k in 0..3 {
-            for j in 0..3 {
-                for i in 0..3 {
-                    let ix = b.interior_idx(i, j, k);
-                    b.f_lane_mut(0)[ix] = (100 * i + 10 * j + k) as f64;
+        for k in 1..=3 {
+            for j in 1..=3 {
+                for i in 1..=3 {
+                    *b.at_mut(0, i, j, k) = (100 * i + 10 * j + k) as f64;
                 }
             }
         }
@@ -261,15 +187,19 @@ mod tests {
         let cart = CartRank::new(0, [1, 1, 1]);
         msim::run(1, move |comm| {
             let mut local = b.clone();
-            exchange_halos(comm, &cart, &mut local);
-            // Low-x halo must equal the high-x interior plane.
-            for k in 0..3 {
-                for j in 0..3 {
-                    let halo = local.f_lane(0)[local.idx(0, j + 1, k + 1)];
-                    let want = local.f_lane(0)[local.interior_idx(2, j, k)];
-                    assert_eq!(halo, want);
+            let mut spare = Default::default();
+            assert_eq!(exchange_halos(comm, &cart, &mut local, &mut spare), 0);
+            // Low-x halo must equal the high-x interior plane — and the
+            // corner halo the diagonally opposite interior corner, which
+            // only the sweep order (each axis carrying the earlier halos)
+            // delivers.
+            for k in 1..=3 {
+                for j in 1..=3 {
+                    assert_eq!(local.at(0, 0, j, k), local.at(0, 3, j, k));
                 }
             }
+            assert_eq!(local.at(0, 0, 0, 0), local.at(0, 3, 3, 3));
+            assert_eq!(local.at(0, 4, 0, 4), local.at(0, 1, 3, 1));
         })
         .unwrap();
     }

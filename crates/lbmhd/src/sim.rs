@@ -61,6 +61,8 @@ pub struct Simulation {
     pub origin: [usize; 3],
     src: Block,
     dst: Block,
+    /// One recycled halo face buffer per axis (see [`exchange_halos`]).
+    face_bufs: [Vec<f64>; 3],
     /// Shared-memory worker handle used by the collide+stream kernel.
     pub threads: Threads,
     /// Lattice points updated so far (for flop accounting).
@@ -103,6 +105,7 @@ impl Simulation {
             origin,
             src,
             dst,
+            face_bufs: Default::default(),
             points_updated: 0,
             halo_bytes_sent: 0,
         }
@@ -115,7 +118,8 @@ impl Simulation {
 
     /// Advances one timestep: halo exchange, then fused collide+stream.
     pub fn step(&mut self, comm: &Comm) {
-        self.halo_bytes_sent += exchange_halos(comm, &self.cart, &mut self.src) as u64;
+        self.halo_bytes_sent +=
+            exchange_halos(comm, &self.cart, &mut self.src, &mut self.face_bufs) as u64;
         let pts = step_with(
             &self.threads,
             &self.src,
@@ -247,6 +251,58 @@ mod tests {
             (serial.magnetic_energy - par.magnetic_energy).abs()
                 < 1e-10 * serial.magnetic_energy.max(1e-30)
         );
+    }
+
+    #[test]
+    fn every_decomposition_is_bitwise_the_serial_run() {
+        // n = 9 makes every 2-way split uneven (5/4). Each rank returns its
+        // origin, extents and interior distributions after 5 steps; every
+        // one must equal the 1-rank run at the same global point bit for
+        // bit — a face delivered in the wrong order or onto the wrong plane
+        // would survive the reduced diagnostics above, not this.
+        use crate::state::LANES;
+        let n = 9;
+        let run = |procs: usize| {
+            msim::run(procs, move |comm| {
+                let params = SimParams { n, ..Default::default() };
+                let mut sim = Simulation::new(params, comm.rank(), comm.size());
+                sim.run(comm, 5);
+                let b = sim.block();
+                let mut bits = Vec::with_capacity(LANES * b.interior_len());
+                for lane in 0..LANES {
+                    for k in 1..=b.nz {
+                        for j in 1..=b.ny {
+                            bits.extend((1..=b.nx).map(|i| b.at(lane, i, j, k).to_bits()));
+                        }
+                    }
+                }
+                (sim.origin, [b.nx, b.ny, b.nz], bits)
+            })
+            .unwrap()
+        };
+        let serial = run(1).remove(0).2;
+        for procs in [2usize, 4, 8] {
+            let mut points = 0;
+            for (rank, (o, [nx, ny, nz], bits)) in run(procs).into_iter().enumerate() {
+                let mut got = bits.into_iter();
+                for lane in 0..LANES {
+                    for k in 0..nz {
+                        for j in 0..ny {
+                            for i in 0..nx {
+                                let global = ((lane * n + o[2] + k) * n + o[1] + j) * n + o[0] + i;
+                                assert_eq!(
+                                    got.next(),
+                                    Some(serial[global]),
+                                    "procs={procs} rank={rank} lane={lane} local=({i},{j},{k})"
+                                );
+                            }
+                        }
+                    }
+                }
+                points += nx * ny * nz;
+            }
+            assert_eq!(points, n * n * n, "procs={procs}: blocks must tile the grid");
+        }
     }
 
     #[test]

@@ -162,7 +162,14 @@ impl Comm {
 
     /// Buffered send of a block of doubles to communicator rank `dst`.
     pub fn send_f64(&self, dst: usize, tag: u64, data: &[f64]) {
-        self.send_payload(dst, tag, Payload::F64(data.to_vec()));
+        self.send_vec_f64(dst, tag, data.to_vec());
+    }
+
+    /// [`Comm::send_f64`] of a buffer the caller already owns: the `Vec`
+    /// itself moves into the receiver's mailbox (and comes out of its
+    /// `recv_f64`), so nothing is copied or allocated.
+    pub fn send_vec_f64(&self, dst: usize, tag: u64, data: Vec<f64>) {
+        self.send_payload(dst, tag, Payload::F64(data));
     }
 
     /// Buffered send of raw bytes to communicator rank `dst`.
@@ -375,6 +382,48 @@ mod tests {
         .unwrap();
         assert_eq!(traffic.pair(0, 3), 800);
         assert_eq!(traffic.total_bytes(), 800);
+    }
+
+    #[test]
+    fn owned_and_borrowed_sends_deliver_the_same_payload_and_traffic() {
+        let data: Vec<f64> = (0..257).map(|i| i as f64 * 0.5 - 3.0).collect();
+        let run_with = |owned: bool| {
+            let data = data.clone();
+            run_with_traffic(3, move |c| match c.rank() {
+                0 if owned => {
+                    c.send_vec_f64(2, 4, data.clone());
+                    c.send_vec_f64(2, 4, Vec::new());
+                    Vec::new()
+                }
+                0 => {
+                    c.send_f64(2, 4, &data);
+                    c.send_f64(2, 4, &[]);
+                    Vec::new()
+                }
+                2 => {
+                    let got = c.recv_f64(0, 4);
+                    assert!(c.recv_f64(0, 4).is_empty());
+                    got
+                }
+                _ => Vec::new(),
+            })
+            .unwrap()
+        };
+        let (borrowed, t_borrowed) = run_with(false);
+        let (owned, t_owned) = run_with(true);
+        assert_eq!(owned[2], data);
+        assert_eq!(owned, borrowed);
+        for src in 0..3 {
+            for dst in 0..3 {
+                assert_eq!(t_owned.pair(src, dst), t_borrowed.pair(src, dst), "{src}->{dst} bytes");
+                assert_eq!(
+                    t_owned.pair_msgs(src, dst),
+                    t_borrowed.pair_msgs(src, dst),
+                    "{src}->{dst} messages"
+                );
+            }
+        }
+        assert_eq!(t_owned.pair(0, 2), 257 * 8);
     }
 
     #[test]

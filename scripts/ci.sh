@@ -8,6 +8,12 @@ cargo build --release --offline --workspace --examples
 cargo test -q --offline --workspace
 cargo fmt --check
 
+# benchmark/ is a workspace of its own that path-depends on crates/*, so
+# nothing above notices when a crate API change stops it compiling. Build
+# and run its tests, then one short run of each workload.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/ci.sh --smoke
+
 # Regenerate every artifact (tables, canonical responses, profiles,
 # bench JSONs) in one run, then hold it against the committed baseline.
 # Exact-deterministic fields (phase counters, table cells, response

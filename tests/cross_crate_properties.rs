@@ -210,12 +210,10 @@ fn lbmhd_equilibrium_moments_exact() {
 /// multiset of values is exactly permuted, never changed.
 #[test]
 fn lbmhd_stream_is_a_permutation_when_collision_is_off() {
-    use lbmhd::lattice::Q;
-    use lbmhd::state::Block;
+    use lbmhd::state::{Block, LANES};
 
     /// Fill the halo by periodic wrap from the block's own interior.
     fn wrap_halo(b: &mut Block) {
-        let (px, py, pz) = (b.px(), b.py(), b.pz());
         let (nx, ny, nz) = (b.nx, b.ny, b.nz);
         let wrap = |v: usize, n: usize| -> usize {
             if v == 0 {
@@ -226,20 +224,13 @@ fn lbmhd_stream_is_a_permutation_when_collision_is_off() {
                 v
             }
         };
-        let lane = b.padded_len();
-        for arr_ix in 0..(Q + Q * 3) {
-            for k in 0..pz {
-                for j in 0..py {
-                    for i in 0..px {
+        for lane in 0..LANES {
+            for k in 0..b.pz() {
+                for j in 0..b.py() {
+                    for i in 0..b.px() {
                         let (wi, wj, wk) = (wrap(i, nx), wrap(j, ny), wrap(k, nz));
                         if (wi, wj, wk) != (i, j, k) {
-                            let (s, d) = (wi + px * (wj + py * wk), i + px * (j + py * k));
-                            if arr_ix < Q {
-                                b.f[arr_ix * lane + d] = b.f[arr_ix * lane + s];
-                            } else {
-                                let qa = arr_ix - Q;
-                                b.g[qa * lane + d] = b.g[qa * lane + s];
-                            }
+                            *b.at_mut(lane, i, j, k) = b.at(lane, wi, wj, wk);
                         }
                     }
                 }
@@ -247,10 +238,10 @@ fn lbmhd_stream_is_a_permutation_when_collision_is_off() {
         }
     }
 
-    fn sorted_interior(b: &Block, arr: &[f64]) -> Vec<f64> {
-        let mut v: Vec<f64> = (0..b.nz)
+    fn sorted_interior(b: &Block, lane: usize) -> Vec<f64> {
+        let mut v: Vec<f64> = (1..=b.nz)
             .flat_map(|k| {
-                (0..b.ny).flat_map(move |j| (0..b.nx).map(move |i| arr[b.interior_idx(i, j, k)]))
+                (1..=b.ny).flat_map(move |j| (1..=b.nx).map(move |i| b.at(lane, i, j, k)))
             })
             .collect();
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -261,15 +252,11 @@ fn lbmhd_stream_is_a_permutation_when_collision_is_off() {
     for case in 0..4 {
         let n = 4 + case; // 4..8 per axis keeps this fast
         let mut src = Block::zeros(n, n, n);
-        for q in 0..Q {
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        let ix = src.interior_idx(i, j, k);
-                        src.f_lane_mut(q)[ix] = rng.range(-1.0, 1.0);
-                        for a in 0..3 {
-                            src.g_lane_mut(q, a)[ix] = rng.range(-1.0, 1.0);
-                        }
+        for lane in 0..LANES {
+            for k in 1..=n {
+                for j in 1..=n {
+                    for i in 1..=n {
+                        *src.at_mut(lane, i, j, k) = rng.range(-1.0, 1.0);
                     }
                 }
             }
@@ -278,19 +265,12 @@ fn lbmhd_stream_is_a_permutation_when_collision_is_off() {
         let mut dst = Block::zeros(n, n, n);
         let updated = lbmhd::collide::step(&src, &mut dst, 0.0, 0.0);
         assert_eq!(updated, n * n * n);
-        for q in 0..Q {
+        for lane in 0..LANES {
             assert_eq!(
-                sorted_interior(&src, src.f_lane(q)),
-                sorted_interior(&dst, dst.f_lane(q)),
-                "case {case}: f[{q}] multiset changed under pure streaming"
+                sorted_interior(&src, lane),
+                sorted_interior(&dst, lane),
+                "case {case}: lane {lane} multiset changed under pure streaming"
             );
-            for a in 0..3 {
-                assert_eq!(
-                    sorted_interior(&src, src.g_lane(q, a)),
-                    sorted_interior(&dst, dst.g_lane(q, a)),
-                    "case {case}: g[{q}][{a}] multiset changed under pure streaming"
-                );
-            }
         }
     }
 }
