@@ -420,14 +420,9 @@ pub fn diff_dirs(
 
 /// The `repro diff <old> [new] [--threshold=F]` entry point: loads both
 /// directories, diffs, prints the report, and returns the exit code.
-/// `HEC_DIFF_THRESHOLD` overrides the default tolerance; an explicit
-/// `--threshold=` flag overrides both.
 pub fn run_cli(args: &[String]) -> i32 {
     let mut dirs: Vec<&str> = Vec::new();
-    let mut threshold = std::env::var("HEC_DIFF_THRESHOLD")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_THRESHOLD);
+    let mut threshold = DEFAULT_THRESHOLD;
     for a in args {
         if let Some(v) = a.strip_prefix("--threshold=") {
             match v.parse::<f64>() {

@@ -10,7 +10,7 @@
 //!   integration tests.
 //! * [`harness`] — dependency-free micro/app benchmark timing
 //!   (`repro harness`).
-//! * [`loadgen`] — closed-loop load generator for the serve subsystem
+//! * [`loadgen`] — open-loop load generator for the serve subsystem
 //!   (`repro loadgen`, writes `BENCH_serve.json`).
 //! * [`artifact`] — the metadata-stamped artifact writer/loader shared
 //!   by every JSON-producing subcommand.

@@ -1,22 +1,18 @@
-//! `repro loadgen` — load generator for the serve/cluster subsystems,
-//! closed-loop by default, open-loop with `--rate=N`.
+//! `repro loadgen` — seeded open-loop load generator for the
+//! serve/cluster subsystems.
 //!
-//! **Closed loop** (default): N client threads, each issuing one
-//! request at a time (think time zero, concurrency = N) round-robin
-//! over a repeated-request workload: single points for all four apps
-//! across several platforms, plus a sweep per app. Because the
-//! workload repeats, a correctly caching server converges to a high
-//! hit rate. Closed-loop latency suffers *coordinated omission*: a
-//! slow response delays the client's next arrival, so the recorded
-//! distribution under-represents exactly the stalls it should expose.
-//!
-//! **Open loop** (`--rate=N`): request arrival times are a fixed,
-//! seeded schedule — exponential inter-arrivals at the offered rate,
-//! computed *before* the run and independent of response times
-//! ([`arrival_offsets_ns`]). Latency is measured from each request's
-//! *scheduled* arrival to its completion, so time a request spends
-//! waiting behind a stalled server counts against the server, not
-//! against the schedule. Same seed + rate ⇒ byte-identical schedule.
+//! The workload is a repeated-request mix: single points for all four
+//! apps across several platforms, plus a sweep per app. Because it
+//! repeats, a correctly caching server converges to a high hit rate.
+//! Request arrival times are a fixed, seeded schedule — exponential
+//! inter-arrivals at the offered rate (`--rate=N`), computed *before*
+//! the run and independent of response times ([`arrival_offsets_ns`]).
+//! Latency is measured from each request's *scheduled* arrival to its
+//! completion, so time a request spends waiting behind a stalled server
+//! counts against the server, not against the schedule — a closed loop,
+//! where a slow response delays the client's next arrival, would
+//! under-represent exactly the stalls it should expose. Same seed +
+//! rate ⇒ byte-identical schedule.
 //!
 //! Clients use the retrying GET ([`client::get_with_retry`]): a `503 +
 //! Retry-After` or a transport blip is retried with seeded backoff, and
@@ -31,7 +27,6 @@
 //! otherwise it emits `BENCH_serve.json` with the cache breakdown, as
 //! before.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,17 +36,20 @@ use report::latency::{cluster_table, latency_table, ClusterSummary, LatencySumma
 
 /// Default load duration, seconds.
 pub const DEFAULT_SECS: u64 = 5;
-/// Default closed-loop client count.
+/// Default sender-thread count.
 pub const DEFAULT_CLIENTS: usize = 4;
-/// Default arrival-schedule seed for open-loop runs. Any seed is
+/// Default offered rate, requests per second — the rate `repro all`
+/// runs at, where it is an exact field of the BENCH artifacts.
+pub const DEFAULT_RATE_RPS: f64 = 400.0;
+/// Default arrival-schedule seed. Any seed is
 /// valid; this one's Poisson draw lands near the nominal count at the
 /// pipeline's default (rate, secs), so the offered-vs-achieved stamp
 /// reads cleanly (an unlucky seed can legitimately draw a 3σ-thin
 /// schedule and make a healthy server look 10% slow).
 pub const DEFAULT_SEED: u64 = 36;
 
-/// Open-loop parameters: a fixed offered rate and the seed of the
-/// arrival schedule.
+/// The load to offer: a fixed rate and the seed of the arrival
+/// schedule.
 #[derive(Clone, Copy)]
 pub struct OpenLoop {
     /// Offered request rate, requests per second.
@@ -132,35 +130,6 @@ struct ClientStats {
     samples: Vec<Sample>,
     /// Requests that exhausted the retry budget on transport errors.
     transport_errors: u64,
-}
-
-fn drive(base: String, stop: Arc<AtomicBool>, offset: usize) -> ClientStats {
-    let urls = workload(&base);
-    let policy = client::RetryPolicy::default();
-    let mut stats = ClientStats { samples: Vec::new(), transport_errors: 0 };
-    let mut i = offset;
-    while !stop.load(Ordering::Relaxed) {
-        let (class, url) = &urls[i % urls.len()];
-        // Per-request jitter seed: distinct per client and per request,
-        // deterministic for a given (client, index) pair.
-        let seed = ((offset as u64) << 32) ^ i as u64;
-        i += 1;
-        let t0 = Instant::now();
-        match client::get_with_retry(url, &policy, seed) {
-            Ok(out) => {
-                let us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                let ok = out.response.status == 200;
-                stats.samples.push(Sample {
-                    class: *class,
-                    latency_us: us,
-                    ok,
-                    retried_ok: ok && out.retried_ok,
-                });
-            }
-            Err(_) => stats.transport_errors += 1,
-        }
-    }
-    stats
 }
 
 /// Runs the fixed arrival schedule against the workload: the caller
@@ -278,23 +247,22 @@ fn summarize(class: Class, label: &str, samples: &[Sample]) -> LatencySummary {
 /// Runs the load test against `url` and writes the result into the
 /// current directory with a fresh metadata stamp (the standalone
 /// `repro loadgen` entry point).
-pub fn run(url: &str, secs: u64, clients: usize, open: Option<OpenLoop>) -> u64 {
+pub fn run(url: &str, secs: u64, clients: usize, open: OpenLoop) -> u64 {
     let meta = crate::artifact::Meta::collect(0, secs, clients, 0);
     run_into(&crate::artifact::Writer::cwd(&meta), url, secs, clients, open)
 }
 
 /// Runs the load test against `url` (a `hec-serve` instance or a
 /// `hec-cluster` router) and writes `BENCH_serve.json` or
-/// `BENCH_cluster.json` through `w` accordingly — closed-loop when
-/// `open` is `None`, open-loop at the given offered rate otherwise.
-/// Returns the number of error responses (HTTP or transport, after
-/// retries) so callers can fail a run that did not serve cleanly.
+/// `BENCH_cluster.json` through `w` accordingly. Returns the number of
+/// error responses (HTTP or transport, after retries) so callers can
+/// fail a run that did not serve cleanly.
 pub fn run_into(
     w: &crate::artifact::Writer,
     url: &str,
     secs: u64,
     clients: usize,
-    open: Option<OpenLoop>,
+    open: OpenLoop,
 ) -> u64 {
     let base = url.trim_end_matches('/').to_string();
     let metrics_url = format!("{base}/metrics");
@@ -306,31 +274,12 @@ pub fn run_into(
     let what = if is_cluster { "cluster" } else { "serve" };
 
     let t0 = Instant::now();
-    let stats: Vec<ClientStats> = match open {
-        Some(ol) => {
-            eprintln!(
-                "loadgen: open loop at {} rps (seed {:#x}, {clients} senders) against {base} \
-                 ({what}) for {secs}s...",
-                ol.rate_rps, ol.seed
-            );
-            drive_open(&base, ol, secs, clients)
-        }
-        None => {
-            eprintln!(
-                "loadgen: {clients} closed-loop clients against {base} ({what}) for {secs}s..."
-            );
-            let stop = Arc::new(AtomicBool::new(false));
-            let handles: Vec<_> = (0..clients.max(1))
-                .map(|c| {
-                    let (base, stop) = (base.clone(), Arc::clone(&stop));
-                    std::thread::spawn(move || drive(base, stop, c * 3))
-                })
-                .collect();
-            std::thread::sleep(Duration::from_secs(secs.max(1)));
-            stop.store(true, Ordering::Relaxed);
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        }
-    };
+    eprintln!(
+        "loadgen: open loop at {} rps (seed {:#x}, {clients} senders) against {base} \
+         ({what}) for {secs}s...",
+        open.rate_rps, open.seed
+    );
+    let stats = drive_open(&base, open, secs, clients);
     let elapsed = t0.elapsed().as_secs_f64();
 
     let samples: Vec<Sample> = stats.iter().flat_map(|s| s.samples.iter().copied()).collect();
@@ -378,13 +327,12 @@ pub fn run_into(
         ("url", Json::Str(base.clone())),
         ("secs", Json::Num(secs as f64)),
         ("clients", Json::Num(clients as f64)),
-        ("open_loop", Json::Bool(open.is_some())),
+        // Always true; kept so BENCH_* exact fields do not move.
+        ("open_loop", Json::Bool(true)),
+        ("rate_offered_rps", Json::Num(open.rate_rps)),
+        ("rate_achieved_rps", Json::Num(throughput)),
+        ("seed", Json::Num(open.seed as f64)),
     ];
-    if let Some(ol) = open {
-        fields.push(("rate_offered_rps", Json::Num(ol.rate_rps)));
-        fields.push(("rate_achieved_rps", Json::Num(throughput)));
-        fields.push(("seed", Json::Num(ol.seed as f64)));
-    }
     fields.extend([
         ("requests", Json::Num(requests as f64)),
         ("errors", Json::Num(errors as f64)),

@@ -117,19 +117,19 @@ const COMMANDS: &[Cmd] = &[
     Cmd {
         name: "serve",
         args: "[port]",
-        help: "prediction service on 127.0.0.1 (default: ephemeral port; HEC_SERVE_* tune it)",
+        help: "prediction service on 127.0.0.1 (default: ephemeral port)",
         run: |args| serve(args),
     },
     Cmd {
         name: "cluster",
         args: "<replicas> [port]",
-        help: "sharded serving cluster: router + N replicas (HEC_CLUSTER_* tune it)",
+        help: "sharded serving cluster: router + N replicas",
         run: |args| cluster(args),
     },
     Cmd {
         name: "loadgen",
         args: "<url> [secs] [clients] [--rate=RPS] [--seed=N]",
-        help: "load test (closed-loop; --rate=RPS switches to seeded open-loop arrivals); \
+        help: "open-loop load test, seeded arrivals at --rate (default 400 rps); \
                writes BENCH_serve.json (or BENCH_cluster.json for a router)",
         run: |args| loadgen(args),
     },
@@ -211,7 +211,7 @@ fn main() {
 
 fn serve(args: &[String]) {
     let port: u16 = args.first().and_then(|s| s.parse().ok()).unwrap_or(0);
-    let cfg = hec_serve::server::ServeConfig::from_env(port);
+    let cfg = hec_serve::server::ServeConfig { port, ..Default::default() };
     let server = match hec_serve::server::start(cfg.clone()) {
         Ok(s) => s,
         Err(e) => {
@@ -229,7 +229,7 @@ fn serve(args: &[String]) {
 fn cluster(args: &[String]) {
     let replicas: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(3);
     let port: u16 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-    let cfg = hec_cluster::ClusterConfig::from_env(replicas, port);
+    let cfg = hec_cluster::ClusterConfig { replicas: replicas.max(1), port, ..Default::default() };
     let (replication, vnodes) = (cfg.replication, cfg.vnodes);
     let cluster = match hec_cluster::start(cfg) {
         Ok(c) => c,
@@ -342,13 +342,13 @@ fn scale(args: &[String]) {
 }
 
 fn loadgen(args: &[String]) {
-    let mut rate: Option<f64> = None;
+    let mut rate_rps = bench::loadgen::DEFAULT_RATE_RPS;
     let mut seed: u64 = bench::loadgen::DEFAULT_SEED;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
         if let Some(v) = a.strip_prefix("--rate=") {
             match v.parse::<f64>() {
-                Ok(r) if r > 0.0 => rate = Some(r),
+                Ok(r) if r > 0.0 => rate_rps = r,
                 _ => {
                     eprintln!("loadgen: --rate wants a positive number, got {v:?}");
                     std::process::exit(2);
@@ -374,7 +374,7 @@ fn loadgen(args: &[String]) {
         positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(bench::loadgen::DEFAULT_SECS);
     let clients: usize =
         positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(bench::loadgen::DEFAULT_CLIENTS);
-    let open = rate.map(|rate_rps| bench::loadgen::OpenLoop { rate_rps, seed });
+    let open = bench::loadgen::OpenLoop { rate_rps, seed };
     let errors = bench::loadgen::run(url, secs, clients, open);
     if errors > 0 {
         eprintln!("loadgen: {errors} error responses");

@@ -18,10 +18,8 @@
 //!   in-process server and cluster (error counts exact, throughput and
 //!   latency thresholded).
 //!
-//! Sample sizes are tuned for a CI smoke by default and overridable via
-//! `HEC_REPRO_SAMPLES` / `HEC_REPRO_SECS` / `HEC_REPRO_CLIENTS` /
-//! `HEC_REPRO_REPLICAS` — they are provenance, not configuration, so
-//! runs with different sampling still share a `config_hash`.
+//! Sample sizes are constants tuned for a CI smoke; the stamp records
+//! them as provenance.
 
 use hec_core::json::Json;
 use hec_serve::engine::{self, AppId};
@@ -32,20 +30,15 @@ use crate::artifact::{app_tag, Meta, Writer};
 
 /// Default output directory for `repro all`.
 pub const DEFAULT_DIR: &str = "artifacts";
-/// Default timed samples per harness case (a smoke, not a deep run).
-pub const DEFAULT_SAMPLES: usize = 3;
-/// Default load-test duration per target, seconds.
-pub const DEFAULT_SECS: u64 = 2;
-/// Default closed-loop load clients.
-pub const DEFAULT_CLIENTS: usize = 4;
-/// Default cluster replicas.
-pub const DEFAULT_REPLICAS: usize = 3;
-/// Default open-loop offered rate for the pipeline load tests, rps.
-pub const DEFAULT_RATE: usize = 400;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
-}
+/// Timed samples per harness case (a smoke, not a deep run).
+const SAMPLES: usize = 3;
+/// Load-test duration per target, seconds.
+const SECS: u64 = 2;
+/// Load-test sender threads.
+const CLIENTS: usize = 4;
+/// Cluster replicas. Like the offered rate, an exact field of
+/// `BENCH_cluster.json`: changing it means regenerating `baseline/`.
+const REPLICAS: usize = 3;
 
 /// Runs the full pipeline into `dir`.
 ///
@@ -54,19 +47,13 @@ fn env_usize(name: &str, default: usize) -> usize {
 /// an infeasible evaluation point, a server that would not start, or a
 /// load test that produced error responses.
 pub fn run_all(dir: &str) -> Result<(), String> {
-    let samples = env_usize("HEC_REPRO_SAMPLES", DEFAULT_SAMPLES);
-    let secs = env_usize("HEC_REPRO_SECS", DEFAULT_SECS as usize) as u64;
-    let clients = env_usize("HEC_REPRO_CLIENTS", DEFAULT_CLIENTS);
-    let replicas = env_usize("HEC_REPRO_REPLICAS", DEFAULT_REPLICAS);
-    // Pipeline load tests run open-loop at a fixed seeded rate so the
-    // latency artifacts are free of coordinated omission and the
-    // arrival schedule is identical run to run.
-    let open = Some(crate::loadgen::OpenLoop {
-        rate_rps: env_usize("HEC_REPRO_RATE", DEFAULT_RATE) as f64,
+    // A fixed seeded rate, so the arrival schedule is identical run to run.
+    let open = crate::loadgen::OpenLoop {
+        rate_rps: crate::loadgen::DEFAULT_RATE_RPS,
         seed: crate::loadgen::DEFAULT_SEED,
-    });
+    };
 
-    let meta = Meta::collect(samples, secs, clients, replicas);
+    let meta = Meta::collect(SAMPLES, SECS, CLIENTS, REPLICAS);
     let w = Writer::new(dir, &meta).map_err(|e| format!("cannot create {dir}: {e}"))?;
     println!(
         "repro all -> {dir} (commit {}, {} workers, config {})",
@@ -100,32 +87,31 @@ pub fn run_all(dir: &str) -> Result<(), String> {
     println!("\n== profiles (counters exact, timings ignored) ==");
     crate::profile::run_into(&w);
 
-    println!("== harness ({samples} samples; throughput thresholded) ==");
-    crate::harness::run_into(&w, samples);
+    println!("== harness ({SAMPLES} samples; throughput thresholded) ==");
+    crate::harness::run_into(&w, SAMPLES);
 
-    println!("\n== serve load test ({secs}s x {clients} clients) ==");
-    let cfg = server::ServeConfig::from_env(0);
+    println!("\n== serve load test ({SECS}s x {CLIENTS} clients) ==");
+    let cfg = server::ServeConfig::default();
     let srv = server::start(cfg).map_err(|e| format!("cannot start hec-serve: {e}"))?;
     let errors =
-        crate::loadgen::run_into(&w, &format!("http://{}", srv.addr()), secs, clients, open);
+        crate::loadgen::run_into(&w, &format!("http://{}", srv.addr()), SECS, CLIENTS, open);
     srv.shutdown();
     srv.join();
     if errors > 0 {
         return Err(format!("serve load test saw {errors} error responses"));
     }
 
-    println!("\n== cluster load test ({replicas} replicas, {secs}s x {clients} clients) ==");
-    let mut cfg = hec_cluster::ClusterConfig::from_env(replicas, 0);
+    println!("\n== cluster load test ({REPLICAS} replicas, {SECS}s x {CLIENTS} clients) ==");
+    let mut cfg = hec_cluster::ClusterConfig { replicas: REPLICAS, ..Default::default() };
     // The cluster phase exercises elasticity deterministically: two
     // seeded stall bursts push the inter-tick p99 over the autoscaler's
     // threshold (one scale-up), the calm remainder of the run drains it
     // back (one scale-down), and min/max pin the decisions to exactly
     // +1/−1 so `repro diff` can gate them bit-for-bit. Router workers
-    // are pinned to 2 — not `HEC_CLUSTER_WORKERS` — because the queue
-    // and latency signals the autoscaler samples must not depend on
-    // the host's core count.
+    // are pinned to 2 because the queue and latency signals the
+    // autoscaler samples must not depend on the host's core count.
     cfg.workers = 2;
-    cfg.autoscale = Some(hec_cluster::AutoscaleConfig::bounded(replicas, replicas + 1));
+    cfg.autoscale = Some(hec_cluster::AutoscaleConfig::bounded(REPLICAS, REPLICAS + 1));
     cfg.faults = hec_cluster::FaultPlan::with(
         [40u64, 41, 52, 53]
             .into_iter()
@@ -138,7 +124,7 @@ pub fn run_all(dir: &str) -> Result<(), String> {
     );
     let cluster = hec_cluster::start(cfg).map_err(|e| format!("cannot start hec-cluster: {e}"))?;
     let errors =
-        crate::loadgen::run_into(&w, &format!("http://{}", cluster.addr()), secs, clients, open);
+        crate::loadgen::run_into(&w, &format!("http://{}", cluster.addr()), SECS, CLIENTS, open);
     cluster.shutdown();
     cluster.join();
     if errors > 0 {
@@ -170,10 +156,5 @@ mod tests {
     fn table_artifacts_cover_all_four_apps() {
         let tags: Vec<&str> = AppId::ALL.iter().map(|&a| app_tag(a)).collect();
         assert_eq!(tags, ["fvcam", "gtc", "lbmhd3d", "paratec"]);
-    }
-
-    #[test]
-    fn env_knobs_reject_zero_and_garbage() {
-        assert_eq!(env_usize("HEC_REPRO_NO_SUCH_VAR", 7), 7);
     }
 }

@@ -203,11 +203,6 @@ impl Platform {
     pub fn bytes_per_flop(&self) -> f64 {
         self.stream_bw_gbps / self.peak_gflops
     }
-
-    /// True for the vector machines.
-    pub fn is_vector(&self) -> bool {
-        matches!(self.arch, Arch::Vector(_))
-    }
 }
 
 impl ToJson for SuperscalarParams {

@@ -78,11 +78,6 @@ impl FaultPlan {
         FaultPlan { events }
     }
 
-    /// Convenience: kill `replica` when request `at_request` is admitted.
-    pub fn kill_at(replica: usize, at_request: u64) -> FaultPlan {
-        FaultPlan::with(vec![FaultEvent { at_request, replica, kind: FaultKind::Kill }])
-    }
-
     /// Convenience: one scale-up event at `at_request`.
     pub fn add_at(at_request: u64) -> FaultPlan {
         FaultPlan::with(vec![FaultEvent { at_request, replica: 0, kind: FaultKind::AddAt }])

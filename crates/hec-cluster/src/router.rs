@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hec_core::json::Json;
+use hec_core::json::{Json, ToJson};
 use hec_core::pool::{QueueGauge, Threads, WorkerPool};
 use hec_core::retry::Backoff;
 use hec_core::sync::Mutex;
@@ -104,43 +104,13 @@ impl Default for ClusterConfig {
             replication: DEFAULT_REPLICATION,
             workers: Threads::from_env().workers().max(2),
             queue: 64,
-            replica: ServeConfig::from_env(0),
+            replica: ServeConfig::default(),
             health: HealthConfig::default(),
             retry: RetryPolicy::default(),
             hedge_ms: None,
             seed: 0x5ec1a,
             faults: FaultPlan::none(),
             autoscale: None,
-        }
-    }
-}
-
-impl ClusterConfig {
-    /// Configuration from the environment: `HEC_CLUSTER_VNODES`,
-    /// `HEC_CLUSTER_REPLICATION`, `HEC_CLUSTER_WORKERS`,
-    /// `HEC_CLUSTER_QUEUE`, and `HEC_CLUSTER_HEDGE_MS` override the
-    /// defaults; the per-replica template reads the `HEC_SERVE_*` knobs.
-    pub fn from_env(replicas: usize, port: u16) -> ClusterConfig {
-        let get = |name: &str, default: usize| -> usize {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(default)
-        };
-        let hedge_ms = std::env::var("HEC_CLUSTER_HEDGE_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&v| v > 0);
-        ClusterConfig {
-            replicas: replicas.max(1),
-            port,
-            vnodes: get("HEC_CLUSTER_VNODES", DEFAULT_VNODES),
-            replication: get("HEC_CLUSTER_REPLICATION", DEFAULT_REPLICATION),
-            workers: get("HEC_CLUSTER_WORKERS", Threads::from_env().workers().max(2)),
-            queue: get("HEC_CLUSTER_QUEUE", 64),
-            hedge_ms,
-            ..ClusterConfig::default()
         }
     }
 }
@@ -381,15 +351,6 @@ impl RouterState {
     }
 
     fn metrics_doc(&self) -> Json {
-        let hist = |h: &Histogram| {
-            Json::obj([
-                ("count", Json::Num(h.count() as f64)),
-                ("sum_us", Json::Num(h.sum_us() as f64)),
-                ("p50_us", Json::Num(h.quantile_us(0.50) as f64)),
-                ("p95_us", Json::Num(h.quantile_us(0.95) as f64)),
-                ("p99_us", Json::Num(h.quantile_us(0.99) as f64)),
-            ])
-        };
         let epoch = self.elasticity.membership.current();
         // Only current members appear in `cluster.replicas`; drained
         // slots move to `cluster.retired` with their final connection
@@ -467,7 +428,10 @@ impl RouterState {
             ),
             (
                 "latency",
-                Json::obj([("route", hist(&self.lat_route)), ("local", hist(&self.lat_local))]),
+                Json::obj([
+                    ("route", self.lat_route.to_json()),
+                    ("local", self.lat_local.to_json()),
+                ]),
             ),
         ])
     }
@@ -624,13 +588,6 @@ impl Cluster {
         let was_up = self.state.replicas.kill(i);
         self.state.health.mark(i, false);
         was_up
-    }
-
-    /// Restarts replica `i` directly, marking it up on success.
-    pub fn restart_replica(&self, i: usize) -> std::io::Result<SocketAddr> {
-        let addr = self.state.replicas.restart(i)?;
-        self.state.health.mark(i, true);
-        Ok(addr)
     }
 
     /// Adds one replica and installs the next epoch (the HTTP path is

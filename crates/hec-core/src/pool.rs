@@ -13,6 +13,7 @@
 //! results in chunk order. Disjoint-output loops (`par_chunks_mut`,
 //! `par_map`) are bit-identical to their sequential forms for any worker
 //! count; chunk-reduction loops are bit-identical across worker counts.
+//! Workers record [`crate::probe`] events into the caller's capture.
 
 use std::num::NonZeroUsize;
 
@@ -114,10 +115,11 @@ impl Threads {
         }
         let chunk = items.len().div_ceil(workers);
         let mut parts: Vec<Vec<R>> = Vec::with_capacity(workers);
+        let probes = crate::probe::scope();
         std::thread::scope(|scope| {
             let handles: Vec<_> = items
                 .chunks(chunk)
-                .map(|c| scope.spawn(|| c.iter().map(&f).collect::<Vec<R>>()))
+                .map(|c| scope.spawn(|| probes.run(|| c.iter().map(&f).collect::<Vec<R>>())))
                 .collect();
             for h in handles {
                 match h.join() {
@@ -153,16 +155,19 @@ impl Threads {
             return;
         }
         let per = chunks.len().div_ceil(workers);
+        let probes = crate::probe::scope();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             while !chunks.is_empty() {
                 let take = per.min(chunks.len());
                 let group: Vec<(usize, &mut [T])> = chunks.drain(..take).collect();
-                let f = &f;
+                let (f, probes) = (&f, &probes);
                 handles.push(scope.spawn(move || {
-                    for (i, c) in group {
-                        f(i, c);
-                    }
+                    probes.run(|| {
+                        for (i, c) in group {
+                            f(i, c);
+                        }
+                    })
                 }));
             }
             for h in handles {
@@ -191,12 +196,16 @@ impl Threads {
         let per = tasks.len().div_ceil(workers);
         let mut tasks = tasks;
         let mut parts: Vec<Vec<T>> = Vec::with_capacity(workers);
+        let probes = crate::probe::scope();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             while !tasks.is_empty() {
                 let take = per.min(tasks.len());
                 let group: Vec<F> = tasks.drain(..take).collect();
-                handles.push(scope.spawn(move || group.into_iter().map(|t| t()).collect()));
+                let probes = &probes;
+                handles.push(
+                    scope.spawn(move || probes.run(|| group.into_iter().map(|t| t()).collect())),
+                );
             }
             for h in handles {
                 match h.join() {
@@ -363,30 +372,6 @@ impl QueueGauge {
     }
 }
 
-/// Number of worker threads a parallel call will use for `n` items.
-pub fn workers_for(n: usize) -> usize {
-    Threads::from_env().workers().min(n).max(1)
-}
-
-/// [`Threads::par_map`] at the environment's worker count.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Threads::from_env().par_map(items, f)
-}
-
-/// [`Threads::par_chunks_mut`] at the environment's worker count.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    Threads::from_env().par_chunks_mut(data, chunk_len, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,7 +379,7 @@ mod tests {
     #[test]
     fn par_map_matches_sequential_map() {
         let items: Vec<usize> = (0..1000).collect();
-        let par = par_map(&items, |&x| x * x + 1);
+        let par = Threads::new(4).par_map(&items, |&x| x * x + 1);
         let seq: Vec<usize> = items.iter().map(|&x| x * x + 1).collect();
         assert_eq!(par, seq);
     }
@@ -403,7 +388,7 @@ mod tests {
     fn par_map_preserves_order_for_uneven_splits() {
         for n in [0usize, 1, 2, 3, 7, 63, 64, 65, 1001] {
             let items: Vec<usize> = (0..n).collect();
-            let out = par_map(&items, |&x| x);
+            let out = Threads::new(3).par_map(&items, |&x| x);
             assert_eq!(out, items, "n={n}");
         }
     }
@@ -417,7 +402,7 @@ mod tests {
                 *v = *v * 2.0 + idx as f64;
             }
         };
-        par_chunks_mut(&mut par_data, 16, update);
+        Threads::new(4).par_chunks_mut(&mut par_data, 16, update);
         for (i, c) in seq_data.chunks_mut(16).enumerate() {
             update(i, c);
         }
@@ -437,7 +422,7 @@ mod tests {
         });
         assert!(r.is_err());
         let r = std::panic::catch_unwind(|| {
-            par_map(&(0..100).collect::<Vec<i32>>(), |&x| {
+            Threads::new(4).par_map(&(0..100).collect::<Vec<i32>>(), |&x| {
                 if x == 63 {
                     panic!("worker died");
                 }
@@ -450,9 +435,9 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let empty: Vec<u8> = Vec::new();
-        assert!(par_map(&empty, |&x| x).is_empty());
+        assert!(Threads::new(4).par_map(&empty, |&x| x).is_empty());
         let mut none: Vec<u8> = Vec::new();
-        par_chunks_mut(&mut none, 4, |_, _| panic!("no chunks expected"));
+        Threads::new(4).par_chunks_mut(&mut none, 4, |_, _| panic!("no chunks expected"));
         let no_tasks: Vec<Box<dyn FnOnce() -> u8 + Send>> = Vec::new();
         assert!(Threads::new(4).par_tasks(no_tasks).is_empty());
     }

@@ -9,26 +9,30 @@
 //!
 //! Design rules, in priority order:
 //!
-//! 1. **Determinism.** Every counter is a `u64` event count, so the
-//!    global per-phase totals are order-invariant sums: captures taken at
+//! 1. **Determinism.** Every counter is a `u64` event count, so a
+//!    capture's per-phase totals are order-invariant sums: captures taken at
 //!    `HEC_THREADS=1/2/4` are identical bit for bit. Call sites report
 //!    quantities derived from the *work executed* (particles deposited,
 //!    lattice points updated, CG iterations run), never from how the work
 //!    was chunked across workers. Wall-clock spans are kept in a separate
 //!    table ([`Capture::timings`]) and are explicitly outside the
 //!    determinism contract.
-//! 2. **Disabled ⇒ free.** Probes check one relaxed atomic load and
-//!    return; no locks are touched and no state is created. Counting
-//!    happens at phase/bulk granularity (once per kernel call or per
-//!    fixed-size chunk), never per element, so the enabled path is cheap
-//!    too.
-//! 3. **Captures are exclusive.** [`capture`] serializes on a global
-//!    session lock: concurrent test threads each see only their own
-//!    events. Captures must not nest (the second would deadlock).
+//! 2. **Disabled ⇒ free.** Probes check one thread-local and return; no
+//!    locks are touched and no state is created. Counting happens at
+//!    phase/bulk granularity (once per kernel call or per fixed-size
+//!    chunk), never per element, so the enabled path is cheap too.
+//! 3. **Captures are scoped.** [`capture`] owns its sink and only the
+//!    thread running it points at that sink, so a capture records exactly
+//!    its own call tree whatever other threads — or other captures — are
+//!    doing. There is no process-wide state. Code that spawns threads
+//!    under instrumented work (`msim` ranks, [`crate::pool::Threads`]
+//!    workers) hands the parent's sink to them with [`scope`]; a thread
+//!    spawned any other way records nothing. A capture inside a capture
+//!    records into its own sink and leaves the outer one untouched.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::json::{FromJson, Json, JsonError, ToJson};
@@ -155,40 +159,41 @@ impl FromJson for SpanStat {
     }
 }
 
-struct Registry {
+/// Where one capture's events accumulate: shared by the capturing thread
+/// and every thread a [`Scope`] carried it to.
+#[derive(Default)]
+struct Sink {
     counters: Mutex<BTreeMap<String, Counters>>,
     timings: Mutex<BTreeMap<String, SpanStat>>,
-    session: Mutex<()>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        counters: Mutex::new(BTreeMap::new()),
-        timings: Mutex::new(BTreeMap::new()),
-        session: Mutex::new(()),
-    })
+thread_local! {
+    /// The sink this thread records into; `None` outside any capture.
+    static CURRENT: RefCell<Option<Arc<Sink>>> = const { RefCell::new(None) };
 }
 
-/// True while a [`capture`] is in flight. Instrumented code should call
-/// this (or just [`count`], which checks internally) — one relaxed
-/// atomic load when disabled.
+/// Runs `f` on this thread's sink, if it has one.
+fn with_sink(f: impl FnOnce(&Sink)) {
+    CURRENT.with(|cur| {
+        if let Some(sink) = &*cur.borrow() {
+            f(sink);
+        }
+    });
+}
+
+/// True while this thread runs inside a [`capture`]. Instrumented code
+/// should call this (or just [`count`], which checks internally) — one
+/// thread-local read when disabled.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    CURRENT.with(|cur| cur.borrow().is_some())
 }
 
 /// Adds `c` to the running totals of `phase`. A no-op (no locks, no
-/// allocation, no state) unless a capture is active.
+/// allocation, no state) unless this thread is inside a capture.
 #[inline]
 pub fn count(phase: &str, c: Counters) {
-    if !enabled() {
-        return;
-    }
-    let mut map = registry().counters.lock();
-    map.entry(phase.to_string()).or_default().merge(&c);
+    with_sink(|sink| sink.counters.lock().entry(phase.to_string()).or_default().merge(&c));
 }
 
 /// An RAII wall-clock span: created by [`span`], records elapsed time
@@ -200,19 +205,19 @@ pub struct Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((phase, start)) = self.phase.take() {
-            if enabled() {
+            with_sink(|sink| {
                 let ns = start.elapsed().as_nanos() as u64;
-                let mut map = registry().timings.lock();
+                let mut map = sink.timings.lock();
                 let s = map.entry(phase.to_string()).or_default();
                 s.total_ns += ns;
                 s.calls += 1;
-            }
+            });
         }
     }
 }
 
 /// Starts a monotonic timer for `phase`; the elapsed time is recorded
-/// when the returned [`Span`] drops. Free when no capture is active.
+/// when the returned [`Span`] drops. Free outside a capture.
 #[inline]
 pub fn span(phase: &'static str) -> Span {
     if !enabled() {
@@ -286,119 +291,52 @@ impl FromJson for Capture {
     }
 }
 
-/// Runs `f` with probes enabled and returns its result together with the
-/// capture of everything counted while it ran.
-///
-/// Captures are serialized process-wide (concurrent callers queue on a
-/// session lock), so parallel test threads never see each other's
-/// events. Captures must not nest — a nested call deadlocks by design
-/// rather than silently merging two scopes.
-pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Capture) {
-    let reg = registry();
-    let _session = reg.session.lock();
-    reg.counters.lock().clear();
-    reg.timings.lock().clear();
-    ENABLED.store(true, Ordering::SeqCst);
-    // Disable even if `f` unwinds, so a failed capture cannot leak an
-    // enabled probe state into unrelated code.
-    struct DisableOnDrop;
-    impl Drop for DisableOnDrop {
-        fn drop(&mut self) {
-            ENABLED.store(false, Ordering::SeqCst);
+/// The calling thread's capture context, to be carried to threads it
+/// spawns: take one with [`scope`] before spawning and wrap each child's
+/// body in [`Scope::run`], and the children's events land in the parent's
+/// capture. Outside a capture the handle is empty and `run` just calls.
+pub struct Scope(Option<Arc<Sink>>);
+
+/// The calling thread's current [`Scope`].
+#[inline]
+pub fn scope() -> Scope {
+    Scope(CURRENT.with(|cur| cur.borrow().clone()))
+}
+
+impl Scope {
+    /// Runs `f` with this thread recording into the scope's sink, and
+    /// puts back whatever the thread pointed at before — also when `f`
+    /// unwinds.
+    pub fn run<T>(&self, f: impl FnOnce() -> T) -> T {
+        struct Restore(Option<Arc<Sink>>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                CURRENT.with(|cur| *cur.borrow_mut() = self.0.take());
+            }
         }
+        let _restore = Restore(CURRENT.with(|cur| cur.replace(self.0.clone())));
+        f()
     }
-    let guard = DisableOnDrop;
-    let out = f();
-    drop(guard);
+}
+
+/// Runs `f` with probes enabled on this thread and returns its result
+/// together with the capture of everything counted while it ran — by `f`
+/// itself and by the threads [`Scope`] carried the capture to, and by
+/// nothing else. Captures on different threads run concurrently; a capture
+/// nested in `f` keeps its events to itself.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Capture) {
+    let sink = Arc::new(Sink::default());
+    let out = Scope(Some(Arc::clone(&sink))).run(f);
     let cap = Capture {
-        counters: std::mem::take(&mut *reg.counters.lock()),
-        timings: std::mem::take(&mut *reg.timings.lock()),
+        counters: std::mem::take(&mut *sink.counters.lock()),
+        timings: std::mem::take(&mut *sink.timings.lock()),
     };
     (out, cap)
-}
-
-/// An always-on cumulative counter for service observability.
-///
-/// Unlike the capture-scoped phase counters above — which are part of the
-/// determinism contract and only record inside [`capture`] — meters record
-/// unconditionally for the life of the process. They exist for `/metrics`
-/// style export (request counts, cache hits, queue rejections) and are
-/// explicitly *outside* the bitwise-reproducibility contract.
-#[derive(Clone)]
-pub struct Meter {
-    cell: std::sync::Arc<AtomicU64>,
-}
-
-impl Meter {
-    /// Adds `delta` to the meter.
-    pub fn add(&self, delta: u64) {
-        self.cell.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Adds one to the meter.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current cumulative value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-fn meter_registry() -> &'static Mutex<BTreeMap<String, std::sync::Arc<AtomicU64>>> {
-    static METERS: OnceLock<Mutex<BTreeMap<String, std::sync::Arc<AtomicU64>>>> = OnceLock::new();
-    METERS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Returns the process-wide meter named `name`, creating it at zero on
-/// first use. Handles are cheap clones of one shared cell, so two callers
-/// asking for the same name always observe the same count.
-pub fn meter(name: &str) -> Meter {
-    let mut reg = meter_registry().lock();
-    let cell =
-        reg.entry(name.to_string()).or_insert_with(|| std::sync::Arc::new(AtomicU64::new(0)));
-    Meter { cell: std::sync::Arc::clone(cell) }
-}
-
-/// Snapshot of every meter, sorted by name for deterministic export.
-pub fn meters() -> Vec<(String, u64)> {
-    meter_registry()
-        .lock()
-        .iter()
-        .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meters_accumulate_and_share_by_name() {
-        let a = meter("probe.test.shared");
-        let b = meter("probe.test.shared");
-        let before = a.get();
-        a.incr();
-        b.add(4);
-        assert_eq!(a.get(), before + 5, "same-name handles must share one cell");
-        let snap = meters();
-        let entry = snap.iter().find(|(n, _)| n == "probe.test.shared");
-        assert_eq!(entry.map(|(_, v)| *v), Some(before + 5));
-        let names: Vec<_> = snap.iter().map(|(n, _)| n.clone()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted, "meter snapshot must be name-sorted");
-    }
-
-    #[test]
-    fn meters_record_outside_captures() {
-        assert!(!enabled());
-        let m = meter("probe.test.outside");
-        let before = m.get();
-        m.incr();
-        assert_eq!(m.get(), before + 1, "meters must count with probes disabled");
-    }
 
     #[test]
     fn disabled_probes_record_nothing() {
@@ -444,22 +382,27 @@ mod tests {
     #[test]
     fn cross_thread_counts_sum_exactly() {
         let ((), cap) = capture(|| {
+            let parent = scope();
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     s.spawn(|| {
-                        for _ in 0..100 {
-                            count(
-                                "sum",
-                                Counters {
-                                    flops: 3,
-                                    vector_iters: 8,
-                                    vector_loops: 1,
-                                    ..Default::default()
-                                },
-                            );
-                        }
+                        parent.run(|| {
+                            for _ in 0..100 {
+                                count(
+                                    "sum",
+                                    Counters {
+                                        flops: 3,
+                                        vector_iters: 8,
+                                        vector_loops: 1,
+                                        ..Default::default()
+                                    },
+                                );
+                            }
+                        })
                     });
                 }
+                // A thread nobody handed the scope to is outside the capture.
+                s.spawn(|| count("sum", Counters { flops: 1 << 40, ..Default::default() }));
             });
         });
         let c = cap.get("sum");
@@ -491,16 +434,24 @@ mod tests {
 
     #[test]
     fn capture_disables_probes_after_a_panic() {
-        let r = std::panic::catch_unwind(|| {
-            capture(|| {
-                count("doomed", Counters { flops: 1, ..Default::default() });
-                panic!("capture body failed");
+        let doomed = || {
+            std::panic::catch_unwind(|| {
+                capture(|| {
+                    count("doomed", Counters { flops: 1, ..Default::default() });
+                    panic!("capture body failed");
+                })
             })
+        };
+        assert!(doomed().is_err());
+        assert!(!enabled(), "a panicking capture must still disable probes");
+        // Unwinding out of a nested capture puts the outer sink back.
+        let (r, outer) = capture(|| {
+            let r = doomed();
+            count("next", Counters { flops: 2, ..Default::default() });
+            r
         });
         assert!(r.is_err());
-        assert!(!enabled(), "a panicking capture must still disable probes");
-        // The session lock recovered (poison-tolerant): a new capture works.
-        let ((), cap) = capture(|| count("next", Counters { flops: 2, ..Default::default() }));
-        assert_eq!(cap.get("next").flops, 2);
+        assert_eq!(outer.get("next").flops, 2);
+        assert!(outer.get("doomed").is_zero(), "the inner capture's events left with it");
     }
 }

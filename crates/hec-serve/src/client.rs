@@ -248,7 +248,7 @@ pub struct RetryPolicy {
     pub base_ms: u64,
     /// Backoff ceiling, milliseconds. Also caps an honored `Retry-After`
     /// (advertised in whole seconds, which would otherwise dominate a
-    /// short closed-loop run).
+    /// short load run).
     pub cap_ms: u64,
     /// Retries after the initial attempt.
     pub max_retries: u32,

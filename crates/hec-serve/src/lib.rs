@@ -29,7 +29,7 @@
 //!   cluster router, and the e2e tests use, with per-thread keep-alive
 //!   connection reuse, seeded-backoff retries (`Retry-After`-aware) and
 //!   tail-latency request hedging.
-//! * [`metrics`] — per-endpoint latency histograms and meter export.
+//! * [`metrics`] — per-endpoint latency histograms.
 //!
 //! Determinism contract: responses are emitted from ordered JSON objects
 //! and cached *values* (never formatted strings are recomputed), so a

@@ -8,6 +8,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use hec_core::json::{Json, ToJson};
+
 /// Number of log2 buckets: covers up to 2^31 µs ≈ 36 minutes.
 pub const BUCKETS: usize = 32;
 
@@ -76,6 +78,23 @@ impl Histogram {
                 (c > 0).then_some((upper_edge(i), c))
             })
             .collect()
+    }
+}
+
+/// The `/metrics` rendering of one histogram (server and router alike).
+impl ToJson for Histogram {
+    fn to_json(&self) -> Json {
+        let buckets = self.nonzero_buckets().into_iter().map(|(le, c)| {
+            Json::obj([("le_us", Json::Num(le as f64)), ("count", Json::Num(c as f64))])
+        });
+        Json::obj([
+            ("count", Json::Num(self.count() as f64)),
+            ("sum_us", Json::Num(self.sum_us() as f64)),
+            ("p50_us", Json::Num(self.quantile_us(0.50) as f64)),
+            ("p95_us", Json::Num(self.quantile_us(0.95) as f64)),
+            ("p99_us", Json::Num(self.quantile_us(0.99) as f64)),
+            ("buckets", Json::Arr(buckets.collect())),
+        ])
     }
 }
 

@@ -97,43 +97,7 @@ mod sys {
 }
 
 #[cfg(not(unix))]
-mod sys {
-    //! Portability fallback (DESIGN §11): no `poll(2)`, so emulate
-    //! level-triggered readiness by reporting every registered interest
-    //! as ready after a short nap. Correctness is preserved because all
-    //! sockets are non-blocking — a spurious "ready" just yields
-    //! `WouldBlock` — at the cost of a bounded busy-poll.
-    use std::io;
-
-    pub type RawFd = i32;
-    pub trait AsRawFd {
-        fn as_raw_fd(&self) -> RawFd {
-            -1
-        }
-    }
-    impl<T> AsRawFd for T {}
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
-
-    #[repr(C)]
-    pub struct PollFd {
-        pub fd: RawFd,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    pub fn wait(fds: &mut [PollFd], _timeout_ms: i32) -> io::Result<usize> {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        for fd in fds.iter_mut() {
-            fd.revents = fd.events;
-        }
-        Ok(fds.len())
-    }
-}
+compile_error!("hec-serve's reactor needs poll(2): unix targets only");
 
 use sys::AsRawFd;
 
@@ -337,8 +301,8 @@ impl Default for NetStats {
     }
 }
 
-/// Service-side counters the core drives; the server maps these onto
-/// probe meters, the router onto its atomics.
+/// Service-side counters the core drives; server and router each map
+/// these onto their own atomics.
 pub trait CoreEvents: Send + Sync {
     /// A request was parsed and admitted to the worker pool.
     fn on_request(&self) {}

@@ -21,18 +21,18 @@
 //! | `/healthz` | GET | liveness |
 //! | `/eval` | GET query / POST JSON | one prediction point |
 //! | `/sweep?app=<app>` | GET | a full Table 3–6 row set |
-//! | `/metrics` | GET | meters, cache, queue, connections, latency |
+//! | `/metrics` | GET | counters, cache, queue, connections, latency, batch |
 //! | `/shutdown` | POST/GET | graceful stop |
 //! | `/debug/sleep?ms=N` | GET | a deliberately slow request (tests) |
 //! | `/cache/export` | POST | read cache entries for handoff (cluster) |
 //! | `/cache/import` | POST | install cache entries from a handoff |
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hec_core::json::Json;
+use hec_core::json::{Json, ToJson};
 use hec_core::pool::{QueueGauge, Threads, WorkerPool};
-use hec_core::probe;
 
 use crate::batch::Batcher;
 use crate::cache::ShardedLru;
@@ -50,7 +50,7 @@ pub const RETRY_AFTER_SECS: u64 = 1;
 /// Upper bound on `/debug/sleep` (keeps tests honest and ops safe).
 pub const MAX_DEBUG_SLEEP_MS: u64 = 10_000;
 
-/// Server tuning. `Default` reads the environment.
+/// Server tuning.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Port to bind on 127.0.0.1 (0 = ephemeral).
@@ -63,35 +63,18 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
 }
 
-impl ServeConfig {
-    /// Configuration from the environment: `HEC_SERVE_WORKERS`,
-    /// `HEC_SERVE_QUEUE`, `HEC_SERVE_CACHE` override the defaults;
-    /// workers default to the `HEC_THREADS` policy
-    /// ([`Threads::from_env`]).
-    pub fn from_env(port: u16) -> ServeConfig {
-        let get = |name: &str, default: usize| -> usize {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(default)
-        };
+impl Default for ServeConfig {
+    fn default() -> Self {
         ServeConfig {
-            port,
-            workers: get("HEC_SERVE_WORKERS", Threads::from_env().workers().max(2)),
-            queue: get("HEC_SERVE_QUEUE", 64),
-            cache_capacity: get("HEC_SERVE_CACHE", 4096),
+            port: 0,
+            workers: Threads::from_env().workers().max(2),
+            queue: 64,
+            cache_capacity: 4096,
         }
     }
 }
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig::from_env(0)
-    }
-}
-
-/// Shared service state: cache, batcher, meters, histograms.
+/// Shared service state: cache, batcher, counters, histograms.
 pub struct ServeState {
     pub(crate) cache: ShardedLru,
     batcher: Batcher,
@@ -99,9 +82,9 @@ pub struct ServeState {
     stop: Arc<ShutdownFlag>,
     net: Arc<NetStats>,
     started: Instant,
-    requests: probe::Meter,
-    errors: probe::Meter,
-    rejected: probe::Meter,
+    requests: AtomicU64,
+    errors: AtomicU64,
+    rejected: AtomicU64,
     lat_eval: Histogram,
     lat_sweep: Histogram,
     lat_other: Histogram,
@@ -120,40 +103,15 @@ impl ServeState {
         cell
     }
 
-    /// The `/metrics` document: process-wide meters, this server's
+    /// The `/metrics` document: this server's counters,
     /// cache/queue/connection state, and per-endpoint latency
     /// histograms.
     fn metrics_doc(&self) -> Json {
-        let meters =
-            Json::Obj(probe::meters().into_iter().map(|(k, v)| (k, Json::Num(v as f64))).collect());
-        let hist = |h: &Histogram| {
-            Json::obj([
-                ("count", Json::Num(h.count() as f64)),
-                ("sum_us", Json::Num(h.sum_us() as f64)),
-                ("p50_us", Json::Num(h.quantile_us(0.50) as f64)),
-                ("p95_us", Json::Num(h.quantile_us(0.95) as f64)),
-                ("p99_us", Json::Num(h.quantile_us(0.99) as f64)),
-                (
-                    "buckets",
-                    Json::Arr(
-                        h.nonzero_buckets()
-                            .into_iter()
-                            .map(|(le, c)| {
-                                Json::obj([
-                                    ("le_us", Json::Num(le as f64)),
-                                    ("count", Json::Num(c as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        };
         Json::obj([
             ("uptime_secs", Json::Num(self.started.elapsed().as_secs_f64())),
-            ("requests", Json::Num(self.requests.get() as f64)),
-            ("errors", Json::Num(self.errors.get() as f64)),
-            ("rejected", Json::Num(self.rejected.get() as f64)),
+            ("requests", Json::Num(self.requests.load(Ordering::Relaxed) as f64)),
+            ("errors", Json::Num(self.errors.load(Ordering::Relaxed) as f64)),
+            ("rejected", Json::Num(self.rejected.load(Ordering::Relaxed) as f64)),
             ("connections", connections_doc(&self.net)),
             ("reactor", reactor_doc(&self.net)),
             (
@@ -192,12 +150,12 @@ impl ServeState {
             (
                 "latency",
                 Json::obj([
-                    ("eval", hist(&self.lat_eval)),
-                    ("sweep", hist(&self.lat_sweep)),
-                    ("other", hist(&self.lat_other)),
+                    ("eval", self.lat_eval.to_json()),
+                    ("sweep", self.lat_sweep.to_json()),
+                    ("other", self.lat_other.to_json()),
                 ]),
             ),
-            ("meters", meters),
+            ("batch", self.batcher.stats_doc()),
         ])
     }
 }
@@ -444,23 +402,23 @@ fn route(req: &Request, state: &Arc<ServeState>) -> (u16, String) {
 // Lifecycle
 // ---------------------------------------------------------------------
 
-/// Maps the reactor's admission outcomes onto the serve meters, matching
+/// Maps the reactor's admission outcomes onto the serve counters, matching
 /// the blocking-era accounting: a rejection or parse failure still
 /// counts as a request and an error.
 struct ServeEvents(Arc<ServeState>);
 
 impl CoreEvents for ServeEvents {
     fn on_request(&self) {
-        self.0.requests.incr();
+        self.0.requests.fetch_add(1, Ordering::Relaxed);
     }
     fn on_reject(&self) {
-        self.0.requests.incr();
-        self.0.rejected.incr();
-        self.0.errors.incr();
+        self.0.requests.fetch_add(1, Ordering::Relaxed);
+        self.0.rejected.fetch_add(1, Ordering::Relaxed);
+        self.0.errors.fetch_add(1, Ordering::Relaxed);
     }
     fn on_bad_request(&self) {
-        self.0.requests.incr();
-        self.0.errors.incr();
+        self.0.requests.fetch_add(1, Ordering::Relaxed);
+        self.0.errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -516,9 +474,9 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         stop: Arc::clone(&stop),
         net: Arc::clone(&net),
         started: Instant::now(),
-        requests: probe::meter("serve.requests"),
-        errors: probe::meter("serve.errors"),
-        rejected: probe::meter("serve.rejected"),
+        requests: AtomicU64::new(0),
+        errors: AtomicU64::new(0),
+        rejected: AtomicU64::new(0),
         lat_eval: Histogram::new(),
         lat_sweep: Histogram::new(),
         lat_other: Histogram::new(),
@@ -527,7 +485,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
     let handler: Arc<reactor::Handler> = Arc::new(move |req: &Request, t0: Instant| {
         let (code, body) = route(req, &handler_state);
         if code >= 400 {
-            handler_state.errors.incr();
+            handler_state.errors.fetch_add(1, Ordering::Relaxed);
         }
         // t0 is the parse instant, so queue wait is part of the latency.
         match req.path.as_str() {
@@ -643,7 +601,7 @@ mod tests {
         assert_eq!(shards.map(|s| s.len()), Some(crate::cache::SHARDS));
         assert!(doc.get("queue").and_then(|q| q.get("capacity")).is_some());
         assert!(doc.get("latency").and_then(|l| l.get("eval")).is_some());
-        assert!(doc.get("meters").is_some());
+        assert!(doc.get("batch").is_some());
         let conns = doc.get("connections").expect("connections section");
         assert!(conns.get("accepted").unwrap().as_f64().unwrap() >= 1.0);
         assert!(doc.get("reactor").and_then(|r| r.get("iterations")).is_some());

@@ -464,15 +464,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Complex `y ← y + alpha x`.
-#[inline]
-pub fn zaxpy(alpha: Complex64, x: &[Complex64], y: &mut [Complex64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = yi.mul_add(alpha, *xi);
-    }
-}
-
 /// Euclidean norm.
 #[inline]
 pub fn nrm2(x: &[f64]) -> f64 {

@@ -304,12 +304,14 @@ where
     let mut results: Vec<Option<T>> = (0..nprocs).map(|_| None).collect();
     let mut failed = Vec::new();
 
+    // Rank threads record into the capture (if any) that called `run`.
+    let probes = hec_core::probe::scope();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..nprocs)
             .map(|rank| {
                 let world = Arc::clone(&world);
                 let members = Arc::clone(&members);
-                let f = &f;
+                let (f, probes) = (&f, &probes);
                 scope.spawn(move || {
                     let mut comm = Comm {
                         world: Arc::clone(&world),
@@ -319,8 +321,9 @@ where
                         coll_seq: 0,
                         split_seq: 0,
                     };
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        probes.run(|| f(&mut comm))
+                    }));
                     if result.is_err() {
                         // Poison the world and wake every blocked receive so
                         // sibling ranks unwind instead of deadlocking.

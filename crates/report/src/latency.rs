@@ -1,6 +1,6 @@
 //! Latency/throughput summary rendering for the serve benchmark.
 //!
-//! The load generator measures closed-loop request latencies; this
+//! The load generator measures open-loop request latencies; this
 //! module turns per-endpoint summaries into the same fixed-width table
 //! style the paper reproductions use.
 
