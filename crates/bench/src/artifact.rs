@@ -3,13 +3,12 @@
 //! `repro all` writes every artifact — `TABLE_<app>.json`,
 //! `CANON_eval.json`, `PROFILE_<app>.json`, `BENCH_*.json` — through
 //! one [`Writer`], which stamps each file with the same [`Meta`] block:
-//! git commit, `HEC_THREADS`, platform set, a config hash, and the
-//! harness/load sample parameters. The stamp is what makes a directory
-//! of results comparable later (the Sumatra argument: a number without
-//! its provenance cannot be trusted across commits), and `repro diff`
-//! reads it back to decide whether thresholded performance comparisons
-//! are even meaningful (same host fingerprint, same worker count) or
-//! only the exact-deterministic fields are.
+//! git commit, `HEC_THREADS`, host fingerprint, platform set, a config
+//! hash, and the load-test parameters. The stamp is what makes a
+//! directory of results comparable later (the Sumatra argument: a
+//! number without its provenance cannot be trusted across commits):
+//! `repro diff` holds its schema version and config hash exact, and
+//! the rest says where and when the timings a human reads were taken.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -42,8 +41,8 @@ pub struct Meta {
     pub git_commit: String,
     /// Resolved shared-memory worker count (`HEC_THREADS` policy).
     pub hec_threads: usize,
-    /// Host fingerprint (`os-arch-Ncpu`): thresholded performance
-    /// comparisons are only meaningful between equal fingerprints.
+    /// Host fingerprint (`os-arch-Ncpu`): where the printed timings
+    /// were taken.
     pub host: String,
     /// Platform set the tables cover (paper display labels).
     pub platforms: Vec<String>,
@@ -53,11 +52,9 @@ pub struct Meta {
     /// apps, platforms, canonical eval workload) — equal hashes mean
     /// the exact-deterministic fields are directly comparable.
     pub config_hash: String,
-    /// Timed samples per harness case.
-    pub samples: usize,
     /// Load-test duration per target, seconds.
     pub load_secs: u64,
-    /// Closed-loop load clients.
+    /// Load-generator sender threads.
     pub clients: usize,
     /// Cluster replicas behind the router leg.
     pub replicas: usize,
@@ -66,8 +63,8 @@ pub struct Meta {
 }
 
 impl Meta {
-    /// Collects the metadata for a run with the given sample parameters.
-    pub fn collect(samples: usize, load_secs: u64, clients: usize, replicas: usize) -> Meta {
+    /// Collects the metadata for a run with the given load-test parameters.
+    pub fn collect(load_secs: u64, clients: usize, replicas: usize) -> Meta {
         let platforms: Vec<String> = report::paper::PLATFORMS
             .iter()
             .chain(report::paper::FVCAM_PLATFORMS.iter())
@@ -95,7 +92,6 @@ impl Meta {
             platforms,
             apps,
             config_hash,
-            samples,
             load_secs,
             clients,
             replicas,
@@ -116,7 +112,6 @@ impl Meta {
             ("platforms", Json::Arr(self.platforms.iter().cloned().map(Json::Str).collect())),
             ("apps", Json::Arr(self.apps.iter().cloned().map(Json::Str).collect())),
             ("config_hash", Json::Str(self.config_hash.clone())),
-            ("samples", Json::Num(self.samples as f64)),
             ("load_secs", Json::Num(self.load_secs as f64)),
             ("clients", Json::Num(self.clients as f64)),
             ("replicas", Json::Num(self.replicas as f64)),
@@ -140,9 +135,8 @@ pub fn git_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// `os-arch-Ncpu`: the comparability key for thresholded performance
-/// fields. Two directories from different fingerprints still diff their
-/// exact-deterministic fields, but throughput is not compared.
+/// `os-arch-Ncpu`. Provenance only: directories from different
+/// fingerprints diff their exact-deterministic fields all the same.
 pub fn host_fingerprint() -> String {
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     format!("{}-{}-{}cpu", std::env::consts::OS, std::env::consts::ARCH, cpus)
@@ -165,9 +159,8 @@ impl Writer {
         Ok(Writer { dir, meta: meta.to_json() })
     }
 
-    /// A writer into the current directory (the standalone `repro
-    /// harness` / `profile` / `loadgen` commands keep their historical
-    /// output location but gain the stamp).
+    /// A writer into the current directory (where the standalone `repro
+    /// profile` / `loadgen` commands put their stamped output).
     pub fn cwd(meta: &Meta) -> Writer {
         Writer { dir: PathBuf::from("."), meta: meta.to_json() }
     }
@@ -237,7 +230,7 @@ mod tests {
     #[test]
     fn writer_stamps_meta_and_loader_reads_it_back() {
         let dir = tmpdir("rt");
-        let meta = Meta::collect(3, 2, 4, 3);
+        let meta = Meta::collect(2, 4, 3);
         let w = Writer::new(&dir, &meta).unwrap();
         w.write("TABLE_demo.json", [("rows", Json::Arr(vec![Json::Num(1.0)]))]).unwrap();
         let docs = load_dir(&dir).unwrap();
@@ -245,7 +238,7 @@ mod tests {
         let m = doc.field("meta").unwrap();
         assert_eq!(m.num_field("schema_version").unwrap(), SCHEMA_VERSION);
         assert_eq!(m.str_field("config_hash").unwrap(), meta.config_hash);
-        assert_eq!(m.num_field("samples").unwrap(), 3.0);
+        assert_eq!(m.num_field("load_secs").unwrap(), 2.0);
         assert!(m.num_field("hec_threads").unwrap() >= 1.0);
         assert!(!m.str_field("host").unwrap().is_empty());
         assert_eq!(doc.get("rows").unwrap().as_arr().unwrap().len(), 1);
@@ -254,10 +247,10 @@ mod tests {
 
     #[test]
     fn config_hash_is_a_pure_function_of_the_configuration() {
-        // Sample parameters are provenance, not configuration: two runs
-        // with different sample counts still compare their exact fields.
-        let a = Meta::collect(3, 2, 4, 3);
-        let b = Meta::collect(11, 9, 8, 5);
+        // Load parameters are provenance, not configuration: two runs
+        // with different durations still compare their exact fields.
+        let a = Meta::collect(2, 4, 3);
+        let b = Meta::collect(9, 8, 5);
         assert_eq!(a.config_hash, b.config_hash);
         assert_eq!(a.config_hash.len(), 16);
     }

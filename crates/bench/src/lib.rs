@@ -1,6 +1,7 @@
-//! The reproduction harness: drivers that regenerate every table and
-//! figure of the paper from the four applications' workload models and the
-//! architectural performance models.
+//! The reproduction drivers: regenerate every table and figure of the
+//! paper from the four applications' workload models and the
+//! architectural performance models, and gate the exact artifacts across
+//! commits. How fast anything runs is measured by `benchmark/`, not here.
 //!
 //! * [`experiments`] — per-table result generation (predictions for every
 //!   platform × configuration the paper reports).
@@ -8,20 +9,18 @@
 //! * [`validate`] — side-by-side shape comparison against the published
 //!   numbers (`report::paper`), used both by `repro validate` and the
 //!   integration tests.
-//! * [`harness`] — dependency-free micro/app benchmark timing
-//!   (`repro harness`).
 //! * [`loadgen`] — open-loop load generator for the serve subsystem
-//!   (`repro loadgen`, writes `BENCH_serve.json`).
+//!   (`repro loadgen`, writes `BENCH_serve.json` / `BENCH_cluster.json`).
+//! * [`profile`] — calibration captures (`repro profile`, writes
+//!   `PROFILE_<app>.json`).
 //! * [`artifact`] — the metadata-stamped artifact writer/loader shared
 //!   by every JSON-producing subcommand.
 //! * [`pipeline`] — `repro all`: every artifact into one directory.
-//! * [`diff`] — `repro diff`: the cross-commit regression gate.
+//! * [`diff`] — `repro diff`: the cross-commit bit-for-bit gate.
 
 pub mod artifact;
 pub mod diff;
 pub mod experiments;
-pub mod gate;
-pub mod harness;
 pub mod loadgen;
 pub mod pipeline;
 pub mod profile;

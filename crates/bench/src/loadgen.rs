@@ -24,8 +24,7 @@
 //! document with a `cluster` section means the target is a
 //! `hec-cluster` router, and the run emits `BENCH_cluster.json`
 //! (throughput, exact latency quantiles, failovers, availability);
-//! otherwise it emits `BENCH_serve.json` with the cache breakdown, as
-//! before.
+//! otherwise it emits `BENCH_serve.json` with the cache breakdown.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -248,7 +247,7 @@ fn summarize(class: Class, label: &str, samples: &[Sample]) -> LatencySummary {
 /// current directory with a fresh metadata stamp (the standalone
 /// `repro loadgen` entry point).
 pub fn run(url: &str, secs: u64, clients: usize, open: OpenLoop) -> u64 {
-    let meta = crate::artifact::Meta::collect(0, secs, clients, 0);
+    let meta = crate::artifact::Meta::collect(secs, clients, 0);
     run_into(&crate::artifact::Writer::cwd(&meta), url, secs, clients, open)
 }
 

@@ -36,10 +36,7 @@ const COMMANDS: &[Cmd] = &[
         name: "fig2",
         args: "[mesh-divisor]",
         help: "FVCAM point-to-point traffic matrices (default divisor 4; 1 = full D mesh)",
-        run: |args| {
-            let scale: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
-            fig2(scale);
-        },
+        run: |args| fig2(num_arg("fig2", args, 0, 4)),
     },
     Cmd {
         name: "table3",
@@ -99,16 +96,6 @@ const COMMANDS: &[Cmd] = &[
         run: |_| validate_all(),
     },
     Cmd {
-        name: "harness",
-        args: "[samples]",
-        help: "timed micro/app benchmarks; writes BENCH_kernels.json / BENCH_apps.json",
-        run: |args| {
-            let iters: usize =
-                args.first().and_then(|s| s.parse().ok()).unwrap_or(bench::harness::DEFAULT_ITERS);
-            bench::harness::run(iters.max(1));
-        },
-    },
-    Cmd {
         name: "profile",
         args: "",
         help: "calibration captures; writes PROFILE_<app>.json",
@@ -160,7 +147,7 @@ const COMMANDS: &[Cmd] = &[
     Cmd {
         name: "all",
         args: "[dir]",
-        help: "regenerate every artifact (tables, canon, profiles, bench) into one stamped dir",
+        help: "regenerate every artifact (tables, canon, profiles, load) into one stamped dir",
         run: |args| {
             let dir = args.first().map(String::as_str).unwrap_or(bench::pipeline::DEFAULT_DIR);
             if let Err(e) = bench::pipeline::run_all(dir) {
@@ -171,15 +158,9 @@ const COMMANDS: &[Cmd] = &[
     },
     Cmd {
         name: "diff",
-        args: "<old-dir> [new-dir] [--threshold=F]",
-        help: "compare two artifact dirs; exit 1 on drift or regression beyond threshold",
+        args: "<old-dir> [new-dir]",
+        help: "compare two artifact dirs bit for bit on their exact fields; exit 1 on any drift",
         run: |args| std::process::exit(bench::diff::run_cli(args)),
-    },
-    Cmd {
-        name: "gate",
-        args: "[dir]",
-        help: "assert threaded lbmhd/dgemm harness legs beat serial (skips on 1-core boxes)",
-        run: |args| std::process::exit(bench::gate::run_cli(args)),
     },
     Cmd { name: "help", args: "", help: "this list", run: |_| print!("{}", usage()) },
 ];
@@ -196,6 +177,38 @@ fn usage() -> String {
     out
 }
 
+/// `usage: repro <name> <args>` for one subcommand, from [`COMMANDS`].
+fn usage_line(name: &str) -> String {
+    let args = COMMANDS.iter().find(|c| c.name == name).map_or("", |c| c.args);
+    format!("usage: repro {name} {args}").trim_end().to_string()
+}
+
+/// Prints `why` and the subcommand's usage line, then exits 2.
+fn usage_exit(name: &str, why: &str) -> ! {
+    eprintln!("repro {name}: {why}\n{}", usage_line(name));
+    std::process::exit(2);
+}
+
+/// The optional numeric argument at position `i`: absent means
+/// `default`; present but unparsable is an error, never the default.
+fn parse_arg<T: std::str::FromStr, S: AsRef<str>>(
+    args: &[S],
+    i: usize,
+    default: T,
+) -> Result<T, String> {
+    match args.get(i).map(AsRef::as_ref) {
+        None => Ok(default),
+        Some(s) => {
+            s.parse().map_err(|_| format!("argument {} is not a valid number: {s:?}", i + 1))
+        }
+    }
+}
+
+/// [`parse_arg`], or the subcommand's usage line and exit 2.
+fn num_arg<T: std::str::FromStr, S: AsRef<str>>(name: &str, args: &[S], i: usize, default: T) -> T {
+    parse_arg(args, i, default).unwrap_or_else(|why| usage_exit(name, &why))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(|s| s.as_str()).unwrap_or("all");
@@ -210,7 +223,7 @@ fn main() {
 }
 
 fn serve(args: &[String]) {
-    let port: u16 = args.first().and_then(|s| s.parse().ok()).unwrap_or(0);
+    let port: u16 = num_arg("serve", args, 0, 0);
     let cfg = hec_serve::server::ServeConfig { port, ..Default::default() };
     let server = match hec_serve::server::start(cfg.clone()) {
         Ok(s) => s,
@@ -227,8 +240,8 @@ fn serve(args: &[String]) {
 }
 
 fn cluster(args: &[String]) {
-    let replicas: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(3);
-    let port: u16 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0);
+    let replicas: usize = num_arg("cluster", args, 0, 3);
+    let port: u16 = num_arg("cluster", args, 1, 0);
     let cfg = hec_cluster::ClusterConfig { replicas: replicas.max(1), port, ..Default::default() };
     let (replication, vnodes) = (cfg.replication, cfg.vnodes);
     let cluster = match hec_cluster::start(cfg) {
@@ -253,8 +266,7 @@ fn cluster(args: &[String]) {
 
 fn kill(args: &[String]) {
     let (Some(url), Some(replica)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: repro kill <url> <replica>");
-        std::process::exit(2);
+        usage_exit("kill", "wants a router URL and a replica index");
     };
     let url = format!("{}/admin/kill?replica={replica}", url.trim_end_matches('/'));
     match hec_serve::client::http_post(&url, "") {
@@ -272,8 +284,7 @@ fn kill(args: &[String]) {
 
 fn scale(args: &[String]) {
     let (Some(url), Some(dir)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: repro scale <url> <up|down>");
-        std::process::exit(2);
+        usage_exit("scale", "wants a router URL and a direction");
     };
     let base = url.trim_end_matches('/').to_string();
     match dir.as_str() {
@@ -334,10 +345,7 @@ fn scale(args: &[String]) {
                 }
             }
         }
-        other => {
-            eprintln!("scale wants 'up' or 'down', got {other:?}");
-            std::process::exit(2);
-        }
+        other => usage_exit("scale", &format!("wants 'up' or 'down', got {other:?}")),
     }
 }
 
@@ -349,31 +357,22 @@ fn loadgen(args: &[String]) {
         if let Some(v) = a.strip_prefix("--rate=") {
             match v.parse::<f64>() {
                 Ok(r) if r > 0.0 => rate_rps = r,
-                _ => {
-                    eprintln!("loadgen: --rate wants a positive number, got {v:?}");
-                    std::process::exit(2);
-                }
+                _ => usage_exit("loadgen", &format!("--rate wants a positive number, got {v:?}")),
             }
         } else if let Some(v) = a.strip_prefix("--seed=") {
             match v.parse() {
                 Ok(s) => seed = s,
-                Err(_) => {
-                    eprintln!("loadgen: --seed wants an integer, got {v:?}");
-                    std::process::exit(2);
-                }
+                Err(_) => usage_exit("loadgen", &format!("--seed wants an integer, got {v:?}")),
             }
         } else {
             positional.push(a);
         }
     }
     let Some(url) = positional.first() else {
-        eprintln!("usage: repro loadgen <url> [secs] [clients] [--rate=RPS] [--seed=N]");
-        std::process::exit(2);
+        usage_exit("loadgen", "wants a target URL");
     };
-    let secs: u64 =
-        positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(bench::loadgen::DEFAULT_SECS);
-    let clients: usize =
-        positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(bench::loadgen::DEFAULT_CLIENTS);
+    let secs: u64 = num_arg("loadgen", &positional, 1, bench::loadgen::DEFAULT_SECS);
+    let clients: usize = num_arg("loadgen", &positional, 2, bench::loadgen::DEFAULT_CLIENTS);
     let open = bench::loadgen::OpenLoop { rate_rps, seed };
     let errors = bench::loadgen::run(url, secs, clients, open);
     if errors > 0 {
@@ -384,8 +383,7 @@ fn loadgen(args: &[String]) {
 
 fn stop(args: &[String]) {
     let Some(url) = args.first() else {
-        eprintln!("usage: repro stop <url>");
-        std::process::exit(2);
+        usage_exit("stop", "wants a serve or router URL");
     };
     let url = format!("{}/shutdown", url.trim_end_matches('/'));
     match hec_serve::client::http_post(&url, "") {
@@ -482,5 +480,36 @@ fn validate_all() {
         );
         print!("{}", validate::diff_table(name, &ours, &published));
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn command_names_are_unique_and_usage_lists_every_one() {
+        let text = usage();
+        for (i, c) in COMMANDS.iter().enumerate() {
+            assert!(COMMANDS[..i].iter().all(|d| d.name != c.name), "duplicate {}", c.name);
+            let row = format!("\n  {}", c.name);
+            assert!(text.contains(&row), "usage() does not list {}", c.name);
+        }
+    }
+
+    #[test]
+    fn usage_line_comes_from_the_command_table() {
+        assert_eq!(usage_line("cluster"), "usage: repro cluster <replicas> [port]");
+        assert_eq!(usage_line("table5"), "usage: repro table5");
+    }
+
+    #[test]
+    fn a_numeric_argument_is_its_value_its_default_or_an_error() {
+        let args = ["http://h", "7", "2x"];
+        assert_eq!(parse_arg(&args, 1, 5u64), Ok(7));
+        assert_eq!(parse_arg(&args, 3, 5u64), Ok(5), "absent means the default");
+        let err = parse_arg(&args, 2, 4usize).unwrap_err();
+        assert!(err.contains("\"2x\"") && err.contains("argument 3"), "{err}");
+        assert!(parse_arg(&["-1"], 0, 0u16).is_err(), "out of range is garbage too");
     }
 }

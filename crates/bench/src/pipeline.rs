@@ -12,14 +12,15 @@
 //!   byte for byte; exact).
 //! * `PROFILE_<tag>.json` — per-phase calibration captures and derived
 //!   workloads (counters exact, span timings ignored).
-//! * `BENCH_kernels.json` / `BENCH_apps.json` — harness timings
-//!   (names exact, throughput thresholded).
 //! * `BENCH_serve.json` / `BENCH_cluster.json` — load tests against an
-//!   in-process server and cluster (error counts exact, throughput and
-//!   latency thresholded).
+//!   in-process server and cluster (error counts, seeded provenance and
+//!   elasticity counters exact; throughput and latency printed for
+//!   humans and ignored by the diff).
 //!
-//! Sample sizes are constants tuned for a CI smoke; the stamp records
-//! them as provenance.
+//! Nothing here is a performance measurement: kernel, app, model and
+//! serving timings are `benchmark/`'s job. The load-test sizes are
+//! constants tuned for a CI smoke; the stamp records them as
+//! provenance.
 
 use hec_core::json::Json;
 use hec_serve::engine::{self, AppId};
@@ -30,8 +31,6 @@ use crate::artifact::{app_tag, Meta, Writer};
 
 /// Default output directory for `repro all`.
 pub const DEFAULT_DIR: &str = "artifacts";
-/// Timed samples per harness case (a smoke, not a deep run).
-const SAMPLES: usize = 3;
 /// Load-test duration per target, seconds.
 const SECS: u64 = 2;
 /// Load-test sender threads.
@@ -53,7 +52,7 @@ pub fn run_all(dir: &str) -> Result<(), String> {
         seed: crate::loadgen::DEFAULT_SEED,
     };
 
-    let meta = Meta::collect(SAMPLES, SECS, CLIENTS, REPLICAS);
+    let meta = Meta::collect(SECS, CLIENTS, REPLICAS);
     let w = Writer::new(dir, &meta).map_err(|e| format!("cannot create {dir}: {e}"))?;
     println!(
         "repro all -> {dir} (commit {}, {} workers, config {})",
@@ -87,10 +86,7 @@ pub fn run_all(dir: &str) -> Result<(), String> {
     println!("\n== profiles (counters exact, timings ignored) ==");
     crate::profile::run_into(&w);
 
-    println!("== harness ({SAMPLES} samples; throughput thresholded) ==");
-    crate::harness::run_into(&w, SAMPLES);
-
-    println!("\n== serve load test ({SECS}s x {CLIENTS} clients) ==");
+    println!("== serve load test ({SECS}s x {CLIENTS} clients) ==");
     let cfg = server::ServeConfig::default();
     let srv = server::start(cfg).map_err(|e| format!("cannot start hec-serve: {e}"))?;
     let errors =

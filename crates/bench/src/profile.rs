@@ -110,7 +110,7 @@ pub fn file_name(p: &AppProfile) -> String {
 /// with a fresh metadata stamp (the standalone `repro profile` entry
 /// point).
 pub fn run() {
-    let meta = crate::artifact::Meta::collect(0, 0, 0, 0);
+    let meta = crate::artifact::Meta::collect(0, 0, 0);
     run_into(&crate::artifact::Writer::cwd(&meta));
 }
 

@@ -161,19 +161,6 @@ pub fn advect_level(
     advect_meridional(grid, q, cy, lat0)
 }
 
-/// [`advect_level`] with both passes line-parallel.
-pub fn advect_level_with(
-    threads: &Threads,
-    grid: &SphereGrid,
-    q: &mut LevelBlock,
-    cx: &LevelBlock,
-    cy: &LevelBlock,
-    lat0: usize,
-) -> usize {
-    advect_zonal_with(threads, q, cx);
-    advect_meridional_with(threads, grid, q, cy, lat0)
-}
-
 /// Total tracer mass (area-weighted sum) of a block's interior rows.
 pub fn block_mass(grid: &SphereGrid, q: &LevelBlock, lat0: usize) -> f64 {
     let mut m = 0.0;
@@ -348,7 +335,9 @@ mod tests {
         advect_level(&grid, &mut serial, &cx, &cy, 0);
         for workers in [1usize, 2, 4] {
             let mut par = q.clone();
-            advect_level_with(&Threads::new(workers), &grid, &mut par, &cx, &cy, 0);
+            let threads = Threads::new(workers);
+            advect_zonal_with(&threads, &mut par, &cx);
+            advect_meridional_with(&threads, &grid, &mut par, &cy, 0);
             for (a, b) in serial.data.iter().zip(&par.data) {
                 assert_eq!(a.to_bits(), b.to_bits(), "workers={workers}");
             }

@@ -18,12 +18,6 @@
 use crate::complex::Complex64;
 use hec_core::probe::{self, Counters};
 
-/// Minimum flops per worker before [`FftPlan::execute_batch_with`]
-/// spawns threads: small batches (the `fft/batch_256x64` regression in
-/// BENCH_kernels.json) run serial because the spawn cost exceeds the
-/// per-line transform work.
-pub const FFT_MIN_FLOPS_PER_WORKER: f64 = 8.0 * 1024.0 * 1024.0;
-
 /// Direction of the transform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
@@ -136,38 +130,6 @@ impl FftPlan {
             }
             Some(b) => self.bluestein_execute(b, data, dir),
         }
-    }
-
-    /// Executes `count` contiguous transforms stored back to back in `data`.
-    ///
-    /// This mirrors the "vectorize across FFTs" strategy the paper uses for
-    /// the FVCAM polar filters: the caller batches many independent lines.
-    pub fn execute_batch(&self, data: &mut [Complex64], count: usize, dir: Direction) {
-        assert_eq!(data.len(), self.n * count, "batch buffer length mismatch");
-        for chunk in data.chunks_exact_mut(self.n) {
-            self.execute(chunk, dir);
-        }
-    }
-
-    /// [`FftPlan::execute_batch`] with the lines split across workers —
-    /// the paper's "parallelize across the FFTs, not within one"
-    /// strategy. Each line transforms independently in its own slice, so
-    /// the result is **bitwise identical** to the serial batch for any
-    /// worker count.
-    pub fn execute_batch_with(
-        &self,
-        threads: &hec_core::pool::Threads,
-        data: &mut [Complex64],
-        count: usize,
-        dir: Direction,
-    ) {
-        assert_eq!(data.len(), self.n * count, "batch buffer length mismatch");
-        if self.n == 0 {
-            return;
-        }
-        let min_lines = (FFT_MIN_FLOPS_PER_WORKER / self.flops_actual().max(1.0)).ceil() as usize;
-        let threads = threads.clamp_for(count, min_lines);
-        threads.par_chunks_mut(data, self.n, |_, line| self.execute(line, dir));
     }
 
     /// In-place iterative radix-2 Cooley–Tukey; `self.n` must be a power of 2.
@@ -283,15 +245,6 @@ impl FftPlan {
     /// non-power-of-two lengths) happens to execute.
     pub fn flops(&self) -> f64 {
         5.0 * self.n as f64 * (self.n as f64).log2()
-    }
-
-    /// Operations the chosen algorithm actually executes (Bluestein pays
-    /// three padded power-of-two transforms plus the chirp multiplies).
-    pub fn flops_actual(&self) -> f64 {
-        match &self.bluestein {
-            None => 5.0 * self.n as f64 * (self.n as f64).log2(),
-            Some(b) => 3.0 * 5.0 * b.m as f64 * (b.m as f64).log2() + 6.0 * 3.0 * self.n as f64,
-        }
     }
 }
 
@@ -435,22 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_individual() {
-        let n = 48;
-        let count = 7;
-        let plan = FftPlan::new(n);
-        let mut batch: Vec<Complex64> = (0..n * count)
-            .map(|i| Complex64::new(i as f64 * 0.01, (i as f64 * 0.02).sin()))
-            .collect();
-        let mut singles = batch.clone();
-        plan.execute_batch(&mut batch, count, Direction::Forward);
-        for chunk in singles.chunks_exact_mut(n) {
-            plan.execute(chunk, Direction::Forward);
-        }
-        assert!(max_err(&batch, &singles) == 0.0);
-    }
-
-    #[test]
     fn linearity() {
         let n = 96;
         let a = ramp(n);
@@ -481,26 +418,6 @@ mod tests {
         assert_eq!(c.flops as f64, plan.flops(), "baseline formula must agree");
         assert_eq!(c.vector_iters, (nu / 2) * stages);
         assert_eq!(c.vector_loops, stages);
-    }
-
-    #[test]
-    fn small_fft_batches_take_the_serial_path() {
-        use hec_core::pool::Threads;
-        let plan = FftPlan::new(256);
-        // The regressed bench case: 64 lines of length 256 is far below
-        // the flop floor, so the clamped handle is serial.
-        let min_lines = (FFT_MIN_FLOPS_PER_WORKER / plan.flops_actual().max(1.0)).ceil() as usize;
-        let t = Threads::new(4);
-        assert!(t.clamp_for(64, min_lines).is_serial());
-        // And the clamped batch still matches the serial batch exactly.
-        let count = 64;
-        let mut batch: Vec<Complex64> = (0..256 * count)
-            .map(|i| Complex64::new((i as f64 * 0.013).sin(), (i as f64 * 0.007).cos()))
-            .collect();
-        let mut serial = batch.clone();
-        plan.execute_batch(&mut serial, count, Direction::Forward);
-        plan.execute_batch_with(&t, &mut batch, count, Direction::Forward);
-        assert!(max_err(&batch, &serial) == 0.0);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use crate::complex::Complex64;
 use crate::fft::{Direction, FftPlan};
-use hec_core::pool::Threads;
 
 /// Pencils gathered per transpose block. Gathering `TB` neighboring
 /// pencils at once turns the strided y/z sweeps into copies of
@@ -167,65 +166,6 @@ impl Fft3Plan {
         }
     }
 
-    /// [`Fft3Plan::execute`] with the pencil sweeps split across
-    /// workers: x lines and whole z-planes of y lines are disjoint
-    /// slices of the grid; z pencils (stride `nx·ny`) are gathered and
-    /// transformed in parallel, then scattered back in line order. Every
-    /// pencil transforms independently, so the result is **bitwise
-    /// identical** to the serial sweep for any worker count.
-    pub fn execute_with(&self, threads: &Threads, g: &mut Grid3, dir: Direction) {
-        if threads.is_serial() {
-            return self.execute(g, dir);
-        }
-        assert_eq!(g.nx, self.plan_x.len());
-        assert_eq!(g.ny, self.plan_y.len());
-        assert_eq!(g.nz, self.plan_z.len());
-        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
-
-        // x pencils are contiguous lines.
-        threads.par_chunks_mut(&mut g.data, nx, |_, line| self.plan_x.execute(line, dir));
-
-        // y pencils: each z-plane is a contiguous nx·ny slice holding
-        // nx complete strided lines; blocked transpose within the plane.
-        threads.par_chunks_mut(&mut g.data, nx * ny, |_, plane| {
-            let mut buf = vec![Complex64::ZERO; TB * ny];
-            for i0 in (0..nx).step_by(TB) {
-                let tb = TB.min(nx - i0);
-                transform_pencil_block(&self.plan_y, dir, plane, 0, i0, tb, ny, nx, &mut buf);
-            }
-        });
-
-        // z pencils cross every plane: gather + transform whole TB-blocks
-        // in parallel (pure reads of disjoint strided lines), scatter
-        // back serially in block order.
-        let blocks: Vec<(usize, usize)> =
-            (0..ny).flat_map(|j| (0..nx).step_by(TB).map(move |i0| (j, i0))).collect();
-        let data = &g.data;
-        let lines: Vec<Vec<Complex64>> = threads.par_map(&blocks, |&(j, i0)| {
-            let tb = TB.min(nx - i0);
-            let mut buf = vec![Complex64::ZERO; tb * nz];
-            for k in 0..nz {
-                let row = &data[nx * j + i0 + nx * ny * k..][..tb];
-                for (it, v) in row.iter().enumerate() {
-                    buf[it * nz + k] = *v;
-                }
-            }
-            for line in buf.chunks_exact_mut(nz) {
-                self.plan_z.execute(line, dir);
-            }
-            buf
-        });
-        for (&(j, i0), buf) in blocks.iter().zip(&lines) {
-            let tb = TB.min(nx - i0);
-            for k in 0..nz {
-                let row = &mut g.data[nx * j + i0 + nx * ny * k..][..tb];
-                for (it, v) in row.iter_mut().enumerate() {
-                    *v = buf[it * nz + k];
-                }
-            }
-        }
-    }
-
     /// Total flop count of one 3D transform.
     pub fn flops(&self) -> f64 {
         let nx = self.plan_x.len() as f64;
@@ -320,25 +260,6 @@ mod tests {
         fft3(&mut g);
         let e_freq: f64 = g.data.iter().map(|z| z.norm_sqr()).sum::<f64>() / g.len() as f64;
         assert!((e_time - e_freq).abs() < 1e-8 * e_time.max(1.0));
-    }
-
-    #[test]
-    fn threaded_execute_is_bitwise_serial() {
-        let plan = Fft3Plan::new(12, 10, 9); // mixed radix, Bluestein in y/z
-        for dir in [Direction::Forward, Direction::Inverse] {
-            let mut serial = Grid3::zeros(12, 10, 9);
-            fill(&mut serial);
-            let mut reference = serial.clone();
-            plan.execute(&mut reference, dir);
-            for workers in [1usize, 2, 4] {
-                let mut g = serial.clone();
-                plan.execute_with(&Threads::new(workers), &mut g, dir);
-                for (a, b) in g.data.iter().zip(&reference.data) {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "workers={workers}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "workers={workers}");
-                }
-            }
-        }
     }
 
     #[test]

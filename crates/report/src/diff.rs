@@ -13,8 +13,6 @@ use crate::table::Table;
 pub enum FindingKind {
     /// An exact-deterministic field changed value.
     Drift,
-    /// A thresholded performance field regressed beyond tolerance.
-    Regression,
     /// A field or artifact present in the old directory is gone.
     Missing,
     /// An artifact or field appeared that the old directory lacks.
@@ -26,7 +24,6 @@ impl FindingKind {
     pub fn label(self) -> &'static str {
         match self {
             FindingKind::Drift => "drift",
-            FindingKind::Regression => "regression",
             FindingKind::Missing => "missing",
             FindingKind::Extra => "extra",
         }
@@ -43,19 +40,18 @@ pub struct Finding {
     pub path: String,
     /// What kind of disagreement this is.
     pub kind: FindingKind,
-    /// Old vs new values and, for regressions, the relative change.
+    /// Old vs new values, or which side holds the field.
     pub detail: String,
 }
 
-/// Renders the findings as a fixed-width table, worst category first
-/// (drift and missing before regressions — exactness outranks pace).
+/// Renders the findings as a fixed-width table: drift first, then
+/// missing, then extra, each sorted by file and field.
 pub fn findings_table(title: &str, findings: &[Finding]) -> Table {
     let mut t = Table::new(title, &["kind", "file", "field", "detail"]);
     let rank = |k: FindingKind| match k {
         FindingKind::Drift => 0,
         FindingKind::Missing => 1,
         FindingKind::Extra => 2,
-        FindingKind::Regression => 3,
     };
     let mut sorted: Vec<&Finding> = findings.iter().collect();
     sorted.sort_by(|a, b| {
@@ -69,20 +65,14 @@ pub fn findings_table(title: &str, findings: &[Finding]) -> Table {
 }
 
 /// One-line verdict for the bottom of the report.
-pub fn summary_line(
-    findings: &[Finding],
-    files_compared: usize,
-    perf_note: Option<&str>,
-) -> String {
+pub fn summary_line(findings: &[Finding], files_compared: usize) -> String {
     let count = |k: FindingKind| findings.iter().filter(|f| f.kind == k).count();
-    let note = perf_note.map(|n| format!(" ({n})")).unwrap_or_default();
     if findings.is_empty() {
-        format!("diff: ok — {files_compared} artifacts compared, no drift, no regressions{note}")
+        format!("diff: ok — {files_compared} artifacts compared, no drift")
     } else {
         format!(
-            "diff: FAILED — {} drift, {} regression(s), {} missing, {} extra across {} artifacts{note}",
+            "diff: FAILED — {} drift, {} missing, {} extra across {} artifacts",
             count(FindingKind::Drift),
-            count(FindingKind::Regression),
             count(FindingKind::Missing),
             count(FindingKind::Extra),
             files_compared,
@@ -111,18 +101,18 @@ mod tests {
     }
 
     #[test]
-    fn drift_sorts_before_regressions() {
+    fn drift_sorts_before_missing_and_extra() {
         let t = findings_table(
             "d",
             &[
-                f(FindingKind::Regression, "BENCH_serve.json", "throughput_rps"),
+                f(FindingKind::Extra, "TABLE_new.json", ""),
+                f(FindingKind::Missing, "BENCH_serve.json", "errors"),
                 f(FindingKind::Drift, "TABLE_gtc.json", "rows[0].cells[1].gflops_per_proc"),
             ],
         );
         let s = t.render();
-        let drift_at = s.find("drift").unwrap();
-        let reg_at = s.find("regression").unwrap();
-        assert!(drift_at < reg_at);
+        let at = |label: &str| s.find(label).unwrap();
+        assert!(at("drift") < at("missing") && at("missing") < at("extra"), "{s}");
     }
 
     #[test]
@@ -135,15 +125,14 @@ mod tests {
     fn summary_counts_each_kind() {
         let fs = [
             f(FindingKind::Drift, "a", "x"),
-            f(FindingKind::Regression, "b", "y"),
-            f(FindingKind::Regression, "b", "z"),
+            f(FindingKind::Missing, "b", "y"),
+            f(FindingKind::Missing, "b", "z"),
         ];
-        let s = summary_line(&fs, 11, None);
+        let s = summary_line(&fs, 11);
         assert!(s.contains("FAILED"));
         assert!(s.contains("1 drift"));
-        assert!(s.contains("2 regression(s)"));
-        let ok = summary_line(&[], 11, Some("perf skipped: different host"));
-        assert!(ok.contains("ok"));
-        assert!(ok.contains("perf skipped"));
+        assert!(s.contains("2 missing"));
+        assert!(s.contains("0 extra"));
+        assert!(summary_line(&[], 11).contains("ok — 11 artifacts compared"));
     }
 }

@@ -72,39 +72,6 @@ pub fn cluster_table(title: &str, c: &ClusterSummary) -> Table {
     t
 }
 
-/// One flop-counted kernel measurement for [`gflops_table`].
-#[derive(Clone, Debug)]
-pub struct GflopsRow {
-    /// Kernel case name, e.g. `"gemm/dgemm_128/t1"`.
-    pub label: String,
-    /// Shared-memory workers used (`None` = untracked).
-    pub threads: Option<u64>,
-    /// Measured Gflop/s at the median time.
-    pub gflops: f64,
-    /// Speedup over the 1-worker leg of the same case.
-    pub speedup: Option<f64>,
-    /// `speedup / threads`.
-    pub efficiency: Option<f64>,
-}
-
-/// Renders measured Gflop/s for flop-counted kernels — the unit every
-/// per-kernel result in the paper is reported in — in the suite's table
-/// style.
-pub fn gflops_table(title: &str, rows: &[GflopsRow]) -> Table {
-    let mut t =
-        Table::new(title.to_string(), &["kernel", "threads", "Gflop/s", "speedup", "efficiency"]);
-    for r in rows {
-        t.push_row(vec![
-            r.label.clone(),
-            r.threads.map_or_else(|| "-".to_string(), |n| n.to_string()),
-            format!("{:.3}", r.gflops),
-            r.speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
-            r.efficiency.map_or_else(|| "-".to_string(), |e| format!("{:.0}%", e * 100.0)),
-        ]);
-    }
-    t
-}
-
 /// Renders per-endpoint latency summaries plus an overall throughput
 /// line, in the suite's table style.
 pub fn latency_table(title: &str, rows: &[LatencySummary], throughput_rps: f64) -> Table {
@@ -155,40 +122,6 @@ mod tests {
         assert!(out.contains("180 us"));
         assert!(out.contains("12.0 ms"));
         assert!(out.contains("45.0 ms"));
-    }
-
-    #[test]
-    fn gflops_table_renders_rates_and_scaling() {
-        let rows = vec![
-            GflopsRow {
-                label: "gemm/dgemm_128/t1".into(),
-                threads: Some(1),
-                gflops: 14.502,
-                speedup: Some(1.0),
-                efficiency: Some(1.0),
-            },
-            GflopsRow {
-                label: "lbmhd/collide_stream_24cubed/t2".into(),
-                threads: Some(2),
-                gflops: 1.31,
-                speedup: Some(1.9),
-                efficiency: Some(0.95),
-            },
-            GflopsRow {
-                label: "fft/forward_256".into(),
-                threads: None,
-                gflops: 0.5,
-                speedup: None,
-                efficiency: None,
-            },
-        ];
-        let out = gflops_table("measured Gflop/s", &rows).render();
-        assert!(out.contains("14.502"), "{out}");
-        assert!(out.contains("1.90x"));
-        assert!(out.contains("95%"));
-        assert!(out.contains("Gflop/s"));
-        // Untracked cases render dashes, not zeros.
-        assert!(out.contains('-'));
     }
 
     #[test]

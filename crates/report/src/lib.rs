@@ -9,7 +9,7 @@
 //! * [`latency`] — latency/throughput summaries for the serve
 //!   benchmark (`repro loadgen`).
 //! * [`diff`] — the findings table `repro diff` prints when two artifact
-//!   directories disagree (drift / regression / missing / extra).
+//!   directories disagree (drift / missing / extra).
 
 pub mod diff;
 pub mod latency;

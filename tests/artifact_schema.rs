@@ -24,7 +24,24 @@ fn baseline_files() -> Vec<(String, String)> {
         })
         .collect();
     out.sort();
-    assert!(out.len() >= 13, "expected every artifact family, got {}", out.len());
+    let names: Vec<&str> = out.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "BENCH_cluster.json",
+            "BENCH_serve.json",
+            "CANON_eval.json",
+            "PROFILE_fvcam.json",
+            "PROFILE_gtc.json",
+            "PROFILE_lbmhd3d.json",
+            "PROFILE_paratec.json",
+            "TABLE_fvcam.json",
+            "TABLE_gtc.json",
+            "TABLE_lbmhd3d.json",
+            "TABLE_paratec.json",
+        ],
+        "baseline/ holds exactly the artifacts `repro all` writes"
+    );
     out
 }
 
