@@ -243,7 +243,7 @@ fn cluster(args: &[String]) {
     let replicas: usize = num_arg("cluster", args, 0, 3);
     let port: u16 = num_arg("cluster", args, 1, 0);
     let cfg = hec_cluster::ClusterConfig { replicas: replicas.max(1), port, ..Default::default() };
-    let (replication, vnodes) = (cfg.replication, cfg.vnodes);
+    let (replication, vnodes) = (cfg.replication, hec_cluster::DEFAULT_VNODES);
     let cluster = match hec_cluster::start(cfg) {
         Ok(c) => c,
         Err(e) => {
@@ -286,66 +286,24 @@ fn scale(args: &[String]) {
     let (Some(url), Some(dir)) = (args.first(), args.get(1)) else {
         usage_exit("scale", "wants a router URL and a direction");
     };
-    let base = url.trim_end_matches('/').to_string();
-    match dir.as_str() {
-        "up" => match hec_serve::client::http_post(&format!("{base}/admin/scale-up"), "") {
-            Ok(r) if r.status == 200 => print!("{}", r.body),
-            Ok(r) => {
-                eprintln!("scale-up failed with status {}: {}", r.status, r.body.trim());
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("could not reach {base}: {e}");
-                std::process::exit(1);
-            }
-        },
-        "down" => {
-            // Drain the highest current member — the mirror of what
-            // the autoscaler's down decision picks.
-            let metrics = match hec_serve::client::http_get(&format!("{base}/metrics")) {
-                Ok(r) if r.status == 200 => r.body,
-                Ok(r) => {
-                    eprintln!("metrics fetch failed with status {}", r.status);
-                    std::process::exit(1);
-                }
-                Err(e) => {
-                    eprintln!("could not reach {base}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let doc = match hec_core::json::Json::parse(&metrics) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("bad metrics document: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let victim = doc
-                .get("cluster")
-                .and_then(|c| c.get("replicas"))
-                .and_then(|r| r.as_arr())
-                .into_iter()
-                .flatten()
-                .filter_map(|r| r.get("index").and_then(|i| i.as_f64()))
-                .fold(None::<f64>, |acc, i| Some(acc.map_or(i, |a: f64| a.max(i))));
-            let Some(victim) = victim else {
-                eprintln!("no cluster.replicas in {base}/metrics — not a router?");
-                std::process::exit(1);
-            };
-            let drain = format!("{base}/admin/drain/{}", victim as usize);
-            match hec_serve::client::http_post(&drain, "") {
-                Ok(r) if r.status == 200 => print!("{}", r.body),
-                Ok(r) => {
-                    eprintln!("drain failed with status {}: {}", r.status, r.body.trim());
-                    std::process::exit(1);
-                }
-                Err(e) => {
-                    eprintln!("could not reach {drain}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
+    // The router owns the down policy (drain the highest current member,
+    // as the autoscaler does); either direction is one POST.
+    let action = match dir.as_str() {
+        "up" => "scale-up",
+        "down" => "scale-down",
         other => usage_exit("scale", &format!("wants 'up' or 'down', got {other:?}")),
+    };
+    let url = format!("{}/admin/{action}", url.trim_end_matches('/'));
+    match hec_serve::client::http_post(&url, "") {
+        Ok(r) if r.status == 200 => print!("{}", r.body),
+        Ok(r) => {
+            eprintln!("{action} failed with status {}: {}", r.status, r.body.trim());
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("could not reach {url}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

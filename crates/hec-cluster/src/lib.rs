@@ -4,13 +4,15 @@
 //! canonical request keyspace is partitioned by a consistent-hash ring
 //! ([`ring`]: virtual nodes, replication factor R), the router
 //! ([`router`]) forwards each request to its key's first live owner and
-//! fails over to the next on transport failure or load shedding, health
-//! is tracked by a probing checker plus reactive marking ([`health`]),
-//! and a deterministic fault plan ([`faults`]) can kill, stall,
+//! fails over to the next on transport failure or load shedding, each
+//! member's server, health and counters live in one record of the member
+//! table ([`replica`]) fed by a probing checker ([`health`]) plus
+//! reactive marking, and a deterministic fault plan ([`faults`]) can kill, stall,
 //! drop-connect, or slow replicas at fixed admitted-request indices.
 //!
 //! Membership is live ([`membership`]): versioned ring epochs with
-//! `/admin/scale-up` and `/admin/drain/<i>` endpoints, bounded
+//! `/admin/scale-up`, `/admin/scale-down` and `/admin/drain/<i>`
+//! endpoints, bounded
 //! rebalancing (only keys whose owners changed between epochs move),
 //! cache handoff that warms the new owners before cutover, and an
 //! optional autoscaler driven by the router's queue gauge and
@@ -42,8 +44,8 @@ pub mod ring;
 pub mod router;
 
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
-pub use health::{Health, HealthConfig};
-pub use membership::{AutoscaleConfig, Elasticity, Epoch, Membership, MembershipEvent};
-pub use replica::ReplicaSet;
+pub use health::HealthConfig;
+pub use membership::{AutoscaleConfig, Elasticity, Epoch, MembershipEvent};
+pub use replica::{Member, ReplicaSet};
 pub use ring::{owners_diff, stable_hash, OwnersDiff, Ring, DEFAULT_VNODES};
 pub use router::{start, Cluster, ClusterConfig, DEFAULT_REPLICATION};

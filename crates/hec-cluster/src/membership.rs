@@ -42,9 +42,8 @@ use hec_core::sync::Mutex;
 use hec_serve::client;
 use hec_serve::metrics::Histogram;
 
-use crate::health::Health;
-use crate::replica::ReplicaSet;
-use crate::ring::{owners_diff, stable_hash, Ring};
+use crate::replica::{invalid, ReplicaSet};
+use crate::ring::{owners_diff, stable_hash, Ring, DEFAULT_VNODES};
 
 /// Tracked-key bound: the handoff set is the keys actually routed, and
 /// the canonical workload has a few dozen — this cap only guards
@@ -123,73 +122,6 @@ impl AutoscaleConfig {
     }
 }
 
-/// The versioned membership state: current epoch plus change counters.
-pub struct Membership {
-    epoch: Mutex<Arc<Epoch>>,
-    vnodes: usize,
-    replication: usize,
-    added_total: AtomicU64,
-    removed_total: AtomicU64,
-    keys_moved: AtomicU64,
-    warm_hits: AtomicU64,
-    events: Mutex<Vec<MembershipEvent>>,
-}
-
-impl Membership {
-    /// Epoch 0 over the boot members.
-    pub fn new(members: Vec<usize>, vnodes: usize, replication: usize) -> Membership {
-        let ring = Ring::over(&members, vnodes, replication);
-        Membership {
-            epoch: Mutex::new(Arc::new(Epoch { version: 0, members, ring })),
-            vnodes,
-            replication,
-            added_total: AtomicU64::new(0),
-            removed_total: AtomicU64::new(0),
-            keys_moved: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The current epoch (cheap: one Arc clone).
-    pub fn current(&self) -> Arc<Epoch> {
-        Arc::clone(&self.epoch.lock())
-    }
-
-    /// Installs the next epoch over `members` and returns its version.
-    fn install(&self, members: Vec<usize>, ring: Ring) -> u64 {
-        let mut g = self.epoch.lock();
-        let version = g.version + 1;
-        *g = Arc::new(Epoch { version, members, ring });
-        version
-    }
-
-    /// Membership changes applied so far (the `/metrics` events count).
-    pub fn events_len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Members added over the cluster's lifetime.
-    pub fn added_total(&self) -> u64 {
-        self.added_total.load(Ordering::Relaxed)
-    }
-
-    /// Members drained over the cluster's lifetime.
-    pub fn removed_total(&self) -> u64 {
-        self.removed_total.load(Ordering::Relaxed)
-    }
-
-    /// Tracked keys rerouted across all epoch flips.
-    pub fn keys_moved(&self) -> u64 {
-        self.keys_moved.load(Ordering::Relaxed)
-    }
-
-    /// Keys successfully warmed on their new primary.
-    pub fn warm_hits(&self) -> u64 {
-        self.warm_hits.load(Ordering::Relaxed)
-    }
-}
-
 /// What a scale-up installed.
 #[derive(Clone, Debug)]
 pub struct ScaleUp {
@@ -229,21 +161,22 @@ struct AutoState {
 
 enum Decision {
     Up,
-    Down(usize),
+    Down,
 }
 
-/// The elasticity engine: owns the [`Membership`], performs scale-up
-/// and drain against the replica set, warms caches across epoch flips,
-/// and runs the autoscaler policy.
+/// The elasticity engine: owns the versioned membership (current epoch
+/// plus the log of every change), performs scale-up and drain against
+/// the member table, warms caches across epoch flips, and runs the
+/// autoscaler policy.
 pub struct Elasticity {
-    /// The versioned membership (public: the router reads epochs).
-    pub membership: Membership,
+    epoch: Mutex<Arc<Epoch>>,
+    replication: usize,
+    /// Every membership change so far; the `/metrics` totals
+    /// (`added_total`, `handoff.keys_moved`, …) are sums over it.
+    events: Mutex<Vec<MembershipEvent>>,
     replicas: Arc<ReplicaSet>,
-    health: Arc<Health>,
     /// Ring key → a representative request target for re-priming.
     tracked: Mutex<BTreeMap<String, String>>,
-    /// Per-member forwarded counters, grown on scale-up.
-    forwarded: Mutex<Vec<Arc<AtomicU64>>>,
     autoscale: Option<AutoscaleConfig>,
     auto_state: Mutex<AutoState>,
     auto_up: AtomicU64,
@@ -255,22 +188,21 @@ pub struct Elasticity {
 }
 
 impl Elasticity {
-    /// Elasticity over the boot members `0..n`.
+    /// Elasticity over the boot members `0..n`, as epoch 0.
     pub fn new(
         replicas: Arc<ReplicaSet>,
-        health: Arc<Health>,
-        vnodes: usize,
         replication: usize,
         autoscale: Option<AutoscaleConfig>,
         timeout: Duration,
     ) -> Elasticity {
-        let n = replicas.len();
+        let members: Vec<usize> = (0..replicas.len()).collect();
+        let ring = Ring::over(&members, DEFAULT_VNODES, replication);
         Elasticity {
-            membership: Membership::new((0..n).collect(), vnodes, replication),
+            epoch: Mutex::new(Arc::new(Epoch { version: 0, members, ring })),
+            replication,
+            events: Mutex::new(Vec::new()),
             replicas,
-            health,
             tracked: Mutex::new(BTreeMap::new()),
-            forwarded: Mutex::new((0..n).map(|_| Arc::new(AtomicU64::new(0))).collect()),
             autoscale,
             auto_state: Mutex::new(AutoState {
                 up_streak: 0,
@@ -285,24 +217,44 @@ impl Elasticity {
         }
     }
 
+    /// The current epoch (cheap: one Arc clone).
+    pub fn current(&self) -> Arc<Epoch> {
+        Arc::clone(&self.epoch.lock())
+    }
+
+    /// Installs the next epoch over `members`, logs the change that
+    /// produced it, and returns its version.
+    fn install(
+        &self,
+        members: Vec<usize>,
+        ring: Ring,
+        action: &'static str,
+        replica: usize,
+        keys_moved: u64,
+        warm_hits: u64,
+    ) -> u64 {
+        let version = {
+            let mut g = self.epoch.lock();
+            let version = g.version + 1;
+            *g = Arc::new(Epoch { version, members, ring });
+            version
+        };
+        self.events.lock().push(MembershipEvent {
+            epoch: version,
+            action,
+            replica,
+            keys_moved,
+            warm_hits,
+        });
+        version
+    }
+
     /// Remembers a routed key and a target that can re-prime it.
     pub fn track(&self, key: &str, target: &str) {
         let mut g = self.tracked.lock();
         if g.len() < MAX_TRACKED_KEYS && !g.contains_key(key) {
             g.insert(key.to_string(), target.to_string());
         }
-    }
-
-    /// Counts a completed forward to member `r`.
-    pub fn note_forward(&self, r: usize) {
-        if let Some(c) = self.forwarded.lock().get(r).cloned() {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Forwards completed by member `r`.
-    pub fn forwarded(&self, r: usize) -> u64 {
-        self.forwarded.lock().get(r).map(|c| c.load(Ordering::Relaxed)).unwrap_or(0)
     }
 
     /// Autoscaler decisions so far as `(up, down)`.
@@ -315,23 +267,13 @@ impl Elasticity {
     pub fn scale_up(&self) -> std::io::Result<ScaleUp> {
         let _g = self.change.lock();
         let (added, addr) = self.replicas.add()?;
-        self.forwarded.lock().push(Arc::new(AtomicU64::new(0)));
-        self.health.add();
-        let old = self.membership.current();
+        let old = self.current();
         let mut members = old.members.clone();
         members.push(added);
         members.sort_unstable();
-        let ring = Ring::over(&members, self.membership.vnodes, self.membership.replication);
+        let ring = Ring::over(&members, DEFAULT_VNODES, self.replication);
         let (keys_moved, warm_hits) = self.handoff(&old.ring, &ring);
-        let epoch = self.membership.install(members, ring);
-        self.membership.added_total.fetch_add(1, Ordering::Relaxed);
-        self.membership.events.lock().push(MembershipEvent {
-            epoch,
-            action: "add",
-            replica: added,
-            keys_moved,
-            warm_hits,
-        });
+        let epoch = self.install(members, ring, "add", added, keys_moved, warm_hits);
         Ok(ScaleUp { added, addr, epoch, keys_moved, warm_hits })
     }
 
@@ -341,35 +283,35 @@ impl Elasticity {
     /// the drained reactor's final open-connection count.
     pub fn drain(&self, id: usize) -> std::io::Result<Drain> {
         let _g = self.change.lock();
-        let old = self.membership.current();
+        self.drain_locked(id)
+    }
+
+    /// Drains the highest current member — the one policy both the
+    /// autoscaler's down decision and `/admin/scale-down` apply.
+    /// Returns the member it picked.
+    pub fn scale_down(&self) -> std::io::Result<(usize, Drain)> {
+        let _g = self.change.lock();
+        let victim =
+            self.current().members.iter().copied().max().expect("an epoch always has a member");
+        self.drain_locked(victim).map(|d| (victim, d))
+    }
+
+    /// [`Elasticity::drain`] with the `change` lock already held.
+    fn drain_locked(&self, id: usize) -> std::io::Result<Drain> {
+        let old = self.current();
         if !old.members.contains(&id) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("replica {id} is not a current member"),
-            ));
+            return Err(invalid(format!("replica {id} is not a current member")));
         }
         if old.members.len() <= 1 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "cannot drain the last member",
-            ));
+            return Err(invalid("cannot drain the last member".into()));
         }
         let members: Vec<usize> = old.members.iter().copied().filter(|&m| m != id).collect();
-        let ring = Ring::over(&members, self.membership.vnodes, self.membership.replication);
+        let ring = Ring::over(&members, DEFAULT_VNODES, self.replication);
         // Handoff first: the outgoing member is still up, so its cache
         // entries are exportable and re-primes cannot land on it.
         let (keys_moved, warm_hits) = self.handoff(&old.ring, &ring);
-        let epoch = self.membership.install(members, ring);
-        self.health.retire(id);
+        let epoch = self.install(members, ring, "drain", id, keys_moved, warm_hits);
         let connections_open = self.replicas.retire(id).unwrap_or(0);
-        self.membership.removed_total.fetch_add(1, Ordering::Relaxed);
-        self.membership.events.lock().push(MembershipEvent {
-            epoch,
-            action: "drain",
-            replica: id,
-            keys_moved,
-            warm_hits,
-        });
         Ok(Drain { epoch, keys_moved, warm_hits, connections_open })
     }
 
@@ -398,8 +340,6 @@ impl Elasticity {
                 warm += 1;
             }
         }
-        self.membership.keys_moved.fetch_add(moved, Ordering::Relaxed);
-        self.membership.warm_hits.fetch_add(warm, Ordering::Relaxed);
         (moved, warm)
     }
 
@@ -407,12 +347,13 @@ impl Elasticity {
     /// entry when the key is a canonical point key, otherwise re-prime
     /// by replaying the tracked GET target against the new primary.
     fn warm_key(&self, key: &str, target: &str, old_primary: usize, new_primary: usize) -> bool {
-        let Some(new_addr) = self.replicas.addr(new_primary) else {
+        let addr_of = |r: usize| self.replicas.get(r).and_then(|m| m.addr());
+        let Some(new_addr) = addr_of(new_primary) else {
             return false;
         };
         let exportable = !key.starts_with('/') && !key.starts_with("sweep|");
         if exportable {
-            if let Some(old_addr) = self.replicas.addr(old_primary) {
+            if let Some(old_addr) = addr_of(old_primary) {
                 let req = Json::obj([("keys", Json::Arr(vec![Json::Str(key.to_string())]))])
                     .emit_pretty();
                 let exported = client::http_post_timeout(
@@ -478,17 +419,17 @@ impl Elasticity {
                 st.cooldown -= 1;
                 None
             } else {
-                let members = self.membership.current().members.clone();
-                if st.up_streak >= cfg.up_ticks && members.len() < cfg.max {
+                let members = self.current().members.len();
+                if st.up_streak >= cfg.up_ticks && members < cfg.max {
                     st.up_streak = 0;
                     st.down_streak = 0;
                     st.cooldown = cfg.cooldown_ticks;
                     Some(Decision::Up)
-                } else if st.down_streak >= cfg.down_ticks && members.len() > cfg.min {
+                } else if st.down_streak >= cfg.down_ticks && members > cfg.min {
                     st.up_streak = 0;
                     st.down_streak = 0;
                     st.cooldown = cfg.cooldown_ticks;
-                    Some(Decision::Down(*members.iter().max().unwrap()))
+                    Some(Decision::Down)
                 } else {
                     None
                 }
@@ -500,8 +441,8 @@ impl Elasticity {
                     self.auto_up.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Some(Decision::Down(victim)) => {
-                if self.drain(victim).is_ok() {
+            Some(Decision::Down) => {
+                if self.scale_down().is_ok() {
                     self.auto_down.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -511,11 +452,10 @@ impl Elasticity {
 
     /// The `/metrics` membership section.
     pub fn doc(&self) -> Json {
-        let cur = self.membership.current();
-        let log: Vec<Json> = self
-            .membership
-            .events
-            .lock()
+        let cur = self.current();
+        let events = self.events.lock();
+        let count = |action: &str| events.iter().filter(|e| e.action == action).count() as f64;
+        let log: Vec<Json> = events
             .iter()
             .map(|e| {
                 Json::obj([
@@ -530,20 +470,26 @@ impl Elasticity {
         let (up, down) = self.autoscale_decisions();
         Json::obj([
             ("epoch", Json::Num(cur.version as f64)),
-            ("events", Json::Num(log.len() as f64)),
+            ("events", Json::Num(events.len() as f64)),
             (
                 "members",
                 Json::obj([
                     ("current", Json::Num(cur.members.len() as f64)),
-                    ("added_total", Json::Num(self.membership.added_total() as f64)),
-                    ("removed_total", Json::Num(self.membership.removed_total() as f64)),
+                    ("added_total", Json::Num(count("add"))),
+                    ("removed_total", Json::Num(count("drain"))),
                 ]),
             ),
             (
                 "handoff",
                 Json::obj([
-                    ("keys_moved", Json::Num(self.membership.keys_moved() as f64)),
-                    ("warm_hits", Json::Num(self.membership.warm_hits() as f64)),
+                    (
+                        "keys_moved",
+                        Json::Num(events.iter().map(|e| e.keys_moved).sum::<u64>() as f64),
+                    ),
+                    (
+                        "warm_hits",
+                        Json::Num(events.iter().map(|e| e.warm_hits).sum::<u64>() as f64),
+                    ),
                 ]),
             ),
             (
@@ -592,8 +538,7 @@ mod tests {
             ReplicaSet::start(n, ServeConfig { port: 0, workers: 1, queue: 8, cache_capacity: 64 })
                 .unwrap(),
         );
-        let health = Arc::new(Health::new(n));
-        Elasticity::new(replicas, health, 16, 2, autoscale, Duration::from_secs(5))
+        Elasticity::new(replicas, 2, autoscale, Duration::from_secs(5))
     }
 
     #[test]
@@ -620,13 +565,13 @@ mod tests {
         for app in ["gtc", "lbmhd", "fvcam", "paratec"] {
             e.track(&format!("sweep|{app}"), &format!("/sweep?app={app}"));
         }
-        let before = e.membership.current();
+        let before = e.current();
         assert_eq!(before.version, 0);
         assert_eq!(before.members, vec![0, 1]);
 
         let up = e.scale_up().unwrap();
         assert_eq!(up.added, 2);
-        let mid = e.membership.current();
+        let mid = e.current();
         assert_eq!((mid.version, mid.members.clone()), (1, vec![0, 1, 2]));
         // keys_moved is exactly the tracked keys owners_diff covers.
         let diff = owners_diff(&before.ring, &mid.ring);
@@ -637,12 +582,21 @@ mod tests {
         assert_eq!(up.keys_moved, expect);
 
         let drained = e.drain(1).unwrap();
-        let after = e.membership.current();
+        let after = e.current();
         assert_eq!((after.version, after.members.clone()), (2, vec![0, 2]));
         assert_eq!(drained.connections_open, 0, "graceful drain leaves no connections");
-        assert_eq!(e.membership.events_len(), 2);
-        assert_eq!(e.membership.added_total(), 1);
-        assert_eq!(e.membership.removed_total(), 1);
+        let doc = e.doc();
+        let total = |section: &str, field: &str| {
+            doc.get(section).and_then(|s| s.get(field)).and_then(|v| v.as_f64()).unwrap()
+        };
+        assert_eq!(doc.get("events").and_then(|v| v.as_f64()), Some(2.0));
+        assert_eq!(total("members", "added_total"), 1.0);
+        assert_eq!(total("members", "removed_total"), 1.0);
+        assert_eq!(
+            total("handoff", "keys_moved"),
+            (up.keys_moved + drained.keys_moved) as f64,
+            "the totals are sums over the event log"
+        );
         e.replicas.shutdown_all();
     }
 
@@ -653,7 +607,7 @@ mod tests {
         e.drain(0).unwrap();
         assert!(e.drain(0).is_err(), "already drained");
         assert!(e.drain(1).is_err(), "last member must not drain");
-        assert_eq!(e.membership.current().members, vec![1]);
+        assert_eq!(e.current().members, vec![1]);
         e.replicas.shutdown_all();
     }
 
@@ -678,29 +632,41 @@ mod tests {
             e.autoscale_tick(i, 0, &h);
         }
         assert_eq!(e.autoscale_decisions(), (1, 0), "max bounds the up decisions");
-        assert_eq!(e.membership.current().members.len(), 2);
+        assert_eq!(e.current().members.len(), 2);
         // Idle ticks: cooldown (2) absorbs the first two, then 3 idle
         // ticks drain the newest member back to min.
         for i in 4..12u64 {
             e.autoscale_tick(i, 0, &h);
         }
         assert_eq!(e.autoscale_decisions(), (1, 1));
-        let cur = e.membership.current();
+        let cur = e.current();
         assert_eq!(cur.members, vec![0], "down drains the highest member id");
-        assert!(e.replicas.is_retired(1));
+        assert!(e.replicas.get(1).unwrap().is_retired());
+        e.replicas.shutdown_all();
+    }
+
+    #[test]
+    fn scale_down_drains_the_highest_member_and_refuses_the_last() {
+        let e = elastic(3, None);
+        e.drain(2).unwrap();
+        let (victim, _) = e.scale_down().unwrap();
+        assert_eq!(victim, 1, "the highest *current* member, not the highest ID ever");
+        assert_eq!(e.current().members, vec![0]);
+        assert!(e.scale_down().is_err(), "last member must not drain");
         e.replicas.shutdown_all();
     }
 
     #[test]
     fn forwarded_counters_grow_with_membership() {
         let e = elastic(1, None);
-        e.note_forward(0);
-        e.note_forward(5); // out of range: dropped, not a panic
-        assert_eq!(e.forwarded(0), 1);
-        assert_eq!(e.forwarded(5), 0);
-        e.scale_up().unwrap();
-        e.note_forward(1);
-        assert_eq!(e.forwarded(1), 1);
+        e.replicas.get(0).unwrap().note_forward();
+        assert!(e.replicas.get(5).is_none(), "no record, so nothing to count into");
+        assert_eq!(e.replicas.get(0).unwrap().forwarded(), 1);
+        let up = e.scale_up().unwrap();
+        let added = e.replicas.get(up.added).expect("scale-up adds the member's whole record");
+        assert!(added.is_up() && added.forwarded() == 0);
+        added.note_forward();
+        assert_eq!(added.forwarded(), 1);
         e.replicas.shutdown_all();
     }
 }

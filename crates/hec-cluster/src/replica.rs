@@ -1,4 +1,5 @@
-//! The replica set: N independent in-process `hec-serve` instances.
+//! The member table: N independent in-process `hec-serve` instances,
+//! one record per member.
 //!
 //! Each replica is a full [`hec_serve::server::Server`] — its own
 //! listener on an ephemeral 127.0.0.1 port, worker pool, cache, and
@@ -7,37 +8,163 @@
 //! the failure granularity the fault plan needs. A restarted replica
 //! comes back on a *new* port (the old one cannot be reliably rebound
 //! immediately); the router always looks addresses up through
-//! [`ReplicaSet::addr`], so the ring never stores a stale port.
+//! [`Member::addr`], so the ring never stores a stale port.
 //!
-//! The set is *growable and retirable* (DESIGN §12): slot IDs are
+//! Everything the cluster knows about member `i` lives in one
+//! [`Member`]: the running server, the probed up/down/retired state with
+//! its transition counters and probe fence, the forwarded count, and the
+//! drain's final connection count. Two things guard it. The **lifecycle
+//! lock** (`life`) guards the server handle and address; `kill`,
+//! `restart` and `retire` decide, install and mark under it, so a
+//! lifecycle step and its health mark are one step. Everything else is
+//! an atomic: the forward path reads `is_up`, marks and counts without
+//! taking the lifecycle lock, which it needs only for the address. The
+//! table itself is one mutex over the vector of shared records, locked
+//! only to append a member or to clone handles out.
+//!
+//! The table is *growable and retirable* (DESIGN §12): member IDs are
 //! append-only — [`ReplicaSet::add`] assigns the next never-used ID, and
-//! [`ReplicaSet::retire`] gracefully drains a slot and marks it retired
+//! [`ReplicaSet::retire`] gracefully drains a member and marks it retired
 //! forever (IDs are never reused, so a ring epoch that names member `i`
-//! always means the same process). A retired slot records the reactor's
-//! final open-connection count, the number the drain contract requires
-//! to be zero.
+//! always means the same process). A retired member records the
+//! reactor's final open-connection count, the number the drain contract
+//! requires to be zero.
 
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use hec_core::sync::Mutex;
 use hec_serve::server::{self, ServeConfig, Server};
 
-struct Slot {
+const UP: u8 = 0;
+const DOWN: u8 = 1;
+/// Terminal: a retired member never restarts, is never probed, and its
+/// transition counters are frozen — a drained replica didn't fail, it
+/// left, and must not accumulate down-transitions forever.
+const RETIRED: u8 = 2;
+
+struct Life {
+    /// `None` while the member is down or retired.
     server: Option<Server>,
     /// Last bound address; retained while down for diagnostics.
     addr: SocketAddr,
-    /// Retired slots never restart; their ID is never reused.
-    retired: bool,
+}
+
+/// One member's whole record (see the module doc for what guards what).
+pub struct Member {
+    life: Mutex<Life>,
+    /// `UP`, `DOWN` or `RETIRED`; every change goes through
+    /// [`Member::record`] or `retire`.
+    state: AtomicU8,
+    /// Bumped on every *reactive* observation (router failure, admin
+    /// kill/restart). A background probe snapshots this before its
+    /// network round trip and its result is dropped if the stamp moved
+    /// meanwhile — otherwise a probe that connected just before a kill
+    /// would land after the kill's mark and flip the replica back up.
+    reactive_stamp: AtomicU64,
+    down_transitions: AtomicU64,
+    up_transitions: AtomicU64,
+    forwarded: AtomicU64,
     /// Reactor connections still open when the retirement drain
-    /// finished (meaningful only once `retired`).
-    final_open: u64,
+    /// finished (meaningful only once retired).
+    final_open: AtomicU64,
+}
+
+impl Member {
+    /// The member's current address, or `None` while it is down or
+    /// retired.
+    pub fn addr(&self) -> Option<SocketAddr> {
+        self.life.lock().server.as_ref().map(|s| s.addr())
+    }
+
+    /// The member's last known address regardless of state (diagnostics).
+    pub fn last_addr(&self) -> SocketAddr {
+        self.life.lock().addr
+    }
+
+    /// True when the member is currently believed up.
+    pub fn is_up(&self) -> bool {
+        self.state.load(Ordering::SeqCst) == UP
+    }
+
+    /// True when the member has been retired (drained out for good).
+    pub fn is_retired(&self) -> bool {
+        self.state.load(Ordering::SeqCst) == RETIRED
+    }
+
+    /// Moves `UP` ↔ `DOWN` and counts the transition; a no-op when the
+    /// state already reads `up` or the member is retired.
+    fn record(&self, up: bool) -> bool {
+        let (from, to) = if up { (DOWN, UP) } else { (UP, DOWN) };
+        let changed =
+            self.state.compare_exchange(from, to, Ordering::SeqCst, Ordering::SeqCst).is_ok();
+        if changed {
+            let counter = if up { &self.up_transitions } else { &self.down_transitions };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        changed
+    }
+
+    /// Records a *reactive* observation (a forward that failed or
+    /// succeeded, a kill or restart); counts the transition when the
+    /// state actually changed and invalidates any probe currently in
+    /// flight. Returns true on a state change. Observations of retired
+    /// members are dropped.
+    pub fn mark(&self, up: bool) -> bool {
+        self.reactive_stamp.fetch_add(1, Ordering::SeqCst);
+        self.record(up)
+    }
+
+    /// The stamp a probe must snapshot before its round trip; pass it
+    /// back to [`Member::mark_probed`].
+    pub fn probe_stamp(&self) -> u64 {
+        self.reactive_stamp.load(Ordering::SeqCst)
+    }
+
+    /// Records a background-probe observation taken under `stamp`. The
+    /// result is dropped when any reactive mark landed since the stamp
+    /// was read — the probe's evidence predates it and must not win.
+    pub fn mark_probed(&self, up: bool, stamp: u64) -> bool {
+        self.reactive_stamp.load(Ordering::SeqCst) == stamp && self.record(up)
+    }
+
+    /// Up→down transitions observed.
+    pub fn down_transitions(&self) -> u64 {
+        self.down_transitions.load(Ordering::Relaxed)
+    }
+
+    /// Down→up transitions observed.
+    pub fn up_transitions(&self) -> u64 {
+        self.up_transitions.load(Ordering::Relaxed)
+    }
+
+    /// Counts a forward this member answered.
+    pub fn note_forward(&self) {
+        self.forwarded.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Forwards this member has answered.
+    pub fn forwarded(&self) -> u64 {
+        self.forwarded.load(Ordering::Relaxed)
+    }
+
+    /// The reactor's final open-connection count recorded when the
+    /// member was retired. `None` until then.
+    pub fn final_open(&self) -> Option<u64> {
+        self.is_retired().then(|| self.final_open.load(Ordering::Relaxed))
+    }
+}
+
+pub(crate) fn invalid(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, msg)
 }
 
 /// In-process `hec-serve` replicas: individually killable, restartable,
-/// and — for elasticity — addable and retirable.
+/// and — for elasticity — addable and retirable. The router, the
+/// elasticity engine and the health checker share one handle to it.
 pub struct ReplicaSet {
-    slots: Mutex<Vec<Arc<Mutex<Slot>>>>,
+    members: Mutex<Vec<Arc<Member>>>,
     template: ServeConfig,
 }
 
@@ -45,94 +172,64 @@ impl ReplicaSet {
     /// Starts `n` replicas from `template` (the port field is ignored —
     /// every replica binds an ephemeral port).
     pub fn start(n: usize, template: ServeConfig) -> std::io::Result<ReplicaSet> {
-        let set = ReplicaSet { slots: Mutex::new(Vec::with_capacity(n.max(1))), template };
+        let set = ReplicaSet { members: Mutex::new(Vec::with_capacity(n.max(1))), template };
         for _ in 0..n.max(1) {
             set.add()?;
         }
         Ok(set)
     }
 
-    fn slot(&self, i: usize) -> Option<Arc<Mutex<Slot>>> {
-        self.slots.lock().get(i).cloned()
-    }
-
-    /// Number of replica slots ever created (up, down, or retired).
+    /// Number of members ever created (up, down, or retired).
     pub fn len(&self) -> usize {
-        self.slots.lock().len()
+        self.members.lock().len()
     }
 
-    /// True when the set has no slots (never, in practice).
+    /// True when the set has no members (never, in practice).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Starts a fresh replica in the next slot. Returns its ID and
-    /// address; the ID is stable for the life of the set.
+    /// Member `i`'s record, or `None` when the ID was never assigned.
+    pub fn get(&self, i: usize) -> Option<Arc<Member>> {
+        self.members.lock().get(i).cloned()
+    }
+
+    /// Every member's record, indexed by ID.
+    pub fn snapshot(&self) -> Vec<Arc<Member>> {
+        self.members.lock().clone()
+    }
+
+    fn start_server(&self) -> std::io::Result<Server> {
+        server::start(ServeConfig { port: 0, ..self.template.clone() })
+    }
+
+    /// Starts a fresh replica as the next member, marked up. Returns its
+    /// ID and address; the ID is stable for the life of the set.
     pub fn add(&self) -> std::io::Result<(usize, SocketAddr)> {
-        let server = server::start(ServeConfig { port: 0, ..self.template.clone() })?;
+        let server = self.start_server()?;
         let addr = server.addr();
-        let mut slots = self.slots.lock();
-        slots.push(Arc::new(Mutex::new(Slot {
-            server: Some(server),
-            addr,
-            retired: false,
-            final_open: 0,
-        })));
-        Ok((slots.len() - 1, addr))
+        let mut members = self.members.lock();
+        members.push(Arc::new(Member {
+            life: Mutex::new(Life { server: Some(server), addr }),
+            state: AtomicU8::new(UP),
+            reactive_stamp: AtomicU64::new(0),
+            down_transitions: AtomicU64::new(0),
+            up_transitions: AtomicU64::new(0),
+            forwarded: AtomicU64::new(0),
+            final_open: AtomicU64::new(0),
+        }));
+        Ok((members.len() - 1, addr))
     }
 
-    /// The replica's current address, or `None` when it is down,
-    /// retired, or the index is out of range.
-    pub fn addr(&self, i: usize) -> Option<SocketAddr> {
-        let slot = self.slot(i)?;
-        let g = slot.lock();
-        g.server.as_ref().map(|s| s.addr())
-    }
-
-    /// The replica's last known address regardless of state (diagnostics).
-    pub fn last_addr(&self, i: usize) -> Option<SocketAddr> {
-        Some(self.slot(i)?.lock().addr)
-    }
-
-    /// True when the replica is currently running.
-    pub fn is_up(&self, i: usize) -> bool {
-        self.slot(i).map(|s| s.lock().server.is_some()).unwrap_or(false)
-    }
-
-    /// True when the replica has been retired (drained out for good).
-    pub fn is_retired(&self, i: usize) -> bool {
-        self.slot(i).map(|s| s.lock().retired).unwrap_or(false)
-    }
-
-    /// IDs of slots that are not retired, ascending.
-    pub fn current_ids(&self) -> Vec<usize> {
-        let slots = self.slots.lock();
-        (0..slots.len()).filter(|&i| !slots[i].lock().retired).collect()
-    }
-
-    /// IDs of retired slots, ascending.
-    pub fn retired_ids(&self) -> Vec<usize> {
-        let slots = self.slots.lock();
-        (0..slots.len()).filter(|&i| slots[i].lock().retired).collect()
-    }
-
-    /// The reactor's final open-connection count recorded when slot `i`
-    /// was retired. `None` until the slot is retired.
-    pub fn final_open(&self, i: usize) -> Option<u64> {
-        let slot = self.slot(i)?;
-        let g = slot.lock();
-        if g.retired {
-            Some(g.final_open)
-        } else {
-            None
-        }
-    }
-
-    /// Shuts replica `i` down (graceful: drains in-flight requests).
-    /// Returns true when it was up. Idempotent.
+    /// Shuts member `i` down (graceful: drains in-flight requests) and
+    /// marks it down. Returns true when it was running. Idempotent.
     pub fn kill(&self, i: usize) -> bool {
-        let Some(slot) = self.slot(i) else { return false };
-        let server = slot.lock().server.take();
+        let Some(member) = self.get(i) else { return false };
+        let server = {
+            let mut life = member.life.lock();
+            member.mark(false);
+            life.server.take()
+        };
         match server {
             Some(s) => {
                 s.shutdown();
@@ -143,58 +240,51 @@ impl ReplicaSet {
         }
     }
 
-    /// Restarts replica `i` on a fresh ephemeral port. Returns the new
-    /// address; an already-running replica is left alone. Retired slots
-    /// refuse to restart.
+    /// Restarts member `i` on a fresh ephemeral port and marks it up.
+    /// Returns the address; an already-running replica is left alone.
+    /// Retired members refuse to restart. The decision and the install
+    /// happen under the lifecycle lock, so of two racing restarts
+    /// exactly one starts a server and both return its address.
     pub fn restart(&self, i: usize) -> std::io::Result<SocketAddr> {
-        let slot = self.slot(i).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("no replica {i}"))
-        })?;
-        {
-            let g = slot.lock();
-            if g.retired {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("replica {i} is retired"),
-                ));
-            }
-            if let Some(s) = g.server.as_ref() {
-                return Ok(s.addr());
-            }
+        let member = self.get(i).ok_or_else(|| invalid(format!("no replica {i}")))?;
+        let mut life = member.life.lock();
+        if member.is_retired() {
+            return Err(invalid(format!("replica {i} is retired")));
         }
-        let server = server::start(ServeConfig { port: 0, ..self.template.clone() })?;
-        let addr = server.addr();
-        let mut g = slot.lock();
-        g.server = Some(server);
-        g.addr = addr;
-        Ok(addr)
+        if life.server.is_none() {
+            let server = self.start_server()?;
+            life.addr = server.addr();
+            life.server = Some(server);
+        }
+        member.mark(true);
+        Ok(life.addr)
     }
 
-    /// Retires replica `i` for good: graceful drain (in-flight requests
-    /// complete, then every connection closes), then the slot is marked
-    /// retired and records the reactor's final open-connection count.
-    /// Returns that count, or `None` when already retired / out of
-    /// range. A down-but-not-retired slot retires with count 0.
+    /// Retires member `i` for good: it reads down and stops being
+    /// probed at once, then a graceful drain (in-flight requests
+    /// complete, then every connection closes) records the reactor's
+    /// final open-connection count. Returns that count, or `None` when
+    /// already retired / out of range. A down-but-not-retired member
+    /// retires with count 0. Retirement is not a down transition.
     pub fn retire(&self, i: usize) -> Option<u64> {
-        let slot = self.slot(i)?;
+        let member = self.get(i)?;
         let server = {
-            let mut g = slot.lock();
-            if g.retired {
+            let mut life = member.life.lock();
+            if member.state.swap(RETIRED, Ordering::SeqCst) == RETIRED {
                 return None;
             }
-            g.retired = true;
-            g.server.take()
+            life.server.take()
         };
         let final_open = match server {
             Some(s) => {
-                let net = s.net_stats();
+                let front = s.frontend();
                 s.shutdown();
                 s.join();
-                net.open()
+                front.open_connections()
             }
             None => 0,
         };
-        slot.lock().final_open = final_open;
+        member.final_open.store(final_open, Ordering::Relaxed);
         Some(final_open)
     }
 
@@ -215,71 +305,118 @@ mod tests {
         ServeConfig { port: 0, workers: 2, queue: 16, cache_capacity: 128 }
     }
 
+    fn healthz(addr: SocketAddr) -> std::io::Result<u16> {
+        client::http_get(&format!("http://{addr}/healthz")).map(|r| r.status)
+    }
+
+    /// IDs of the members that are / are not retired, ascending.
+    fn ids(set: &ReplicaSet, retired: bool) -> Vec<usize> {
+        let all = set.snapshot();
+        (0..all.len()).filter(|&i| all[i].is_retired() == retired).collect()
+    }
+
     #[test]
     fn replicas_start_on_distinct_ports_and_serve() {
         let set = ReplicaSet::start(3, small_cfg()).unwrap();
         assert_eq!(set.len(), 3);
         let mut ports = Vec::new();
-        for i in 0..3 {
-            let addr = set.addr(i).expect("up");
+        for m in set.snapshot() {
+            let addr = m.addr().expect("up");
             ports.push(addr.port());
-            let r = client::http_get(&format!("http://{addr}/healthz")).unwrap();
-            assert_eq!(r.status, 200);
+            assert_eq!(healthz(addr).unwrap(), 200);
         }
         ports.sort_unstable();
         ports.dedup();
         assert_eq!(ports.len(), 3, "each replica gets its own port");
+        assert!(set.get(3).is_none(), "an ID never assigned has no record");
         set.shutdown_all();
     }
 
     #[test]
-    fn kill_is_isolated_and_restart_revives() {
+    fn kill_is_isolated_and_restart_revives_and_each_marks_the_member() {
         let set = ReplicaSet::start(2, small_cfg()).unwrap();
-        let dead_addr = set.addr(0).unwrap();
+        let (m0, m1) = (set.get(0).unwrap(), set.get(1).unwrap());
+        let dead_addr = m0.addr().unwrap();
         assert!(set.kill(0));
         assert!(!set.kill(0), "second kill is a no-op");
-        assert!(!set.is_up(0));
-        assert!(set.is_up(1), "killing 0 must not touch 1");
-        assert!(client::http_get(&format!("http://{dead_addr}/healthz")).is_err());
-        let other = set.addr(1).unwrap();
-        assert_eq!(client::http_get(&format!("http://{other}/healthz")).unwrap().status, 200);
+        assert!(!set.kill(7), "so is killing an ID never assigned");
+        assert!(m0.addr().is_none() && !m0.is_up(), "kill takes the server and marks down");
+        assert_eq!(m0.last_addr(), dead_addr, "the last address is kept for diagnostics");
+        assert_eq!((m0.down_transitions(), m0.up_transitions()), (1, 0));
+        assert!(m1.addr().is_some() && m1.is_up(), "killing 0 must not touch 1");
+        assert!(healthz(dead_addr).is_err());
+        assert_eq!(healthz(m1.addr().unwrap()).unwrap(), 200);
 
         let revived = set.restart(0).unwrap();
-        assert!(set.is_up(0));
-        assert_eq!(client::http_get(&format!("http://{revived}/healthz")).unwrap().status, 200);
+        assert_eq!(m0.addr(), Some(revived));
+        assert!(m0.is_up(), "restart marks up");
+        assert_eq!((m0.down_transitions(), m0.up_transitions()), (1, 1));
+        assert_eq!(healthz(revived).unwrap(), 200);
+        assert_eq!(set.restart(0).unwrap(), revived, "a running replica is left alone");
+        assert!(set.restart(7).is_err());
         set.shutdown_all();
     }
 
     #[test]
-    fn add_assigns_the_next_slot_and_serves() {
+    fn racing_restarts_start_exactly_one_server() {
+        let set = ReplicaSet::start(1, small_cfg()).unwrap();
+        assert!(set.kill(0));
+        let gate = std::sync::Barrier::new(8);
+        let addrs: Vec<SocketAddr> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        set.restart(0).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // A second server would have been handed out to one racer and
+        // then dropped un-stopped by the install that overwrote it.
+        assert!(addrs.iter().all(|a| *a == addrs[0]), "one restart wins: {addrs:?}");
+        assert_eq!(set.get(0).unwrap().addr(), Some(addrs[0]));
+        assert_eq!(healthz(addrs[0]).unwrap(), 200);
+        assert_eq!(set.get(0).unwrap().up_transitions(), 1);
+        set.shutdown_all();
+    }
+
+    #[test]
+    fn add_assigns_the_next_id_marked_up_and_serves() {
         let set = ReplicaSet::start(2, small_cfg()).unwrap();
         let (id, addr) = set.add().unwrap();
         assert_eq!(id, 2);
         assert_eq!(set.len(), 3);
-        assert!(set.is_up(2));
-        assert_eq!(client::http_get(&format!("http://{addr}/healthz")).unwrap().status, 200);
-        assert_eq!(set.current_ids(), vec![0, 1, 2]);
+        let m = set.get(2).unwrap();
+        assert!(m.is_up() && m.addr() == Some(addr));
+        assert_eq!((m.down_transitions(), m.up_transitions(), m.forwarded()), (0, 0, 0));
+        assert_eq!(healthz(addr).unwrap(), 200);
+        assert_eq!(ids(&set, false), vec![0, 1, 2]);
         set.shutdown_all();
     }
 
     #[test]
     fn retire_drains_to_zero_connections_and_is_permanent() {
         let set = ReplicaSet::start(2, small_cfg()).unwrap();
-        let addr = set.addr(1).unwrap();
+        let m = set.get(1).unwrap();
+        let addr = m.addr().unwrap();
+        assert_eq!(m.final_open(), None, "no drain count before retirement");
         let open = set.retire(1).expect("first retire reports the drain");
         assert_eq!(open, 0, "an idle replica drains to zero connections");
-        assert_eq!(set.final_open(1), Some(0));
-        assert!(set.is_retired(1));
-        assert!(!set.is_up(1));
-        assert!(set.addr(1).is_none());
-        assert!(client::http_get(&format!("http://{addr}/healthz")).is_err());
+        assert_eq!(m.final_open(), Some(0));
+        assert!(m.is_retired() && !m.is_up());
+        assert!(m.addr().is_none());
+        assert!(healthz(addr).is_err());
         assert_eq!(set.retire(1), None, "second retire is a no-op");
-        assert!(set.restart(1).is_err(), "retired slots never restart");
-        assert_eq!(set.current_ids(), vec![0]);
-        assert_eq!(set.retired_ids(), vec![1]);
-        // IDs are never reused: the next add takes slot 2, not 1.
+        assert_eq!(set.retire(7), None);
+        assert!(set.restart(1).is_err(), "retired members never restart");
+        assert_eq!(ids(&set, false), vec![0]);
+        assert_eq!(ids(&set, true), vec![1]);
+        // IDs are never reused: the next add takes 2, not 1.
         let (id, _) = set.add().unwrap();
         assert_eq!(id, 2);
+        assert_eq!(set.len(), 3, "retired members keep their ID");
         set.shutdown_all();
     }
 
@@ -289,10 +426,63 @@ mod tests {
         // drain, so the recorded final count is still zero — the drain
         // contract the elasticity e2e asserts through /metrics.
         let set = ReplicaSet::start(1, small_cfg()).unwrap();
-        let addr = set.addr(0).unwrap();
+        let addr = set.get(0).unwrap().addr().unwrap();
         let r = client::http_get(&format!("http://{addr}/metrics")).unwrap();
         assert_eq!(r.status, 200);
         assert_eq!(set.retire(0), Some(0));
+        set.shutdown_all();
+    }
+
+    #[test]
+    fn transitions_count_only_state_changes() {
+        let set = ReplicaSet::start(2, small_cfg()).unwrap();
+        let (m0, m1) = (set.get(0).unwrap(), set.get(1).unwrap());
+        assert!(m0.is_up());
+        assert!(!m0.mark(true), "up→up is not a transition");
+        assert!(m0.mark(false));
+        assert!(!m0.mark(false));
+        assert!(m0.mark(true));
+        assert_eq!((m0.down_transitions(), m0.up_transitions()), (1, 1));
+        assert_eq!(m1.down_transitions(), 0);
+        assert!(m1.is_up());
+        set.shutdown_all();
+    }
+
+    #[test]
+    fn retired_members_freeze_their_counters() {
+        let set = ReplicaSet::start(3, small_cfg()).unwrap();
+        let m = set.get(2).unwrap();
+        assert!(m.mark(false));
+        assert!(m.mark(true));
+        set.retire(2);
+        assert!(m.is_retired() && !m.is_up());
+        // Observations after retirement are dropped, reactive or
+        // probed; retirement itself was not a down transition.
+        assert!(!m.mark(false));
+        assert!(!m.mark(true));
+        assert!(!m.mark_probed(true, m.probe_stamp()));
+        assert!(m.is_retired() && !m.is_up());
+        assert_eq!((m.down_transitions(), m.up_transitions()), (1, 1));
+        assert_eq!(set.snapshot().iter().filter(|m| m.is_up()).count(), 2);
+        set.shutdown_all();
+    }
+
+    #[test]
+    fn stale_probe_results_cannot_overwrite_a_reactive_mark() {
+        let set = ReplicaSet::start(1, small_cfg()).unwrap();
+        let m = set.get(0).unwrap();
+        // A probe snapshots its stamp, then an admin kill lands while
+        // the probe's round trip is in flight: the probe's "up" verdict
+        // is stale evidence and must be dropped.
+        let stamp = m.probe_stamp();
+        assert!(set.kill(0), "kill marks the replica down");
+        assert!(!m.mark_probed(true, stamp), "stale probe is dropped");
+        assert!(!m.is_up());
+        assert_eq!(m.up_transitions(), 0);
+        // A probe taken under the current stamp still lands.
+        let fresh = m.probe_stamp();
+        assert!(m.mark_probed(true, fresh));
+        assert!(m.is_up());
         set.shutdown_all();
     }
 }

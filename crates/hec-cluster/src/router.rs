@@ -1,10 +1,10 @@
 //! The routing tier: one frontend URL over N `hec-serve` replicas.
 //!
-//! The router owns the replica set, the consistent-hash ring, the
-//! health state, and the fault plan. Every routable request (anything
-//! that is not a router-local endpoint) is admitted, assigned the next
-//! admitted-request index (which is what fault events key on), mapped to
-//! its canonical ring key, and forwarded to the key's first *live* ring
+//! The router owns the member table (replicas and their health), the
+//! consistent-hash ring, and the fault plan. Every routable request
+//! (anything that is not a router-local endpoint) is admitted, assigned
+//! the next admitted-request index (which is what fault events key on),
+//! mapped to its canonical ring key, and forwarded to the key's first *live* ring
 //! owner. A transport failure marks the replica down reactively, counts
 //! a failover, and moves to the next owner; a `503` from an overloaded
 //! replica fails over the same way (the response is kept as a fallback
@@ -29,6 +29,7 @@
 //! | `/admin/kill?replica=i` | POST/GET | kill one replica |
 //! | `/admin/restart?replica=i` | POST/GET | restart one replica |
 //! | `/admin/scale-up` | POST/GET | add a replica (next epoch) |
+//! | `/admin/scale-down` | POST/GET | drain the highest current member |
 //! | `/admin/drain/<i>` | POST/GET | drain replica `i` out of the ring |
 //!
 //! Membership is versioned ([`crate::membership`]): the router reads
@@ -42,25 +43,27 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hec_core::json::{Json, ToJson};
-use hec_core::pool::{QueueGauge, Threads, WorkerPool};
+use hec_core::pool::Threads;
 use hec_core::retry::Backoff;
 use hec_core::sync::Mutex;
 use hec_serve::client::{self, RetryPolicy};
 use hec_serve::metrics::Histogram;
-use hec_serve::reactor::{self, CoreConfig, CoreEvents, NetStats, ShutdownFlag};
+use hec_serve::reactor::{self, CoreConfig, Frontend};
 use hec_serve::request::{parse_query, Point};
-use hec_serve::server::{
-    connections_doc, error_body, reactor_doc, Request, ServeConfig, RETRY_AFTER_SECS,
-};
+use hec_serve::server::{error_body, Request, ServeConfig, RETRY_AFTER_SECS};
 
 use crate::faults::{FaultKind, FaultPlan};
-use crate::health::{self, Health, HealthConfig};
+use crate::health::{self, HealthConfig};
 use crate::membership::{AutoscaleConfig, Drain, Elasticity, ScaleUp};
-use crate::replica::ReplicaSet;
-use crate::ring::{Ring, DEFAULT_VNODES};
+use crate::replica::{Member, ReplicaSet};
+use crate::ring::Ring;
 
 /// Default replication factor R (each key has R owners on the ring).
 pub const DEFAULT_REPLICATION: usize = 2;
+
+/// Seed of the retry-jitter streams (combined with the request index,
+/// so each request has its own deterministic stream).
+const RETRY_JITTER_SEED: u64 = 0x5ec1a;
 
 /// Cluster tuning. `Default` is a 3-replica, R=2 ring.
 #[derive(Clone, Debug)]
@@ -69,8 +72,6 @@ pub struct ClusterConfig {
     pub replicas: usize,
     /// Router port on 127.0.0.1 (0 = ephemeral).
     pub port: u16,
-    /// Virtual nodes per replica on the ring.
-    pub vnodes: usize,
     /// Owners per key (replication factor R).
     pub replication: usize,
     /// Router worker threads.
@@ -86,9 +87,6 @@ pub struct ClusterConfig {
     /// Hedge delay in milliseconds: a GET unanswered for this long is
     /// also sent to the key's next owner. `None` disables hedging.
     pub hedge_ms: Option<u64>,
-    /// Seed for the retry-jitter streams (combined with the request
-    /// index, so each request has its own deterministic stream).
-    pub seed: u64,
     /// The fault plan to inject (empty for production-shaped runs).
     pub faults: FaultPlan,
     /// Autoscaler policy; `None` leaves membership purely manual.
@@ -100,7 +98,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             replicas: 3,
             port: 0,
-            vnodes: DEFAULT_VNODES,
             replication: DEFAULT_REPLICATION,
             workers: Threads::from_env().workers().max(2),
             queue: 64,
@@ -108,31 +105,23 @@ impl Default for ClusterConfig {
             health: HealthConfig::default(),
             retry: RetryPolicy::default(),
             hedge_ms: None,
-            seed: 0x5ec1a,
             faults: FaultPlan::none(),
             autoscale: None,
         }
     }
 }
 
+/// The routing tier's own state. Admission counters and connection
+/// gauges live in the core's [`Frontend`].
 struct RouterState {
-    elasticity: Arc<Elasticity>,
+    elasticity: Elasticity,
     replicas: Arc<ReplicaSet>,
-    health: Arc<Health>,
     faults: Mutex<FaultPlan>,
     planned_faults: usize,
     retry: RetryPolicy,
     hedge: Option<Duration>,
-    seed: u64,
-    started: Instant,
-    stop: Arc<ShutdownFlag>,
-    net: Arc<NetStats>,
-    queue: QueueGauge,
     /// Admitted routable requests — the fault-plan clock.
     admitted: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    rejected: AtomicU64,
     failovers: AtomicU64,
     retries: AtomicU64,
     hedges: AtomicU64,
@@ -170,13 +159,17 @@ impl RouterState {
         }
     }
 
-    /// Candidate replicas for a key on `ring`: the owners, live ones
-    /// first, preference order preserved within each group.
-    fn candidates(&self, ring: &Ring, key: &str) -> Vec<usize> {
-        let owners = ring.owners(key);
-        let (up, down): (Vec<usize>, Vec<usize>) =
-            owners.into_iter().partition(|&r| self.health.is_up(r));
-        up.into_iter().chain(down).collect()
+    /// Candidate replicas for a key on `ring`: the owners' records, live
+    /// ones first, preference order preserved within each group.
+    fn candidates(&self, ring: &Ring, key: &str) -> Vec<(usize, Arc<Member>)> {
+        let all = self.replicas.snapshot();
+        let mut owners: Vec<(usize, Arc<Member>)> = ring
+            .owners(key)
+            .into_iter()
+            .filter_map(|r| Some((r, Arc::clone(all.get(r)?))))
+            .collect();
+        owners.sort_by_key(|(_, m)| !m.is_up());
+        owners
     }
 
     /// Fires every fault event scheduled for request `index`. Returns
@@ -190,7 +183,6 @@ impl RouterState {
             match ev.kind {
                 FaultKind::Kill => {
                     self.replicas.kill(ev.replica);
-                    self.health.mark(ev.replica, false);
                 }
                 FaultKind::StallMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
                 FaultKind::DropConn => drops.push(ev.replica),
@@ -211,11 +203,11 @@ impl RouterState {
         (drops, slow)
     }
 
-    /// One forward attempt to replica `r`. `Err` means transport-level
+    /// One forward attempt to a replica. `Err` means transport-level
     /// failure (connection refused/dropped/timed out).
-    fn attempt(&self, r: usize, req: &Request) -> std::io::Result<client::Response> {
-        let addr = self.replicas.addr(r).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::NotConnected, format!("replica {r} is down"))
+    fn attempt(&self, member: &Member, req: &Request) -> std::io::Result<client::Response> {
+        let addr = member.addr().ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::NotConnected, "replica is down")
         })?;
         let url = format!("http://{addr}{}", req.target());
         match req.method.as_str() {
@@ -226,14 +218,14 @@ impl RouterState {
 
     /// Routes one admitted request: fault injection, owner selection,
     /// failover, retry rounds. Returns `(status, extra headers, body)`.
-    fn forward(&self, req: &Request) -> (u16, Vec<String>, String) {
+    fn forward(&self, req: &Request, queue_depth: usize) -> (u16, Vec<String>, String) {
         let index = self.admitted.fetch_add(1, Ordering::SeqCst);
         let (mut drops, slow_reply) = self.inject_faults(index);
         let key = self.ring_key(req);
         self.elasticity.track(&key, &req.target());
-        self.elasticity.autoscale_tick(index, self.queue.len(), &self.lat_route);
+        self.elasticity.autoscale_tick(index, queue_depth, &self.lat_route);
         let mut backoff = Backoff::new(
-            self.seed ^ index,
+            RETRY_JITTER_SEED ^ index,
             self.retry.base_ms,
             self.retry.cap_ms,
             self.retry.max_retries,
@@ -244,9 +236,9 @@ impl RouterState {
         // A failover is any request not answered by its key's primary
         // owner — whether the router actively switched after a failed
         // attempt or routed around a replica already marked down.
-        let finish = |r: usize, resp: client::Response, failed_over: bool| {
-            self.health.mark(r, true);
-            self.elasticity.note_forward(r);
+        let finish = |member: &Member, resp: client::Response, failed_over: bool| {
+            member.mark(true);
+            member.note_forward();
             if failed_over {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
             }
@@ -264,7 +256,7 @@ impl RouterState {
             // Re-read the epoch each pass: churn between passes (an
             // autoscale or an injected Add/Drain) re-routes the retry
             // to the key's *new* owners instead of a retired replica.
-            let epoch = self.elasticity.membership.current();
+            let epoch = self.elasticity.current();
             let primary = epoch.ring.primary(&key);
             let candidates = self.candidates(&epoch.ring, &key);
 
@@ -272,23 +264,23 @@ impl RouterState {
             // pending, nothing tried yet) with at least two live owners.
             if let Some(delay) = self.hedge {
                 if !tried_any && drops.is_empty() && req.method != "POST" {
-                    let live: Vec<(usize, SocketAddr)> = candidates
+                    let live: Vec<(usize, &Member, SocketAddr)> = candidates
                         .iter()
-                        .filter_map(|&r| self.replicas.addr(r).map(|a| (r, a)))
+                        .filter_map(|(r, m)| m.addr().map(|a| (*r, &**m, a)))
                         .take(2)
                         .collect();
                     if live.len() == 2 {
                         let urls: Vec<String> = live
                             .iter()
-                            .map(|(_, a)| format!("http://{a}{}", req.target()))
+                            .map(|(_, _, a)| format!("http://{a}{}", req.target()))
                             .collect();
                         if let Ok(out) = client::hedged_get(&urls, delay, self.retry.timeout) {
                             if out.hedged {
                                 self.hedges.fetch_add(1, Ordering::Relaxed);
                             }
                             if out.response.status != 503 {
-                                let (r, _) = live[out.winner];
-                                return finish(r, out.response, r != primary);
+                                let (r, member, _) = live[out.winner];
+                                return finish(member, out.response, r != primary);
                             }
                             shed = Some(out.response);
                         }
@@ -297,8 +289,8 @@ impl RouterState {
                 }
             }
 
-            for &r in &candidates {
-                if let Some(pos) = drops.iter().position(|&d| d == r) {
+            for (r, member) in &candidates {
+                if let Some(pos) = drops.iter().position(|d| d == r) {
                     // Injected connection drop: consume the event and
                     // treat this exactly like a transport failure.
                     drops.remove(pos);
@@ -306,7 +298,7 @@ impl RouterState {
                     tried_any = true;
                     continue;
                 }
-                match self.attempt(r, req) {
+                match self.attempt(member, req) {
                     Ok(resp) if resp.status == 503 => {
                         // Overloaded, not dead: keep it up, remember the
                         // shed response, try the next owner.
@@ -314,9 +306,9 @@ impl RouterState {
                         self.failovers.fetch_add(1, Ordering::Relaxed);
                         tried_any = true;
                     }
-                    Ok(resp) => return finish(r, resp, tried_any || r != primary),
+                    Ok(resp) => return finish(member, resp, tried_any || *r != primary),
                     Err(_) => {
-                        self.health.mark(r, false);
+                        member.mark(false);
                         self.failovers.fetch_add(1, Ordering::Relaxed);
                         tried_any = true;
                     }
@@ -350,62 +342,53 @@ impl RouterState {
         }
     }
 
-    fn metrics_doc(&self) -> Json {
-        let epoch = self.elasticity.membership.current();
+    fn metrics_doc(&self, front: &Frontend) -> Json {
+        let epoch = self.elasticity.current();
+        let all = self.replicas.snapshot();
         // Only current members appear in `cluster.replicas`; drained
-        // slots move to `cluster.retired` with their final connection
+        // members move to `cluster.retired` with their final connection
         // count, so the live table never grows stale rows.
+        // `cluster.up` counts the `up: true` rows of this very read.
+        let mut up = 0usize;
         let replicas: Vec<Json> = epoch
             .members
             .iter()
-            .map(|&i| {
-                let addr = self
-                    .replicas
-                    .addr(i)
-                    .or_else(|| self.replicas.last_addr(i))
-                    .map(|a| a.to_string())
-                    .unwrap_or_default();
-                Json::obj([
+            .filter_map(|&i| {
+                let m = all.get(i)?;
+                let is_up = m.is_up();
+                up += usize::from(is_up);
+                Some(Json::obj([
                     ("index", Json::Num(i as f64)),
-                    ("addr", Json::Str(addr)),
-                    ("up", Json::Bool(self.health.is_up(i))),
-                    ("down_transitions", Json::Num(self.health.down_transitions(i) as f64)),
-                    ("up_transitions", Json::Num(self.health.up_transitions(i) as f64)),
-                    ("forwarded", Json::Num(self.elasticity.forwarded(i) as f64)),
-                ])
+                    ("addr", Json::Str(m.last_addr().to_string())),
+                    ("up", Json::Bool(is_up)),
+                    ("down_transitions", Json::Num(m.down_transitions() as f64)),
+                    ("up_transitions", Json::Num(m.up_transitions() as f64)),
+                    ("forwarded", Json::Num(m.forwarded() as f64)),
+                ]))
             })
             .collect();
-        let retired: Vec<Json> = self
-            .replicas
-            .retired_ids()
-            .into_iter()
-            .map(|i| {
-                Json::obj([
+        let retired: Vec<Json> = all
+            .iter()
+            .enumerate()
+            .filter_map(|(i, m)| {
+                Some(Json::obj([
                     ("index", Json::Num(i as f64)),
-                    (
-                        "connections_open_after_drain",
-                        Json::Num(self.replicas.final_open(i).unwrap_or(0) as f64),
-                    ),
-                ])
+                    ("connections_open_after_drain", Json::Num(m.final_open()? as f64)),
+                ]))
             })
             .collect();
-        Json::obj([
-            ("uptime_secs", Json::Num(self.started.elapsed().as_secs_f64())),
-            ("requests", Json::Num(self.requests.load(Ordering::Relaxed) as f64)),
-            ("admitted", Json::Num(self.admitted.load(Ordering::Relaxed) as f64)),
-            ("errors", Json::Num(self.errors.load(Ordering::Relaxed) as f64)),
-            ("rejected", Json::Num(self.rejected.load(Ordering::Relaxed) as f64)),
-            ("failovers", Json::Num(self.failovers.load(Ordering::Relaxed) as f64)),
-            ("retries", Json::Num(self.retries.load(Ordering::Relaxed) as f64)),
-            ("hedges", Json::Num(self.hedges.load(Ordering::Relaxed) as f64)),
-            ("connections", connections_doc(&self.net)),
-            ("reactor", reactor_doc(&self.net)),
+        let count = |c: &AtomicU64| Json::Num(c.load(Ordering::Relaxed) as f64);
+        front.metrics_doc([
+            ("admitted", count(&self.admitted)),
+            ("failovers", count(&self.failovers)),
+            ("retries", count(&self.retries)),
+            ("hedges", count(&self.hedges)),
             (
                 "cluster",
                 Json::obj([
                     ("replication", Json::Num(epoch.ring.replication() as f64)),
                     ("epoch", Json::Num(epoch.version as f64)),
-                    ("up", Json::Num(self.health.up_count() as f64)),
+                    ("up", Json::Num(up as f64)),
                     ("replicas", Json::Arr(replicas)),
                     ("retired", Json::Arr(retired)),
                 ]),
@@ -415,15 +398,8 @@ impl RouterState {
                 "faults",
                 Json::obj([
                     ("planned", Json::Num(self.planned_faults as f64)),
-                    ("injected", Json::Num(self.faults_injected.load(Ordering::Relaxed) as f64)),
+                    ("injected", count(&self.faults_injected)),
                     ("remaining", Json::Num(self.faults.lock().remaining() as f64)),
-                ]),
-            ),
-            (
-                "queue",
-                Json::obj([
-                    ("depth", Json::Num(self.queue.len() as f64)),
-                    ("capacity", Json::Num(self.queue.capacity() as f64)),
                 ]),
             ),
             (
@@ -463,20 +439,19 @@ fn drain_doc(i: usize, d: &Drain) -> String {
     .emit_pretty()
 }
 
-fn route(req: &Request, state: &Arc<RouterState>) -> (u16, Vec<String>, String, bool) {
+fn route(req: &Request, state: &RouterState, front: &Frontend) -> (u16, Vec<String>, String, bool) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             (200, vec![], Json::obj([("ok", Json::Bool(true))]).emit_pretty(), true)
         }
-        ("GET", "/metrics") => (200, vec![], state.metrics_doc().emit_pretty(), true),
+        ("GET", "/metrics") => (200, vec![], state.metrics_doc(front).emit_pretty(), true),
         ("GET" | "POST", "/shutdown") => {
-            state.stop.trigger();
+            front.shutdown();
             (200, vec![], Json::obj([("stopping", Json::Bool(true))]).emit_pretty(), true)
         }
         ("GET" | "POST", "/admin/kill") => match admin_target(&req.query) {
             Some(i) if i < state.replicas.len() => {
                 let was_up = state.replicas.kill(i);
-                state.health.mark(i, false);
                 (
                     200,
                     vec![],
@@ -491,6 +466,10 @@ fn route(req: &Request, state: &Arc<RouterState>) -> (u16, Vec<String>, String, 
             Ok(up) => (200, vec![], scale_up_doc(&up), true),
             Err(e) => (500, vec![], error_body(&format!("scale-up failed: {e}")), true),
         },
+        ("GET" | "POST", "/admin/scale-down") => match state.elasticity.scale_down() {
+            Ok((i, d)) => (200, vec![], drain_doc(i, &d), true),
+            Err(e) => (400, vec![], error_body(&format!("scale-down failed: {e}")), true),
+        },
         (m, p) if p.starts_with("/admin/drain/") => {
             if !matches!(m, "GET" | "POST") {
                 return (405, vec![], error_body("method not allowed"), true);
@@ -504,53 +483,35 @@ fn route(req: &Request, state: &Arc<RouterState>) -> (u16, Vec<String>, String, 
             }
         }
         ("GET" | "POST", "/admin/restart") => match admin_target(&req.query) {
-            Some(i) if i < state.replicas.len() && state.replicas.is_retired(i) => {
-                (400, vec![], error_body(&format!("replica {i} is retired")), true)
-            }
             Some(i) if i < state.replicas.len() => match state.replicas.restart(i) {
-                Ok(addr) => {
-                    state.health.mark(i, true);
-                    (
-                        200,
-                        vec![],
-                        Json::obj([
-                            ("restarted", Json::Num(i as f64)),
-                            ("addr", Json::Str(addr.to_string())),
-                        ])
-                        .emit_pretty(),
-                        true,
-                    )
+                Ok(addr) => (
+                    200,
+                    vec![],
+                    Json::obj([
+                        ("restarted", Json::Num(i as f64)),
+                        ("addr", Json::Str(addr.to_string())),
+                    ])
+                    .emit_pretty(),
+                    true,
+                ),
+                // The one way a restart is the caller's fault: the
+                // member was drained out for good.
+                Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+                    (400, vec![], error_body(&e.to_string()), true)
                 }
                 Err(e) => (500, vec![], error_body(&format!("restart failed: {e}")), true),
             },
             _ => (400, vec![], error_body("restart needs replica=<index>"), true),
         },
-        (_, "/healthz" | "/metrics" | "/admin/kill" | "/admin/restart" | "/admin/scale-up") => {
-            (405, vec![], error_body("method not allowed"), true)
-        }
+        (
+            _,
+            "/healthz" | "/metrics" | "/admin/kill" | "/admin/restart" | "/admin/scale-up"
+            | "/admin/scale-down",
+        ) => (405, vec![], error_body("method not allowed"), true),
         _ => {
-            let (status, extra, body) = state.forward(req);
+            let (status, extra, body) = state.forward(req, front.queue_depth());
             (status, extra, body, false)
         }
-    }
-}
-
-/// Maps the reactor's admission outcomes onto the router counters,
-/// matching the blocking-era accounting.
-struct RouterEvents(Arc<RouterState>);
-
-impl CoreEvents for RouterEvents {
-    fn on_request(&self) {
-        self.0.requests.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_reject(&self) {
-        self.0.requests.fetch_add(1, Ordering::Relaxed);
-        self.0.rejected.fetch_add(1, Ordering::Relaxed);
-        self.0.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_bad_request(&self) {
-        self.0.requests.fetch_add(1, Ordering::Relaxed);
-        self.0.errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -579,15 +540,13 @@ impl Cluster {
 
     /// A replica's current address (`None` while it is down).
     pub fn replica_addr(&self, i: usize) -> Option<SocketAddr> {
-        self.state.replicas.addr(i)
+        self.state.replicas.get(i)?.addr()
     }
 
     /// Kills replica `i` directly (tests; the HTTP path is
     /// `/admin/kill`). Marks it down immediately.
     pub fn kill_replica(&self, i: usize) -> bool {
-        let was_up = self.state.replicas.kill(i);
-        self.state.health.mark(i, false);
-        was_up
+        self.state.replicas.kill(i)
     }
 
     /// Adds one replica and installs the next epoch (the HTTP path is
@@ -604,18 +563,18 @@ impl Cluster {
 
     /// The current epoch's member IDs.
     pub fn members(&self) -> Vec<usize> {
-        self.state.elasticity.membership.current().members.clone()
+        self.state.elasticity.current().members.clone()
     }
 
     /// Requests a graceful stop: the router drains admitted requests,
     /// then the replicas drain theirs.
     pub fn shutdown(&self) {
-        self.state.stop.trigger();
+        self.core.frontend().shutdown();
     }
 
     /// True once a stop has been requested.
     pub fn stopping(&self) -> bool {
-        self.state.stop.stopping()
+        self.core.frontend().stopping()
     }
 
     /// Waits for the router and every replica to finish draining.
@@ -630,36 +589,20 @@ impl Cluster {
 /// `127.0.0.1:cfg.port`. Returns once the router socket is accepting.
 pub fn start(cfg: ClusterConfig) -> std::io::Result<Cluster> {
     let replicas = Arc::new(ReplicaSet::start(cfg.replicas, cfg.replica.clone())?);
-    let health = Arc::new(Health::new(replicas.len()));
-    let pool = WorkerPool::new(Threads::new(cfg.workers), cfg.queue);
-    let stop = Arc::new(ShutdownFlag::new());
-    let net = Arc::new(NetStats::new());
     let planned_faults = cfg.faults.remaining();
-    let elasticity = Arc::new(Elasticity::new(
-        Arc::clone(&replicas),
-        Arc::clone(&health),
-        cfg.vnodes,
-        cfg.replication,
-        cfg.autoscale,
-        cfg.retry.timeout,
-    ));
     let state = Arc::new(RouterState {
-        elasticity,
+        elasticity: Elasticity::new(
+            Arc::clone(&replicas),
+            cfg.replication,
+            cfg.autoscale,
+            cfg.retry.timeout,
+        ),
         replicas: Arc::clone(&replicas),
-        health: Arc::clone(&health),
         faults: Mutex::new(cfg.faults),
         planned_faults,
         retry: cfg.retry,
         hedge: cfg.hedge_ms.map(Duration::from_millis),
-        seed: cfg.seed,
-        started: Instant::now(),
-        stop: Arc::clone(&stop),
-        net: Arc::clone(&net),
-        queue: pool.queue_gauge(),
         admitted: AtomicU64::new(0),
-        requests: AtomicU64::new(0),
-        errors: AtomicU64::new(0),
-        rejected: AtomicU64::new(0),
         failovers: AtomicU64::new(0),
         retries: AtomicU64::new(0),
         hedges: AtomicU64::new(0),
@@ -669,43 +612,33 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<Cluster> {
     });
 
     let checker_stop = Arc::new(AtomicBool::new(false));
-    let checker = health::spawn_checker(
-        Arc::clone(&replicas),
-        Arc::clone(&health),
-        Arc::clone(&checker_stop),
-        cfg.health,
-    );
+    let checker =
+        health::spawn_checker(Arc::clone(&replicas), Arc::clone(&checker_stop), cfg.health);
 
     let handler_state = Arc::clone(&state);
-    let handler: Arc<reactor::Handler> = Arc::new(move |req: &Request, t0: Instant| {
-        let (status, extra, body, local) = route(req, &handler_state);
-        if status >= 400 {
-            handler_state.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if local {
-            handler_state.lat_local.record(t0.elapsed());
-        } else {
-            handler_state.lat_route.record(t0.elapsed());
-        }
-        (status, extra, body)
-    });
-    let events = Arc::new(RouterEvents(Arc::clone(&state)));
+    let handler: Arc<reactor::Handler> =
+        Arc::new(move |req: &Request, t0: Instant, front: &Frontend| {
+            let (status, extra, body, local) = route(req, &handler_state, front);
+            if local {
+                handler_state.lat_local.record(t0.elapsed());
+            } else {
+                handler_state.lat_route.record(t0.elapsed());
+            }
+            (status, extra, body)
+        });
     // After the reactor drains the router's in-flight requests (they may
     // still need live replicas), stop the checker and the replicas.
-    let drain_replicas = Arc::clone(&replicas);
     let on_drained = Box::new(move || {
         checker_stop.store(true, Ordering::SeqCst);
-        drain_replicas.shutdown_all();
+        replicas.shutdown_all();
     });
     let core = reactor::start_core(
         CoreConfig {
             port: cfg.port,
+            workers: cfg.workers,
+            queue: cfg.queue,
             reject_body: error_body("router admission queue full; retry"),
         },
-        pool,
-        net,
-        events,
-        stop,
         handler,
         Some(on_drained),
     )?;

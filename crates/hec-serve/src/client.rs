@@ -376,7 +376,6 @@ pub fn hedged_get(
                 Some((_, Err(_))) | None => {
                     // Primary slow or failed: launch the hedge, then take
                     // the first success from either in arrival order.
-                    let primary_failed = first.is_some();
                     spawn(1, hedge.clone(), tx.clone());
                     drop(tx);
                     let mut last_err: Option<std::io::Error> = None;
@@ -388,7 +387,6 @@ pub fn hedged_get(
                             Err(e) => last_err = Some(e),
                         }
                     }
-                    let _ = primary_failed;
                     Err(last_err.unwrap_or_else(|| {
                         std::io::Error::new(std::io::ErrorKind::Other, "all hedged requests failed")
                     }))

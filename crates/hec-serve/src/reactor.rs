@@ -4,11 +4,13 @@
 //! connection count is decoupled from thread count. HTTP/1.1 keep-alive
 //! and pipelined parsing let one connection carry many requests.
 //!
-//! Layering: this module knows HTTP framing and connection lifecycle but
-//! nothing about routes. `hec-serve`'s listener and the `hec-cluster`
-//! router both instantiate [`start_core`] with their own handler
-//! closure, counters ([`CoreEvents`]) and queue-full rejection body —
-//! one reactor, two services.
+//! Layering: this module knows HTTP framing, connection lifecycle and
+//! admission accounting but nothing about routes. `hec-serve`'s listener
+//! and the `hec-cluster` router both instantiate [`start_core`] with
+//! their own handler closure and queue-full rejection body; the core
+//! owns what the two tiers have in common ([`Frontend`]: request
+//! counters, connection gauges, queue gauge, shutdown latch and the
+//! shared part of `/metrics`) — one reactor, two services.
 //!
 //! Per-connection state machine (level-triggered):
 //!
@@ -40,10 +42,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hec_core::pool::WorkerPool;
+use hec_core::json::Json;
+use hec_core::pool::{QueueGauge, Threads, WorkerPool};
 use hec_core::sync::Mutex;
 
-use crate::server::{error_body, status_text, MAX_REQUEST_BYTES, RETRY_AFTER_SECS};
+/// Largest request head+body the server reads; larger requests get 400.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+/// `Retry-After` seconds advertised on queue-full 503s.
+pub const RETRY_AFTER_SECS: u64 = 1;
 
 /// Reactor poll timeout: a liveness tick, not a scheduling quantum —
 /// every state change arrives as an fd event or a wake byte.
@@ -226,133 +232,26 @@ pub fn emit_response(code: u16, extra_headers: &[String], body: &str, keep_alive
     out
 }
 
+/// Canonical reason phrase for the status codes this dialect uses.
+pub fn status_text(code: u16) -> &'static str {
+    match code {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        503 => "Service Unavailable",
+        _ => "Internal Server Error",
+    }
+}
+
+/// The standard one-field error document.
+pub fn error_body(msg: &str) -> String {
+    Json::obj([("error", Json::Str(msg.to_string()))]).emit_pretty()
+}
+
 // ---------------------------------------------------------------------
 // Shared core state
 // ---------------------------------------------------------------------
-
-/// Connection and reactor gauges, exported under `/metrics`.
-pub struct NetStats {
-    open: AtomicU64,
-    accepted: AtomicU64,
-    max_open: AtomicU64,
-    requests: AtomicU64,
-    keepalive_requests: AtomicU64,
-    iterations: AtomicU64,
-}
-
-impl NetStats {
-    /// Fresh zeroed gauges.
-    pub fn new() -> NetStats {
-        NetStats {
-            open: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            max_open: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            keepalive_requests: AtomicU64::new(0),
-            iterations: AtomicU64::new(0),
-        }
-    }
-
-    /// Currently registered connections, excluding the one carrying the
-    /// observation itself: a `/metrics` request always arrives over a
-    /// live connection, and subtracting it lets "drained" read as 0.
-    pub fn open_excluding_observer(&self) -> u64 {
-        self.open.load(Ordering::Relaxed).saturating_sub(1)
-    }
-
-    /// Currently registered connections, raw. Read out-of-band (not over
-    /// a connection to this server) — e.g. after the reactor exits, where
-    /// a fully drained server reads exactly 0 with no observer to
-    /// subtract. The cluster's retirement path records this.
-    pub fn open(&self) -> u64 {
-        self.open.load(Ordering::Relaxed)
-    }
-
-    /// Total connections accepted.
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of simultaneously registered connections.
-    pub fn max_open(&self) -> u64 {
-        self.max_open.load(Ordering::Relaxed)
-    }
-
-    /// Requests parsed off connections (admitted or rejected).
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Requests served on an already-used connection — the keep-alive
-    /// win: `requests - accepted` when every client reuses perfectly.
-    pub fn keepalive_requests(&self) -> u64 {
-        self.keepalive_requests.load(Ordering::Relaxed)
-    }
-
-    /// Reactor loop iterations (readiness wakeups + liveness ticks).
-    pub fn iterations(&self) -> u64 {
-        self.iterations.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for NetStats {
-    fn default() -> Self {
-        NetStats::new()
-    }
-}
-
-/// Service-side counters the core drives; server and router each map
-/// these onto their own atomics.
-pub trait CoreEvents: Send + Sync {
-    /// A request was parsed and admitted to the worker pool.
-    fn on_request(&self) {}
-    /// A parsed request was shed with `503` because the queue was full.
-    fn on_reject(&self) {}
-    /// A connection sent bytes that failed to parse (answered `400`).
-    fn on_bad_request(&self) {}
-}
-
-/// Shutdown latch plus the wake channel into the reactor. Create it
-/// before [`start_core`] so handlers can capture it; the core installs
-/// the wake stream when it binds.
-pub struct ShutdownFlag {
-    stop: AtomicBool,
-    waker: Mutex<Option<TcpStream>>,
-}
-
-impl ShutdownFlag {
-    /// A fresh, untriggered flag.
-    pub fn new() -> ShutdownFlag {
-        ShutdownFlag { stop: AtomicBool::new(false), waker: Mutex::new(None) }
-    }
-
-    /// Requests a graceful stop and wakes the reactor. Idempotent.
-    pub fn trigger(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.wake();
-    }
-
-    /// True once a stop has been requested.
-    pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    fn install(&self, stream: TcpStream) {
-        *self.waker.lock() = Some(stream);
-    }
-
-    fn wake(&self) {
-        if let Some(s) = &*self.waker.lock() {
-            let _ = (&*s).write(&[1]);
-        }
-    }
-}
-
-impl Default for ShutdownFlag {
-    fn default() -> Self {
-        ShutdownFlag::new()
-    }
-}
 
 /// A finished request: the handler's verdict, headed back to its
 /// connection. The reactor frames it (keep-alive vs close) at delivery.
@@ -363,36 +262,143 @@ struct Completion {
     body: String,
 }
 
-struct Shared {
+/// The counters and gauges behind the common `/metrics` sections.
+#[derive(Default)]
+struct Counters {
+    /// Every request answered: admitted, shed (queue full) or unparseable.
+    requests: AtomicU64,
+    /// Answers with status >= 400, sheds and parse failures included.
+    errors: AtomicU64,
+    /// Requests shed with `503` because the admission queue was full.
+    rejected: AtomicU64,
+    /// Currently registered connections.
+    open: AtomicU64,
+    accepted: AtomicU64,
+    max_open: AtomicU64,
+    /// Requests parsed off connections (admitted or shed).
+    parsed: AtomicU64,
+    /// Requests served on an already-used connection — the keep-alive
+    /// win: `parsed - accepted` when every client reuses perfectly.
+    keepalive: AtomicU64,
+    /// Reactor loop iterations (readiness wakeups + liveness ticks).
+    iterations: AtomicU64,
+}
+
+/// What every tier's front end has in common, owned by the core: the
+/// admission counters, the connection and reactor gauges, the queue
+/// gauge, the shutdown latch and the wake channel into the reactor.
+/// The handler gets a `&Frontend` with every request; a tier keeps only
+/// the state that is its own.
+pub struct Frontend {
+    started: Instant,
+    counters: Counters,
+    queue: QueueGauge,
+    stop: AtomicBool,
     completions: Mutex<Vec<Completion>>,
+    /// Write end of the loopback pair in the reactor's poll set.
     wake: TcpStream,
 }
 
-impl Shared {
-    fn push(&self, c: Completion) {
-        self.completions.lock().push(c);
+impl Frontend {
+    /// Requests a graceful stop and wakes the reactor. Idempotent.
+    pub fn shutdown(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake();
+    }
+
+    /// True once a stop has been requested.
+    pub fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Requests waiting for a worker right now.
+    pub fn queue_depth(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Currently registered connections, raw. Read out-of-band (not over
+    /// a connection to this service) — e.g. after the reactor exits,
+    /// where a fully drained service reads exactly 0. The cluster's
+    /// retirement path records this.
+    pub fn open_connections(&self) -> u64 {
+        self.counters.open.load(Ordering::Relaxed)
+    }
+
+    /// The `/metrics` document: the sections every tier serves
+    /// (`uptime_secs`, `requests`, `errors`, `rejected`, `connections`,
+    /// `reactor`, `queue`) followed by the tier's `own`.
+    /// `connections.open` excludes the connection carrying the
+    /// observation itself — a `/metrics` request always arrives over a
+    /// live one — so a drained service reads 0.
+    pub fn metrics_doc(&self, own: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+        let num = |c: &AtomicU64| Json::Num(c.load(Ordering::Relaxed) as f64);
+        let c = &self.counters;
+        let common = [
+            ("uptime_secs", Json::Num(self.started.elapsed().as_secs_f64())),
+            ("requests", num(&c.requests)),
+            ("errors", num(&c.errors)),
+            ("rejected", num(&c.rejected)),
+            (
+                "connections",
+                Json::obj([
+                    ("open", Json::Num(self.open_connections().saturating_sub(1) as f64)),
+                    ("accepted", num(&c.accepted)),
+                    ("max_open", num(&c.max_open)),
+                    ("keepalive_requests", num(&c.keepalive)),
+                ]),
+            ),
+            (
+                "reactor",
+                Json::obj([
+                    ("iterations", num(&c.iterations)),
+                    ("requests_parsed", num(&c.parsed)),
+                ]),
+            ),
+            (
+                "queue",
+                Json::obj([
+                    ("depth", Json::Num(self.queue.len() as f64)),
+                    ("capacity", Json::Num(self.queue.capacity() as f64)),
+                ]),
+            ),
+        ];
+        Json::obj(common.into_iter().chain(own))
+    }
+
+    fn wake(&self) {
         let _ = (&self.wake).write(&[1]);
+    }
+
+    fn complete(&self, c: Completion) {
+        self.completions.lock().push(c);
+        self.wake();
     }
 }
 
-/// What the core needs beyond its collaborators: where to bind and what
-/// a queue-full rejection says.
+/// What a tier tells the core: where to bind, how to size the worker
+/// pool and its admission queue, and what a queue-full rejection says.
 pub struct CoreConfig {
     /// Port to bind on 127.0.0.1 (0 = ephemeral).
     pub port: u16,
+    /// Worker threads executing the handler.
+    pub workers: usize,
+    /// Admission-queue bound (requests waiting for a worker).
+    pub queue: usize,
     /// Body of the `503` answered when the admission queue is full.
     pub reject_body: String,
 }
 
-/// Request handler: `(request, parse instant)` to `(status, extra
-/// headers, body)`. Runs on a worker thread; the parse instant lets the
-/// service record latency inclusive of queue wait.
-pub type Handler = dyn Fn(&Request, Instant) -> (u16, Vec<String>, String) + Send + Sync;
+/// Request handler: `(request, parse instant, the core's shared state)`
+/// to `(status, extra headers, body)`. Runs on a worker thread; the
+/// parse instant lets the service record latency inclusive of queue
+/// wait. The core counts the request and, for a status >= 400, the error.
+pub type Handler = dyn Fn(&Request, Instant, &Frontend) -> (u16, Vec<String>, String) + Send + Sync;
 
-/// A running reactor core. Dropping it does not stop it — trigger the
-/// [`ShutdownFlag`] then [`Core::join`].
+/// A running reactor core. Dropping it does not stop it — call
+/// [`Frontend::shutdown`] then [`Core::join`].
 pub struct Core {
     addr: SocketAddr,
+    front: Arc<Frontend>,
     thread: std::thread::JoinHandle<()>,
 }
 
@@ -402,22 +408,24 @@ impl Core {
         self.addr
     }
 
+    /// The shared front-end state; the handle outlives [`Core::join`].
+    pub fn frontend(&self) -> &Arc<Frontend> {
+        &self.front
+    }
+
     /// Waits for the reactor to drain and its worker pool to join.
     pub fn join(self) {
         let _ = self.thread.join();
     }
 }
 
-/// Binds `127.0.0.1:cfg.port` and spawns the reactor thread. Returns
-/// once the socket is accepting. `on_drained` (if any) runs on the
-/// reactor thread after the pool has drained — the router uses it to
-/// stop its health checker and replicas in order.
+/// Binds `127.0.0.1:cfg.port`, builds the worker pool and the
+/// [`Frontend`], and spawns the reactor thread. Returns once the socket
+/// is accepting. `on_drained` (if any) runs on the reactor thread after
+/// the pool has drained — the router uses it to stop its health checker
+/// and replicas in order.
 pub fn start_core(
     cfg: CoreConfig,
-    pool: WorkerPool,
-    stats: Arc<NetStats>,
-    events: Arc<dyn CoreEvents>,
-    stop: Arc<ShutdownFlag>,
     handler: Arc<Handler>,
     on_drained: Option<Box<dyn FnOnce() + Send>>,
 ) -> std::io::Result<Core> {
@@ -428,32 +436,38 @@ pub fn start_core(
     // Wake channel: a loopback socket pair. Workers and shutdown write a
     // byte; the reactor's poll set includes the read end.
     let wake_listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let wake_tx = TcpStream::connect(wake_listener.local_addr()?)?;
-    wake_tx.set_nonblocking(true)?;
+    let wake = TcpStream::connect(wake_listener.local_addr()?)?;
+    wake.set_nonblocking(true)?;
     let (wake_rx, _) = wake_listener.accept()?;
     wake_rx.set_nonblocking(true)?;
-    stop.install(wake_tx.try_clone()?);
-    let shared = Arc::new(Shared { completions: Mutex::new(Vec::new()), wake: wake_tx });
 
+    let pool = WorkerPool::new(Threads::new(cfg.workers), cfg.queue);
+    let front = Arc::new(Frontend {
+        started: Instant::now(),
+        counters: Counters::default(),
+        queue: pool.queue_gauge(),
+        stop: AtomicBool::new(false),
+        completions: Mutex::new(Vec::new()),
+        wake,
+    });
+
+    let reactor = Reactor {
+        listener,
+        wake_rx,
+        pool,
+        front: Arc::clone(&front),
+        handler,
+        reject_body: cfg.reject_body,
+    };
     let thread = std::thread::spawn(move || {
-        run_reactor(Reactor {
-            listener,
-            wake_rx,
-            pool,
-            stats,
-            events,
-            stop,
-            handler,
-            shared,
-            reject_body: cfg.reject_body,
-        });
+        run_reactor(reactor);
         // run_reactor already drained the pool; optional service-level
         // teardown (checker, replicas) happens strictly after.
         if let Some(f) = on_drained {
             f();
         }
     });
-    Ok(Core { addr, thread })
+    Ok(Core { addr, front, thread })
 }
 
 // ---------------------------------------------------------------------
@@ -516,11 +530,8 @@ struct Reactor {
     listener: TcpListener,
     wake_rx: TcpStream,
     pool: WorkerPool,
-    stats: Arc<NetStats>,
-    events: Arc<dyn CoreEvents>,
-    stop: Arc<ShutdownFlag>,
+    front: Arc<Frontend>,
     handler: Arc<Handler>,
-    shared: Arc<Shared>,
     reject_body: String,
 }
 
@@ -532,15 +543,15 @@ fn run_reactor(r: Reactor) {
     let mut slots: Vec<u64> = Vec::new();
 
     loop {
-        r.stats.iterations.fetch_add(1, Ordering::Relaxed);
-        let stopping = r.stop.stopping();
+        r.front.counters.iterations.fetch_add(1, Ordering::Relaxed);
+        let stopping = r.front.stopping();
         if stopping {
             for c in conns.values_mut() {
                 if c.idle() {
                     c.dead = true;
                 }
             }
-            reap(&mut conns, &r.stats);
+            reap(&mut conns, &r.front);
             if conns.is_empty() {
                 break;
             }
@@ -570,7 +581,7 @@ fn run_reactor(r: Reactor) {
         if sys::wait(&mut fds, POLL_TICK_MS).is_err() {
             // poll itself failing is unrecoverable for this loop; bail
             // out through the drain path rather than spinning.
-            r.stop.trigger();
+            r.front.shutdown();
             continue;
         }
 
@@ -581,11 +592,11 @@ fn run_reactor(r: Reactor) {
 
         // Deliver finished responses before I/O so a completed request's
         // bytes go out in this same iteration.
-        let finished: Vec<Completion> = std::mem::take(&mut *r.shared.completions.lock());
+        let finished: Vec<Completion> = std::mem::take(&mut *r.front.completions.lock());
         let mut touched: Vec<u64> = Vec::with_capacity(finished.len());
         for comp in finished {
             let Some(c) = conns.get_mut(&comp.token) else { continue };
-            let keep = c.keep_current && !r.stop.stopping();
+            let keep = c.keep_current && !r.front.stopping();
             c.out.extend_from_slice(&emit_response(comp.code, &comp.headers, &comp.body, keep));
             if !keep {
                 c.close_after_write = true;
@@ -593,7 +604,7 @@ fn run_reactor(r: Reactor) {
             c.dispatched = false;
             c.served += 1;
             if c.served > 1 {
-                r.stats.keepalive_requests.fetch_add(1, Ordering::Relaxed);
+                r.front.counters.keepalive.fetch_add(1, Ordering::Relaxed);
             }
             touched.push(comp.token);
         }
@@ -609,9 +620,9 @@ fn run_reactor(r: Reactor) {
                             let _ = stream.set_nodelay(true);
                             conns.insert(next_token, Conn::new(stream));
                             next_token += 1;
-                            r.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                            let open = r.stats.open.fetch_add(1, Ordering::Relaxed) + 1;
-                            r.stats.max_open.fetch_max(open, Ordering::Relaxed);
+                            r.front.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                            let open = r.front.counters.open.fetch_add(1, Ordering::Relaxed) + 1;
+                            r.front.counters.max_open.fetch_max(open, Ordering::Relaxed);
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -649,21 +660,21 @@ fn run_reactor(r: Reactor) {
                 advance(c, token, &r);
             }
         }
-        reap(&mut conns, &r.stats);
+        reap(&mut conns, &r.front);
     }
 
     drop(r.listener);
     // Queued-but-unstarted jobs still run here; their completions land
-    // in `shared` with nobody reading — harmless, the conns are gone.
+    // in `front` with nobody reading — harmless, the conns are gone.
     r.pool.shutdown();
 }
 
-fn reap(conns: &mut HashMap<u64, Conn>, stats: &NetStats) {
+fn reap(conns: &mut HashMap<u64, Conn>, front: &Frontend) {
     let before = conns.len();
     conns.retain(|_, c| !c.dead);
     let closed = (before - conns.len()) as u64;
     if closed > 0 {
-        stats.open.fetch_sub(closed, Ordering::Relaxed);
+        front.counters.open.fetch_sub(closed, Ordering::Relaxed);
     }
 }
 
@@ -722,7 +733,7 @@ fn advance(c: &mut Conn, token: u64, r: &Reactor) {
         if c.dispatched {
             return;
         }
-        if r.stop.stopping() {
+        if r.front.stopping() {
             // Drain mode: finished writing, nothing in flight — buffered
             // not-yet-admitted bytes are dropped with the connection.
             c.dead = true;
@@ -738,23 +749,28 @@ fn advance(c: &mut Conn, token: u64, r: &Reactor) {
             Ok(Parse::Complete { req, consumed, keep_alive }) => {
                 c.buf.drain(..consumed);
                 c.keep_current = keep_alive;
-                r.stats.requests.fetch_add(1, Ordering::Relaxed);
+                r.front.counters.parsed.fetch_add(1, Ordering::Relaxed);
+                r.front.counters.requests.fetch_add(1, Ordering::Relaxed);
                 let t0 = Instant::now();
                 let handler = Arc::clone(&r.handler);
-                let shared = Arc::clone(&r.shared);
+                let front = Arc::clone(&r.front);
                 let job = move || {
-                    let (code, headers, body) = handler(&req, t0);
-                    shared.push(Completion { token, code, headers, body });
+                    let (code, headers, body) = handler(&req, t0, &front);
+                    if code >= 400 {
+                        front.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                    front.complete(Completion { token, code, headers, body });
                 };
                 if r.pool.try_submit(job).is_ok() {
-                    r.events.on_request();
                     c.dispatched = true;
                     return;
                 }
                 // Queue full: shed inline with 503 + Retry-After. The
                 // connection survives (keep-alive permitting) so the
                 // client's capped-Retry-After retry can land here again.
-                r.events.on_reject();
+                // A shed request still counts as a request and an error.
+                r.front.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                r.front.counters.errors.fetch_add(1, Ordering::Relaxed);
                 c.out.extend_from_slice(&emit_response(
                     503,
                     &[format!("Retry-After: {RETRY_AFTER_SECS}")],
@@ -766,7 +782,8 @@ fn advance(c: &mut Conn, token: u64, r: &Reactor) {
                 }
             }
             Err(msg) => {
-                r.events.on_bad_request();
+                r.front.counters.requests.fetch_add(1, Ordering::Relaxed);
+                r.front.counters.errors.fetch_add(1, Ordering::Relaxed);
                 c.out.extend_from_slice(&emit_response(400, &[], &error_body(&msg), false));
                 c.close_after_write = true;
             }

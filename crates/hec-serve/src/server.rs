@@ -27,26 +27,21 @@
 //! | `/cache/export` | POST | read cache entries for handoff (cluster) |
 //! | `/cache/import` | POST | install cache entries from a handoff |
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use hec_core::json::{Json, ToJson};
-use hec_core::pool::{QueueGauge, Threads, WorkerPool};
+use hec_core::pool::Threads;
 
 use crate::batch::Batcher;
 use crate::cache::ShardedLru;
 use crate::engine::{self, AppId, Cell};
 use crate::metrics::Histogram;
-use crate::reactor::{self, CoreConfig, CoreEvents, NetStats, ShutdownFlag};
+use crate::reactor::{self, CoreConfig, Frontend};
 use crate::request::{parse_query, Point};
 
-pub use crate::reactor::Request;
+pub use crate::reactor::{error_body, status_text, Request, MAX_REQUEST_BYTES, RETRY_AFTER_SECS};
 
-/// Largest request head+body the server reads; larger requests get 400.
-pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
-/// `Retry-After` seconds advertised on queue-full 503s.
-pub const RETRY_AFTER_SECS: u64 = 1;
 /// Upper bound on `/debug/sleep` (keeps tests honest and ops safe).
 pub const MAX_DEBUG_SLEEP_MS: u64 = 10_000;
 
@@ -74,17 +69,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// Shared service state: cache, batcher, counters, histograms.
-pub struct ServeState {
-    pub(crate) cache: ShardedLru,
+/// The serve tier's own state: cache, batcher, per-endpoint histograms.
+/// Admission counters and connection gauges live in the core's
+/// [`Frontend`].
+struct ServeState {
+    cache: ShardedLru,
     batcher: Batcher,
-    queue: QueueGauge,
-    stop: Arc<ShutdownFlag>,
-    net: Arc<NetStats>,
-    started: Instant,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    rejected: AtomicU64,
     lat_eval: Histogram,
     lat_sweep: Histogram,
     lat_other: Histogram,
@@ -103,17 +93,11 @@ impl ServeState {
         cell
     }
 
-    /// The `/metrics` document: this server's counters,
-    /// cache/queue/connection state, and per-endpoint latency
-    /// histograms.
-    fn metrics_doc(&self) -> Json {
-        Json::obj([
-            ("uptime_secs", Json::Num(self.started.elapsed().as_secs_f64())),
-            ("requests", Json::Num(self.requests.load(Ordering::Relaxed) as f64)),
-            ("errors", Json::Num(self.errors.load(Ordering::Relaxed) as f64)),
-            ("rejected", Json::Num(self.rejected.load(Ordering::Relaxed) as f64)),
-            ("connections", connections_doc(&self.net)),
-            ("reactor", reactor_doc(&self.net)),
+    /// The `/metrics` document: the core's common sections, then this
+    /// server's cache state, per-endpoint latency histograms and
+    /// batcher counters.
+    fn metrics_doc(&self, front: &Frontend) -> Json {
+        front.metrics_doc([
             (
                 "cache",
                 Json::obj([
@@ -141,13 +125,6 @@ impl ServeState {
                 ]),
             ),
             (
-                "queue",
-                Json::obj([
-                    ("depth", Json::Num(self.queue.len() as f64)),
-                    ("capacity", Json::Num(self.queue.capacity() as f64)),
-                ]),
-            ),
-            (
                 "latency",
                 Json::obj([
                     ("eval", self.lat_eval.to_json()),
@@ -158,26 +135,6 @@ impl ServeState {
             ("batch", self.batcher.stats_doc()),
         ])
     }
-}
-
-/// The `connections` section shared by server and router `/metrics`.
-/// `open` excludes the connection carrying the observation itself (see
-/// [`NetStats::open_excluding_observer`]), so a drained service reads 0.
-pub fn connections_doc(net: &NetStats) -> Json {
-    Json::obj([
-        ("open", Json::Num(net.open_excluding_observer() as f64)),
-        ("accepted", Json::Num(net.accepted() as f64)),
-        ("max_open", Json::Num(net.max_open() as f64)),
-        ("keepalive_requests", Json::Num(net.keepalive_requests() as f64)),
-    ])
-}
-
-/// The `reactor` section shared by server and router `/metrics`.
-pub fn reactor_doc(net: &NetStats) -> Json {
-    Json::obj([
-        ("iterations", Json::Num(net.iterations() as f64)),
-        ("requests_parsed", Json::Num(net.requests() as f64)),
-    ])
 }
 
 /// Renders one evaluated point as the `/eval` response document.
@@ -259,23 +216,6 @@ pub fn sweep_response_body(app: AppId, eval: impl FnMut(&Point) -> Option<Cell>)
     sweep_doc(app, eval).emit_pretty()
 }
 
-/// Canonical reason phrase for the status codes this dialect uses.
-pub fn status_text(code: u16) -> &'static str {
-    match code {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
-    }
-}
-
-/// The standard one-field error document.
-pub fn error_body(msg: &str) -> String {
-    Json::obj([("error", Json::Str(msg.to_string()))]).emit_pretty()
-}
-
 /// One cache entry as wire JSON. Values are the evaluation result, not
 /// formatted bytes — `Json::Num` emits shortest-round-trip floats, so an
 /// export/import round trip reinstalls bit-identical `Cell`s and the
@@ -297,7 +237,7 @@ fn cache_entry_doc(key: &str, val: Option<Cell>) -> Json {
 /// subset as `{"entries": [...]}`. Reads via [`ShardedLru::peek`], so
 /// exports neither promote entries nor distort hit/miss stats. Keys not
 /// cached here are simply absent (the importer re-primes them instead).
-fn cache_export(body: &str, state: &Arc<ServeState>) -> (u16, String) {
+fn cache_export(body: &str, state: &ServeState) -> (u16, String) {
     let doc = match Json::parse(body) {
         Ok(d) => d,
         Err(e) => return (400, error_body(&format!("bad export body: {e}"))),
@@ -320,7 +260,7 @@ fn cache_export(body: &str, state: &Arc<ServeState>) -> (u16, String) {
 /// `POST /cache/import` — body `{"entries": [...]}` in the export
 /// format; installs each entry into this server's cache (cache warming
 /// during a ring handoff). Answers `{"imported": n}`.
-fn cache_import(body: &str, state: &Arc<ServeState>) -> (u16, String) {
+fn cache_import(body: &str, state: &ServeState) -> (u16, String) {
     let doc = match Json::parse(body) {
         Ok(d) => d,
         Err(e) => return (400, error_body(&format!("bad import body: {e}"))),
@@ -351,7 +291,7 @@ fn cache_import(body: &str, state: &Arc<ServeState>) -> (u16, String) {
     (200, Json::obj([("imported", Json::Num(imported as f64))]).emit_pretty())
 }
 
-fn route(req: &Request, state: &Arc<ServeState>) -> (u16, String) {
+fn route(req: &Request, state: &ServeState, front: &Frontend) -> (u16, String) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => (200, Json::obj([("ok", Json::Bool(true))]).emit_pretty()),
         ("GET", "/eval") => match Point::from_query(&req.query) {
@@ -372,11 +312,11 @@ fn route(req: &Request, state: &Arc<ServeState>) -> (u16, String) {
                 None => (400, error_body("sweep needs app=fvcam|gtc|lbmhd|paratec")),
             }
         }
-        ("GET", "/metrics") => (200, state.metrics_doc().emit_pretty()),
+        ("GET", "/metrics") => (200, state.metrics_doc(front).emit_pretty()),
         ("POST", "/cache/export") => cache_export(&req.body, state),
         ("POST", "/cache/import") => cache_import(&req.body, state),
         ("GET" | "POST", "/shutdown") => {
-            state.stop.trigger();
+            front.shutdown();
             (200, Json::obj([("stopping", Json::Bool(true))]).emit_pretty())
         }
         ("GET", "/debug/sleep") => {
@@ -402,30 +342,9 @@ fn route(req: &Request, state: &Arc<ServeState>) -> (u16, String) {
 // Lifecycle
 // ---------------------------------------------------------------------
 
-/// Maps the reactor's admission outcomes onto the serve counters, matching
-/// the blocking-era accounting: a rejection or parse failure still
-/// counts as a request and an error.
-struct ServeEvents(Arc<ServeState>);
-
-impl CoreEvents for ServeEvents {
-    fn on_request(&self) {
-        self.0.requests.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_reject(&self) {
-        self.0.requests.fetch_add(1, Ordering::Relaxed);
-        self.0.rejected.fetch_add(1, Ordering::Relaxed);
-        self.0.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_bad_request(&self) {
-        self.0.requests.fetch_add(1, Ordering::Relaxed);
-        self.0.errors.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// A running server; dropping it does *not* stop it — call
 /// [`Server::shutdown`] then [`Server::join`].
 pub struct Server {
-    pub(crate) state: Arc<ServeState>,
     core: reactor::Core,
 }
 
@@ -438,7 +357,7 @@ impl Server {
     /// Requests a graceful stop: no new admissions; dispatched requests
     /// complete and their responses flush. Safe to call more than once.
     pub fn shutdown(&self) {
-        self.state.stop.trigger();
+        self.core.frontend().shutdown();
     }
 
     /// Waits for the reactor (and so the drained worker pool) to exit.
@@ -448,15 +367,16 @@ impl Server {
 
     /// True once a stop has been requested.
     pub fn stopping(&self) -> bool {
-        self.state.stop.stopping()
+        self.core.frontend().stopping()
     }
 
-    /// The reactor's connection counters. The handle stays valid after
+    /// The core's shared front-end state. The handle stays valid after
     /// [`Server::join`], which is the point: a cluster retiring a
-    /// replica joins the drained server, then reads `open()` to record
-    /// how many connections were still live (a graceful drain reads 0).
-    pub fn net_stats(&self) -> Arc<NetStats> {
-        Arc::clone(&self.state.net)
+    /// replica joins the drained server, then reads
+    /// [`Frontend::open_connections`] to record how many connections
+    /// were still live (a graceful drain reads 0).
+    pub fn frontend(&self) -> Arc<Frontend> {
+        Arc::clone(self.core.frontend())
     }
 }
 
@@ -464,48 +384,35 @@ impl Server {
 /// bound and accepting; the reactor and its workers run until a
 /// shutdown is requested.
 pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
-    let pool = WorkerPool::new(Threads::new(cfg.workers), cfg.queue);
-    let stop = Arc::new(ShutdownFlag::new());
-    let net = Arc::new(NetStats::new());
-    let state = Arc::new(ServeState {
+    let state = ServeState {
         cache: ShardedLru::new(cfg.cache_capacity),
         batcher: Batcher::new(),
-        queue: pool.queue_gauge(),
-        stop: Arc::clone(&stop),
-        net: Arc::clone(&net),
-        started: Instant::now(),
-        requests: AtomicU64::new(0),
-        errors: AtomicU64::new(0),
-        rejected: AtomicU64::new(0),
         lat_eval: Histogram::new(),
         lat_sweep: Histogram::new(),
         lat_other: Histogram::new(),
-    });
-    let handler_state = Arc::clone(&state);
-    let handler: Arc<reactor::Handler> = Arc::new(move |req: &Request, t0: Instant| {
-        let (code, body) = route(req, &handler_state);
-        if code >= 400 {
-            handler_state.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        // t0 is the parse instant, so queue wait is part of the latency.
-        match req.path.as_str() {
-            "/eval" => handler_state.lat_eval.record(t0.elapsed()),
-            "/sweep" => handler_state.lat_sweep.record(t0.elapsed()),
-            _ => handler_state.lat_other.record(t0.elapsed()),
-        }
-        (code, Vec::new(), body)
-    });
-    let events = Arc::new(ServeEvents(Arc::clone(&state)));
+    };
+    let handler: Arc<reactor::Handler> =
+        Arc::new(move |req: &Request, t0: Instant, front: &Frontend| {
+            let (code, body) = route(req, &state, front);
+            // t0 is the parse instant, so queue wait is part of the latency.
+            match req.path.as_str() {
+                "/eval" => state.lat_eval.record(t0.elapsed()),
+                "/sweep" => state.lat_sweep.record(t0.elapsed()),
+                _ => state.lat_other.record(t0.elapsed()),
+            }
+            (code, Vec::new(), body)
+        });
     let core = reactor::start_core(
-        CoreConfig { port: cfg.port, reject_body: error_body("admission queue full; retry") },
-        pool,
-        net,
-        events,
-        stop,
+        CoreConfig {
+            port: cfg.port,
+            workers: cfg.workers,
+            queue: cfg.queue,
+            reject_body: error_body("admission queue full; retry"),
+        },
         handler,
         None,
     )?;
-    Ok(Server { state, core })
+    Ok(Server { core })
 }
 
 #[cfg(test)]
@@ -517,6 +424,13 @@ mod tests {
 
     fn test_server() -> Server {
         start(ServeConfig { port: 0, workers: 2, queue: 8, cache_capacity: 256 }).unwrap()
+    }
+
+    /// One `cache.<name>` counter out of the server's `/metrics`.
+    fn cache_counter(base: &str, name: &str) -> f64 {
+        let m = client::http_get(&format!("{base}/metrics")).unwrap();
+        let doc = Json::parse(&m.body).unwrap();
+        doc.get("cache").and_then(|c| c.get(name)).and_then(|v| v.as_f64()).unwrap()
     }
 
     #[test]
@@ -578,11 +492,11 @@ mod tests {
         let base = format!("http://{}", s.addr());
         let url = format!("{base}/eval?app=lbmhd&platform=es&procs=64");
         let first = client::http_get(&url).unwrap();
-        let hits_after_first = s.state.cache.hits();
+        let hits_after_first = cache_counter(&base, "hits");
         let second = client::http_get(&url).unwrap();
         assert_eq!(first.status, 200);
         assert_eq!(first.body, second.body, "cached response must be bitwise equal");
-        assert!(s.state.cache.hits() > hits_after_first, "second request must hit");
+        assert!(cache_counter(&base, "hits") > hits_after_first, "second request must hit");
         s.shutdown();
         s.join();
     }
@@ -642,14 +556,18 @@ mod tests {
         assert_eq!(imported.status, 200);
         assert!(imported.body.contains("\"imported\": 2"));
         // B must now answer both points from cache with A's exact bytes.
-        let misses_before = b.state.cache.misses();
+        let misses_before = cache_counter(&base_b, "misses");
         let ok_b =
             client::http_get(&format!("{base_b}/eval?app=gtc&platform=es&procs=64")).unwrap();
         assert_eq!(ok_b.body, ok.body, "imported entry must reproduce the exact bytes");
         let inf_b =
             client::http_get(&format!("{base_b}/eval?app=gtc&platform=x1msp&procs=2048")).unwrap();
         assert_eq!(inf_b.body, infeasible.body);
-        assert_eq!(b.state.cache.misses(), misses_before, "both answers must come from cache");
+        assert_eq!(
+            cache_counter(&base_b, "misses"),
+            misses_before,
+            "both answers must come from cache"
+        );
         for s in [a, b] {
             s.shutdown();
             s.join();

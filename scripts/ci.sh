@@ -11,10 +11,15 @@ cargo fmt --check
 
 # Soak the four targets whose probe captures other tests in the same
 # process used to pollute (DESIGN.md §3, rule 3): a capture is scoped to
-# its own call tree at any test-thread count, every time.
+# its own call tree at any test-thread count, every time. The cluster
+# targets ride along: kill, restart, drain and the health checker race
+# on one member record (DESIGN.md §9), and such a race has only ever
+# shown under full-suite parallelism.
 for threads in 1 2 4; do
     for target in "-p hec-core --lib" "-p fvcam --lib" "-p paratec --lib" \
-                  "-p hec-suite --test cross_crate_properties"; do
+                  "-p hec-suite --test cross_crate_properties" \
+                  "-p hec-cluster --lib" "-p hec-suite --test cluster_e2e" \
+                  "-p hec-suite --test cluster_elasticity"; do
         for _ in 1 2 3 4 5; do
             # shellcheck disable=SC2086  # $target is a word list on purpose
             RUST_TEST_THREADS=$threads cargo test -q --offline $target > /dev/null

@@ -4,12 +4,14 @@
 //! responses, (ii) a seeded fault plan (kills, stalls, dropped
 //! connections, slow replies) never surfaces an error or changes a
 //! byte, (iii) the router's `/metrics` document records the down→up
-//! transition of a killed-then-restarted replica.
+//! transition of a killed-then-restarted replica, (iv) every lifecycle
+//! entry point — fault plan, admin endpoints, direct calls — leaves the
+//! member table, the health state and `/metrics` in agreement.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use hec_cluster::{ClusterConfig, FaultPlan, HealthConfig};
+use hec_cluster::{ClusterConfig, FaultEvent, FaultKind, FaultPlan, HealthConfig};
 use hec_core::json::Json;
 use hec_serve::client::{self, RetryPolicy};
 use hec_serve::request::Point;
@@ -55,9 +57,13 @@ fn expected_bodies() -> Vec<(String, String)> {
     .collect()
 }
 
-fn metric(base: &str, path: &[&str]) -> f64 {
+fn metrics(base: &str) -> Json {
     let body = client::http_get(&format!("{base}/metrics")).unwrap().body;
-    let doc = Json::parse(&body).unwrap();
+    Json::parse(&body).unwrap()
+}
+
+fn metric(base: &str, path: &[&str]) -> f64 {
+    let doc = metrics(base);
     let mut v = &doc;
     for p in path {
         v = v.get(p).unwrap_or_else(|| panic!("missing /metrics field {path:?}"));
@@ -66,8 +72,7 @@ fn metric(base: &str, path: &[&str]) -> f64 {
 }
 
 fn replica_field(base: &str, i: usize, field: &str) -> Json {
-    let body = client::http_get(&format!("{base}/metrics")).unwrap().body;
-    let doc = Json::parse(&body).unwrap();
+    let doc = metrics(base);
     let arr = match doc.get("cluster").and_then(|c| c.get("replicas")) {
         Some(Json::Arr(v)) => v.clone(),
         other => panic!("cluster.replicas missing: {other:?}"),
@@ -205,6 +210,130 @@ fn metrics_record_the_down_then_up_transition() {
     let addr = c.replica_addr(1).expect("replica 1 restarted");
     let direct = client::http_get(&format!("http://{addr}/eval?{query}")).unwrap();
     assert_eq!(direct.body, *want, "restarted replica must serve identical bytes");
+    c.shutdown();
+    c.join();
+}
+
+/// (iv) One member record, many ways in. Every lifecycle entry point is
+/// driven in turn against a model of what each member should read, and
+/// after each step `/metrics` must agree with the model and with the
+/// replica set itself: a row's `up` is whether the replica has an
+/// address, `cluster.up` is the number of `up: true` rows, the step
+/// moved exactly one transition counter by one, and a drained member
+/// shows only under `cluster.retired`.
+#[test]
+fn every_lifecycle_entry_point_keeps_server_health_and_metrics_in_step() {
+    enum Step {
+        /// The fault plan's `Kill`, fired by the first routed request.
+        PlanKill(usize),
+        AdminKill(usize),
+        DirectKill(usize),
+        AdminRestart(usize),
+        AdminScaleUp,
+        AdminDrain(usize),
+    }
+    use Step::*;
+
+    let plan =
+        FaultPlan::with(vec![FaultEvent { at_request: 0, replica: 0, kind: FaultKind::Kill }]);
+    let c = hec_cluster::start(cluster_cfg(3, plan)).unwrap();
+    let base = format!("http://{}", c.addr());
+    let post = |path: &str| {
+        let r = client::http_post(&format!("{base}{path}"), "").unwrap();
+        assert_eq!(r.status, 200, "{path}: {}", r.body);
+    };
+    // Per member: (up, down_transitions, up_transitions), None once drained.
+    let mut model: Vec<Option<(bool, f64, f64)>> = vec![Some((true, 0.0, 0.0)); 3];
+    let went_down = |m: &mut Option<(bool, f64, f64)>| {
+        let (up, down_t, up_t) = m.expect("live member");
+        assert!(up, "the table only kills members that are up");
+        *m = Some((false, down_t + 1.0, up_t));
+    };
+
+    let steps = [
+        PlanKill(0),
+        AdminRestart(0),
+        AdminKill(1),
+        AdminRestart(1),
+        DirectKill(2),
+        AdminRestart(2),
+        AdminScaleUp,
+        AdminKill(3),
+        AdminDrain(3), // a member that is down drains too
+        AdminDrain(1), // and one that is up
+    ];
+    for (n, step) in steps.into_iter().enumerate() {
+        match step {
+            PlanKill(i) => {
+                let (query, want) = &expected_bodies()[0];
+                let r = client::http_get(&format!("{base}/eval?{query}")).unwrap();
+                assert_eq!((r.status, r.body.as_str()), (200, want.as_str()));
+                went_down(&mut model[i]);
+            }
+            AdminKill(i) => {
+                post(&format!("/admin/kill?replica={i}"));
+                went_down(&mut model[i]);
+            }
+            DirectKill(i) => {
+                assert!(c.kill_replica(i));
+                went_down(&mut model[i]);
+            }
+            AdminRestart(i) => {
+                post(&format!("/admin/restart?replica={i}"));
+                let (up, down_t, up_t) = model[i].expect("live member");
+                assert!(!up, "the table only restarts members that are down");
+                model[i] = Some((true, down_t, up_t + 1.0));
+            }
+            AdminScaleUp => {
+                post("/admin/scale-up");
+                model.push(Some((true, 0.0, 0.0)));
+            }
+            AdminDrain(i) => {
+                post(&format!("/admin/drain/{i}"));
+                model[i] = None;
+            }
+        }
+
+        let doc = metrics(&base);
+        let section = |name: &str| match doc.get("cluster").and_then(|c| c.get(name)) {
+            Some(Json::Arr(v)) => v.clone(),
+            other => panic!("step {n}: cluster.{name} missing: {other:?}"),
+        };
+        let num = |row: &Json, f: &str| row.get(f).and_then(|v| v.as_f64()).unwrap();
+        let index = |row: &Json| num(row, "index") as usize;
+        let ids = |want_live: bool| -> Vec<usize> {
+            (0..model.len()).filter(|&i| model[i].is_some() == want_live).collect()
+        };
+        assert_eq!(c.replica_count(), model.len(), "step {n}: IDs are never reused");
+
+        let rows = section("replicas");
+        assert_eq!(rows.iter().map(index).collect::<Vec<_>>(), ids(true), "step {n}: live rows");
+        for row in &rows {
+            let i = index(row);
+            let (up, down_t, up_t) = model[i].unwrap();
+            assert_eq!(row.get("up"), Some(&Json::Bool(up)), "step {n}: replica {i} up");
+            assert_eq!(c.replica_addr(i).is_some(), up, "step {n}: replica {i} address");
+            assert_eq!(
+                (num(row, "down_transitions"), num(row, "up_transitions")),
+                (down_t, up_t),
+                "step {n}: replica {i} moved exactly the counter its step names"
+            );
+        }
+        let up_rows = rows.iter().filter(|r| r.get("up") == Some(&Json::Bool(true))).count();
+        assert_eq!(num(doc.get("cluster").unwrap(), "up"), up_rows as f64, "step {n}: cluster.up");
+
+        let retired = section("retired");
+        assert_eq!(
+            retired.iter().map(index).collect::<Vec<_>>(),
+            ids(false),
+            "step {n}: a drained member is listed under cluster.retired and nowhere else"
+        );
+        for row in &retired {
+            assert_eq!(num(row, "connections_open_after_drain"), 0.0, "step {n}");
+            assert!(c.replica_addr(index(row)).is_none(), "step {n}: retired members stay down");
+        }
+    }
+    assert_eq!(c.members(), vec![0, 2]);
     c.shutdown();
     c.join();
 }

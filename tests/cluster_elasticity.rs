@@ -161,8 +161,8 @@ fn seeded_churn_plan_loses_nothing_and_moves_exactly_the_predicted_keys() {
 }
 
 /// (ii) The admin surface round-trips: scale-up adds a member and
-/// reports the handoff, drain retires one, and malformed or illegal
-/// targets are rejected without touching membership.
+/// reports the handoff, drain and scale-down retire one, and malformed
+/// or illegal targets are rejected without touching membership.
 #[test]
 fn admin_scale_up_and_drain_round_trip_with_validation() {
     let c = hec_cluster::start(cluster_cfg(2, FaultPlan::none())).unwrap();
@@ -198,6 +198,19 @@ fn admin_scale_up_and_drain_round_trip_with_validation() {
 
     // Requests still route and answer the oracle bytes on {0, 2}.
     let (query, want) = &expected_bodies()[0];
+    let r = client::http_get(&format!("{base}/eval?{query}")).unwrap();
+    assert_eq!((r.status, r.body.as_str()), (200, want.as_str()));
+
+    // Scale-down is the autoscaler's down decision on demand: it drains
+    // the highest current member, and refuses the last one.
+    let down = client::http_post(&format!("{base}/admin/scale-down"), "").unwrap();
+    assert_eq!(down.status, 200);
+    let doc = Json::parse(&down.body).unwrap();
+    assert_eq!(doc.get("drained").and_then(|v| v.as_f64()), Some(2.0));
+    assert_eq!(doc.get("connections_open_after_drain").and_then(|v| v.as_f64()), Some(0.0));
+    assert_eq!(member_ids(&base), vec![0]);
+    assert_eq!(client::http_post(&format!("{base}/admin/scale-down"), "").unwrap().status, 400);
+    assert_eq!(member_ids(&base), vec![0], "a refused scale-down leaves membership alone");
     let r = client::http_get(&format!("{base}/eval?{query}")).unwrap();
     assert_eq!((r.status, r.body.as_str()), (200, want.as_str()));
     c.shutdown();
