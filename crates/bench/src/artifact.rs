@@ -1,14 +1,13 @@
 //! Artifact directory I/O for the reproduction pipeline.
 //!
 //! `repro all` writes every artifact — `TABLE_<app>.json`,
-//! `CANON_eval.json`, `PROFILE_<app>.json`, `BENCH_*.json` — through
-//! one [`Writer`], which stamps each file with the same [`Meta`] block:
-//! git commit, `HEC_THREADS`, host fingerprint, platform set, a config
-//! hash, and the load-test parameters. The stamp is what makes a
-//! directory of results comparable later (the Sumatra argument: a
-//! number without its provenance cannot be trusted across commits):
-//! `repro diff` holds its schema version and config hash exact, and
-//! the rest says where and when the timings a human reads were taken.
+//! `CANON_eval.json`, `PROFILE_<app>.json` — through one [`Writer`],
+//! which stamps each file with the same [`Meta`] block: git commit,
+//! `HEC_THREADS`, host fingerprint, platform set and a config hash. The
+//! stamp is what makes a directory of results comparable later (the
+//! Sumatra argument: a number without its provenance cannot be trusted
+//! across commits): `repro diff` holds its schema version and config
+//! hash exact, and the rest says where and when the run was taken.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -34,6 +33,24 @@ pub fn app_tag(app: AppId) -> &'static str {
     }
 }
 
+/// The canonical `/eval` query strings: every app across several
+/// platforms at table-sized concurrencies. This list is part of the
+/// reproducibility contract — `repro all` snapshots each query's exact
+/// response bytes into `CANON_eval.json`, and the list feeds the
+/// `config_hash` stamped into artifact metadata, so changing it
+/// deliberately invalidates old baselines.
+pub(crate) fn eval_queries() -> Vec<String> {
+    let mut qs = Vec::new();
+    for (app, extra) in [("gtc", ""), ("lbmhd", "&n=512"), ("paratec", ""), ("fvcam", "&pz=4")] {
+        for platform in ["power3", "x1msp", "es", "sx8"] {
+            qs.push(format!("app={app}&platform={platform}&procs=256{extra}"));
+        }
+    }
+    qs.push("app=gtc&platform=4ssp&procs=512".to_string());
+    qs.push("app=lbmhd&platform=opteron&procs=1024&n=1024".to_string());
+    qs
+}
+
 /// The metadata block stamped into every artifact.
 #[derive(Clone, Debug)]
 pub struct Meta {
@@ -41,8 +58,7 @@ pub struct Meta {
     pub git_commit: String,
     /// Resolved shared-memory worker count (`HEC_THREADS` policy).
     pub hec_threads: usize,
-    /// Host fingerprint (`os-arch-Ncpu`): where the printed timings
-    /// were taken.
+    /// Host fingerprint (`os-arch-Ncpu`): where the run was taken.
     pub host: String,
     /// Platform set the tables cover (paper display labels).
     pub platforms: Vec<String>,
@@ -52,19 +68,13 @@ pub struct Meta {
     /// apps, platforms, canonical eval workload) — equal hashes mean
     /// the exact-deterministic fields are directly comparable.
     pub config_hash: String,
-    /// Load-test duration per target, seconds.
-    pub load_secs: u64,
-    /// Load-generator sender threads.
-    pub clients: usize,
-    /// Cluster replicas behind the router leg.
-    pub replicas: usize,
     /// Wall-clock creation time (unix seconds; never compared).
     pub created_unix: f64,
 }
 
 impl Meta {
-    /// Collects the metadata for a run with the given load-test parameters.
-    pub fn collect(load_secs: u64, clients: usize, replicas: usize) -> Meta {
+    /// Collects the metadata for a run started now.
+    pub fn collect() -> Meta {
         let platforms: Vec<String> = report::paper::PLATFORMS
             .iter()
             .chain(report::paper::FVCAM_PLATFORMS.iter())
@@ -81,7 +91,7 @@ impl Meta {
         for p in &platforms {
             config.push_str(&format!("|platform={p}"));
         }
-        for q in crate::loadgen::eval_queries() {
+        for q in eval_queries() {
             config.push_str(&format!("|eval={q}"));
         }
         let config_hash = format!("{:016x}", hec_cluster::stable_hash(config.as_bytes()));
@@ -92,9 +102,6 @@ impl Meta {
             platforms,
             apps,
             config_hash,
-            load_secs,
-            clients,
-            replicas,
             created_unix: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs() as f64)
@@ -112,9 +119,6 @@ impl Meta {
             ("platforms", Json::Arr(self.platforms.iter().cloned().map(Json::Str).collect())),
             ("apps", Json::Arr(self.apps.iter().cloned().map(Json::Str).collect())),
             ("config_hash", Json::Str(self.config_hash.clone())),
-            ("load_secs", Json::Num(self.load_secs as f64)),
-            ("clients", Json::Num(self.clients as f64)),
-            ("replicas", Json::Num(self.replicas as f64)),
             ("created_unix", Json::Num(self.created_unix)),
         ])
     }
@@ -157,17 +161,6 @@ impl Writer {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(Writer { dir, meta: meta.to_json() })
-    }
-
-    /// A writer into the current directory (where the standalone `repro
-    /// profile` / `loadgen` commands put their stamped output).
-    pub fn cwd(meta: &Meta) -> Writer {
-        Writer { dir: PathBuf::from("."), meta: meta.to_json() }
-    }
-
-    /// The output directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Writes `{"meta": …, payload…}` to `<dir>/<name>` (pretty JSON)
@@ -230,7 +223,7 @@ mod tests {
     #[test]
     fn writer_stamps_meta_and_loader_reads_it_back() {
         let dir = tmpdir("rt");
-        let meta = Meta::collect(2, 4, 3);
+        let meta = Meta::collect();
         let w = Writer::new(&dir, &meta).unwrap();
         w.write("TABLE_demo.json", [("rows", Json::Arr(vec![Json::Num(1.0)]))]).unwrap();
         let docs = load_dir(&dir).unwrap();
@@ -238,7 +231,6 @@ mod tests {
         let m = doc.field("meta").unwrap();
         assert_eq!(m.num_field("schema_version").unwrap(), SCHEMA_VERSION);
         assert_eq!(m.str_field("config_hash").unwrap(), meta.config_hash);
-        assert_eq!(m.num_field("load_secs").unwrap(), 2.0);
         assert!(m.num_field("hec_threads").unwrap() >= 1.0);
         assert!(!m.str_field("host").unwrap().is_empty());
         assert_eq!(doc.get("rows").unwrap().as_arr().unwrap().len(), 1);
@@ -246,13 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn config_hash_is_a_pure_function_of_the_configuration() {
-        // Load parameters are provenance, not configuration: two runs
-        // with different durations still compare their exact fields.
-        let a = Meta::collect(2, 4, 3);
-        let b = Meta::collect(9, 8, 5);
-        assert_eq!(a.config_hash, b.config_hash);
-        assert_eq!(a.config_hash.len(), 16);
+    fn config_hash_is_pinned_to_the_committed_baseline() {
+        // The hash covers schema, apps, platforms and `eval_queries()`:
+        // moving any of them must be a deliberate baseline regeneration.
+        assert_eq!(Meta::collect().config_hash, "5301551bda966e64");
     }
 
     #[test]

@@ -5,16 +5,14 @@
 //! classes:
 //!
 //! * **exact** — phase counters, table cell values, canonical response
-//!   bytes, load-test error counts and seeded provenance, the artifact
-//!   schema itself. These are bitwise-deterministic by the suite's
-//!   contracts (thread-invariant counters, one shared evaluation core,
-//!   admission-indexed faults and autoscaling), so *any* drift is a
-//!   finding, on any host.
-//! * **ignored** — everything a clock can move: wall-clock spans,
-//!   throughput, latency quantiles, hit rates, ephemeral ports,
-//!   creation times. The BENCH files print them for humans; how fast
-//!   anything runs is measured by `benchmark/` (see its README), not
-//!   gated here.
+//!   bytes, the artifact schema itself. These are bitwise-deterministic
+//!   by the suite's contracts (thread-invariant counters, one shared
+//!   evaluation core), so *any* drift is a finding, on any host.
+//! * **ignored** — what a clock or a checkout can move: profile span
+//!   wall-times and the provenance half of the stamp (commit, host,
+//!   thread count, creation time, keys older baselines still carry).
+//!   How fast anything runs is measured by `benchmark/` (see its
+//!   README), not gated here.
 //!
 //! Exit codes (pinned by the golden-fixture tests): `0` clean, `1` any
 //! finding (drift, missing or extra artifact/field), `2` usage or
@@ -58,8 +56,8 @@ fn classify(file: &str, path: &[String]) -> Class {
         path.iter().rev().find(|s| !s.starts_with('[')).map(String::as_str).unwrap_or("");
     if path.first().is_some_and(|s| s == "meta") {
         // The stamp: the schema and configuration must match for the
-        // comparison to mean anything; commit, host, thread count, and
-        // sample parameters legitimately differ between runs.
+        // comparison to mean anything; commit, host and thread count
+        // legitimately differ between runs.
         return match named_leaf {
             "schema_version" | "config_hash" | "apps" | "platforms" => Class::Exact,
             _ => Class::Ignore,
@@ -73,36 +71,6 @@ fn classify(file: &str, path: &[String]) -> Class {
         // contract (hec_core::probe); every counter and derived
         // workload number is inside it.
         return if path.iter().any(|s| s == "timing") { Class::Ignore } else { Class::Exact };
-    }
-    if file == "BENCH_serve.json" || file == "BENCH_cluster.json" {
-        // Autoscaler decisions are a pure function of the seeded run
-        // (admitted-request ticks, deterministic thresholds): both the
-        // up and down counts must reproduce bit-for-bit.
-        if path.iter().any(|s| s == "autoscale_decisions") {
-            return Class::Exact;
-        }
-        return match named_leaf {
-            // Every admitted request succeeds, overall and per class.
-            "errors" | "transport_errors" => Class::Exact,
-            // Elasticity: the seeded churn plan fixes how many
-            // membership events fire and exactly which tracked keys
-            // change owners.
-            "membership_events" | "keys_moved" => Class::Exact,
-            "bench" | "secs" | "clients" | "replicas" | "up" => Class::Exact,
-            // Open-loop provenance must match bit-for-bit (a baseline
-            // recorded at a different offered rate or seed is not
-            // comparable), and a drained target must report zero open
-            // connections — a leak here is a reactor bug, not noise.
-            "open_loop" | "seed" | "rate_offered_rps" | "connections_open_after_drain" => {
-                Class::Exact
-            }
-            // Timing-derived (throughput_rps, rate_achieved_rps,
-            // latency quantiles, hit_rate, availability, warm_hits —
-            // cache warming is best-effort) or run-dependent (url,
-            // requests, retried_ok, failovers, hedges): printed for
-            // humans, measured by `benchmark/`.
-            _ => Class::Ignore,
-        };
     }
     // Unknown artifact families are held to the strictest standard.
     Class::Exact
@@ -211,9 +179,8 @@ impl Differ<'_> {
             (Json::Arr(oi), Json::Arr(ni)) => {
                 match (keyed_by_name(oi), keyed_by_name(ni)) {
                     (Some(om), Some(nm)) => {
-                        // A whole named entry (a bench sample, a capture
-                        // phase) appearing or vanishing is one finding,
-                        // not one per leaf.
+                        // A whole named entry (a capture phase) appearing or
+                        // vanishing is one finding, not one per leaf.
                         for (name, ov) in &om {
                             path.push(format!("[{name}]"));
                             match nm.iter().find(|(n, _)| n == name) {
@@ -390,68 +357,6 @@ mod tests {
         };
         let r = diff_dirs(&mk(1.0), &mk(9e9));
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn timing_derived_load_test_fields_are_tolerated() {
-        let mk = |scale: f64, errors: f64| {
-            dir_of(&[(
-                "BENCH_cluster.json",
-                doc(
-                    "h",
-                    &[
-                        ("throughput_rps", Json::Num(1000.0 * scale)),
-                        ("rate_achieved_rps", Json::Num(400.0 * scale)),
-                        ("latency_us", Json::obj([("p99", Json::Num(100.0 * scale))])),
-                        ("cluster", Json::obj([("availability", Json::Num(scale))])),
-                        ("warm_hits", Json::Num(28.0 * scale)),
-                        (
-                            "by_class",
-                            Json::obj([("eval", Json::obj([("errors", Json::Num(errors))]))]),
-                        ),
-                    ],
-                ),
-            )])
-        };
-        // Ten times slower or faster: not this gate's question.
-        assert!(diff_dirs(&mk(1.0, 0.0), &mk(0.1, 0.0)).findings.is_empty());
-        assert!(diff_dirs(&mk(1.0, 0.0), &mk(10.0, 0.0)).findings.is_empty());
-        // An error count beside them still gates.
-        let r = diff_dirs(&mk(1.0, 0.0), &mk(1.0, 1.0));
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].path, "by_class.eval.errors");
-    }
-
-    #[test]
-    fn open_loop_provenance_fields_gate_exactly() {
-        // A baseline recorded open-loop must be compared open-loop, at
-        // the same offered rate and seed — any drift is a finding.
-        let mk = |open: bool, rate: f64, seed: f64, leak: f64| {
-            dir_of(&[(
-                "BENCH_serve.json",
-                doc(
-                    "h",
-                    &[
-                        ("open_loop", Json::Bool(open)),
-                        ("rate_offered_rps", Json::Num(rate)),
-                        ("seed", Json::Num(seed)),
-                        ("connections_open_after_drain", Json::Num(leak)),
-                    ],
-                ),
-            )])
-        };
-        let base = mk(true, 400.0, 5.0, 0.0);
-        assert!(diff_dirs(&base, &base).findings.is_empty());
-        for (label, other) in [
-            ("methodology flip", mk(false, 400.0, 5.0, 0.0)),
-            ("offered rate", mk(true, 300.0, 5.0, 0.0)),
-            ("schedule seed", mk(true, 400.0, 6.0, 0.0)),
-            ("connection leak", mk(true, 400.0, 5.0, 2.0)),
-        ] {
-            let r = diff_dirs(&base, &other);
-            assert_eq!(r.findings.len(), 1, "{label} must be a finding");
-            assert_eq!(r.findings[0].kind, FindingKind::Drift, "{label}");
-        }
     }
 
     #[test]

@@ -9,19 +9,18 @@
 //! * [`validate`] — side-by-side shape comparison against the published
 //!   numbers (`report::paper`), used both by `repro validate` and the
 //!   integration tests.
-//! * [`loadgen`] — open-loop load generator for the serve subsystem
-//!   (`repro loadgen`, writes `BENCH_serve.json` / `BENCH_cluster.json`).
 //! * [`profile`] — calibration captures (`repro profile`, writes
 //!   `PROFILE_<app>.json`).
 //! * [`artifact`] — the metadata-stamped artifact writer/loader shared
-//!   by every JSON-producing subcommand.
-//! * [`pipeline`] — `repro all`: every artifact into one directory.
+//!   by every JSON-producing subcommand, and the canonical `/eval`
+//!   query list.
+//! * [`pipeline`] — `repro all`: every artifact (tables, canonical
+//!   responses, profiles) into one directory.
 //! * [`diff`] — `repro diff`: the cross-commit bit-for-bit gate.
 
 pub mod artifact;
 pub mod diff;
 pub mod experiments;
-pub mod loadgen;
 pub mod pipeline;
 pub mod profile;
 pub mod render;

@@ -1,9 +1,12 @@
-//! `repro` — regenerates every table and figure of the paper, and runs
-//! the serve/loadgen benchmark pair.
+//! `repro` — regenerates every table, figure and exact artifact of the
+//! paper, and hosts the prediction service and its cluster.
 //!
 //! Run `repro help` for the full subcommand list; it is derived from the
 //! same table that drives dispatch and the unknown-subcommand error, so
-//! the three can never drift apart.
+//! the three can never drift apart. The tables and figures are names
+//! given to `repro report`, from [`SECTIONS`].
+
+use std::num::NonZeroUsize;
 
 use bench::{experiments, render, validate};
 use hec_serve::engine::AppId;
@@ -21,73 +24,10 @@ struct Cmd {
 
 const COMMANDS: &[Cmd] = &[
     Cmd {
-        name: "table1",
-        args: "",
-        help: "architectural highlights of the eight platforms",
-        run: |_| print!("{}", render::table1().render()),
-    },
-    Cmd {
-        name: "table2",
-        args: "",
-        help: "application overview with this repo's lines of code",
-        run: |_| table2(),
-    },
-    Cmd {
         name: "fig2",
         args: "[mesh-divisor]",
-        help: "FVCAM point-to-point traffic matrices (default divisor 4; 1 = full D mesh)",
-        run: |args| fig2(num_arg("fig2", args, 0, 4)),
-    },
-    Cmd {
-        name: "table3",
-        args: "",
-        help: "FVCAM performance on the D mesh",
-        run: |_| print!("{}", render::app_table(AppId::Fvcam).render()),
-    },
-    Cmd {
-        name: "fig3",
-        args: "",
-        help: "FVCAM Gflop/P scaling curves",
-        run: |_| print!("{}", render::fig3(&experiments::fvcam_rows(), &paper::FVCAM_PLATFORMS)),
-    },
-    Cmd {
-        name: "fig4",
-        args: "",
-        help: "FVCAM simulated-years-per-day scaling",
-        run: |_| {
-            print!(
-                "{}",
-                render::fig4(
-                    &experiments::fvcam_rows(),
-                    &paper::FVCAM_PLATFORMS,
-                    fvcam::model::D_MESH_STEPS_PER_DAY
-                )
-            )
-        },
-    },
-    Cmd {
-        name: "table4",
-        args: "",
-        help: "GTC weak-scaling performance",
-        run: |_| print!("{}", render::app_table(AppId::Gtc).render()),
-    },
-    Cmd {
-        name: "table5",
-        args: "",
-        help: "LBMHD3D performance",
-        run: |_| print!("{}", render::app_table(AppId::Lbmhd).render()),
-    },
-    Cmd {
-        name: "table6",
-        args: "",
-        help: "PARATEC performance",
-        run: |_| print!("{}", render::app_table(AppId::Paratec).render()),
-    },
-    Cmd {
-        name: "fig8",
-        args: "",
-        help: "summary of all four applications at P=256",
-        run: |_| print!("{}", render::fig8(&experiments::fig8_apps(), &paper::PLATFORMS)),
+        help: "FVCAM point-to-point traffic matrices (default divisor 8; 1 = full D mesh)",
+        run: |args| fig2(num_arg("fig2", args, 0, FIG2_DIVISOR)),
     },
     Cmd {
         name: "validate",
@@ -114,40 +54,22 @@ const COMMANDS: &[Cmd] = &[
         run: |args| cluster(args),
     },
     Cmd {
-        name: "loadgen",
-        args: "<url> [secs] [clients] [--rate=RPS] [--seed=N]",
-        help: "open-loop load test, seeded arrivals at --rate (default 400 rps); \
-               writes BENCH_serve.json (or BENCH_cluster.json for a router)",
-        run: |args| loadgen(args),
-    },
-    Cmd {
-        name: "kill",
-        args: "<url> <replica>",
-        help: "kill one replica through a router's /admin/kill endpoint",
-        run: |args| kill(args),
-    },
-    Cmd {
-        name: "scale",
-        args: "<url> <up|down>",
-        help: "scale a router up one replica, or drain its highest member",
-        run: |args| scale(args),
-    },
-    Cmd {
-        name: "stop",
-        args: "<url>",
-        help: "gracefully stop a serve or cluster instance (drains in-flight requests)",
-        run: |args| stop(args),
+        name: "post",
+        args: "<url> <path>",
+        help: "POST one path to a serve or router instance and print the answer \
+               (/shutdown, /admin/scale-up, /admin/kill?replica=0, ...)",
+        run: |args| post(args),
     },
     Cmd {
         name: "report",
-        args: "",
-        help: "print every table and figure (no artifacts written)",
-        run: |_| report_all(),
+        args: "[name...]",
+        help: "print the named tables and figures (names below; none = all), no artifacts written",
+        run: |args| report(args),
     },
     Cmd {
         name: "all",
         args: "[dir]",
-        help: "regenerate every artifact (tables, canon, profiles, load) into one stamped dir",
+        help: "regenerate every artifact (tables, canon, profiles) into one stamped dir",
         run: |args| {
             let dir = args.first().map(String::as_str).unwrap_or(bench::pipeline::DEFAULT_DIR);
             if let Err(e) = bench::pipeline::run_all(dir) {
@@ -165,6 +87,78 @@ const COMMANDS: &[Cmd] = &[
     Cmd { name: "help", args: "", help: "this list", run: |_| print!("{}", usage()) },
 ];
 
+/// Mesh divisor of the Figure 2 capture, for `repro fig2` with no
+/// argument and for the `fig2` section of `repro report` alike.
+const FIG2_DIVISOR: usize = 8;
+
+/// One table or figure of the paper: the name `repro report` accepts
+/// and the printer behind it.
+struct Section {
+    name: &'static str,
+    print: fn(),
+}
+
+/// Every table and figure, in the order `repro report` prints them:
+/// the paper's, except that Figure 2 — the only section that runs a
+/// capture instead of evaluating a model — comes last.
+const SECTIONS: &[Section] = &[
+    Section { name: "table1", print: || print!("{}", render::table1().render()) },
+    Section { name: "table2", print: table2 },
+    Section { name: "table3", print: || print!("{}", render::app_table(AppId::Fvcam).render()) },
+    Section {
+        name: "fig3",
+        print: || print!("{}", render::fig3(&experiments::fvcam_rows(), &paper::FVCAM_PLATFORMS)),
+    },
+    Section {
+        name: "fig4",
+        print: || {
+            print!(
+                "{}",
+                render::fig4(
+                    &experiments::fvcam_rows(),
+                    &paper::FVCAM_PLATFORMS,
+                    fvcam::model::D_MESH_STEPS_PER_DAY
+                )
+            )
+        },
+    },
+    Section { name: "table4", print: || print!("{}", render::app_table(AppId::Gtc).render()) },
+    Section { name: "table5", print: || print!("{}", render::app_table(AppId::Lbmhd).render()) },
+    Section { name: "table6", print: || print!("{}", render::app_table(AppId::Paratec).render()) },
+    Section {
+        name: "fig8",
+        print: || print!("{}", render::fig8(&experiments::fig8_apps(), &paper::PLATFORMS)),
+    },
+    Section { name: "fig2", print: || fig2(FIG2_DIVISOR) },
+];
+
+/// The sections `repro report <names>` prints: all of them for no
+/// names, else the named ones in the order given.
+fn select_sections(names: &[String]) -> Result<Vec<&'static Section>, String> {
+    if names.is_empty() {
+        return Ok(SECTIONS.iter().collect());
+    }
+    names
+        .iter()
+        .map(|n| {
+            SECTIONS.iter().find(|s| s.name == n).ok_or_else(|| {
+                let valid: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
+                format!("unknown table or figure {n:?}; expected {}", valid.join("|"))
+            })
+        })
+        .collect()
+}
+
+fn report(names: &[String]) {
+    let sections = select_sections(names).unwrap_or_else(|why| usage_exit("report", &why));
+    for (i, s) in sections.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        (s.print)();
+    }
+}
+
 fn usage() -> String {
     let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
     let width = COMMANDS.iter().map(|c| c.name.len() + 1 + c.args.len()).max().unwrap_or(0);
@@ -174,6 +168,8 @@ fn usage() -> String {
             if c.args.is_empty() { c.name.to_string() } else { format!("{} {}", c.name, c.args) };
         out.push_str(&format!("  {left:width$}  {}\n", c.help));
     }
+    let sections: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
+    out.push_str(&format!("\nreport names: {}\n", sections.join(" ")));
     out
 }
 
@@ -199,7 +195,7 @@ fn parse_arg<T: std::str::FromStr, S: AsRef<str>>(
     match args.get(i).map(AsRef::as_ref) {
         None => Ok(default),
         Some(s) => {
-            s.parse().map_err(|_| format!("argument {} is not a valid number: {s:?}", i + 1))
+            s.parse().map_err(|_| format!("argument {} is not a number in range: {s:?}", i + 1))
         }
     }
 }
@@ -232,7 +228,7 @@ fn serve(args: &[String]) {
             std::process::exit(1);
         }
     };
-    // The log line the CI smoke (and humans) parse for the bound port.
+    // The log line scripts/ci.sh (and humans) parse for the bound port.
     println!("listening on {}", server.addr());
     println!("workers={} queue={} cache={}", cfg.workers, cfg.queue, cfg.cache_capacity);
     server.join();
@@ -240,9 +236,11 @@ fn serve(args: &[String]) {
 }
 
 fn cluster(args: &[String]) {
-    let replicas: usize = num_arg("cluster", args, 0, 3);
+    // NonZero: a cluster of no replicas is garbage, not a request for one.
+    let replicas: NonZeroUsize =
+        num_arg("cluster", args, 0, NonZeroUsize::new(3).expect("3 is nonzero"));
     let port: u16 = num_arg("cluster", args, 1, 0);
-    let cfg = hec_cluster::ClusterConfig { replicas: replicas.max(1), port, ..Default::default() };
+    let cfg = hec_cluster::ClusterConfig { replicas: replicas.get(), port, ..Default::default() };
     let (replication, vnodes) = (cfg.replication, hec_cluster::DEFAULT_VNODES);
     let cluster = match hec_cluster::start(cfg) {
         Ok(c) => c,
@@ -251,7 +249,7 @@ fn cluster(args: &[String]) {
             std::process::exit(1);
         }
     };
-    // Same log line the serve smoke parses for the bound port.
+    // Same log line as `repro serve`.
     println!("listening on {}", cluster.addr());
     for i in 0..cluster.replica_count() {
         match cluster.replica_addr(i) {
@@ -264,40 +262,20 @@ fn cluster(args: &[String]) {
     println!("cluster: drained and stopped");
 }
 
-fn kill(args: &[String]) {
-    let (Some(url), Some(replica)) = (args.first(), args.get(1)) else {
-        usage_exit("kill", "wants a router URL and a replica index");
+/// `repro post <url> <path>`: one POST, the body on stdout, exit 1
+/// unless the answer is 200.
+fn post(args: &[String]) {
+    let (Some(url), Some(path)) = (args.first(), args.get(1)) else {
+        usage_exit("post", "wants a serve or router URL and a path");
     };
-    let url = format!("{}/admin/kill?replica={replica}", url.trim_end_matches('/'));
-    match hec_serve::client::http_post(&url, "") {
-        Ok(r) if r.status == 200 => println!("killed replica {replica}"),
-        Ok(r) => {
-            eprintln!("unexpected status {} from {url}: {}", r.status, r.body.trim());
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("could not reach {url}: {e}");
-            std::process::exit(1);
-        }
+    if !path.starts_with('/') {
+        usage_exit("post", &format!("the path must start with '/', got {path:?}"));
     }
-}
-
-fn scale(args: &[String]) {
-    let (Some(url), Some(dir)) = (args.first(), args.get(1)) else {
-        usage_exit("scale", "wants a router URL and a direction");
-    };
-    // The router owns the down policy (drain the highest current member,
-    // as the autoscaler does); either direction is one POST.
-    let action = match dir.as_str() {
-        "up" => "scale-up",
-        "down" => "scale-down",
-        other => usage_exit("scale", &format!("wants 'up' or 'down', got {other:?}")),
-    };
-    let url = format!("{}/admin/{action}", url.trim_end_matches('/'));
+    let url = format!("{}{path}", url.trim_end_matches('/'));
     match hec_serve::client::http_post(&url, "") {
         Ok(r) if r.status == 200 => print!("{}", r.body),
         Ok(r) => {
-            eprintln!("{action} failed with status {}: {}", r.status, r.body.trim());
+            eprintln!("status {} from {url}: {}", r.status, r.body.trim());
             std::process::exit(1);
         }
         Err(e) => {
@@ -305,83 +283,6 @@ fn scale(args: &[String]) {
             std::process::exit(1);
         }
     }
-}
-
-fn loadgen(args: &[String]) {
-    let mut rate_rps = bench::loadgen::DEFAULT_RATE_RPS;
-    let mut seed: u64 = bench::loadgen::DEFAULT_SEED;
-    let mut positional: Vec<&String> = Vec::new();
-    for a in args {
-        if let Some(v) = a.strip_prefix("--rate=") {
-            match v.parse::<f64>() {
-                Ok(r) if r > 0.0 => rate_rps = r,
-                _ => usage_exit("loadgen", &format!("--rate wants a positive number, got {v:?}")),
-            }
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            match v.parse() {
-                Ok(s) => seed = s,
-                Err(_) => usage_exit("loadgen", &format!("--seed wants an integer, got {v:?}")),
-            }
-        } else {
-            positional.push(a);
-        }
-    }
-    let Some(url) = positional.first() else {
-        usage_exit("loadgen", "wants a target URL");
-    };
-    let secs: u64 = num_arg("loadgen", &positional, 1, bench::loadgen::DEFAULT_SECS);
-    let clients: usize = num_arg("loadgen", &positional, 2, bench::loadgen::DEFAULT_CLIENTS);
-    let open = bench::loadgen::OpenLoop { rate_rps, seed };
-    let errors = bench::loadgen::run(url, secs, clients, open);
-    if errors > 0 {
-        eprintln!("loadgen: {errors} error responses");
-        std::process::exit(1);
-    }
-}
-
-fn stop(args: &[String]) {
-    let Some(url) = args.first() else {
-        usage_exit("stop", "wants a serve or router URL");
-    };
-    let url = format!("{}/shutdown", url.trim_end_matches('/'));
-    match hec_serve::client::http_post(&url, "") {
-        Ok(r) if r.status == 200 => println!("stopping"),
-        Ok(r) => {
-            eprintln!("unexpected status {} from {url}", r.status);
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("could not reach {url}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn report_all() {
-    print!("{}", render::table1().render());
-    println!();
-    table2();
-    println!();
-    print!("{}", render::app_table(AppId::Fvcam).render());
-    println!();
-    print!("{}", render::fig3(&experiments::fvcam_rows(), &paper::FVCAM_PLATFORMS));
-    println!();
-    print!(
-        "{}",
-        render::fig4(
-            &experiments::fvcam_rows(),
-            &paper::FVCAM_PLATFORMS,
-            fvcam::model::D_MESH_STEPS_PER_DAY
-        )
-    );
-    println!();
-    for app in [AppId::Gtc, AppId::Lbmhd, AppId::Paratec] {
-        print!("{}", render::app_table(app).render());
-        println!();
-    }
-    print!("{}", render::fig8(&experiments::fig8_apps(), &paper::PLATFORMS));
-    println!();
-    fig2(8);
 }
 
 fn table2() {
@@ -458,7 +359,30 @@ mod tests {
     #[test]
     fn usage_line_comes_from_the_command_table() {
         assert_eq!(usage_line("cluster"), "usage: repro cluster <replicas> [port]");
-        assert_eq!(usage_line("table5"), "usage: repro table5");
+        assert_eq!(usage_line("post"), "usage: repro post <url> <path>");
+        assert_eq!(usage_line("validate"), "usage: repro validate");
+    }
+
+    #[test]
+    fn report_takes_unique_section_names_and_defaults_to_all_in_paper_order() {
+        let names = |v: Vec<&Section>| v.iter().map(|s| s.name).collect::<Vec<_>>();
+        let all = names(select_sections(&[]).unwrap());
+        assert_eq!(
+            all,
+            [
+                "table1", "table2", "table3", "fig3", "fig4", "table4", "table5", "table6", "fig8",
+                "fig2"
+            ]
+        );
+        for (i, n) in all.iter().enumerate() {
+            assert!(!all[..i].contains(n), "duplicate section {n}");
+            assert!(usage().contains(&format!(" {n}")), "usage() does not list {n}");
+        }
+        let pick = ["table5".to_string(), "fig3".to_string()];
+        assert_eq!(names(select_sections(&pick).unwrap()), ["table5", "fig3"], "order as given");
+        // What `report` hands to usage_exit: the bad name and the valid ones.
+        let why = select_sections(&["table5".to_string(), "table7".to_string()]).err().unwrap();
+        assert!(why.contains("\"table7\"") && why.contains("table1|table2|"), "{why}");
     }
 
     #[test]
@@ -469,5 +393,8 @@ mod tests {
         let err = parse_arg(&args, 2, 4usize).unwrap_err();
         assert!(err.contains("\"2x\"") && err.contains("argument 3"), "{err}");
         assert!(parse_arg(&["-1"], 0, 0u16).is_err(), "out of range is garbage too");
+        // `repro cluster 0`: no replicas is an error, not a cluster of one.
+        assert!(parse_arg(&["0"], 0, NonZeroUsize::MIN).is_err());
+        assert_eq!(parse_arg(&["2"], 0, NonZeroUsize::MIN).map(NonZeroUsize::get), Ok(2));
     }
 }

@@ -7,52 +7,34 @@
 //!
 //! * `TABLE_<tag>.json` — Tables 3–6 as the serve engine's sweep
 //!   documents (cell values derived from measured counters; exact).
-//! * `CANON_eval.json` — the canonical response bytes for every eval
-//!   query in the load workload (the serving determinism contract,
-//!   byte for byte; exact).
+//! * `CANON_eval.json` — the canonical response bytes for every query
+//!   in [`crate::artifact::eval_queries`] (the serving determinism
+//!   contract, byte for byte; exact).
 //! * `PROFILE_<tag>.json` — per-phase calibration captures and derived
 //!   workloads (counters exact, span timings ignored).
-//! * `BENCH_serve.json` / `BENCH_cluster.json` — load tests against an
-//!   in-process server and cluster (error counts, seeded provenance and
-//!   elasticity counters exact; throughput and latency printed for
-//!   humans and ignored by the diff).
 //!
-//! Nothing here is a performance measurement: kernel, app, model and
-//! serving timings are `benchmark/`'s job. The load-test sizes are
-//! constants tuned for a CI smoke; the stamp records them as
-//! provenance.
+//! Nothing here starts a server or offers load: what a served request
+//! returns under kills, churn and autoscaling is asserted in-process by
+//! `tests/serve_*.rs` and `tests/cluster_*.rs`, and how fast anything
+//! runs is `benchmark/`'s job.
 
 use hec_core::json::Json;
 use hec_serve::engine::{self, AppId};
 use hec_serve::request::Point;
 use hec_serve::server;
 
-use crate::artifact::{app_tag, Meta, Writer};
+use crate::artifact::{app_tag, eval_queries, Meta, Writer};
 
 /// Default output directory for `repro all`.
 pub const DEFAULT_DIR: &str = "artifacts";
-/// Load-test duration per target, seconds.
-const SECS: u64 = 2;
-/// Load-test sender threads.
-const CLIENTS: usize = 4;
-/// Cluster replicas. Like the offered rate, an exact field of
-/// `BENCH_cluster.json`: changing it means regenerating `baseline/`.
-const REPLICAS: usize = 3;
 
 /// Runs the full pipeline into `dir`.
 ///
 /// # Errors
 /// Returns a message naming the stage that failed: directory creation,
-/// an infeasible evaluation point, a server that would not start, or a
-/// load test that produced error responses.
+/// an invalid canonical query, or an artifact that could not be written.
 pub fn run_all(dir: &str) -> Result<(), String> {
-    // A fixed seeded rate, so the arrival schedule is identical run to run.
-    let open = crate::loadgen::OpenLoop {
-        rate_rps: crate::loadgen::DEFAULT_RATE_RPS,
-        seed: crate::loadgen::DEFAULT_SEED,
-    };
-
-    let meta = Meta::collect(SECS, CLIENTS, REPLICAS);
+    let meta = Meta::collect();
     let w = Writer::new(dir, &meta).map_err(|e| format!("cannot create {dir}: {e}"))?;
     println!(
         "repro all -> {dir} (commit {}, {} workers, config {})",
@@ -68,7 +50,7 @@ pub fn run_all(dir: &str) -> Result<(), String> {
     }
 
     println!("\n== canonical eval responses (byte-exact) ==");
-    let responses: Vec<Json> = crate::loadgen::eval_queries()
+    let responses: Vec<Json> = eval_queries()
         .into_iter()
         .map(|q| {
             let point = Point::from_query(&q)
@@ -86,48 +68,7 @@ pub fn run_all(dir: &str) -> Result<(), String> {
     println!("\n== profiles (counters exact, timings ignored) ==");
     crate::profile::run_into(&w);
 
-    println!("== serve load test ({SECS}s x {CLIENTS} clients) ==");
-    let cfg = server::ServeConfig::default();
-    let srv = server::start(cfg).map_err(|e| format!("cannot start hec-serve: {e}"))?;
-    let errors =
-        crate::loadgen::run_into(&w, &format!("http://{}", srv.addr()), SECS, CLIENTS, open);
-    srv.shutdown();
-    srv.join();
-    if errors > 0 {
-        return Err(format!("serve load test saw {errors} error responses"));
-    }
-
-    println!("\n== cluster load test ({REPLICAS} replicas, {SECS}s x {CLIENTS} clients) ==");
-    let mut cfg = hec_cluster::ClusterConfig { replicas: REPLICAS, ..Default::default() };
-    // The cluster phase exercises elasticity deterministically: two
-    // seeded stall bursts push the inter-tick p99 over the autoscaler's
-    // threshold (one scale-up), the calm remainder of the run drains it
-    // back (one scale-down), and min/max pin the decisions to exactly
-    // +1/−1 so `repro diff` can gate them bit-for-bit. Router workers
-    // are pinned to 2 because the queue and latency signals the
-    // autoscaler samples must not depend on the host's core count.
-    cfg.workers = 2;
-    cfg.autoscale = Some(hec_cluster::AutoscaleConfig::bounded(REPLICAS, REPLICAS + 1));
-    cfg.faults = hec_cluster::FaultPlan::with(
-        [40u64, 41, 52, 53]
-            .into_iter()
-            .map(|at| hec_cluster::FaultEvent {
-                at_request: at,
-                replica: 0,
-                kind: hec_cluster::FaultKind::StallMs(250),
-            })
-            .collect(),
-    );
-    let cluster = hec_cluster::start(cfg).map_err(|e| format!("cannot start hec-cluster: {e}"))?;
-    let errors =
-        crate::loadgen::run_into(&w, &format!("http://{}", cluster.addr()), SECS, CLIENTS, open);
-    cluster.shutdown();
-    cluster.join();
-    if errors > 0 {
-        return Err(format!("cluster load test saw {errors} error responses"));
-    }
-
-    println!("\nrepro all: artifacts complete in {dir}");
+    println!("repro all: artifacts complete in {dir}");
     Ok(())
 }
 
@@ -139,7 +80,7 @@ mod tests {
     fn every_canonical_query_evaluates_to_a_feasible_point() {
         // run_all snapshots these bodies as the byte-exact contract;
         // every query must resolve to a real cell, not a null body.
-        for q in crate::loadgen::eval_queries() {
+        for q in eval_queries() {
             let p = Point::from_query(&q).unwrap();
             assert!(
                 engine::eval_cell(p.app, p.sel, &p.spec).is_some(),

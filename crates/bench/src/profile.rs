@@ -3,10 +3,10 @@
 //! Runs every application's calibration capture (the same captures the
 //! measured Table 3–6 path consumes), derives a representative measured
 //! workload profile from each, and writes one `PROFILE_<app>.json` per
-//! application next to the `BENCH_*.json` artifacts. Each file carries
-//! the raw capture — per-phase hardware-style counters plus span
-//! timings — and the derived per-processor workload, so profile changes
-//! can be diffed across commits the same way bench results are.
+//! application. Each file carries the raw capture — per-phase
+//! hardware-style counters plus span timings — and the derived
+//! per-processor workload, so profile changes can be diffed across
+//! commits (`repro diff`: counters exact, span timings ignored).
 
 use hec_arch::WorkloadProfile;
 use hec_core::json::{Json, ToJson};
@@ -110,8 +110,8 @@ pub fn file_name(p: &AppProfile) -> String {
 /// with a fresh metadata stamp (the standalone `repro profile` entry
 /// point).
 pub fn run() {
-    let meta = crate::artifact::Meta::collect(0, 0, 0);
-    run_into(&crate::artifact::Writer::cwd(&meta));
+    let meta = crate::artifact::Meta::collect();
+    run_into(&crate::artifact::Writer::new(".", &meta).expect("the current directory exists"));
 }
 
 /// Runs the captures, prints a per-phase summary, and writes one

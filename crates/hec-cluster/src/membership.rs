@@ -29,8 +29,8 @@
 //! the highest member, bounded by `[min, max]` with a cooldown between
 //! decisions. Because ticks are keyed to the admitted-request index —
 //! the same clock the fault plan uses — a seeded run makes the *same
-//! decisions at the same indices* every time, which is what lets the
-//! bench pipeline gate `autoscale_decisions` bit-for-bit.
+//! decisions at the same indices* every time, which is what lets
+//! `tests/cluster_elasticity.rs` assert the decision counts exactly.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

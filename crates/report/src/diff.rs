@@ -106,7 +106,7 @@ mod tests {
             "d",
             &[
                 f(FindingKind::Extra, "TABLE_new.json", ""),
-                f(FindingKind::Missing, "BENCH_serve.json", "errors"),
+                f(FindingKind::Missing, "CANON_eval.json", "responses[0].body"),
                 f(FindingKind::Drift, "TABLE_gtc.json", "rows[0].cells[1].gflops_per_proc"),
             ],
         );
@@ -128,11 +128,11 @@ mod tests {
             f(FindingKind::Missing, "b", "y"),
             f(FindingKind::Missing, "b", "z"),
         ];
-        let s = summary_line(&fs, 11);
+        let s = summary_line(&fs, 9);
         assert!(s.contains("FAILED"));
         assert!(s.contains("1 drift"));
         assert!(s.contains("2 missing"));
         assert!(s.contains("0 extra"));
-        assert!(summary_line(&[], 11).contains("ok — 11 artifacts compared"));
+        assert!(summary_line(&[], 9).contains("ok — 9 artifacts compared"));
     }
 }

@@ -6,13 +6,10 @@
 //! * [`paper`] — the published values of Tables 3–6 (Gflop/s per
 //!   processor) and helpers for shape comparisons (who wins, by what
 //!   factor) between our model's predictions and the paper.
-//! * [`latency`] — latency/throughput summaries for the serve
-//!   benchmark (`repro loadgen`).
 //! * [`diff`] — the findings table `repro diff` prints when two artifact
 //!   directories disagree (drift / missing / extra).
 
 pub mod diff;
-pub mod latency;
 pub mod paper;
 pub mod plot;
 pub mod table;

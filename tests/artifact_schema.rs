@@ -6,7 +6,7 @@
 //! the JSON layer being a fixed point: parse → emit → parse must
 //! reproduce the same document, and emit must be deterministic. The
 //! committed `baseline/` directory supplies one real instance of every
-//! schema (TABLE_*, CANON_*, PROFILE_*, BENCH_*), so this test covers
+//! schema (TABLE_*, CANON_*, PROFILE_*), so this test covers
 //! exactly what the pipeline writes, not a synthetic approximation.
 
 use hec_core::json::Json;
@@ -28,8 +28,6 @@ fn baseline_files() -> Vec<(String, String)> {
     assert_eq!(
         names,
         [
-            "BENCH_cluster.json",
-            "BENCH_serve.json",
             "CANON_eval.json",
             "PROFILE_fvcam.json",
             "PROFILE_gtc.json",

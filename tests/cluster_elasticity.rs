@@ -5,72 +5,23 @@
 //! ring-predicted set; (ii) the admin scale/drain endpoints round-trip
 //! with hard input validation; (iii) the autoscaler makes deterministic
 //! up and down decisions from the routed load alone, bounded by
-//! min/max, and a drained replica retires with zero open connections.
+//! min/max, and a drained replica retires with zero open connections;
+//! (iv) the default policy (`AutoscaleConfig::bounded`) answers a
+//! seeded stall burst with exactly one scale-up and the calm after it
+//! with exactly one scale-down.
 
 use std::time::Duration;
 
 use hec_cluster::{
-    owners_diff, stable_hash, AutoscaleConfig, ClusterConfig, FaultPlan, HealthConfig, Ring,
+    owners_diff, stable_hash, AutoscaleConfig, FaultEvent, FaultKind, FaultPlan, Ring,
     DEFAULT_VNODES,
 };
 use hec_core::json::Json;
 use hec_serve::client::{self, RetryPolicy};
 use hec_serve::request::Point;
-use hec_serve::server::{self, ServeConfig};
 
-fn cluster_cfg(replicas: usize, faults: FaultPlan) -> ClusterConfig {
-    ClusterConfig {
-        replicas,
-        replica: ServeConfig { port: 0, workers: 2, queue: 32, cache_capacity: 512 },
-        retry: RetryPolicy {
-            base_ms: 5,
-            cap_ms: 50,
-            max_retries: 4,
-            timeout: Duration::from_secs(10),
-        },
-        health: HealthConfig {
-            interval: Duration::from_millis(50),
-            probe_timeout: Duration::from_millis(300),
-        },
-        faults,
-        ..ClusterConfig::default()
-    }
-}
-
-/// The byte-identity workload: the same eight queries the static
-/// cluster e2e uses, paired with the single-process oracle bytes.
-fn expected_bodies() -> Vec<(String, String)> {
-    [
-        "app=gtc&platform=x1msp&procs=256",
-        "app=gtc&platform=4ssp&procs=512",
-        "app=lbmhd&platform=es&procs=1024&n=1024",
-        "app=lbmhd&platform=sx8&procs=512&n=512",
-        "app=paratec&platform=power3&procs=128",
-        "app=paratec&platform=es&procs=512",
-        "app=fvcam&platform=power3&procs=256&pz=4",
-        "app=fvcam&platform=x1msp&procs=336&pz=7",
-    ]
-    .into_iter()
-    .map(|q| {
-        let p = Point::from_query(q).expect(q);
-        (q.to_string(), server::point_response_body(&p, p.eval()))
-    })
-    .collect()
-}
-
-fn metrics(base: &str) -> Json {
-    let body = client::http_get(&format!("{base}/metrics")).unwrap().body;
-    Json::parse(&body).unwrap()
-}
-
-fn metric(base: &str, path: &[&str]) -> f64 {
-    let doc = metrics(base);
-    let mut v = &doc;
-    for p in path {
-        v = v.get(p).unwrap_or_else(|| panic!("missing /metrics field {path:?}"));
-    }
-    v.as_f64().unwrap()
-}
+mod common;
+use common::{cluster_cfg, expected_bodies, metric, metrics};
 
 /// Member IDs listed in `cluster.replicas` (current epoch only).
 fn member_ids(base: &str) -> Vec<usize> {
@@ -109,6 +60,18 @@ fn predicted_moves(old_members: &[usize], new_members: &[usize], r: usize) -> u6
         .count() as u64
 }
 
+/// Admission `i` of a sequential run over the workload: one retrying
+/// GET that must answer 200 with the oracle bytes.
+fn request_in_order(base: &str, cases: &[(String, String)], i: u64) {
+    let policy =
+        RetryPolicy { base_ms: 5, cap_ms: 50, max_retries: 6, timeout: Duration::from_secs(10) };
+    let (query, want) = &cases[(i as usize) % cases.len()];
+    let out = client::get_with_retry(&format!("{base}/eval?{query}"), &policy, i)
+        .unwrap_or_else(|e| panic!("request {i} ({query}) failed in transport: {e}"));
+    assert_eq!(out.response.status, 200, "request {i} ({query})");
+    assert_eq!(out.response.body, *want, "request {i}: bytes drifted under churn");
+}
+
 /// (i) Churn pinned to the admitted clock — two scale-ups and a drain
 /// mid-load — is invisible to clients: every request answers 200 with
 /// the oracle bytes, and the rebalance moves exactly the keys the ring
@@ -120,17 +83,11 @@ fn seeded_churn_plan_loses_nothing_and_moves_exactly_the_predicted_keys() {
     let c = hec_cluster::start(cluster_cfg(2, plan)).unwrap();
     let base = format!("http://{}", c.addr());
     let cases = expected_bodies();
-    let policy =
-        RetryPolicy { base_ms: 5, cap_ms: 50, max_retries: 6, timeout: Duration::from_secs(10) };
 
     // Sequential requests advance the admitted index 0,1,2,…: the whole
     // workload is tracked by index 8, well before the first flip at 24.
     for i in 0..64u64 {
-        let (query, want) = &cases[(i as usize) % cases.len()];
-        let out = client::get_with_retry(&format!("{base}/eval?{query}"), &policy, i)
-            .unwrap_or_else(|e| panic!("request {i} ({query}) failed in transport: {e}"));
-        assert_eq!(out.response.status, 200, "request {i} ({query})");
-        assert_eq!(out.response.body, *want, "request {i}: bytes drifted under churn");
+        request_in_order(&base, &cases, i);
     }
 
     assert_eq!(metric(&base, &["errors"]), 0.0, "churn must admit zero errors");
@@ -282,6 +239,55 @@ fn autoscaler_drains_idle_capacity_down_to_min() {
     assert_eq!(member_ids(&base), vec![0, 1], "down drains the highest member");
     assert_eq!(retired_connections(&base, 2), Some(0.0), "victim drains to zero connections");
     assert_eq!(metric(&base, &["errors"]), 0.0);
+    c.shutdown();
+    c.join();
+}
+
+/// (iv) The default policy end to end, on the admitted clock alone:
+/// four seeded 250 ms stalls land two in each of two consecutive
+/// 16-admission windows (indices 40/41 and 52/53), so the ticks at 47
+/// and 63 both read a busy p99 and the second one scales 3 → 4; `max`
+/// pins it there. After the 4-tick cooldown the calm traffic adds up
+/// to 12 idle ticks and the highest member is drained, 4 → 3; `min`
+/// pins that. Requests are sequential, so the queue signal stays at
+/// zero and the decisions depend on nothing but the plan.
+#[test]
+fn default_autoscale_policy_scales_up_once_on_a_stall_burst_then_drains_back() {
+    let stalls = [40u64, 41, 52, 53]
+        .into_iter()
+        .map(|at| FaultEvent { at_request: at, replica: 0, kind: FaultKind::StallMs(250) })
+        .collect();
+    let mut cfg = cluster_cfg(3, FaultPlan::with(stalls));
+    // The latency signal the autoscaler samples must not depend on the
+    // host's core count.
+    cfg.workers = 2;
+    cfg.autoscale = Some(AutoscaleConfig::bounded(3, 4));
+    let c = hec_cluster::start(cfg).unwrap();
+    let base = format!("http://{}", c.addr());
+    let cases = expected_bodies();
+
+    // Drive until the down decision has fired (the tick at admission
+    // 255 on a quiet host), checking at every tick boundary; the bound
+    // leaves room for a host busy enough to break the idle streak.
+    let mut admitted = 0u64;
+    while metric(&base, &["membership", "autoscale", "down"]) == 0.0 {
+        assert!(admitted < 1600, "no scale-down within {admitted} admissions");
+        for _ in 0..16 {
+            request_in_order(&base, &cases, admitted);
+            admitted += 1;
+        }
+    }
+
+    assert_eq!(metric(&base, &["errors"]), 0.0, "autoscaling must admit zero errors");
+    assert_eq!(metric(&base, &["faults", "remaining"]), 0.0);
+    assert_eq!(metric(&base, &["membership", "autoscale", "up"]), 1.0);
+    assert_eq!(metric(&base, &["membership", "autoscale", "down"]), 1.0);
+    assert_eq!(metric(&base, &["membership", "events"]), 2.0);
+    assert_eq!(member_ids(&base), vec![0, 1, 2], "down drains the member up added");
+    assert_eq!(retired_connections(&base, 3), Some(0.0), "member 3 drains to zero connections");
+    let want_moved = predicted_moves(&[0, 1, 2], &[0, 1, 2, 3], 2)
+        + predicted_moves(&[0, 1, 2, 3], &[0, 1, 2], 2);
+    assert_eq!(metric(&base, &["membership", "handoff", "keys_moved"]), want_moved as f64);
     c.shutdown();
     c.join();
 }

@@ -195,40 +195,76 @@ fn field<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
 fn wall_clock_and_sample_count_changes_are_tolerated() {
     let dir = copy_baseline("noise");
     // Simulated nondeterminism: a later creation stamp, a different
-    // commit and host, a different request count.
-    mutate(&dir, "BENCH_serve.json", |doc| {
-        let meta = field(doc, "meta");
-        *field(meta, "created_unix") = Json::Num(4e9);
-        *field(meta, "git_commit") = Json::Str("deadbeef0000".into());
-        *field(meta, "host") = Json::Str("plan9-mips-64cpu".into());
-        *field(meta, "samples") = Json::Num(99.0);
-        *field(doc, "requests") = Json::Num(123456.0);
-    });
-    // Everything a clock can move, tenfold: how fast the run went is
-    // `benchmark/`'s question, not this gate's.
-    mutate(&dir, "BENCH_cluster.json", |doc| {
-        let scale = |v: &mut Json| {
-            let Json::Num(n) = v else { panic!("timing fields are numbers") };
-            *n *= 10.0;
-        };
-        scale(field(doc, "throughput_rps"));
-        scale(field(doc, "rate_achieved_rps"));
-        scale(field(field(doc, "latency_us"), "p99"));
-        scale(field(doc, "warm_hits"));
+    // commit and host.
+    for file in ["TABLE_gtc.json", "PROFILE_gtc.json"] {
+        mutate(&dir, file, |doc| {
+            let meta = field(doc, "meta");
+            *field(meta, "created_unix") = Json::Num(4e9);
+            *field(meta, "git_commit") = Json::Str("deadbeef0000".into());
+            *field(meta, "host") = Json::Str("plan9-mips-64cpu".into());
+        });
+    }
+    // Everything a clock can move: a run that recorded span timings
+    // where the committed captures carry none. How fast the captures
+    // ran is `benchmark/`'s question, not this gate's.
+    fn add_timings(v: &mut Json) -> usize {
+        match v {
+            Json::Obj(fields) => {
+                let nested: usize = fields.iter_mut().map(|(_, v)| add_timings(v)).sum();
+                if fields.iter().all(|(k, _)| k != "phase") {
+                    return nested;
+                }
+                let span = [("total_ns", Json::Num(1e10)), ("calls", Json::Num(10.0))];
+                fields.push(("timing".to_string(), Json::obj(span)));
+                nested + 1
+            }
+            Json::Arr(items) => items.iter_mut().map(add_timings).sum(),
+            _ => 0,
+        }
+    }
+    mutate(&dir, "PROFILE_gtc.json", |doc| {
+        assert!(add_timings(doc) > 0, "PROFILE_gtc.json holds capture phases");
     });
     let d = dir.to_str().unwrap();
     assert_eq!(run_cli(&args(&[BASELINE, d])), EXIT_OK);
 
     // A different host stamp does not loosen the exact fields: one
-    // error response on that same foreign host is a named finding.
-    mutate(&dir, "BENCH_serve.json", |doc| *field(doc, "errors") = Json::Num(1.0));
-    assert_eq!(run_cli(&args(&[BASELINE, d])), EXIT_FINDINGS);
-    let old = bench::artifact::load_dir(Path::new(BASELINE)).unwrap();
-    let new = bench::artifact::load_dir(&dir).unwrap();
-    let report = diff_dirs(&old, &new);
-    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-    assert_eq!(report.findings[0].kind, FindingKind::Drift);
-    assert_eq!(report.findings[0].file, "BENCH_serve.json");
-    assert_eq!(report.findings[0].path, "errors");
+    // table cell, then one counter, on that same foreign host is exactly
+    // one named finding each.
+    for (file, top) in [("TABLE_gtc.json", "table"), ("PROFILE_gtc.json", "profile")] {
+        let before = std::fs::read(dir.join(file)).unwrap();
+        mutate(&dir, file, |doc| bump_first_num(doc, top, 1.0));
+        assert_eq!(run_cli(&args(&[BASELINE, d])), EXIT_FINDINGS);
+        let old = bench::artifact::load_dir(Path::new(BASELINE)).unwrap();
+        let new = bench::artifact::load_dir(&dir).unwrap();
+        let report = diff_dirs(&old, &new);
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        assert_eq!(report.findings[0].kind, FindingKind::Drift);
+        assert_eq!(report.findings[0].file, file);
+        assert!(report.findings[0].path.starts_with(top), "{}", report.findings[0].path);
+        std::fs::write(dir.join(file), before).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_baseline_with_the_retired_meta_keys_diffs_clean() {
+    // The committed baseline predates the removal of the load-test
+    // stamp; what `repro all` writes today lacks these keys. A key only
+    // one side carries is provenance, not a finding, whichever side.
+    const RETIRED: [&str; 4] = ["load_secs", "clients", "replicas", "samples"];
+    let dir = copy_baseline("retired");
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        mutate(&dir, &name, |doc| {
+            let Json::Obj(meta) = field(doc, "meta") else { panic!("{name}: meta is an object") };
+            let before = meta.len();
+            meta.retain(|(k, _)| !RETIRED.contains(&k.as_str()));
+            assert_eq!(before - meta.len(), RETIRED.len(), "{name} carries the retired keys");
+        });
+    }
+    let d = dir.to_str().unwrap();
+    assert_eq!(run_cli(&args(&[BASELINE, d])), EXIT_OK);
+    assert_eq!(run_cli(&args(&[d, BASELINE])), EXIT_OK);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -15,11 +15,12 @@ use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use hec_core::json::Json;
-use hec_serve::client;
 use hec_serve::engine::{self, AppId, PlatformSel, PointSpec};
 use hec_serve::request::Point;
 use hec_serve::server::{self, point_response_body, ServeConfig};
+
+mod common;
+use common::metric;
 
 const CLIENT_THREADS: usize = 8;
 const CONNS_PER_THREAD: usize = 125; // 8 * 125 = 1000 concurrent connections
@@ -69,15 +70,6 @@ fn os_threads() -> usize {
         // to vacuous, the functional assertions still run.
         Err(_) => 0,
     }
-}
-
-fn metric(base: &str, path: &[&str]) -> f64 {
-    let body = client::http_get(&format!("{base}/metrics")).unwrap().body;
-    let mut v = Json::parse(&body).unwrap();
-    for p in path {
-        v = v.get(p).unwrap_or_else(|| panic!("missing /metrics field {path:?}")).clone();
-    }
-    v.as_f64().unwrap()
 }
 
 #[test]

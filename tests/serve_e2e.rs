@@ -11,19 +11,12 @@ use hec_serve::engine::{AppId, PlatformSel, PointSpec};
 use hec_serve::request::Point;
 use hec_serve::server::{self, ServeConfig, Server};
 
+mod common;
+use common::metric;
+
 fn start(workers: usize, queue: usize) -> Server {
     server::start(ServeConfig { port: 0, workers, queue, cache_capacity: 1024 })
         .expect("bind ephemeral port")
-}
-
-fn metric(base: &str, path: &[&str]) -> f64 {
-    let body = client::http_get(&format!("{base}/metrics")).unwrap().body;
-    let doc = Json::parse(&body).unwrap();
-    let mut v = &doc;
-    for p in path {
-        v = v.get(p).unwrap_or_else(|| panic!("missing /metrics field {path:?}"));
-    }
-    v.as_f64().unwrap()
 }
 
 /// (i) Single-point responses, GET and POST, under concurrent clients,
