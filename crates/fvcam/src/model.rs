@@ -53,25 +53,59 @@ pub fn table3_configs(threads: usize) -> Vec<FvConfig> {
 /// latitude rows per MPI rank, or a vertical split finer than the level
 /// count) — the "—" entries of Table 3.
 pub fn workload(config: FvConfig) -> Option<WorkloadProfile> {
-    let grid = SphereGrid::d_mesh();
-    workload_on(&grid, config)
+    let mesh = Mesh::d();
+    Some(analytic(mesh, config, &pacing_block(mesh, config)?))
+}
+
+/// A grid with the two constants the model reads off it besides its
+/// dimensions.
+struct Mesh {
+    grid: SphereGrid,
+    /// Filtered latitude rows in one polar cap.
+    cap_rows: usize,
+    /// The polar filter's flops per filtered row.
+    filter_flops_per_row: f64,
+}
+
+impl Mesh {
+    fn new(grid: SphereGrid) -> Mesh {
+        let cap_rows = filtered_rows_global(&grid) / 2;
+        let filter_flops_per_row = PolarFilter::new(grid.nlon).flops_per_row();
+        Mesh { grid, cap_rows, filter_flops_per_row }
+    }
+
+    /// The D mesh, built once per process: its 361 `cos` calls and the
+    /// filter's Bluestein FFT plan would otherwise be most of the cost of
+    /// evaluating a point.
+    fn d() -> &'static Mesh {
+        static D: OnceLock<Mesh> = OnceLock::new();
+        D.get_or_init(|| Mesh::new(SphereGrid::d_mesh()))
+    }
 }
 
 /// The pacing rank's block of one decomposition: rank 0's latitude band
-/// (largest, and polar — it also carries the filter load), level group,
-/// and longitude chunk.
+/// (largest, and polar — it also carries the filter load), level group
+/// and longitude chunk, with the work units the calibration rates scale
+/// by.
 struct Pacing {
     nlat_loc: usize,
     nlev_loc: usize,
     nlon_chunk: usize,
     decomp: Decomp,
+    /// Advected cells.
+    cells: f64,
+    /// Filtered rows over all local levels.
+    rows: f64,
+    /// Remapped columns.
+    columns: f64,
 }
 
 /// Decomposition arithmetic shared by the analytic and measured builders.
 /// `None` when the configuration is infeasible (fewer than 3 latitude
 /// rows per MPI rank, or a vertical split finer than the level count) —
 /// the "—" entries of Table 3.
-fn pacing_block(grid: &SphereGrid, config: FvConfig) -> Option<Pacing> {
+fn pacing_block(mesh: &Mesh, config: FvConfig) -> Option<Pacing> {
+    let grid = &mesh.grid;
     let FvConfig { procs, pz, threads } = config;
     if procs % threads != 0 {
         return None;
@@ -87,13 +121,30 @@ fn pacing_block(grid: &SphereGrid, config: FvConfig) -> Option<Pacing> {
     }
     let (_, nlev_loc) = decomp.lev_group(grid.nlev, 0);
     let (_, nlon_chunk) = decomp.lon_chunk(grid.nlon, 0);
-    Some(Pacing { nlat_loc, nlev_loc, nlon_chunk, decomp })
+    Some(Pacing {
+        nlat_loc,
+        nlev_loc,
+        nlon_chunk,
+        decomp,
+        cells: (grid.nlon * nlat_loc * nlev_loc) as f64,
+        // The pacing (polar) rank filters min(nlat_loc, rows-in-cap) rows
+        // per level.
+        rows: nlat_loc.min(mesh.cap_rows) as f64 * nlev_loc as f64,
+        columns: (nlon_chunk * nlat_loc) as f64,
+    })
 }
 
 /// [`workload`] for an arbitrary grid (used by the validation tests).
 pub fn workload_on(grid: &SphereGrid, config: FvConfig) -> Option<WorkloadProfile> {
+    let mesh = Mesh::new(grid.clone());
+    Some(analytic(&mesh, config, &pacing_block(&mesh, config)?))
+}
+
+/// The analytic profile of one feasible configuration.
+fn analytic(mesh: &Mesh, config: FvConfig, b: &Pacing) -> WorkloadProfile {
+    let grid = &mesh.grid;
     let FvConfig { procs, pz, threads } = config;
-    let Pacing { nlat_loc, nlev_loc, nlon_chunk, decomp } = pacing_block(grid, config)?;
+    let &Pacing { nlat_loc, nlev_loc, nlon_chunk, decomp, cells, rows, columns } = b;
     let t = threads as f64;
 
     let mut w = WorkloadProfile::new("FVCAM", procs);
@@ -101,7 +152,6 @@ pub fn workload_on(grid: &SphereGrid, config: FvConfig) -> Option<WorkloadProfil
     // --- Dynamics: flux-form advection over the local block. After the
     // §3.1 loop interchange the vector loops run over latitude, so the
     // vector length is the per-rank latitude count (threads widen it back).
-    let cells = (grid.nlon * nlat_loc * nlev_loc) as f64;
     let mut dyn_ph = PhaseProfile::new("fv dynamics");
     dyn_ph.flops = cells * FLOPS_PER_CELL / t;
     // Pervasive upwind branches: the vector version pre-computes the
@@ -121,13 +171,9 @@ pub fn workload_on(grid: &SphereGrid, config: FvConfig) -> Option<WorkloadProfil
     w.phases.push(dyn_ph);
 
     // --- Polar filters: FFTs along full longitude lines, vectorized
-    // *across* the filtered latitudes of this rank. The pacing (polar)
-    // rank filters min(nlat_loc, rows-in-cap) rows per level.
-    let cap_rows = filtered_rows_global(grid) / 2;
-    let rows = nlat_loc.min(cap_rows) as f64 * nlev_loc as f64;
-    let filter = PolarFilter::new(grid.nlon);
+    // *across* the filtered latitudes of this rank.
     let mut fft_ph = PhaseProfile::new("polar filter FFTs");
-    fft_ph.flops = rows * filter.flops_per_row() / t;
+    fft_ph.flops = rows * mesh.filter_flops_per_row / t;
     fft_ph.vector_fraction = 0.95;
     // Vectorized across FFTs: the batch is the filtered-row count. "No
     // workaround for this issue is apparent" (§3.1) — it shrinks with P.
@@ -142,7 +188,6 @@ pub fn workload_on(grid: &SphereGrid, config: FvConfig) -> Option<WorkloadProfil
 
     // --- Vertical remap + physics surrogate (column-local, in the
     // (longitude, latitude) decomposition).
-    let columns = (nlon_chunk * nlat_loc) as f64;
     let mut remap_ph = PhaseProfile::new("remap + physics");
     remap_ph.flops =
         columns * (remap_flops(grid.nlev) + PHYSICS_FLOPS_PER_POINT * grid.nlev as f64) / t;
@@ -178,7 +223,7 @@ pub fn workload_on(grid: &SphereGrid, config: FvConfig) -> Option<WorkloadProfil
             w.comm.push(CommEvent::Transpose { bytes_per_rank: transpose_bytes, procs: pz as f64 });
         }
     }
-    Some(w)
+    w
 }
 
 /// One small instrumented run, cached process-wide: a latitude-reduced D
@@ -206,16 +251,16 @@ pub fn calibration_capture() -> &'static Capture {
 /// the dynamics, per-filtered-row for the polar FFTs, per-column for
 /// remap+physics. Shape fields and communication events stay analytic.
 pub fn measured_workload(config: FvConfig) -> Option<WorkloadProfile> {
-    let grid = SphereGrid::d_mesh();
-    let mut w = workload_on(&grid, config)?;
-    let Pacing { nlat_loc, nlev_loc, nlon_chunk, .. } = pacing_block(&grid, config)?;
+    measured(Mesh::d(), config)
+}
+
+/// [`measured_workload`] on any mesh.
+fn measured(mesh: &Mesh, config: FvConfig) -> Option<WorkloadProfile> {
+    let b = pacing_block(mesh, config)?;
+    let mut w = analytic(mesh, config, &b);
+    let Pacing { cells, rows, columns, .. } = b;
     let t = config.threads as f64;
     let cap = calibration_capture();
-
-    let cells = (grid.nlon * nlat_loc * nlev_loc) as f64;
-    let cap_rows = filtered_rows_global(&grid) / 2;
-    let rows = nlat_loc.min(cap_rows) as f64 * nlev_loc as f64;
-    let columns = (nlon_chunk * nlat_loc) as f64;
 
     // Calibration-unit denominators: cells from the innermost trip
     // count, rows and columns from the vector-loop (outer) counts.
@@ -342,6 +387,61 @@ mod tests {
             }
             assert_eq!(m.comm, a.comm);
         }
+    }
+
+    /// Every extensive and shape field of every phase, as bits.
+    fn field_bits(w: &WorkloadProfile) -> Vec<[u64; 10]> {
+        w.phases
+            .iter()
+            .map(|p| {
+                [
+                    p.flops,
+                    p.unit_stride_bytes,
+                    p.gather_scatter_bytes,
+                    p.vector_fraction,
+                    p.avg_vector_length,
+                    p.cacheable_fraction,
+                    p.dense_fraction,
+                    p.working_set_bytes,
+                    p.concurrent_streams,
+                    p.outer_parallelism,
+                ]
+                .map(f64::to_bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_d_mesh_constants_equal_freshly_computed_ones() {
+        // A fresh grid with its constants computed anew, built the way
+        // `workload_on` builds one per call (once here: the filter's FFT
+        // plan is most of a debug-build evaluation).
+        let fresh = Mesh::new(SphereGrid::d_mesh());
+        let analytic_on_fresh =
+            |config| Some(analytic(&fresh, config, &pacing_block(&fresh, config)?));
+        let (mut feasible, mut infeasible) = (0, 0);
+        for procs in 1..=2048 {
+            for pz in [1, 2, 4, 7] {
+                for threads in [1, 4] {
+                    let config = FvConfig { procs, pz, threads };
+                    for (cached, want) in [
+                        (workload(config), analytic_on_fresh(config)),
+                        (measured_workload(config), measured(&fresh, config)),
+                    ] {
+                        match (cached, want) {
+                            (Some(a), Some(b)) => {
+                                assert_eq!(field_bits(&a), field_bits(&b), "{config:?}");
+                                assert_eq!(a.comm, b.comm, "{config:?}");
+                                feasible += 1;
+                            }
+                            (None, None) => infeasible += 1,
+                            _ => panic!("feasibility differs at {config:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(feasible > 0 && infeasible > 0, "{feasible} feasible, {infeasible} not");
     }
 
     #[test]

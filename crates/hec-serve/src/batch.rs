@@ -1,10 +1,11 @@
 //! Micro-batching of concurrent cache misses, leader/follower style.
 //!
-//! When several workers miss the cache at once for the same application,
-//! evaluating each point independently wastes work twice over: identical
-//! points would run the model repeatedly, and distinct points for the
-//! same app would each pay the app's calibration-capture lookup. Here
-//! the first misser of an app becomes the *leader*: it drains every
+//! When several workers miss the cache at once for the same point,
+//! evaluating each request independently would run the model once per
+//! request. That is the one saving here: identical concurrent points run
+//! the model once. Distinct points gain nothing from sharing a batch —
+//! an app's calibration capture is a `OnceLock` read either way. The
+//! first misser of an app becomes the *leader*: it drains every
 //! pending point for that app (deduplicated by canonical key) and
 //! evaluates them as one batch while followers wait on a condvar. A
 //! point is evaluated exactly once no matter how many requests wait on

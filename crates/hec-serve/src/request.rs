@@ -8,9 +8,12 @@
 use crate::engine::{self, AppId, Cell, PlatformSel, PointSpec};
 use hec_core::json::Json;
 
-/// Upper bound on `procs` a request may ask for. The models are closed
-/// form, but pathological concurrencies would still spend unbounded time
-/// in per-rank loops; the paper's largest configuration is 32 768-way.
+/// Upper bound on `procs` a request may ask for; the paper's largest
+/// configuration is 32 768-way. The models are closed form, and the
+/// costliest point under this bound is an LBMHD one at a divisor-rich
+/// `procs`, since LBMHD factors it: about 10 µs per evaluation at
+/// `procs` = 720 720 (release build, measured), against ≤ 3 µs for the
+/// other three apps at any `procs`.
 pub const MAX_PROCS: usize = 1 << 20;
 /// Upper bound on LBMHD's grid edge (the paper tops out at 1024³).
 pub const MAX_GRID_N: usize = 1 << 14;
@@ -308,6 +311,36 @@ mod tests {
             spec: crate::engine::PointSpec::procs(7),
         };
         let _ = p.eval(); // Some or None both fine — just must not panic.
+    }
+
+    #[test]
+    fn the_largest_concurrencies_evaluate_to_finite_cells() {
+        // 720 720 is the most divisor-rich `procs` under the bound.
+        let mut sels: Vec<PlatformSel> =
+            PlatformId::ALL.into_iter().map(PlatformSel::Direct).collect();
+        sels.push(PlatformSel::Agg4Ssp);
+        for procs in [720_720, MAX_PROCS] {
+            for app in AppId::ALL {
+                let spec = PointSpec {
+                    procs,
+                    pz: (app == AppId::Fvcam).then_some(1),
+                    n: (app == AppId::Lbmhd).then_some(1024),
+                };
+                for &sel in &sels {
+                    let cell = engine::eval_cell(app, sel, &spec);
+                    if app == AppId::Fvcam {
+                        // Under 3 latitude rows per rank on any split.
+                        assert!(cell.is_none(), "{app:?} {sel:?} procs={procs}");
+                        continue;
+                    }
+                    let c = cell.unwrap_or_else(|| panic!("{app:?} {sel:?} procs={procs}"));
+                    assert!(
+                        c.gflops.is_finite() && c.pct_peak.is_finite() && c.step_secs.is_finite(),
+                        "{app:?} {sel:?} procs={procs}: {c:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

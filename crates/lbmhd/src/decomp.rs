@@ -15,21 +15,26 @@ use msim::Comm;
 
 use crate::state::Block;
 
-/// Factorization of `p` ranks into a 3D processor grid, closest to a cube.
+/// Factorization of `p` ranks into a 3D processor grid, closest to a cube:
+/// the `[px, py, pz]` with the lowest surface-to-volume score, ties going
+/// to the lexicographically smallest `(px, py)`.
 pub fn processor_grid(p: usize) -> [usize; 3] {
+    // The score is symmetric in the three extents, so sorting any minimizer
+    // gives a minimizer no later in (px, py) order: the answer has
+    // px ≤ py ≤ pz, hence px³ ≤ p and py² ≤ p / px, and both are divisors
+    // of `p` no larger than √p.
+    let divisors: Vec<usize> =
+        (1..).take_while(|&d| d <= p / d).filter(|&d| p.is_multiple_of(d)).collect();
     let mut best = [p, 1, 1];
     let mut best_score = usize::MAX;
-    for px in 1..=p {
-        if p % px != 0 {
-            continue;
-        }
+    for (i, &px) in divisors.iter().enumerate().take_while(|&(_, &px)| px * px <= p / px) {
         let rem = p / px;
-        for py in 1..=rem {
-            if rem % py != 0 {
+        for &py in divisors[i..].iter().take_while(|&&py| py <= rem / py) {
+            if !rem.is_multiple_of(py) {
                 continue;
             }
             let pz = rem / py;
-            // Surface-to-volume proxy: sum of pairwise maxima.
+            // Surface-to-volume proxy: product of pairwise maxima.
             let score = px.max(py) * py.max(pz) * px.max(pz);
             if score < best_score {
                 best_score = score;
@@ -124,6 +129,51 @@ pub fn exchange_halos(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::TABLE5_CONFIGS;
+
+    /// The original `(px, py)` ascending scan over `1..=p`: the first
+    /// minimum wins.
+    fn processor_grid_reference(p: usize) -> [usize; 3] {
+        let mut best = [p, 1, 1];
+        let mut best_score = usize::MAX;
+        for px in 1..=p {
+            if p % px != 0 {
+                continue;
+            }
+            let rem = p / px;
+            for py in 1..=rem {
+                if rem % py != 0 {
+                    continue;
+                }
+                let pz = rem / py;
+                let score = px.max(py) * py.max(pz) * px.max(pz);
+                if score < best_score {
+                    best_score = score;
+                    best = [px, py, pz];
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn processor_grid_matches_the_brute_force_reference() {
+        let awkward = [
+            27_720,
+            30_240,
+            32_760,
+            32_768,
+            720_720,
+            997_920,
+            (1 << 20) - 1,
+            1 << 20,
+            1_048_573, // prime
+        ];
+        let table5 = TABLE5_CONFIGS.iter().map(|&(procs, _)| procs);
+        for p in (1..=4096).chain(table5).chain(awkward) {
+            assert_eq!(processor_grid(p), processor_grid_reference(p), "p={p}");
+        }
+    }
 
     #[test]
     fn processor_grid_is_exact_factorization() {

@@ -17,14 +17,47 @@ use crate::decomp::{local_extent, processor_grid};
 use crate::lattice::Q;
 use crate::sim::{SimParams, Simulation};
 
+/// The pacing rank's block of the (`n`, `procs`) decomposition: rank 0
+/// owns the largest block.
+struct Pacing {
+    /// Processor-grid shape.
+    dims: [usize; 3],
+    /// Rank 0's local extents.
+    ext: [usize; 3],
+}
+
+/// Decomposition arithmetic shared by the analytic and measured builders.
+fn pacing_block(n: usize, procs: usize) -> Pacing {
+    let dims = processor_grid(procs);
+    Pacing { dims, ext: dims.map(|d| local_extent(n, d, 0)) }
+}
+
+impl Pacing {
+    /// Lattice points of the block.
+    fn points(&self) -> f64 {
+        (self.ext[0] * self.ext[1] * self.ext[2]) as f64
+    }
+
+    /// Bytes of one face message along each axis: all Q + 3Q
+    /// distributions over a padded face (the 3-sweep corner-propagating
+    /// exchange).
+    fn face_bytes(&self) -> [f64; 3] {
+        let [lx, ly, lz] = self.ext;
+        let face = |a: usize, b: usize| ((a + 2) * (b + 2)) as f64 * (4 * Q) as f64 * 8.0;
+        [face(ly, lz), face(lx, lz), face(lx, ly)]
+    }
+}
+
 /// Workload profile for one timestep of LBMHD3D on a `n³` global grid over
 /// `procs` ranks.
 pub fn workload(n: usize, procs: usize) -> WorkloadProfile {
-    let dims = processor_grid(procs);
-    // Rank 0 owns the largest block — the pacing rank.
-    let (lx, ly, lz) =
-        (local_extent(n, dims[0], 0), local_extent(n, dims[1], 0), local_extent(n, dims[2], 0));
-    let points = (lx * ly * lz) as f64;
+    analytic(procs, &pacing_block(n, procs))
+}
+
+/// [`workload`] for an already computed pacing block.
+fn analytic(procs: usize, b: &Pacing) -> WorkloadProfile {
+    let [lx, ly, lz] = b.ext;
+    let points = b.points();
 
     let mut w = WorkloadProfile::new("LBMHD3D", procs);
 
@@ -47,16 +80,10 @@ pub fn workload(n: usize, procs: usize) -> WorkloadProfile {
     ph.outer_parallelism = (ly * lz) as f64;
     w.phases.push(ph);
 
-    // Halo exchange: six faces, each carrying all Q + 3Q distributions over
-    // a padded face (the 3-sweep corner-propagating exchange).
-    let face = |a: usize, b: usize| ((a + 2) * (b + 2)) as f64;
-    let per_axis_bytes = [
-        face(ly, lz) * (4 * Q) as f64 * 8.0,
-        face(lx, lz) * (4 * Q) as f64 * 8.0,
-        face(lx, ly) * (4 * Q) as f64 * 8.0,
-    ];
+    // Halo exchange: six faces, two along each axis that has neighbors.
+    let per_axis_bytes = b.face_bytes();
     let axes_with_neighbors =
-        (0..3).filter(|&a| dims[a] > 1).map(|a| per_axis_bytes[a]).collect::<Vec<_>>();
+        (0..3).filter(|&a| b.dims[a] > 1).map(|a| per_axis_bytes[a]).collect::<Vec<_>>();
     if !axes_with_neighbors.is_empty() {
         let avg = axes_with_neighbors.iter().sum::<f64>() / axes_with_neighbors.len() as f64;
         w.comm.push(CommEvent::Halo {
@@ -70,12 +97,9 @@ pub fn workload(n: usize, procs: usize) -> WorkloadProfile {
 /// Bytes a rank sends per step under the decomposition for (`n`, `procs`) —
 /// the analytic counterpart of `Simulation::halo_bytes_sent`.
 pub fn halo_bytes_per_step(n: usize, procs: usize) -> f64 {
-    let dims = processor_grid(procs);
-    let (lx, ly, lz) =
-        (local_extent(n, dims[0], 0), local_extent(n, dims[1], 0), local_extent(n, dims[2], 0));
-    let face = |a: usize, b: usize| ((a + 2) * (b + 2)) as f64;
-    let per_axis = [face(ly, lz), face(lx, lz), face(lx, ly)];
-    (0..3).filter(|&a| dims[a] > 1).map(|a| 2.0 * per_axis[a] * (4 * Q) as f64 * 8.0).sum()
+    let b = pacing_block(n, procs);
+    let per_axis_bytes = b.face_bytes();
+    (0..3).filter(|&a| b.dims[a] > 1).map(|a| 2.0 * per_axis_bytes[a]).sum()
 }
 
 /// The (concurrency, grid size) pairs of paper Table 5.
@@ -111,11 +135,9 @@ pub fn calibration_capture() -> &'static Capture {
 /// configuration.
 pub fn measured_workload(n: usize, procs: usize) -> WorkloadProfile {
     let cap = calibration_capture();
-    let mut w = workload(n, procs);
-    let dims = processor_grid(procs);
-    let points = (local_extent(n, dims[0], 0)
-        * local_extent(n, dims[1], 0)
-        * local_extent(n, dims[2], 0)) as f64;
+    let b = pacing_block(n, procs);
+    let mut w = analytic(procs, &b);
+    let points = b.points();
     let units = cap.get("lbmhd/collide+stream").vector_iters as f64;
     w.apply_capture(
         cap,
@@ -196,8 +218,9 @@ mod tests {
 
     #[test]
     fn vector_length_tracks_block_extent() {
+        // 16 ranks → a [2, 2, 4] grid: a local x extent of 128.
+        assert_eq!(processor_grid(16), [2, 2, 4]);
         let w = workload(256, 16);
-        // 16 ranks → grid [4,2,2] wait: processor_grid(16); local x extent.
         assert!(w.phases[0].avg_vector_length >= 64.0);
         let w2 = workload(256, 2048);
         assert!(w2.phases[0].avg_vector_length < w.phases[0].avg_vector_length * 1.01);

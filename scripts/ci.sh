@@ -9,6 +9,13 @@ cargo build --release --offline --workspace --examples
 cargo test -q --offline --workspace --no-fail-fast
 cargo fmt --check
 
+# scripts/pair.sh is run by hand (it takes minutes per pair); here it only
+# has to parse, and to refuse a bad argument with exit 2 before it builds.
+bash -n scripts/pair.sh
+status=0
+bash scripts/pair.sh HEAD no_such_workload 2> /dev/null || status=$?
+[ "$status" -eq 2 ] || { echo "ci: pair.sh took a bad workload (exit $status)"; exit 1; }
+
 # Soak the four targets whose probe captures other tests in the same
 # process used to pollute (DESIGN.md §3, rule 3): a capture is scoped to
 # its own call tree at any test-thread count, every time. The cluster
