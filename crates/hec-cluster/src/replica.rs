@@ -2,8 +2,8 @@
 //! one record per member.
 //!
 //! Each replica is a full [`hec_serve::server::Server`] — its own
-//! listener on an ephemeral 127.0.0.1 port, worker pool, cache, and
-//! batcher — so replicas fail independently: killing one closes its
+//! listener on an ephemeral 127.0.0.1 port, reactor, worker pool and
+//! cache — so replicas fail independently: killing one closes its
 //! socket and drains its workers without touching the others, exactly
 //! the failure granularity the fault plan needs. A restarted replica
 //! comes back on a *new* port (the old one cannot be reliably rebound

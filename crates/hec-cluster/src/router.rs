@@ -637,6 +637,8 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<Cluster> {
             port: cfg.port,
             workers: cfg.workers,
             queue: cfg.queue,
+            // Forwards block on a replica and the fault plan sleeps.
+            inline: |_| false,
             reject_body: error_body("router admission queue full; retry"),
         },
         handler,

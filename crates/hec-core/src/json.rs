@@ -428,12 +428,17 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one full UTF-8 scalar from the source.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = text.chars().next().unwrap();
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run of plain characters at once. The
+                    // run ends only at an ASCII byte, never inside a UTF-8
+                    // sequence, so it is valid text on its own; checking
+                    // just the run keeps parsing linear in the input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    s.push_str(run);
                 }
             }
         }
@@ -625,6 +630,19 @@ mod tests {
         assert_eq!(Json::parse(r#""\u00e9\u2192""#).unwrap(), Json::Str("é→".to_string()));
         // Surrogate pair for U+1D11E (musical G clef).
         assert_eq!(Json::parse(r#""\ud834\udd1e""#).unwrap(), Json::Str("\u{1d11e}".to_string()));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Multibyte runs around an escape, 2.75 MiB in all: re-validating
+        // the rest of the input per character ran for minutes in a debug
+        // build; a linear parse takes milliseconds.
+        let text = "é→ plain".repeat(1 << 17);
+        let doc = format!("[\"{text}\\n{text}\"]");
+        let t = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        assert!(t.elapsed() < std::time::Duration::from_secs(5), "took {:?}", t.elapsed());
+        assert_eq!(parsed, Json::Arr(vec![Json::Str(format!("{text}\n{text}"))]));
     }
 
     #[test]

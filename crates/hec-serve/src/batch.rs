@@ -1,6 +1,12 @@
 //! Micro-batching of concurrent cache misses, leader/follower style.
 //!
-//! When several workers miss the cache at once for the same point,
+//! Off the serving path: the server evaluates every point on its one
+//! reactor thread, where no two misses are ever concurrent, so nothing
+//! here runs inside `hec-serve`. The module stays only because
+//! `benchmark/src/layers.rs` still times [`Batcher::eval`] directly;
+//! it goes once the benchmark stops naming it.
+//!
+//! When several threads miss a cache at once for the same point,
 //! evaluating each request independently would run the model once per
 //! request. That is the one saving here: identical concurrent points run
 //! the model once. Distinct points gain nothing from sharing a batch —
@@ -16,7 +22,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hec_core::json::Json;
 use hec_core::sync::{Condvar, Mutex};
 
 use crate::engine::{AppId, Cell};
@@ -67,16 +72,6 @@ impl Batcher {
             batched_points: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
         }
-    }
-
-    /// This batcher's counters, as the `batch` section of `/metrics`.
-    pub(crate) fn stats_doc(&self) -> Json {
-        let n = |c: &AtomicU64| Json::Num(c.load(Ordering::Relaxed) as f64);
-        Json::obj([
-            ("batches", n(&self.batches)),
-            ("points", n(&self.batched_points)),
-            ("coalesced", n(&self.coalesced)),
-        ])
     }
 
     fn queue(&self, app: AppId) -> &AppBatch {

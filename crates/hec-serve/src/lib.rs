@@ -15,16 +15,19 @@
 //! * [`cache`] — a sharded LRU over evaluated points. Sweeps decompose
 //!   into per-point entries, so overlapping sweeps and single-point
 //!   requests share work.
-//! * [`batch`] — leader/follower micro-batching: concurrent single-point
-//!   misses for the same app coalesce into one batched evaluation.
+//! * [`batch`] — leader/follower micro-batching of concurrent misses.
+//!   Off the serving path (the server evaluates on one thread); kept
+//!   only while `benchmark/` times it.
 //! * [`reactor`] — the event-driven serving core: one thread
 //!   multiplexing every connection over `poll(2)` (std-only platform
 //!   shim), per-connection state machines with HTTP/1.1 keep-alive and
-//!   pipelining, dispatching parsed requests to the bounded worker pool.
-//!   The server and the `hec-cluster` router both ride it.
-//! * [`server`] — the listener: reactor-driven connections over a
-//!   bounded worker pool (queue-full ⇒ 503 + `Retry-After`), `/metrics`,
-//!   graceful shutdown that drains in-flight requests.
+//!   pipelining, answering non-blocking requests itself and dispatching
+//!   the rest to the bounded worker pool. The server and the
+//!   `hec-cluster` router both ride it.
+//! * [`server`] — the listener: every endpoint answered on the reactor
+//!   thread except `/debug/sleep`, which takes the bounded worker pool
+//!   (queue-full ⇒ 503 + `Retry-After`); `/metrics`; graceful shutdown
+//!   that drains in-flight requests.
 //! * [`client`] — the minimal HTTP/1.1 client the load generator, the
 //!   cluster router, and the e2e tests use, with per-thread keep-alive
 //!   connection reuse, seeded-backoff retries (`Retry-After`-aware) and

@@ -1,35 +1,52 @@
 //! The event-driven serving core (DESIGN §11): one reactor thread
-//! multiplexes every accepted connection over `poll(2)` while a bounded
-//! [`hec_core::pool::WorkerPool`] executes request handlers, so
-//! connection count is decoupled from thread count. HTTP/1.1 keep-alive
-//! and pipelined parsing let one connection carry many requests.
+//! multiplexes every accepted connection over `poll(2)` and answers every
+//! request that cannot block itself; only a request the tier's `inline`
+//! predicate rejects goes to a bounded [`hec_core::pool::WorkerPool`].
+//! Connection count is decoupled from thread count, and HTTP/1.1
+//! keep-alive and pipelined parsing let one connection carry many
+//! requests.
 //!
 //! Layering: this module knows HTTP framing, connection lifecycle and
 //! admission accounting but nothing about routes. `hec-serve`'s listener
 //! and the `hec-cluster` router both instantiate [`start_core`] with
-//! their own handler closure and queue-full rejection body; the core
-//! owns what the two tiers have in common ([`Frontend`]: request
-//! counters, connection gauges, queue gauge, shutdown latch and the
-//! shared part of `/metrics`) — one reactor, two services.
+//! their own handler closure, `inline` predicate and queue-full
+//! rejection body; the core owns what the two tiers have in common
+//! ([`Frontend`]: request counters, connection gauges, queue gauge,
+//! shutdown latch and the shared part of `/metrics`) — one reactor, two
+//! services.
 //!
 //! Per-connection state machine (level-triggered):
 //!
 //! ```text
-//!   Reading --parse complete--> Dispatched --completion--> Writing
-//!      ^                            |                        |
-//!      |            queue full: 503 queued inline            |
-//!      +--- keep-alive, buffered pipelined bytes re-parsed --+
-//!                                                            |
+//!   Reading --parse--+-- inline: handler on the reactor --------+
+//!      ^             |                                          |
+//!      |             +-- pooled: Dispatched --completion--------+
+//!      |             |                                          |
+//!      |             +-- queue full: 503 ------------------------+
+//!      |                                                        v
+//!      |                                        answer appended to `out`
+//!      |                                                        |
+//!      +-- next buffered request, unless pooled / close / `out` full
+//!                                                               |
+//!                                              Writing: one write for all
+//!                                                               |
 //!              Connection: close / stop / parse error --> Closed
 //! ```
 //!
 //! The reactor polls `POLLIN` only while it is willing to buffer more
 //! request bytes (per-connection flow control: one dispatched request at
 //! a time, buffer capped at [`MAX_REQUEST_BYTES`]) and `POLLOUT` only
-//! while response bytes are pending, so the loop never spins. Workers
-//! push finished responses onto a completion list and wake the reactor
-//! through a loopback socket pair — the same channel `/shutdown` uses —
-//! keeping the whole core on `std` with a single `extern "C"` line.
+//! while response bytes are pending or a capped connection awaits its
+//! turn, so the loop never spins. The answers to one connection's
+//! buffered requests leave in one write per iteration. Answering pauses
+//! once the pending output reaches [`MAX_REQUEST_BYTES`] and resumes on
+//! the next iteration after the socket drains, so a client that
+//! pipelines without reading holds at most that plus one response, and
+//! no connection answers more than that per iteration while others wait.
+//! Workers push finished responses onto a completion list and wake the
+//! reactor through a loopback socket pair — the same channel `/shutdown`
+//! uses — keeping the whole core on `std` with a single `extern "C"`
+//! line.
 //!
 //! Shutdown drains: accepting stops, idle keep-alive connections close,
 //! dispatched requests complete and their responses flush, then the
@@ -38,6 +55,7 @@
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -220,16 +238,34 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse, String> {
 
 /// Serializes one response with explicit keep-alive/close framing.
 pub fn emit_response(code: u16, extra_headers: &[String], body: &str, keep_alive: bool) -> Vec<u8> {
-    let mut out = format!(
-        "HTTP/1.1 {code} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n{}\r\n",
+    let mut out = Vec::new();
+    write_response(&mut out, code, extra_headers, body, keep_alive);
+    out
+}
+
+/// Appends one response to `out` — head written in place, no staging
+/// string — so a connection's reused output buffer costs no allocation.
+fn write_response(
+    out: &mut Vec<u8>,
+    code: u16,
+    extra_headers: &[String],
+    body: &str,
+    keep_alive: bool,
+) {
+    // io::Write for Vec<u8> only grows the vector; it cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {code} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
         status_text(code),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-        extra_headers.iter().map(|h| format!("{h}\r\n")).collect::<String>(),
-    )
-    .into_bytes();
+    );
+    for h in extra_headers {
+        out.extend_from_slice(h.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body.as_bytes());
-    out
 }
 
 /// Canonical reason phrase for the status codes this dialect uses.
@@ -277,6 +313,12 @@ struct Counters {
     max_open: AtomicU64,
     /// Requests parsed off connections (admitted or shed).
     parsed: AtomicU64,
+    /// Requests handed to the worker pool (the rest ran on the reactor).
+    dispatched: AtomicU64,
+    /// Largest pending output any connection has held, bytes: the test
+    /// of the output cap reads it; release builds do not keep it.
+    #[cfg(test)]
+    max_out: AtomicU64,
     /// Requests served on an already-used connection — the keep-alive
     /// win: `parsed - accepted` when every client reuses perfectly.
     keepalive: AtomicU64,
@@ -352,6 +394,7 @@ impl Frontend {
                 Json::obj([
                     ("iterations", num(&c.iterations)),
                     ("requests_parsed", num(&c.parsed)),
+                    ("dispatched", num(&c.dispatched)),
                 ]),
             ),
             (
@@ -376,20 +419,27 @@ impl Frontend {
 }
 
 /// What a tier tells the core: where to bind, how to size the worker
-/// pool and its admission queue, and what a queue-full rejection says.
+/// pool and its admission queue, which requests the reactor answers
+/// itself, and what a queue-full rejection says.
 pub struct CoreConfig {
     /// Port to bind on 127.0.0.1 (0 = ephemeral).
     pub port: u16,
-    /// Worker threads executing the handler.
+    /// Worker threads executing the handler for pooled requests.
     pub workers: usize,
     /// Admission-queue bound (requests waiting for a worker).
     pub queue: usize,
+    /// True for a request whose handler cannot block: the reactor runs
+    /// it in place, and it is never queued or shed. Every other request
+    /// goes to the worker pool. Decided from the request alone.
+    pub inline: fn(&Request) -> bool,
     /// Body of the `503` answered when the admission queue is full.
     pub reject_body: String,
 }
 
 /// Request handler: `(request, parse instant, the core's shared state)`
-/// to `(status, extra headers, body)`. Runs on a worker thread; the
+/// to `(status, extra headers, body)`. Runs on the reactor thread when
+/// [`CoreConfig::inline`] accepts the request — where a slow answer
+/// delays every connection — and on a worker thread otherwise. The
 /// parse instant lets the service record latency inclusive of queue
 /// wait. The core counts the request and, for a status >= 400, the error.
 pub type Handler = dyn Fn(&Request, Instant, &Frontend) -> (u16, Vec<String>, String) + Send + Sync;
@@ -457,6 +507,7 @@ pub fn start_core(
         pool,
         front: Arc::clone(&front),
         handler,
+        inline: cfg.inline,
         reject_body: cfg.reject_body,
     };
     let thread = std::thread::spawn(move || {
@@ -481,6 +532,9 @@ struct Conn {
     /// Response bytes not yet accepted by the kernel.
     out: Vec<u8>,
     sent: usize,
+    /// Answering stopped with `out` at its cap while whole requests may
+    /// remain in `buf`; resume on the next iteration.
+    backlog: bool,
     /// One request is with the worker pool; reads pause until it lands.
     dispatched: bool,
     /// Keep-alive verdict of the request currently dispatched.
@@ -500,6 +554,7 @@ impl Conn {
             buf: Vec::new(),
             out: Vec::new(),
             sent: 0,
+            backlog: false,
             dispatched: false,
             keep_current: true,
             close_after_write: false,
@@ -513,6 +568,12 @@ impl Conn {
         self.sent < self.out.len()
     }
 
+    /// Poll for `POLLOUT`: bytes to write, or — with none pending — an
+    /// immediate turn to answer the backlog.
+    fn wants_write(&self) -> bool {
+        self.write_pending() || self.backlog
+    }
+
     fn wants_read(&self) -> bool {
         !self.dispatched
             && !self.peer_closed
@@ -524,6 +585,27 @@ impl Conn {
     fn idle(&self) -> bool {
         !self.dispatched && !self.write_pending()
     }
+
+    /// Appends a handler's answer, framed keep-alive only when the request
+    /// asked for it and the service is not stopping, and counts it.
+    fn answer(
+        &mut self,
+        front: &Frontend,
+        code: u16,
+        headers: &[String],
+        body: &str,
+        keep_alive: bool,
+    ) {
+        let keep = keep_alive && !front.stopping();
+        write_response(&mut self.out, code, headers, body, keep);
+        if !keep {
+            self.close_after_write = true;
+        }
+        self.served += 1;
+        if self.served > 1 {
+            front.counters.keepalive.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 struct Reactor {
@@ -532,6 +614,7 @@ struct Reactor {
     pool: WorkerPool,
     front: Arc<Frontend>,
     handler: Arc<Handler>,
+    inline: fn(&Request) -> bool,
     reject_body: String,
 }
 
@@ -571,7 +654,7 @@ fn run_reactor(r: Reactor) {
             if c.wants_read() {
                 events |= sys::POLLIN;
             }
-            if c.write_pending() {
+            if c.wants_write() {
                 events |= sys::POLLOUT;
             }
             slots.push(token);
@@ -596,16 +679,9 @@ fn run_reactor(r: Reactor) {
         let mut touched: Vec<u64> = Vec::with_capacity(finished.len());
         for comp in finished {
             let Some(c) = conns.get_mut(&comp.token) else { continue };
-            let keep = c.keep_current && !r.front.stopping();
-            c.out.extend_from_slice(&emit_response(comp.code, &comp.headers, &comp.body, keep));
-            if !keep {
-                c.close_after_write = true;
-            }
             c.dispatched = false;
-            c.served += 1;
-            if c.served > 1 {
-                r.front.counters.keepalive.fetch_add(1, Ordering::Relaxed);
-            }
+            let keep = c.keep_current;
+            c.answer(&r.front, comp.code, &comp.headers, &comp.body, keep);
             touched.push(comp.token);
         }
 
@@ -702,93 +778,121 @@ fn read_some(c: &mut Conn) {
     }
 }
 
-/// Drives one connection as far as it can go right now: flush pending
-/// response bytes, then parse-and-dispatch buffered requests until the
-/// buffer runs dry, a request is in flight, or the socket pushes back.
+/// Drives one connection as far as it can go right now: answer what is
+/// buffered, then flush every answer with one write. A connection whose
+/// answers stopped at the output cap resumes on the next iteration, once
+/// every other ready connection has had its turn.
 fn advance(c: &mut Conn, token: u64, r: &Reactor) {
-    loop {
-        while c.write_pending() {
-            match (&c.stream).write(&c.out[c.sent..]) {
-                Ok(0) => {
-                    c.dead = true;
-                    return;
-                }
-                Ok(n) => c.sent += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    c.dead = true;
-                    return;
-                }
-            }
-        }
-        if !c.out.is_empty() {
-            c.out.clear();
-            c.sent = 0;
-        }
-        if c.close_after_write {
-            c.dead = true;
-            return;
-        }
-        if c.dispatched {
-            return;
-        }
-        if r.front.stopping() {
-            // Drain mode: finished writing, nothing in flight — buffered
-            // not-yet-admitted bytes are dropped with the connection.
-            c.dead = true;
-            return;
-        }
-        match parse_request(&c.buf) {
-            Ok(Parse::Incomplete) => {
-                if c.peer_closed {
-                    c.dead = true;
-                }
+    let starved = answer_buffered(c, token, r);
+    c.backlog = false;
+    #[cfg(test)]
+    r.front.counters.max_out.fetch_max(c.out.len() as u64, Ordering::Relaxed);
+    while c.write_pending() {
+        match (&c.stream).write(&c.out[c.sent..]) {
+            Ok(0) => {
+                c.dead = true;
                 return;
             }
-            Ok(Parse::Complete { req, consumed, keep_alive }) => {
-                c.buf.drain(..consumed);
-                c.keep_current = keep_alive;
-                r.front.counters.parsed.fetch_add(1, Ordering::Relaxed);
-                r.front.counters.requests.fetch_add(1, Ordering::Relaxed);
-                let t0 = Instant::now();
-                let handler = Arc::clone(&r.handler);
-                let front = Arc::clone(&r.front);
-                let job = move || {
-                    let (code, headers, body) = handler(&req, t0, &front);
-                    if code >= 400 {
-                        front.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    front.complete(Completion { token, code, headers, body });
-                };
-                if r.pool.try_submit(job).is_ok() {
-                    c.dispatched = true;
-                    return;
-                }
-                // Queue full: shed inline with 503 + Retry-After. The
-                // connection survives (keep-alive permitting) so the
-                // client's capped-Retry-After retry can land here again.
-                // A shed request still counts as a request and an error.
-                r.front.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                r.front.counters.errors.fetch_add(1, Ordering::Relaxed);
-                c.out.extend_from_slice(&emit_response(
-                    503,
-                    &[format!("Retry-After: {RETRY_AFTER_SECS}")],
-                    &r.reject_body,
-                    keep_alive,
-                ));
-                if !keep_alive {
-                    c.close_after_write = true;
-                }
-            }
-            Err(msg) => {
-                r.front.counters.requests.fetch_add(1, Ordering::Relaxed);
-                r.front.counters.errors.fetch_add(1, Ordering::Relaxed);
-                c.out.extend_from_slice(&emit_response(400, &[], &error_body(&msg), false));
-                c.close_after_write = true;
+            Ok(n) => c.sent += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => {
+                c.dead = true;
+                return;
             }
         }
     }
+    c.out.clear();
+    c.sent = 0;
+    if c.close_after_write {
+        c.dead = true;
+        return;
+    }
+    if c.dispatched {
+        return;
+    }
+    if r.front.stopping() {
+        // Drain mode: finished writing, nothing in flight — buffered
+        // not-yet-admitted bytes are dropped with the connection.
+        c.dead = true;
+        return;
+    }
+    if !starved {
+        c.backlog = true;
+    } else if c.peer_closed {
+        c.dead = true;
+    }
+}
+
+/// Parses buffered requests and appends their answers to `c.out` —
+/// inline ones straight from the handler — until one goes to the pool,
+/// the connection is to close, `c.out` holds [`MAX_REQUEST_BYTES`], or
+/// the service is stopping. Returns true when it stopped for want of a
+/// whole request.
+fn answer_buffered(c: &mut Conn, token: u64, r: &Reactor) -> bool {
+    let counters = &r.front.counters;
+    while !c.dispatched
+        && !c.close_after_write
+        && c.out.len() < MAX_REQUEST_BYTES
+        && !r.front.stopping()
+    {
+        let (req, keep_alive) = match parse_request(&c.buf) {
+            Ok(Parse::Incomplete) => return true,
+            Ok(Parse::Complete { req, consumed, keep_alive }) => {
+                c.buf.drain(..consumed);
+                (req, keep_alive)
+            }
+            Err(msg) => {
+                counters.requests.fetch_add(1, Ordering::Relaxed);
+                counters.errors.fetch_add(1, Ordering::Relaxed);
+                write_response(&mut c.out, 400, &[], &error_body(&msg), false);
+                c.close_after_write = true;
+                return false;
+            }
+        };
+        counters.parsed.fetch_add(1, Ordering::Relaxed);
+        counters.requests.fetch_add(1, Ordering::Relaxed);
+        let t0 = Instant::now();
+        if (r.inline)(&req) {
+            // A panicking handler costs its request a 500, as a pooled
+            // job's panic costs only that job — not the reactor.
+            let (code, headers, body) =
+                catch_unwind(AssertUnwindSafe(|| (r.handler)(&req, t0, &r.front)))
+                    .unwrap_or_else(|_| (500, Vec::new(), error_body("handler panicked")));
+            if code >= 400 {
+                counters.errors.fetch_add(1, Ordering::Relaxed);
+            }
+            c.answer(&r.front, code, &headers, &body, keep_alive);
+            continue;
+        }
+        c.keep_current = keep_alive;
+        let handler = Arc::clone(&r.handler);
+        let front = Arc::clone(&r.front);
+        let job = move || {
+            let (code, headers, body) = handler(&req, t0, &front);
+            if code >= 400 {
+                front.counters.errors.fetch_add(1, Ordering::Relaxed);
+            }
+            front.complete(Completion { token, code, headers, body });
+        };
+        if r.pool.try_submit(job).is_ok() {
+            counters.dispatched.fetch_add(1, Ordering::Relaxed);
+            c.dispatched = true;
+            return false;
+        }
+        // Queue full: shed with 503 + Retry-After. The connection
+        // survives (keep-alive permitting) so the client's
+        // capped-Retry-After retry can land here again. A shed request
+        // still counts as a request and an error.
+        counters.rejected.fetch_add(1, Ordering::Relaxed);
+        counters.errors.fetch_add(1, Ordering::Relaxed);
+        let retry_after = [format!("Retry-After: {RETRY_AFTER_SECS}")];
+        write_response(&mut c.out, 503, &retry_after, &r.reject_body, keep_alive);
+        if !keep_alive {
+            c.close_after_write = true;
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -870,5 +974,79 @@ mod tests {
             String::from_utf8(emit_response(503, &["Retry-After: 1".into()], "x", false)).unwrap();
         assert!(close.contains("Connection: close\r\n"));
         assert!(close.contains("Retry-After: 1\r\n"));
+    }
+
+    #[test]
+    fn a_panicking_inline_handler_costs_its_request_a_500_not_the_reactor() {
+        let handler: Arc<Handler> = Arc::new(|req: &Request, _: Instant, _: &Frontend| {
+            assert_ne!(req.path, "/boom", "a handler bug");
+            (200, Vec::new(), "{}".to_string())
+        });
+        let cfg = CoreConfig {
+            port: 0,
+            workers: 1,
+            queue: 1,
+            inline: |_| true,
+            reject_body: String::new(),
+        };
+        let core = start_core(cfg, handler, None).unwrap();
+        let mut s = TcpStream::connect(core.addr()).unwrap();
+        s.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+        s.write_all(b"GET /boom HTTP/1.1\r\n\r\nGET /ok HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut got = String::new();
+        s.read_to_string(&mut got).unwrap();
+        let statuses: Vec<&str> = got.split("HTTP/1.1 ").skip(1).map(|r| &r[..3]).collect();
+        assert_eq!(statuses, ["500", "200"], "{got}");
+        core.frontend().shutdown();
+        core.join();
+    }
+
+    /// A client that pipelines requests until its send blocks and then
+    /// reads nothing makes its connection hold at least the cap (answering
+    /// did run ahead of the socket) and at most the cap plus one answer.
+    #[test]
+    fn pending_output_stops_at_the_cap_plus_one_answer() {
+        const BODY: usize = 10_000;
+        let handler: Arc<Handler> =
+            Arc::new(|_: &Request, _: Instant, _: &Frontend| (200, Vec::new(), "x".repeat(BODY)));
+        let cfg = CoreConfig {
+            port: 0,
+            workers: 1,
+            queue: 1,
+            inline: |_| true,
+            reject_body: String::new(),
+        };
+        let core = start_core(cfg, handler, None).unwrap();
+        let mut hostile = TcpStream::connect(core.addr()).unwrap();
+        hostile.set_nonblocking(true).unwrap();
+        let burst = b"GET / HTTP/1.1\r\n\r\n".repeat(1024);
+        let mut off = 0;
+        loop {
+            match hostile.write(&burst[off..]) {
+                Ok(n) => off = (off + n) % burst.len(),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => panic!("hostile client's send failed: {e}"),
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        // A second connection is still answered while the first is stuck.
+        let mut other = TcpStream::connect(core.addr()).unwrap();
+        other.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+        other.write_all(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut got = Vec::new();
+        other.read_to_end(&mut got).unwrap();
+        assert!(got.starts_with(b"HTTP/1.1 200 OK\r\n"));
+
+        let one = emit_response(200, &[], &"x".repeat(BODY), true).len();
+        let max_out = core.frontend().counters.max_out.load(Ordering::Relaxed) as usize;
+        assert!(max_out >= MAX_REQUEST_BYTES, "the cap was never reached ({max_out} B)");
+        assert!(
+            max_out < MAX_REQUEST_BYTES + one,
+            "pending output {max_out} B exceeds the cap plus one {one} B answer"
+        );
+        drop(hostile);
+        core.frontend().shutdown();
+        core.join();
     }
 }

@@ -1,39 +1,40 @@
-//! The HTTP/1.1 listener: reactor-driven connections, bounded worker
-//! pool, admission control, metrics, graceful shutdown (DESIGN §8, §11).
+//! The HTTP/1.1 listener: reactor-driven connections, answers on the
+//! reactor thread, a bounded worker pool for what can block, metrics,
+//! graceful shutdown (DESIGN §8, §11).
 //!
 //! One reactor thread ([`crate::reactor`]) owns the listening socket and
-//! every accepted connection, multiplexed over `poll(2)`; parsed
-//! requests are dispatched to a [`hec_core::pool::WorkerPool`] through
-//! its bounded admission queue. When the queue is full the reactor
-//! answers `503` with `Retry-After` inline — load never turns into
-//! unbounded memory or unbounded threads. Connections are keep-alive by
-//! default (HTTP/1.1 semantics, pipelining included), so one connection
-//! serves many requests. Shutdown (the `/shutdown` endpoint or
-//! [`Server::shutdown`]) stops admissions, completes every dispatched
-//! request, flushes its response, then joins the workers: in-flight
-//! requests always complete.
+//! every accepted connection, multiplexed over `poll(2)`, and answers
+//! every endpoint itself — a hit is a cache read and a miss about a
+//! microsecond of model, less than a hand-off to another thread. Only
+//! `/debug/sleep`, the one handler that blocks, goes to a
+//! [`hec_core::pool::WorkerPool`] through its bounded admission queue;
+//! when that queue is full the reactor answers `503` with `Retry-After`
+//! — load never turns into unbounded memory or unbounded threads.
+//! Connections are keep-alive by default (HTTP/1.1 semantics, pipelining
+//! included), so one connection serves many requests. Shutdown (the
+//! `/shutdown` endpoint or [`Server::shutdown`]) stops admissions,
+//! completes every dispatched request, flushes its response, then joins
+//! the workers: in-flight requests always complete.
 //!
 //! Protocol surface (JSON bodies; `Connection: keep-alive` unless the
 //! client opts out or the server is stopping):
 //!
-//! | endpoint | method | purpose |
-//! |---|---|---|
-//! | `/healthz` | GET | liveness |
-//! | `/eval` | GET query / POST JSON | one prediction point |
-//! | `/sweep?app=<app>` | GET | a full Table 3–6 row set |
-//! | `/metrics` | GET | counters, cache, queue, connections, latency, batch |
-//! | `/shutdown` | POST/GET | graceful stop |
-//! | `/debug/sleep?ms=N` | GET | a deliberately slow request (tests) |
-//! | `/cache/export` | POST | read cache entries for handoff (cluster) |
-//! | `/cache/import` | POST | install cache entries from a handoff |
+//! | endpoint | method | runs on | purpose |
+//! |---|---|---|---|
+//! | `/healthz` | GET | reactor | liveness |
+//! | `/eval` | GET query / POST JSON | reactor | one prediction point |
+//! | `/sweep?app=<app>` | GET | reactor | a full Table 3–6 row set |
+//! | `/metrics` | GET | reactor | counters, cache, queue, connections, latency |
+//! | `/shutdown` | POST/GET | reactor | graceful stop |
+//! | `/debug/sleep?ms=N` | GET | worker pool | a deliberately slow request (tests) |
+//! | `/cache/export` | POST | reactor | read cache entries for handoff (cluster) |
+//! | `/cache/import` | POST | reactor | install cache entries from a handoff |
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use hec_core::json::{Json, ToJson};
-use hec_core::pool::Threads;
 
-use crate::batch::Batcher;
 use crate::cache::ShardedLru;
 use crate::engine::{self, AppId, Cell};
 use crate::metrics::Histogram;
@@ -45,14 +46,20 @@ pub use crate::reactor::{error_body, status_text, Request, MAX_REQUEST_BYTES, RE
 /// Upper bound on `/debug/sleep` (keeps tests honest and ops safe).
 pub const MAX_DEBUG_SLEEP_MS: u64 = 10_000;
 
+/// The one endpoint whose handler blocks: [`route`] sleeps in it, and
+/// [`runs_inline`] sends it to the worker pool.
+const DEBUG_SLEEP: &str = "/debug/sleep";
+
 /// Server tuning.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Port to bind on 127.0.0.1 (0 = ephemeral).
     pub port: u16,
-    /// Worker threads (default: the `HEC_THREADS` policy).
+    /// Worker threads for `/debug/sleep`, the only pooled endpoint; every
+    /// other endpoint runs on the reactor and is unaffected by this value.
     pub workers: usize,
-    /// Admission-queue bound (requests waiting for a worker).
+    /// Admission-queue bound for `/debug/sleep` (requests waiting for a
+    /// worker); only that endpoint can be shed with `503`.
     pub queue: usize,
     /// Point-cache capacity (entries).
     pub cache_capacity: usize,
@@ -60,42 +67,38 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            port: 0,
-            workers: Threads::from_env().workers().max(2),
-            queue: 64,
-            cache_capacity: 4096,
-        }
+        ServeConfig { port: 0, workers: 1, queue: 64, cache_capacity: 4096 }
     }
 }
 
-/// The serve tier's own state: cache, batcher, per-endpoint histograms.
-/// Admission counters and connection gauges live in the core's
-/// [`Frontend`].
+/// The serve tier's own state: the point cache and per-endpoint
+/// histograms. Admission counters and connection gauges live in the
+/// core's [`Frontend`].
 struct ServeState {
     cache: ShardedLru,
-    batcher: Batcher,
     lat_eval: Histogram,
     lat_sweep: Histogram,
     lat_other: Histogram,
 }
 
 impl ServeState {
-    /// Evaluates one canonical point through cache and batcher. The
-    /// cached and uncached paths return the same value, and responses
-    /// are always emitted from the value — bitwise-equal bodies.
+    /// Evaluates one canonical point through the cache, running the model
+    /// on a miss. Evaluation happens on the reactor thread alone, so two
+    /// identical points are never evaluated at once. The cached and
+    /// uncached paths return the same value, and responses are always
+    /// emitted from the value — bitwise-equal bodies.
     fn eval_point(&self, point: &Point) -> Option<Cell> {
-        if let Some(cached) = self.cache.get(&point.canonical_key()) {
+        let key = point.canonical_key();
+        if let Some(cached) = self.cache.get(&key) {
             return cached;
         }
-        let cell = self.batcher.eval(point);
-        self.cache.put(point.canonical_key(), cell);
+        let cell = point.eval();
+        self.cache.put(key, cell);
         cell
     }
 
     /// The `/metrics` document: the core's common sections, then this
-    /// server's cache state, per-endpoint latency histograms and
-    /// batcher counters.
+    /// server's cache state and per-endpoint latency histograms.
     fn metrics_doc(&self, front: &Frontend) -> Json {
         front.metrics_doc([
             (
@@ -132,7 +135,6 @@ impl ServeState {
                     ("other", self.lat_other.to_json()),
                 ]),
             ),
-            ("batch", self.batcher.stats_doc()),
         ])
     }
 }
@@ -319,7 +321,7 @@ fn route(req: &Request, state: &ServeState, front: &Frontend) -> (u16, String) {
             front.shutdown();
             (200, Json::obj([("stopping", Json::Bool(true))]).emit_pretty())
         }
-        ("GET", "/debug/sleep") => {
+        ("GET", DEBUG_SLEEP) => {
             let ms: u64 = parse_query(&req.query)
                 .into_iter()
                 .find(|(k, _)| k == "ms")
@@ -331,11 +333,18 @@ fn route(req: &Request, state: &ServeState, front: &Frontend) -> (u16, String) {
         }
         (
             _,
-            "/eval" | "/sweep" | "/metrics" | "/healthz" | "/shutdown" | "/debug/sleep"
+            "/eval" | "/sweep" | "/metrics" | "/healthz" | "/shutdown" | DEBUG_SLEEP
             | "/cache/export" | "/cache/import",
         ) => (405, error_body("method not allowed")),
         _ => (404, error_body("no such endpoint")),
     }
+}
+
+/// The replica's [`CoreConfig::inline`] predicate: every arm of [`route`]
+/// answers without blocking except [`DEBUG_SLEEP`]. A new arm that can
+/// block must be named here too.
+fn runs_inline(req: &Request) -> bool {
+    req.path != DEBUG_SLEEP
 }
 
 // ---------------------------------------------------------------------
@@ -386,7 +395,6 @@ impl Server {
 pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
     let state = ServeState {
         cache: ShardedLru::new(cfg.cache_capacity),
-        batcher: Batcher::new(),
         lat_eval: Histogram::new(),
         lat_sweep: Histogram::new(),
         lat_other: Histogram::new(),
@@ -407,6 +415,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
             port: cfg.port,
             workers: cfg.workers,
             queue: cfg.queue,
+            inline: runs_inline,
             reject_body: error_body("admission queue full; retry"),
         },
         handler,
@@ -505,7 +514,9 @@ mod tests {
     fn metrics_reports_cache_queue_connections_and_latency() {
         let s = test_server();
         let base = format!("http://{}", s.addr());
-        let _ = client::http_get(&format!("{base}/eval?app=paratec&platform=sx8&procs=128"));
+        for path in ["/eval?app=paratec&platform=sx8&procs=128", "/sweep?app=gtc", "/healthz"] {
+            assert_eq!(client::http_get(&format!("{base}{path}")).unwrap().status, 200, "{path}");
+        }
         let m = client::http_get(&format!("{base}/metrics")).unwrap();
         assert_eq!(m.status, 200);
         let doc = Json::parse(&m.body).unwrap();
@@ -515,10 +526,16 @@ mod tests {
         assert_eq!(shards.map(|s| s.len()), Some(crate::cache::SHARDS));
         assert!(doc.get("queue").and_then(|q| q.get("capacity")).is_some());
         assert!(doc.get("latency").and_then(|l| l.get("eval")).is_some());
-        assert!(doc.get("batch").is_some());
+        assert!(doc.get("batch").is_none(), "no micro-batching on the serving path");
         let conns = doc.get("connections").expect("connections section");
         assert!(conns.get("accepted").unwrap().as_f64().unwrap() >= 1.0);
         assert!(doc.get("reactor").and_then(|r| r.get("iterations")).is_some());
+        // Everything above ran on the reactor; only /debug/sleep takes the pool.
+        let dispatched = |doc: &Json| doc.get("reactor").unwrap().num_field("dispatched").unwrap();
+        assert_eq!(dispatched(&doc), 0.0);
+        assert_eq!(client::http_get(&format!("{base}/debug/sleep?ms=0")).unwrap().status, 200);
+        let m = client::http_get(&format!("{base}/metrics")).unwrap();
+        assert_eq!(dispatched(&Json::parse(&m.body).unwrap()), 1.0);
         s.shutdown();
         s.join();
     }

@@ -21,12 +21,15 @@ bash scripts/pair.sh HEAD no_such_workload 2> /dev/null || status=$?
 # its own call tree at any test-thread count, every time. The cluster
 # targets ride along: kill, restart, drain and the health checker race
 # on one member record (DESIGN.md §9), and such a race has only ever
-# shown under full-suite parallelism.
+# shown under full-suite parallelism. So do the two serve targets: they
+# drive the reactor's per-connection state machine (DESIGN.md §11), and
+# the queue-full test depends on timing.
 for threads in 1 2 4; do
     for target in "-p hec-core --lib" "-p fvcam --lib" "-p paratec --lib" \
                   "-p hec-suite --test cross_crate_properties" \
                   "-p hec-cluster --lib" "-p hec-suite --test cluster_e2e" \
-                  "-p hec-suite --test cluster_elasticity"; do
+                  "-p hec-suite --test cluster_elasticity" \
+                  "-p hec-suite --test serve_e2e" "-p hec-suite --test serve_protocol"; do
         for _ in 1 2 3 4 5; do
             # shellcheck disable=SC2086  # $target is a word list on purpose
             RUST_TEST_THREADS=$threads cargo test -q --offline $target > /dev/null
@@ -36,9 +39,36 @@ done
 
 # benchmark/ is a workspace of its own that path-depends on crates/*, so
 # nothing above notices when a crate API change stops it compiling. Build
-# and run its tests, then one short run of each workload.
+# and run its tests, then one short run of each workload, checked the way
+# `benchmark/ci.sh --smoke` checks its runs: the end-to-end names and
+# units BENCHMARK.json lists, every value positive, nothing failed.
+# The runs are 10 s, not that smoke's 2 s. cpu_us_per_req is read per
+# reference segment from /proc/<pid>/stat, in 10 ms ticks, and a 2 s
+# serve_miss segment (~360 requests) costs the server less than one tick,
+# so it reads 0. A 10 s segment (~1 800 requests) costs ~30 ms, and
+# since user and system time each truncate to whole ticks, a span of more
+# than two ticks never reads 0. Back to `benchmark/ci.sh --smoke` once
+# the benchmark reads CPU time finer than a tick (ROADMAP, rulers (j)).
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-benchmark/ci.sh --smoke
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+for workload in apps_solve serve_hit serve_miss cluster_mix; do
+    "${CARGO_TARGET_DIR:-benchmark/target}/release/hec-benchmark" run \
+        --workload "$workload" --seed 36 --seconds 10 --trace 0 | tail -n 1 |
+        python3 -c '
+import json, sys
+workload = sys.argv[1]
+spec = json.load(open("BENCHMARK.json"))
+line = json.loads(sys.stdin.read())
+assert sorted(line) == ["attempted", "correct", "failed", "metrics"], sorted(line)
+want = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+got = {name: m["unit"] for name, m in line["metrics"].items()}
+assert got == want, f"{workload}: names/units differ: {set(got) ^ set(want)}"
+assert all(m["value"] > 0 for m in line["metrics"].values()), f"{workload}: a metric is not positive"
+assert line["correct"] and line["failed"] == 0 and line["attempted"] >= 1, f"{workload}: {line}"
+n = line["attempted"]
+print(f"bench smoke ok: {workload}: {n} operations, fail_frac 0")
+' "$workload"
+done
 
 # Regenerate every artifact (tables, canonical responses, profiles) in
 # one run, then hold it against the committed baseline: every exact field

@@ -147,12 +147,12 @@ fn in_process_replicas_count_only_their_own_requests() {
         ["requests", "errors", "rejected"].map(|k| doc.get(k).unwrap().as_f64().unwrap())
     };
     // The `/metrics` read is itself a request, counted by the reactor
-    // while a worker renders the document: it may or may not be in yet.
+    // before it renders the document on the same thread.
     let [requests, errors, rejected] = metrics(&b);
-    assert!(requests <= 1.0, "B served nothing but its own /metrics read, reports {requests}");
+    assert_eq!(requests, 1.0, "B served nothing but its own /metrics read");
     assert_eq!([errors, rejected], [0.0, 0.0]);
     let [requests, errors, rejected] = metrics(&a);
-    assert!((6.0..=7.0).contains(&requests), "A served 6 requests, reports {requests}");
+    assert_eq!(requests, 7.0, "A served 6 requests and this /metrics read");
     assert_eq!([errors, rejected], [1.0, 0.0]);
     for s in [a, b] {
         s.shutdown();

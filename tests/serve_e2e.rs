@@ -2,8 +2,9 @@
 //! on an ephemeral port, concurrent clients, and the three contracts —
 //! (i) served responses are bytewise identical to direct
 //! `bench::experiments` evaluation, (ii) repeated requests hit the
-//! cache (observed through `/metrics`), (iii) queue-full yields 503
-//! without dropping in-flight work.
+//! cache (observed through `/metrics`), (iii) a full queue sheds pooled
+//! requests with 503 without dropping in-flight work, while the reactor
+//! keeps answering everything else.
 
 use hec_core::json::Json;
 use hec_serve::client;
@@ -160,28 +161,36 @@ fn repeated_requests_hit_the_cache_via_metrics() {
     s.join();
 }
 
-/// (iii) With a single worker and a single-slot queue, slow in-flight
-/// requests force queue-full 503s (with Retry-After) for newcomers —
-/// while every admitted request still completes with 200.
-#[test]
-fn queue_full_returns_503_without_dropping_in_flight_work() {
-    let s = start(1, 1);
-    let base = format!("http://{}", s.addr());
-    // Occupy the only worker, then the only queue slot, with slow
-    // requests — staggered, so the first is already *running* (not
-    // queued) when the second is admitted.
+/// Occupies the only worker, then the only queue slot, of a 1-worker /
+/// 1-slot server with `/debug/sleep?ms=1500` requests — staggered, so
+/// the first is already *running* (not queued) when the second is
+/// admitted. Returns the two client threads.
+fn occupy_worker_and_queue(base: &str) -> Vec<std::thread::JoinHandle<client::Response>> {
     let mut slow = Vec::new();
     for _ in 0..2 {
         let url = format!("{base}/debug/sleep?ms=1500");
         slow.push(std::thread::spawn(move || client::http_get(&url).unwrap()));
         std::thread::sleep(std::time::Duration::from_millis(300));
     }
-    // Now the admission queue is full: fast requests must be rejected
+    slow
+}
+
+/// (iii) With a single worker and a single-slot queue, slow in-flight
+/// requests force queue-full 503s (with Retry-After) for newcomers to
+/// the pool — while every admitted request still completes with 200.
+/// Only a pooled endpoint can be shed, so the probe is a zero-length
+/// `/debug/sleep`.
+#[test]
+fn queue_full_returns_503_without_dropping_in_flight_work() {
+    let s = start(1, 1);
+    let base = format!("http://{}", s.addr());
+    let slow = occupy_worker_and_queue(&base);
+    // Now the admission queue is full: pooled requests must be rejected
     // with 503 + Retry-After (eventually — there is a small window while
     // the second slow request moves from queue to worker).
     let mut saw_503 = None;
     for _ in 0..20 {
-        let r = client::http_get(&format!("{base}/healthz")).unwrap();
+        let r = client::http_get(&format!("{base}/debug/sleep?ms=0")).unwrap();
         if r.status == 503 {
             saw_503 = Some(r);
             break;
@@ -197,16 +206,55 @@ fn queue_full_returns_503_without_dropping_in_flight_work() {
         assert_eq!(r.status, 200, "admitted request was dropped");
         assert!(r.body.contains("1500"));
     }
-    // After the burst drains, service resumes.
+    // After the burst drains, the pool admits again.
     let mut recovered = false;
     for _ in 0..50 {
-        if client::http_get(&format!("{base}/healthz")).unwrap().status == 200 {
+        if client::http_get(&format!("{base}/debug/sleep?ms=0")).unwrap().status == 200 {
             recovered = true;
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
     assert!(recovered, "server must recover after the queue drains");
+    s.shutdown();
+    s.join();
+}
+
+/// With the only worker asleep and the only queue slot taken, the
+/// reactor still answers `/healthz` and `/eval` — exact bytes included —
+/// while both sleeps are outstanding: neither ever waits for a worker.
+#[test]
+fn eval_and_healthz_answer_while_every_worker_sleeps() {
+    let s = start(1, 1);
+    let base = format!("http://{}", s.addr());
+    // Take LBMHD's one-off calibration capture out of the timed window;
+    // the point asserted below is still a cache miss.
+    let warm =
+        client::http_get(&format!("{base}/eval?app=lbmhd&platform=es&procs=1024&n=1024")).unwrap();
+    assert_eq!(warm.status, 200);
+    let slow = occupy_worker_and_queue(&base);
+    // The second sleep is queued only once the first holds the worker.
+    let queued = || metric(&base, &["queue", "depth"]) == 1.0;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    while !queued() {
+        assert!(std::time::Instant::now() < deadline, "the second sleep never queued");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+
+    let healthz = client::http_get(&format!("{base}/healthz")).unwrap();
+    assert_eq!(healthz.status, 200);
+    let point = Point::from_query("app=lbmhd&platform=es&procs=64").unwrap();
+    let eval = client::http_get(&format!("{base}/eval?app=lbmhd&platform=es&procs=64")).unwrap();
+    assert_eq!(eval.status, 200);
+    assert_eq!(eval.body, server::point_response_body(&point, point.eval()));
+    // Both answers came back while the second sleep was still queued,
+    // i.e. well over a second before the sleeps end.
+    assert!(queued(), "the sleeps ended before the inline answers came back");
+    assert_eq!(metric(&base, &["rejected"]), 0.0, "nothing inline may be shed");
+
+    for h in slow {
+        assert_eq!(h.join().unwrap().status, 200, "admitted request was dropped");
+    }
     s.shutdown();
     s.join();
 }

@@ -8,7 +8,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use hec_serve::engine::{self, AppId, PlatformSel, PointSpec};
+use hec_core::json::Json;
 use hec_serve::request::Point;
 use hec_serve::server::{self, point_response_body, ServeConfig, Server};
 
@@ -101,33 +101,86 @@ fn connection_negotiation_follows_the_http_version_defaults() {
 
 #[test]
 fn pipelined_requests_answer_in_order_with_exact_bytes() {
-    let s = start();
-    let expect = |app: AppId, sel, spec: PointSpec| {
-        point_response_body(
-            &Point { app, sel, spec: spec.clone() },
-            engine::eval_cell(app, sel, &spec),
-        )
+    let eval = |query: &str| {
+        let p = Point::from_query(query).unwrap();
+        (format!("/eval?{query}"), point_response_body(&p, p.eval()))
     };
-    let first =
-        expect(AppId::Gtc, PlatformSel::Direct(hec_arch::PlatformId::X1Msp), PointSpec::procs(256));
-    let second = expect(
-        AppId::Gtc,
-        PlatformSel::Direct(hec_arch::PlatformId::Power3),
-        PointSpec::procs(256),
+    let x1 = eval("app=gtc&platform=x1msp&procs=256");
+    let power3 = eval("app=gtc&platform=power3&procs=256");
+    let fvcam = eval("app=fvcam&platform=power3&procs=256&pz=4");
+    assert_ne!(x1.1, power3.1, "the pipelined responses must be distinguishable");
+    let healthz = ("/healthz".to_string(), Json::obj([("ok", Json::Bool(true))]).emit_pretty());
+    // A pooled request between inline ones: its answer must still come
+    // back in its place, and nothing after it may overtake it.
+    let sleep = (
+        "/debug/sleep?ms=30".to_string(),
+        Json::obj([("slept_ms", Json::Num(30.0))]).emit_pretty(),
     );
-    assert_ne!(first, second, "the two pipelined responses must be distinguishable");
+    // (label, pipelined (target, expected body) pairs; the last request
+    // of a case carries `Connection: close` when the flag says so).
+    let table = [
+        ("two evals", vec![x1.clone(), power3.clone()], false),
+        ("mixed inline and pooled", vec![x1, sleep, power3, healthz, fvcam], true),
+    ];
+    let s = start();
+    for (label, steps, close_last) in table {
+        let (mut w, mut r) = connect(&s);
+        let mut wire = String::new();
+        for (i, (target, _)) in steps.iter().enumerate() {
+            let close = close_last && i + 1 == steps.len();
+            let hdr = if close { "Connection: close\r\n" } else { "" };
+            wire.push_str(&format!("GET {target} HTTP/1.1\r\n{hdr}\r\n"));
+        }
+        w.write_all(wire.as_bytes()).unwrap();
+        for (i, (target, body)) in steps.iter().enumerate() {
+            let resp = read_response(&mut r).unwrap_or_else(|| panic!("{label}: no answer {i}"));
+            assert_eq!(resp.status, 200, "{label}: {target}");
+            assert_eq!(&resp.body, body, "{label}: answer {i} out of order or drifted");
+            let close = close_last && i + 1 == steps.len();
+            assert_eq!(resp.connection, if close { "close" } else { "keep-alive" }, "{label}");
+        }
+        if close_last {
+            assert!(read_response(&mut r).is_none(), "{label}: connection must close");
+        }
+    }
+    s.shutdown();
+    s.join();
+}
 
-    let (mut w, mut r) = connect(&s);
-    w.write_all(
-        b"GET /eval?app=gtc&platform=x1msp&procs=256 HTTP/1.1\r\n\r\n\
-          GET /eval?app=gtc&platform=power3&procs=256 HTTP/1.1\r\n\r\n",
-    )
-    .unwrap();
-    let a = read_response(&mut r).expect("first pipelined response");
-    let b = read_response(&mut r).expect("second pipelined response");
-    assert_eq!((a.status, b.status), (200, 200));
-    assert_eq!(a.body, first, "pipelined responses out of order or drifted");
-    assert_eq!(b.body, second, "pipelined responses out of order or drifted");
+/// A client that pipelines `/sweep` heads until its send blocks and then
+/// reads nothing cannot stall another connection. (That its connection
+/// holds at most `MAX_REQUEST_BYTES` plus one response of output is
+/// `hec_serve::reactor`'s own `pending_output_stops_at_the_cap_plus_one_answer`.)
+#[test]
+fn a_client_that_pipelines_and_never_reads_stalls_nobody() {
+    let s = start();
+    let (mut w, r) = connect(&s);
+    w.set_nonblocking(true).unwrap();
+    let burst = b"GET /sweep?app=gtc HTTP/1.1\r\n\r\n".repeat(1024);
+    let mut off = 0;
+    loop {
+        match w.write(&burst[off..]) {
+            Ok(n) => off = (off + n) % burst.len(),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) => panic!("hostile client's send failed: {e}"),
+        }
+    }
+
+    // While the server still has thousands of sweeps queued on the first
+    // connection, and again once the client has read nothing for 200 ms.
+    let (mut w2, mut r2) = connect(&s);
+    for pause in [Duration::ZERO, Duration::from_millis(200)] {
+        std::thread::sleep(pause);
+        let t = std::time::Instant::now();
+        w2.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let healthz = read_response(&mut r2).expect("a second connection is still answered");
+        assert_eq!(healthz.status, 200);
+        let waited = t.elapsed();
+        assert!(waited < Duration::from_secs(1), "second connection waited {waited:?}");
+    }
+    // Closing both halves lets the server drop the connection, which a
+    // graceful stop would otherwise wait on.
+    drop((w, r));
     s.shutdown();
     s.join();
 }
