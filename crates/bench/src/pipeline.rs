@@ -8,7 +8,7 @@
 //! * `TABLE_<tag>.json` — Tables 3–6 as the serve engine's sweep
 //!   documents (cell values derived from measured counters; exact).
 //! * `CANON_eval.json` — the canonical response bytes for every query
-//!   in [`crate::artifact::eval_queries`] (the serving determinism
+//!   in `artifact::eval_queries` (the serving determinism
 //!   contract, byte for byte; exact).
 //! * `PROFILE_<tag>.json` — per-phase calibration captures and derived
 //!   workloads (counters exact, span timings ignored).

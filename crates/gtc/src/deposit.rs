@@ -100,7 +100,7 @@ fn deposit_range(
 }
 
 /// The work-vector method made literal for threads: particles are split
-/// into fixed-size chunks ([`DEPOSIT_CHUNK`], grown past [`MAX_CHUNKS`]
+/// into fixed-size chunks ([`DEPOSIT_CHUNK`], grown past `MAX_CHUNKS`
 /// copies), each chunk scatters into a private copy of the charge grid
 /// (conflict-free — no two chunks touch the same memory), and the copies
 /// are reduced into `charge` in chunk order.

@@ -18,7 +18,7 @@
 //! * [`capture`] — the measured path: overlays per-phase counters from a
 //!   `hec_core::probe` calibration capture onto a profile, so the tables
 //!   are driven by measured rates with the analytic builders as oracle.
-//! * [`predict`] — the evaluator: vector machines overlap pipelined vector
+//! * [`predict`](mod@predict) — the evaluator: vector machines overlap pipelined vector
 //!   arithmetic with memory streams and pay Amdahl's law on the scalar
 //!   remainder; superscalar machines are roofline-limited by cache-filtered
 //!   memory traffic; both add the network model of `hec-net`.

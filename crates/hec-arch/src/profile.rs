@@ -2,7 +2,7 @@
 //!
 //! The four applications *measure* these records from their real Rust
 //! kernels (the instrumented counters are validated against analytic counts
-//! in each app's tests) and hand them to [`crate::predict`].
+//! in each app's tests) and hand them to [`crate::predict()`].
 
 use hec_core::json::{FromJson, Json, JsonError, ToJson};
 

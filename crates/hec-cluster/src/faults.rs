@@ -26,8 +26,8 @@
 //!   pinned to an admitted-request index; the `replica` field is
 //!   ignored, the new member takes the next slot ID).
 //! * `DrainAt` — gracefully drain the target replica out of the ring
-//!   (epoch flip, cache handoff, then stop), the elastic counterpart of
-//!   `Kill` under the same byte-identity contract.
+//!   (epoch flip, then stop), the elastic counterpart of `Kill` under
+//!   the same byte-identity contract.
 
 use hec_core::rng::Rng;
 

@@ -13,11 +13,12 @@
 //! Membership is live ([`membership`]): versioned ring epochs with
 //! `/admin/scale-up`, `/admin/scale-down` and `/admin/drain/<i>`
 //! endpoints, bounded
-//! rebalancing (only keys whose owners changed between epochs move),
-//! cache handoff that warms the new owners before cutover, and an
-//! optional autoscaler driven by the router's queue gauge and
-//! inter-tick p99 — all keyed to the same admitted-request clock as
-//! the fault plan, so churn runs are bit-for-bit reproducible.
+//! rebalancing (only keys whose owners changed between epochs move,
+//! and nothing is copied between replicas: a new owner evaluates a key
+//! on its first request), and an optional autoscaler driven by the
+//! router's queue gauge and inter-tick p99 — all keyed to the same
+//! admitted-request clock as the fault plan, so churn runs are
+//! bit-for-bit reproducible.
 //!
 //! The contract under faults (DESIGN.md §9): with R owners per key and
 //! at most R − 1 of them killed, every admitted request returns a

@@ -1,25 +1,24 @@
-//! Live membership: ring epochs, bounded rebalancing, cache handoff,
-//! and the metrics-driven autoscaler.
+//! Live membership: ring epochs, bounded rebalancing, and the
+//! metrics-driven autoscaler.
 //!
 //! The cluster's member set is no longer fixed at start. Membership is
 //! versioned as **epochs**: an immutable `(version, members, ring)`
 //! triple behind one atomic swap. The router reads the current epoch
 //! per request; a scale-up or drain builds the next epoch off to the
-//! side, warms the caches it is about to make authoritative, and only
-//! then installs it — requests in flight keep the epoch they started
-//! with, so there is never a moment with no owner for a key.
+//! side and installs it in one swap — requests in flight keep the epoch
+//! they started with, so there is never a moment with no owner for a
+//! key.
 //!
 //! Rebalancing is **bounded by construction**: vnode positions hash the
 //! member ID, not the member count, so members shared between two
 //! epochs keep their arcs and only keys whose owner set actually
 //! changed move ([`crate::ring::owners_diff`] computes that set
 //! exactly; the property test in `ring.rs` holds the moved fraction to
-//! the theoretical vnode share). The handoff walks the router's
-//! tracked keys, exports each moved key's cache entry from its old
-//! primary via `POST /cache/export`, and installs it on the new
-//! primary via `POST /cache/import` — or re-primes with a plain GET
-//! when the entry is not exportable. `handoff.keys_moved` counts the
-//! owner-changed keys; `handoff.warm_hits` counts successful warms.
+//! the theoretical vnode share). A change counts the router's tracked
+//! keys that the diff covers (`keys_moved`) and sends nothing to any
+//! replica: a key's new owner evaluates it on its first request, which
+//! costs about a microsecond of model, and every owner answers the same
+//! bytes.
 //!
 //! The **autoscaler** is deliberately boring: every `tick_every`-th
 //! admitted request it samples the router's queue depth and the p99 of
@@ -32,22 +31,20 @@
 //! decisions at the same indices* every time, which is what lets
 //! `tests/cluster_elasticity.rs` assert the decision counts exactly.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use hec_core::json::Json;
 use hec_core::sync::Mutex;
-use hec_serve::client;
 use hec_serve::metrics::Histogram;
 
 use crate::replica::{invalid, ReplicaSet};
 use crate::ring::{owners_diff, stable_hash, Ring, DEFAULT_VNODES};
 
-/// Tracked-key bound: the handoff set is the keys actually routed, and
-/// the canonical workload has a few dozen — this cap only guards
-/// against an adversarial stream of unique keys.
+/// Tracked-key bound: `keys_moved` counts over the keys actually
+/// routed, and the canonical workload has a few dozen — this cap only
+/// guards against an adversarial stream of unique keys.
 pub const MAX_TRACKED_KEYS: usize = 4096;
 
 /// One immutable membership version. The router holds an `Arc<Epoch>`
@@ -73,8 +70,6 @@ pub struct MembershipEvent {
     pub replica: usize,
     /// Tracked keys whose owner set changed at this flip.
     pub keys_moved: u64,
-    /// Keys successfully warmed on their new primary before cutover.
-    pub warm_hits: u64,
 }
 
 /// Autoscaler policy. All thresholds are deterministic functions of
@@ -133,8 +128,6 @@ pub struct ScaleUp {
     pub epoch: u64,
     /// Tracked keys whose owners changed at this flip.
     pub keys_moved: u64,
-    /// Keys warmed onto their new primaries before cutover.
-    pub warm_hits: u64,
 }
 
 /// What a drain removed.
@@ -144,8 +137,6 @@ pub struct Drain {
     pub epoch: u64,
     /// Tracked keys whose owners changed at this flip.
     pub keys_moved: u64,
-    /// Keys warmed onto their new primaries before cutover.
-    pub warm_hits: u64,
     /// Connections still open when the drained reactor exited (a
     /// graceful drain reads 0).
     pub connections_open: u64,
@@ -166,25 +157,23 @@ enum Decision {
 
 /// The elasticity engine: owns the versioned membership (current epoch
 /// plus the log of every change), performs scale-up and drain against
-/// the member table, warms caches across epoch flips, and runs the
+/// the member table, counts the keys each flip moves, and runs the
 /// autoscaler policy.
 pub struct Elasticity {
     epoch: Mutex<Arc<Epoch>>,
     replication: usize,
     /// Every membership change so far; the `/metrics` totals
-    /// (`added_total`, `handoff.keys_moved`, …) are sums over it.
+    /// (`added_total`, `keys_moved`, …) are sums over it.
     events: Mutex<Vec<MembershipEvent>>,
     replicas: Arc<ReplicaSet>,
-    /// Ring key → a representative request target for re-priming.
-    tracked: Mutex<BTreeMap<String, String>>,
+    /// Ring keys routed so far (at most [`MAX_TRACKED_KEYS`]).
+    tracked: Mutex<BTreeSet<String>>,
     autoscale: Option<AutoscaleConfig>,
     auto_state: Mutex<AutoState>,
     auto_up: AtomicU64,
     auto_down: AtomicU64,
     /// Serializes membership changes (admin + autoscaler may race).
     change: Mutex<()>,
-    /// Per-warm HTTP timeout (the router's forward timeout).
-    timeout: Duration,
 }
 
 impl Elasticity {
@@ -193,7 +182,6 @@ impl Elasticity {
         replicas: Arc<ReplicaSet>,
         replication: usize,
         autoscale: Option<AutoscaleConfig>,
-        timeout: Duration,
     ) -> Elasticity {
         let members: Vec<usize> = (0..replicas.len()).collect();
         let ring = Ring::over(&members, DEFAULT_VNODES, replication);
@@ -202,7 +190,7 @@ impl Elasticity {
             replication,
             events: Mutex::new(Vec::new()),
             replicas,
-            tracked: Mutex::new(BTreeMap::new()),
+            tracked: Mutex::new(BTreeSet::new()),
             autoscale,
             auto_state: Mutex::new(AutoState {
                 up_streak: 0,
@@ -213,7 +201,6 @@ impl Elasticity {
             auto_up: AtomicU64::new(0),
             auto_down: AtomicU64::new(0),
             change: Mutex::new(()),
-            timeout,
         }
     }
 
@@ -231,7 +218,6 @@ impl Elasticity {
         action: &'static str,
         replica: usize,
         keys_moved: u64,
-        warm_hits: u64,
     ) -> u64 {
         let version = {
             let mut g = self.epoch.lock();
@@ -239,21 +225,15 @@ impl Elasticity {
             *g = Arc::new(Epoch { version, members, ring });
             version
         };
-        self.events.lock().push(MembershipEvent {
-            epoch: version,
-            action,
-            replica,
-            keys_moved,
-            warm_hits,
-        });
+        self.events.lock().push(MembershipEvent { epoch: version, action, replica, keys_moved });
         version
     }
 
-    /// Remembers a routed key and a target that can re-prime it.
-    pub fn track(&self, key: &str, target: &str) {
+    /// Remembers a routed key.
+    pub fn track(&self, key: &str) {
         let mut g = self.tracked.lock();
-        if g.len() < MAX_TRACKED_KEYS && !g.contains_key(key) {
-            g.insert(key.to_string(), target.to_string());
+        if g.len() < MAX_TRACKED_KEYS && !g.contains(key) {
+            g.insert(key.to_string());
         }
     }
 
@@ -262,8 +242,8 @@ impl Elasticity {
         (self.auto_up.load(Ordering::Relaxed), self.auto_down.load(Ordering::Relaxed))
     }
 
-    /// Adds one replica, warms the keys it now owns, installs the next
-    /// epoch. The router keeps serving throughout.
+    /// Adds one replica and installs the next epoch. The router keeps
+    /// serving throughout.
     pub fn scale_up(&self) -> std::io::Result<ScaleUp> {
         let _g = self.change.lock();
         let (added, addr) = self.replicas.add()?;
@@ -272,15 +252,15 @@ impl Elasticity {
         members.push(added);
         members.sort_unstable();
         let ring = Ring::over(&members, DEFAULT_VNODES, self.replication);
-        let (keys_moved, warm_hits) = self.handoff(&old.ring, &ring);
-        let epoch = self.install(members, ring, "add", added, keys_moved, warm_hits);
-        Ok(ScaleUp { added, addr, epoch, keys_moved, warm_hits })
+        let keys_moved = self.keys_moved(&old.ring, &ring);
+        let epoch = self.install(members, ring, "add", added, keys_moved);
+        Ok(ScaleUp { added, addr, epoch, keys_moved })
     }
 
     /// Drains member `id` out of the ring: flip the epoch to exclude
-    /// it, warm the keys it loses onto their new primaries *while it is
-    /// still serving*, then stop it gracefully. Returns the epoch and
-    /// the drained reactor's final open-connection count.
+    /// it, then stop it gracefully, so no request is routed to it after
+    /// it stops. Returns the epoch and the drained reactor's final
+    /// open-connection count.
     pub fn drain(&self, id: usize) -> std::io::Result<Drain> {
         let _g = self.change.lock();
         self.drain_locked(id)
@@ -307,86 +287,16 @@ impl Elasticity {
         }
         let members: Vec<usize> = old.members.iter().copied().filter(|&m| m != id).collect();
         let ring = Ring::over(&members, DEFAULT_VNODES, self.replication);
-        // Handoff first: the outgoing member is still up, so its cache
-        // entries are exportable and re-primes cannot land on it.
-        let (keys_moved, warm_hits) = self.handoff(&old.ring, &ring);
-        let epoch = self.install(members, ring, "drain", id, keys_moved, warm_hits);
+        let keys_moved = self.keys_moved(&old.ring, &ring);
+        let epoch = self.install(members, ring, "drain", id, keys_moved);
         let connections_open = self.replicas.retire(id).unwrap_or(0);
-        Ok(Drain { epoch, keys_moved, warm_hits, connections_open })
+        Ok(Drain { epoch, keys_moved, connections_open })
     }
 
-    /// Migrates every tracked key whose owner set changes between the
-    /// two rings. Returns `(keys_moved, warm_hits)`.
-    fn handoff(&self, old: &Ring, new: &Ring) -> (u64, u64) {
+    /// The tracked keys whose owner set changes between the two rings.
+    fn keys_moved(&self, old: &Ring, new: &Ring) -> u64 {
         let diff = owners_diff(old, new);
-        if diff.is_empty() {
-            return (0, 0);
-        }
-        let snapshot: Vec<(String, String)> =
-            self.tracked.lock().iter().map(|(k, t)| (k.clone(), t.clone())).collect();
-        let (mut moved, mut warm) = (0u64, 0u64);
-        for (key, target) in snapshot {
-            if !diff.covers(stable_hash(key.as_bytes())) {
-                continue;
-            }
-            moved += 1;
-            let (old_primary, new_primary) = (old.primary(&key), new.primary(&key));
-            if old_primary == new_primary {
-                // A secondary changed but the authoritative copy did
-                // not move; nothing to warm.
-                continue;
-            }
-            if self.warm_key(&key, &target, old_primary, new_primary) {
-                warm += 1;
-            }
-        }
-        (moved, warm)
-    }
-
-    /// Warms one key onto its new primary: export/import the cache
-    /// entry when the key is a canonical point key, otherwise re-prime
-    /// by replaying the tracked GET target against the new primary.
-    fn warm_key(&self, key: &str, target: &str, old_primary: usize, new_primary: usize) -> bool {
-        let addr_of = |r: usize| self.replicas.get(r).and_then(|m| m.addr());
-        let Some(new_addr) = addr_of(new_primary) else {
-            return false;
-        };
-        let exportable = !key.starts_with('/') && !key.starts_with("sweep|");
-        if exportable {
-            if let Some(old_addr) = addr_of(old_primary) {
-                let req = Json::obj([("keys", Json::Arr(vec![Json::Str(key.to_string())]))])
-                    .emit_pretty();
-                let exported = client::http_post_timeout(
-                    &format!("http://{old_addr}/cache/export"),
-                    &req,
-                    self.timeout,
-                );
-                if let Ok(resp) = exported {
-                    let has_entries = resp.status == 200
-                        && Json::parse(&resp.body)
-                            .ok()
-                            .and_then(|d| {
-                                d.get("entries").and_then(|e| e.as_arr().map(|a| a.len()))
-                            })
-                            .is_some_and(|n| n > 0);
-                    if has_entries {
-                        let imported = client::http_post_timeout(
-                            &format!("http://{new_addr}/cache/import"),
-                            &resp.body,
-                            self.timeout,
-                        );
-                        if imported.map(|r| r.status == 200).unwrap_or(false) {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        // Not exportable (sweeps, raw targets) or the old primary had
-        // no entry: re-prime by evaluating on the new owner directly.
-        client::http_get_timeout(&format!("http://{new_addr}{target}"), self.timeout)
-            .map(|r| r.status == 200)
-            .unwrap_or(false)
+        self.tracked.lock().iter().filter(|k| diff.covers(stable_hash(k.as_bytes()))).count() as u64
     }
 
     /// One autoscaler observation, keyed to the admitted-request index.
@@ -463,7 +373,6 @@ impl Elasticity {
                     ("action", Json::Str(e.action.to_string())),
                     ("replica", Json::Num(e.replica as f64)),
                     ("keys_moved", Json::Num(e.keys_moved as f64)),
-                    ("warm_hits", Json::Num(e.warm_hits as f64)),
                 ])
             })
             .collect();
@@ -479,19 +388,7 @@ impl Elasticity {
                     ("removed_total", Json::Num(count("drain"))),
                 ]),
             ),
-            (
-                "handoff",
-                Json::obj([
-                    (
-                        "keys_moved",
-                        Json::Num(events.iter().map(|e| e.keys_moved).sum::<u64>() as f64),
-                    ),
-                    (
-                        "warm_hits",
-                        Json::Num(events.iter().map(|e| e.warm_hits).sum::<u64>() as f64),
-                    ),
-                ]),
-            ),
+            ("keys_moved", Json::Num(events.iter().map(|e| e.keys_moved).sum::<u64>() as f64)),
             (
                 "autoscale",
                 Json::obj([
@@ -538,7 +435,7 @@ mod tests {
             ReplicaSet::start(n, ServeConfig { port: 0, workers: 1, queue: 8, cache_capacity: 64 })
                 .unwrap(),
         );
-        Elasticity::new(replicas, 2, autoscale, Duration::from_secs(5))
+        Elasticity::new(replicas, 2, autoscale)
     }
 
     #[test]
@@ -563,7 +460,7 @@ mod tests {
     fn scale_up_and_drain_flip_epochs_and_move_only_changed_keys() {
         let e = elastic(2, None);
         for app in ["gtc", "lbmhd", "fvcam", "paratec"] {
-            e.track(&format!("sweep|{app}"), &format!("/sweep?app={app}"));
+            e.track(&format!("sweep|{app}"));
         }
         let before = e.current();
         assert_eq!(before.version, 0);
@@ -593,8 +490,8 @@ mod tests {
         assert_eq!(total("members", "added_total"), 1.0);
         assert_eq!(total("members", "removed_total"), 1.0);
         assert_eq!(
-            total("handoff", "keys_moved"),
-            (up.keys_moved + drained.keys_moved) as f64,
+            doc.get("keys_moved").and_then(|v| v.as_f64()),
+            Some((up.keys_moved + drained.keys_moved) as f64),
             "the totals are sums over the event log"
         );
         e.replicas.shutdown_all();

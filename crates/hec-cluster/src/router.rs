@@ -222,7 +222,7 @@ impl RouterState {
         let index = self.admitted.fetch_add(1, Ordering::SeqCst);
         let (mut drops, slow_reply) = self.inject_faults(index);
         let key = self.ring_key(req);
-        self.elasticity.track(&key, &req.target());
+        self.elasticity.track(&key);
         self.elasticity.autoscale_tick(index, queue_depth, &self.lat_route);
         let mut backoff = Backoff::new(
             RETRY_JITTER_SEED ^ index,
@@ -423,7 +423,6 @@ fn scale_up_doc(up: &ScaleUp) -> String {
         ("addr", Json::Str(up.addr.to_string())),
         ("epoch", Json::Num(up.epoch as f64)),
         ("keys_moved", Json::Num(up.keys_moved as f64)),
-        ("warm_hits", Json::Num(up.warm_hits as f64)),
     ])
     .emit_pretty()
 }
@@ -433,7 +432,6 @@ fn drain_doc(i: usize, d: &Drain) -> String {
         ("drained", Json::Num(i as f64)),
         ("epoch", Json::Num(d.epoch as f64)),
         ("keys_moved", Json::Num(d.keys_moved as f64)),
-        ("warm_hits", Json::Num(d.warm_hits as f64)),
         ("connections_open_after_drain", Json::Num(d.connections_open as f64)),
     ])
     .emit_pretty()
@@ -591,12 +589,7 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<Cluster> {
     let replicas = Arc::new(ReplicaSet::start(cfg.replicas, cfg.replica.clone())?);
     let planned_faults = cfg.faults.remaining();
     let state = Arc::new(RouterState {
-        elasticity: Elasticity::new(
-            Arc::clone(&replicas),
-            cfg.replication,
-            cfg.autoscale,
-            cfg.retry.timeout,
-        ),
+        elasticity: Elasticity::new(Arc::clone(&replicas), cfg.replication, cfg.autoscale),
         replicas: Arc::clone(&replicas),
         faults: Mutex::new(cfg.faults),
         planned_faults,

@@ -1,4 +1,4 @@
-//! Sharded LRU cache over evaluated points.
+//! LRU cache over evaluated points.
 //!
 //! Keys are canonical request forms ([`crate::request::Point::canonical_key`]);
 //! values are evaluation *results* ([`Option<Cell>`] — infeasible points
@@ -7,26 +7,18 @@
 //! determinism contract (cached ≡ uncached, bitwise) reduces to the
 //! emitter being deterministic — which ordered-object JSON is.
 //!
-//! Sharding: the key hash picks one of [`SHARDS`] independent LRU lists,
-//! each behind its own mutex, so concurrent workers rarely contend.
-//! Each shard is a classic slab + doubly-linked list: O(1) hit
-//! promotion, O(1) insert, O(1) tail eviction, bounded memory.
-//! Hit/miss/eviction accounting is kept per shard (surfaced through
-//! `/metrics`), so key skew — one shard hammered while others idle,
-//! exactly what a cluster router's ring assignment can produce — is
-//! observable rather than hidden in the aggregate.
+//! One slab-backed doubly-linked recency list and its key index sit
+//! behind one mutex, with the hit, miss and eviction counts inside the
+//! same lock: O(1) hit promotion, O(1) insert, O(1) tail eviction, and
+//! exactly `capacity.max(1)` entries in global LRU order. A replica does
+//! every lookup on its one reactor thread (DESIGN §8), so the lock is
+//! never contended.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use hec_core::sync::Mutex;
 
 use crate::engine::Cell;
-
-/// Number of independent LRU shards.
-pub const SHARDS: usize = 8;
 
 const NIL: usize = usize::MAX;
 
@@ -37,28 +29,19 @@ struct Entry {
     next: usize,
 }
 
-/// One LRU shard: slab-backed doubly-linked recency list + key index.
-struct Shard {
+/// The recency list, its key index and its counters.
+struct Lru {
     map: HashMap<String, usize>,
     slab: Vec<Entry>,
-    free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Shard {
-        Shard {
-            map: HashMap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity,
-        }
-    }
-
+impl Lru {
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
         match prev {
@@ -82,162 +65,101 @@ impl Shard {
     }
 
     fn get(&mut self, key: &str) -> Option<Option<Cell>> {
-        let idx = *self.map.get(key)?;
+        let Some(&idx) = self.map.get(key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
         self.unlink(idx);
         self.push_front(idx);
         Some(self.slab[idx].val)
     }
 
-    /// Inserts `key`; returns true when an existing entry was evicted.
-    fn put(&mut self, key: String, val: Option<Cell>) -> bool {
+    fn put(&mut self, key: String, val: Option<Cell>) {
         if let Some(&idx) = self.map.get(&key) {
             self.slab[idx].val = val;
             self.unlink(idx);
             self.push_front(idx);
-            return false;
+            return;
         }
-        let mut evicted = false;
-        if self.map.len() >= self.capacity {
+        let entry = Entry { key: key.clone(), val, prev: NIL, next: NIL };
+        let idx = if self.map.len() >= self.capacity {
+            // Full: the least recently used entry's slot takes the new one.
             let victim = self.tail;
             self.unlink(victim);
-            let old_key = std::mem::take(&mut self.slab[victim].key);
-            self.map.remove(&old_key);
-            self.free.push(victim);
-            evicted = true;
-        }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = Entry { key: key.clone(), val, prev: NIL, next: NIL };
-                i
-            }
-            None => {
-                self.slab.push(Entry { key: key.clone(), val, prev: NIL, next: NIL });
-                self.slab.len() - 1
-            }
+            self.map.remove(&self.slab[victim].key);
+            self.evictions += 1;
+            self.slab[victim] = entry;
+            victim
+        } else {
+            self.slab.push(entry);
+            self.slab.len() - 1
         };
         self.map.insert(key, idx);
         self.push_front(idx);
-        evicted
     }
 }
 
-/// One LRU shard plus its own counters (lock-free reads for metrics).
-struct ShardCell {
-    inner: Mutex<Shard>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// A point-in-time snapshot of one shard's counters, for `/metrics`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Cumulative hits on this shard.
-    pub hits: u64,
-    /// Cumulative misses on this shard.
-    pub misses: u64,
-    /// Cumulative LRU evictions from this shard.
-    pub evictions: u64,
-    /// Entries currently resident in this shard.
-    pub entries: usize,
-}
-
-/// The sharded LRU cache with per-shard hit/miss/eviction accounting.
+/// The point cache: one LRU list behind one lock. The name predates the
+/// single list and goes when `benchmark/` stops constructing this type
+/// (ROADMAP, rulers (e)).
 pub struct ShardedLru {
-    shards: Vec<ShardCell>,
+    inner: Mutex<Lru>,
 }
 
 impl ShardedLru {
-    /// A cache holding at most `capacity` entries in total, spread over
-    /// [`SHARDS`] shards (per-shard capacity rounds up, minimum 1).
+    /// A cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> ShardedLru {
-        let per_shard = capacity.div_ceil(SHARDS).max(1);
         ShardedLru {
-            shards: (0..SHARDS)
-                .map(|_| ShardCell {
-                    inner: Mutex::new(Shard::new(per_shard)),
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                    evictions: AtomicU64::new(0),
-                })
-                .collect(),
+            inner: Mutex::new(Lru {
+                map: HashMap::new(),
+                slab: Vec::new(),
+                head: NIL,
+                tail: NIL,
+                capacity: capacity.max(1),
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }),
         }
-    }
-
-    fn shard(&self, key: &str) -> &ShardCell {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
     /// Looks `key` up, promoting it to most-recently-used on a hit.
     /// The outer `Option` is hit/miss; the inner is the cached verdict
     /// (a feasible cell or a cached "infeasible").
     pub fn get(&self, key: &str) -> Option<Option<Cell>> {
-        let cell = self.shard(key);
-        let out = cell.inner.lock().get(key);
-        match out {
-            Some(_) => cell.hits.fetch_add(1, Ordering::Relaxed),
-            None => cell.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        out
+        self.inner.lock().get(key)
     }
 
     /// Inserts (or refreshes) `key`, evicting the least-recently-used
-    /// entry of its shard when full.
+    /// entry when full.
     pub fn put(&self, key: String, val: Option<Cell>) {
-        let cell = self.shard(&key);
-        if cell.inner.lock().put(key, val) {
-            cell.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        self.inner.lock().put(key, val)
     }
 
-    /// Looks `key` up without promoting it and without touching the
-    /// hit/miss counters. The cache-handoff export path reads entries
-    /// this way so a migration doesn't distort recency or stats.
-    pub fn peek(&self, key: &str) -> Option<Option<Cell>> {
-        let cell = self.shard(key);
-        let g = cell.inner.lock();
-        g.map.get(key).map(|&idx| g.slab[idx].val)
-    }
-
-    /// Cumulative hits, across all shards.
+    /// Cumulative hits.
     pub fn hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.hits.load(Ordering::Relaxed)).sum()
+        self.inner.lock().hits
     }
 
-    /// Cumulative misses, across all shards.
+    /// Cumulative misses.
     pub fn misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.misses.load(Ordering::Relaxed)).sum()
+        self.inner.lock().misses
     }
 
-    /// Cumulative LRU evictions, across all shards.
+    /// Cumulative LRU evictions.
     pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| s.evictions.load(Ordering::Relaxed)).sum()
+        self.inner.lock().evictions
     }
 
-    /// Entries currently cached, across all shards.
+    /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.inner.lock().map.len()).sum()
+        self.inner.lock().map.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Per-shard counter snapshot, in shard-index order. The `/metrics`
-    /// endpoint serves this so router-level key skew is observable.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|s| ShardStats {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                evictions: s.evictions.load(Ordering::Relaxed),
-                entries: s.inner.lock().map.len(),
-            })
-            .collect()
     }
 }
 
@@ -263,60 +185,26 @@ mod tests {
 
     #[test]
     fn eviction_is_least_recently_used() {
-        // Single-entry shards: every second insert into the same shard
-        // evicts. Use one shard's worth by hammering a capacity-SHARDS
-        // cache (1 entry per shard).
-        let c = ShardedLru::new(SHARDS);
+        let c = ShardedLru::new(2);
         c.put("x".into(), cell(1.0));
-        assert!(c.get("x").is_some());
-        // Find another key landing in x's shard, then insert it.
-        let mut probe = 0usize;
-        let collide = loop {
-            let k = format!("probe{probe}");
-            if std::ptr::eq(c.shard(&k), c.shard("x")) && k != "x" {
-                break k;
-            }
-            probe += 1;
-        };
-        c.put(collide.clone(), cell(2.0));
+        c.put("y".into(), cell(2.0));
+        c.put("z".into(), cell(3.0));
         assert_eq!(c.get("x"), None, "LRU entry must be evicted on overflow");
-        assert_eq!(c.get(&collide).unwrap().unwrap().gflops, 2.0);
+        assert_eq!(c.get("y").unwrap().unwrap().gflops, 2.0);
+        assert_eq!(c.get("z").unwrap().unwrap().gflops, 3.0);
         assert_eq!(c.evictions(), 1);
     }
 
     #[test]
     fn recency_promotion_protects_hot_keys() {
-        // A 2-per-shard cache: touch `a`, insert two more colliding
-        // keys; `a` survives the first eviction because it was promoted.
-        let c = ShardedLru::new(2 * SHARDS);
+        let c = ShardedLru::new(2);
         c.put("a".into(), cell(1.0));
-        let mut k = 0usize;
-        let mut colliders = Vec::new();
-        while colliders.len() < 2 {
-            let key = format!("c{k}");
-            if std::ptr::eq(c.shard(&key), c.shard("a")) {
-                colliders.push(key);
-            }
-            k += 1;
-        }
-        c.put(colliders[0].clone(), cell(2.0));
-        assert!(c.get("a").is_some()); // promote a over colliders[0]
-        c.put(colliders[1].clone(), cell(3.0)); // evicts colliders[0]
+        c.put("b".into(), cell(2.0));
+        assert!(c.get("a").is_some()); // promote a over b
+        c.put("c".into(), cell(3.0)); // evicts b
         assert!(c.get("a").is_some(), "promoted key must survive");
-        assert_eq!(c.get(&colliders[0]), None);
-        assert!(c.get(&colliders[1]).is_some());
-    }
-
-    #[test]
-    fn peek_reads_without_promoting_or_counting() {
-        let c = ShardedLru::new(64);
-        c.put("a".into(), cell(1.5));
-        c.put("inf".into(), None);
-        assert_eq!(c.peek("a").unwrap().unwrap().gflops, 1.5);
-        assert_eq!(c.peek("inf"), Some(None), "cached infeasibility peeks too");
-        assert_eq!(c.peek("absent"), None);
-        assert_eq!(c.hits(), 0, "peek must not count hits");
-        assert_eq!(c.misses(), 0, "peek must not count misses");
+        assert_eq!(c.get("b"), None);
+        assert!(c.get("c").is_some());
     }
 
     #[test]
@@ -330,36 +218,21 @@ mod tests {
     }
 
     #[test]
-    fn slab_reuse_stays_bounded_under_churn() {
-        let c = ShardedLru::new(SHARDS * 2);
-        for i in 0..10_000 {
-            c.put(format!("k{i}"), cell(i as f64));
+    fn holds_exactly_its_capacity_and_the_most_recent_keys() {
+        const PUTS: usize = 10_000;
+        for n in [0, 1, 7, 100] {
+            let c = ShardedLru::new(n);
+            for i in 0..PUTS {
+                c.put(format!("k{i}"), cell(i as f64));
+            }
+            let held = n.max(1);
+            assert_eq!(c.len(), held, "capacity {n}");
+            assert_eq!(c.evictions(), (PUTS - held) as u64, "capacity {n}");
+            assert_eq!(c.inner.lock().slab.len(), held, "capacity {n}: slab must not grow");
+            for i in PUTS - held..PUTS {
+                assert!(c.get(&format!("k{i}")).is_some(), "capacity {n}: k{i} must survive");
+            }
+            assert_eq!(c.get(&format!("k{}", PUTS - held - 1)), None, "capacity {n}");
         }
-        assert!(c.len() <= SHARDS * 2 + SHARDS, "len {} exceeds bound", c.len());
-        for s in &c.shards {
-            let g = s.inner.lock();
-            assert!(g.slab.len() <= g.capacity + 1, "slab grew unboundedly");
-        }
-        // Nearly every insert past capacity evicted something.
-        assert!(c.evictions() > 9_000, "evictions {} too low", c.evictions());
-    }
-
-    #[test]
-    fn shard_stats_sum_to_the_aggregates() {
-        let c = ShardedLru::new(64);
-        for i in 0..100 {
-            c.put(format!("k{i}"), cell(i as f64));
-        }
-        for i in 0..100 {
-            let _ = c.get(&format!("k{i}"));
-            let _ = c.get(&format!("absent{i}"));
-        }
-        let stats = c.shard_stats();
-        assert_eq!(stats.len(), SHARDS);
-        assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), c.hits());
-        assert_eq!(stats.iter().map(|s| s.misses).sum::<u64>(), c.misses());
-        assert_eq!(stats.iter().map(|s| s.evictions).sum::<u64>(), c.evictions());
-        assert_eq!(stats.iter().map(|s| s.entries).sum::<usize>(), c.len());
-        assert!(stats.iter().filter(|s| s.hits > 0).count() > 1, "hits spread over shards");
     }
 }

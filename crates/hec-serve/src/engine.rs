@@ -76,7 +76,7 @@ impl AppId {
 
 /// Platform selector for one evaluated cell: a real machine, or the
 /// paper's "aggregate 4-SSP" X1 presentation (a derived quantity, not a
-/// platform descriptor — see [`eval_4ssp`]).
+/// platform descriptor — see `eval_4ssp`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PlatformSel {
     /// Evaluate directly on one platform descriptor.

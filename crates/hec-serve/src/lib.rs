@@ -12,7 +12,7 @@
 //! * [`request`] — request canonicalization: every way of spelling a
 //!   point (query string, JSON body, platform aliases) collapses to one
 //!   [`request::Point`] whose canonical key is the cache key.
-//! * [`cache`] — a sharded LRU over evaluated points. Sweeps decompose
+//! * [`cache`] — one LRU list over evaluated points. Sweeps decompose
 //!   into per-point entries, so overlapping sweeps and single-point
 //!   requests share work.
 //! * [`batch`] — leader/follower micro-batching of concurrent misses.

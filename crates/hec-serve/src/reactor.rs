@@ -216,8 +216,13 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse, String> {
             }
         }
     }
-    if content_length > MAX_REQUEST_BYTES {
-        return Err("request body too large".into());
+    // The reactor buffers at most MAX_REQUEST_BYTES per connection, so a
+    // request that cannot fit would wait forever for its last bytes.
+    // `head_len <= MAX_REQUEST_BYTES` above, so the subtraction cannot
+    // underflow, and comparing before adding keeps a client-chosen
+    // Content-Length from overflowing.
+    if content_length > MAX_REQUEST_BYTES - head_len {
+        return Err("request too large".into());
     }
     let total = head_len + content_length;
     if buf.len() < total {
@@ -962,6 +967,18 @@ mod tests {
         let big_body =
             format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_REQUEST_BYTES + 1);
         assert!(parse_request(big_body.as_bytes()).is_err());
+        // Head plus body must fit the buffer: one byte over is refused at
+        // the head, an exact fit waits for its body.
+        let head_for =
+            |body_len: usize| format!("POST / HTTP/1.1\r\nContent-Length: {body_len:05}\r\n\r\n");
+        let fit = MAX_REQUEST_BYTES - head_for(0).len();
+        assert!(parse_request(head_for(fit + 1).as_bytes()).is_err());
+        assert!(matches!(parse_request(head_for(fit).as_bytes()), Ok(Parse::Incomplete)));
+        // A Content-Length near usize::MAX is refused, not wrapped.
+        for len in [usize::MAX, usize::MAX - 10] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {len}\r\n\r\n");
+            assert!(parse_request(raw.as_bytes()).is_err(), "Content-Length {len}");
+        }
         assert!(parse_request(b"GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n").is_err());
     }
 

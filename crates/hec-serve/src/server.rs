@@ -27,8 +27,11 @@
 //! | `/metrics` | GET | reactor | counters, cache, queue, connections, latency |
 //! | `/shutdown` | POST/GET | reactor | graceful stop |
 //! | `/debug/sleep?ms=N` | GET | worker pool | a deliberately slow request (tests) |
-//! | `/cache/export` | POST | reactor | read cache entries for handoff (cluster) |
-//! | `/cache/import` | POST | reactor | install cache entries from a handoff |
+//!
+//! The cache fills only with points this server evaluated itself; no
+//! endpoint reads or writes it from outside, so a replica that joins a
+//! cluster starts cold and recomputes each point on its first request
+//! (about a microsecond each).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -108,23 +111,6 @@ impl ServeState {
                     ("misses", Json::Num(self.cache.misses() as f64)),
                     ("evictions", Json::Num(self.cache.evictions() as f64)),
                     ("entries", Json::Num(self.cache.len() as f64)),
-                    (
-                        "shards",
-                        Json::Arr(
-                            self.cache
-                                .shard_stats()
-                                .into_iter()
-                                .map(|s| {
-                                    Json::obj([
-                                        ("hits", Json::Num(s.hits as f64)),
-                                        ("misses", Json::Num(s.misses as f64)),
-                                        ("evictions", Json::Num(s.evictions as f64)),
-                                        ("entries", Json::Num(s.entries as f64)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
                 ]),
             ),
             (
@@ -218,81 +204,6 @@ pub fn sweep_response_body(app: AppId, eval: impl FnMut(&Point) -> Option<Cell>)
     sweep_doc(app, eval).emit_pretty()
 }
 
-/// One cache entry as wire JSON. Values are the evaluation result, not
-/// formatted bytes — `Json::Num` emits shortest-round-trip floats, so an
-/// export/import round trip reinstalls bit-identical `Cell`s and the
-/// determinism contract survives a handoff.
-fn cache_entry_doc(key: &str, val: Option<Cell>) -> Json {
-    let mut f = vec![
-        ("key".to_string(), Json::Str(key.to_string())),
-        ("feasible".to_string(), Json::Bool(val.is_some())),
-    ];
-    if let Some(c) = val {
-        f.push(("gflops".to_string(), Json::Num(c.gflops)));
-        f.push(("pct_peak".to_string(), Json::Num(c.pct_peak)));
-        f.push(("step_secs".to_string(), Json::Num(c.step_secs)));
-    }
-    Json::Obj(f)
-}
-
-/// `POST /cache/export` — body `{"keys": [...]}`; answers the resident
-/// subset as `{"entries": [...]}`. Reads via [`ShardedLru::peek`], so
-/// exports neither promote entries nor distort hit/miss stats. Keys not
-/// cached here are simply absent (the importer re-primes them instead).
-fn cache_export(body: &str, state: &ServeState) -> (u16, String) {
-    let doc = match Json::parse(body) {
-        Ok(d) => d,
-        Err(e) => return (400, error_body(&format!("bad export body: {e}"))),
-    };
-    let Some(keys) = doc.get("keys").and_then(|k| k.as_arr()) else {
-        return (400, error_body("export needs keys: [\"...\"]"));
-    };
-    let mut entries = Vec::new();
-    for k in keys {
-        let Some(key) = k.as_str() else {
-            return (400, error_body("export keys must be strings"));
-        };
-        if let Some(val) = state.cache.peek(key) {
-            entries.push(cache_entry_doc(key, val));
-        }
-    }
-    (200, Json::obj([("entries", Json::Arr(entries))]).emit_pretty())
-}
-
-/// `POST /cache/import` — body `{"entries": [...]}` in the export
-/// format; installs each entry into this server's cache (cache warming
-/// during a ring handoff). Answers `{"imported": n}`.
-fn cache_import(body: &str, state: &ServeState) -> (u16, String) {
-    let doc = match Json::parse(body) {
-        Ok(d) => d,
-        Err(e) => return (400, error_body(&format!("bad import body: {e}"))),
-    };
-    let Some(entries) = doc.get("entries").and_then(|e| e.as_arr()) else {
-        return (400, error_body("import needs entries: [...]"));
-    };
-    let mut imported = 0u64;
-    for e in entries {
-        let (Some(key), Some(feasible)) =
-            (e.get("key").and_then(|k| k.as_str()), e.get("feasible").and_then(|f| f.as_bool()))
-        else {
-            return (400, error_body("each entry needs key and feasible"));
-        };
-        let val = if feasible {
-            let nums =
-                ["gflops", "pct_peak", "step_secs"].map(|f| e.get(f).and_then(|v| v.as_f64()));
-            let [Some(gflops), Some(pct_peak), Some(step_secs)] = nums else {
-                return (400, error_body("feasible entries need gflops, pct_peak, step_secs"));
-            };
-            Some(Cell { gflops, pct_peak, step_secs })
-        } else {
-            None
-        };
-        state.cache.put(key.to_string(), val);
-        imported += 1;
-    }
-    (200, Json::obj([("imported", Json::Num(imported as f64))]).emit_pretty())
-}
-
 fn route(req: &Request, state: &ServeState, front: &Frontend) -> (u16, String) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => (200, Json::obj([("ok", Json::Bool(true))]).emit_pretty()),
@@ -315,8 +226,6 @@ fn route(req: &Request, state: &ServeState, front: &Frontend) -> (u16, String) {
             }
         }
         ("GET", "/metrics") => (200, state.metrics_doc(front).emit_pretty()),
-        ("POST", "/cache/export") => cache_export(&req.body, state),
-        ("POST", "/cache/import") => cache_import(&req.body, state),
         ("GET" | "POST", "/shutdown") => {
             front.shutdown();
             (200, Json::obj([("stopping", Json::Bool(true))]).emit_pretty())
@@ -331,11 +240,9 @@ fn route(req: &Request, state: &ServeState, front: &Frontend) -> (u16, String) {
             std::thread::sleep(std::time::Duration::from_millis(ms));
             (200, Json::obj([("slept_ms", Json::Num(ms as f64))]).emit_pretty())
         }
-        (
-            _,
-            "/eval" | "/sweep" | "/metrics" | "/healthz" | "/shutdown" | DEBUG_SLEEP
-            | "/cache/export" | "/cache/import",
-        ) => (405, error_body("method not allowed")),
+        (_, "/eval" | "/sweep" | "/metrics" | "/healthz" | "/shutdown" | DEBUG_SLEEP) => {
+            (405, error_body("method not allowed"))
+        }
         _ => (404, error_body("no such endpoint")),
     }
 }
@@ -450,6 +357,11 @@ mod tests {
         assert_eq!(ok.status, 200);
         assert_eq!(ok.body, "{\n  \"ok\": true\n}\n");
         assert_eq!(client::http_get(&format!("{base}/nope")).unwrap().status, 404);
+        // No endpoint moves cache entries between servers.
+        for verb in ["export", "import"] {
+            let r = client::http_post(&format!("{base}/cache/{verb}"), "{}").unwrap();
+            assert_eq!(r.status, 404, "/cache/{verb}");
+        }
         assert_eq!(client::http_post(&format!("{base}/metrics"), "").unwrap().status, 405);
         s.shutdown();
         s.join();
@@ -522,8 +434,7 @@ mod tests {
         let doc = Json::parse(&m.body).unwrap();
         assert!(doc.get("cache").and_then(|c| c.get("misses")).is_some());
         assert!(doc.get("cache").and_then(|c| c.get("evictions")).is_some());
-        let shards = doc.get("cache").and_then(|c| c.get("shards")).and_then(|s| s.as_arr());
-        assert_eq!(shards.map(|s| s.len()), Some(crate::cache::SHARDS));
+        assert!(doc.get("cache").and_then(|c| c.get("entries")).is_some());
         assert!(doc.get("queue").and_then(|q| q.get("capacity")).is_some());
         assert!(doc.get("latency").and_then(|l| l.get("eval")).is_some());
         assert!(doc.get("batch").is_none(), "no micro-batching on the serving path");
@@ -536,82 +447,6 @@ mod tests {
         assert_eq!(client::http_get(&format!("{base}/debug/sleep?ms=0")).unwrap().status, 200);
         let m = client::http_get(&format!("{base}/metrics")).unwrap();
         assert_eq!(dispatched(&Json::parse(&m.body).unwrap()), 1.0);
-        s.shutdown();
-        s.join();
-    }
-
-    #[test]
-    fn cache_export_import_round_trips_entries_bit_exactly() {
-        let a = test_server();
-        let b = test_server();
-        let base_a = format!("http://{}", a.addr());
-        let base_b = format!("http://{}", b.addr());
-        // Prime one feasible and one infeasible entry on A.
-        let ok = client::http_get(&format!("{base_a}/eval?app=gtc&platform=es&procs=64")).unwrap();
-        assert_eq!(ok.status, 200);
-        let infeasible =
-            client::http_get(&format!("{base_a}/eval?app=gtc&platform=x1msp&procs=2048")).unwrap();
-        assert_eq!(infeasible.status, 200);
-        let keys: Vec<String> = [
-            Point::from_query("app=gtc&platform=es&procs=64").unwrap(),
-            Point::from_query("app=gtc&platform=x1msp&procs=2048").unwrap(),
-        ]
-        .iter()
-        .map(|p| format!("{:?}", p.canonical_key()))
-        .collect();
-        let exported = client::http_post(
-            &format!("{base_a}/cache/export"),
-            &format!("{{\"keys\": [{}] }}", keys.join(", ")),
-        )
-        .unwrap();
-        assert_eq!(exported.status, 200);
-        let doc = Json::parse(&exported.body).unwrap();
-        let entries = doc.get("entries").and_then(|e| e.as_arr()).unwrap();
-        assert_eq!(entries.len(), 2);
-        let imported =
-            client::http_post(&format!("{base_b}/cache/import"), &exported.body).unwrap();
-        assert_eq!(imported.status, 200);
-        assert!(imported.body.contains("\"imported\": 2"));
-        // B must now answer both points from cache with A's exact bytes.
-        let misses_before = cache_counter(&base_b, "misses");
-        let ok_b =
-            client::http_get(&format!("{base_b}/eval?app=gtc&platform=es&procs=64")).unwrap();
-        assert_eq!(ok_b.body, ok.body, "imported entry must reproduce the exact bytes");
-        let inf_b =
-            client::http_get(&format!("{base_b}/eval?app=gtc&platform=x1msp&procs=2048")).unwrap();
-        assert_eq!(inf_b.body, infeasible.body);
-        assert_eq!(
-            cache_counter(&base_b, "misses"),
-            misses_before,
-            "both answers must come from cache"
-        );
-        for s in [a, b] {
-            s.shutdown();
-            s.join();
-        }
-    }
-
-    #[test]
-    fn cache_export_skips_absent_keys_and_rejects_bad_bodies() {
-        let s = test_server();
-        let base = format!("http://{}", s.addr());
-        let r =
-            client::http_post(&format!("{base}/cache/export"), r#"{"keys": ["nope"]}"#).unwrap();
-        assert_eq!(r.status, 200);
-        let doc = Json::parse(&r.body).unwrap();
-        assert_eq!(doc.get("entries").and_then(|e| e.as_arr()).map(|e| e.len()), Some(0));
-        for (path, body) in [
-            ("/cache/export", "{{{"),
-            ("/cache/export", r#"{"nope": 1}"#),
-            ("/cache/export", r#"{"keys": [1]}"#),
-            ("/cache/import", "{{{"),
-            ("/cache/import", r#"{"entries": [{"key": "k"}]}"#),
-            ("/cache/import", r#"{"entries": [{"key": "k", "feasible": true}]}"#),
-        ] {
-            let r = client::http_post(&format!("{base}{path}"), body).unwrap();
-            assert_eq!(r.status, 400, "{path} {body}");
-        }
-        assert_eq!(client::http_get(&format!("{base}/cache/export")).unwrap().status, 405);
         s.shutdown();
         s.join();
     }

@@ -8,6 +8,9 @@ cargo build --release --offline --workspace --examples
 # --no-fail-fast: a red package must not hide the ones after it.
 cargo test -q --offline --workspace --no-fail-fast
 cargo fmt --check
+# A doc link to a private, ambiguous or deleted item fails here instead
+# of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 # scripts/pair.sh is run by hand (it takes minutes per pair); here it only
 # has to parse, and to refuse a bad argument with exit 2 before it builds.

@@ -1,8 +1,9 @@
 //! HTTP/1.1 keep-alive protocol conformance for the reactor core
 //! (ISSUE 8), table-driven against a live listener with raw sockets:
 //! `Connection` negotiation across HTTP versions, pipelined-request
-//! ordering, slow byte-at-a-time writers, oversized-header rejection,
-//! and a mid-request abort that must not hurt the listener.
+//! ordering, slow byte-at-a-time writers, oversized-header and
+//! oversized-request rejection, and a mid-request abort that must not
+//! hurt the listener.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -224,6 +225,54 @@ fn oversized_header_is_rejected_with_400_and_close() {
     let (mut w2, mut r2) = connect(&s);
     w2.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
     assert_eq!(read_response(&mut r2).unwrap().status, 200);
+    s.shutdown();
+    s.join();
+}
+
+/// The server buffers at most `MAX_REQUEST_BYTES` of a connection, so a
+/// request is accepted only if head and body fit together: one that fills
+/// the buffer exactly is answered, and one a byte larger is refused as
+/// soon as its head arrives instead of waiting for a body that could
+/// never be buffered.
+#[test]
+fn a_request_is_answered_only_if_head_and_body_fit_the_buffer() {
+    let s = start();
+    let want = {
+        let p = Point::from_query("app=gtc&platform=x1msp&procs=256").unwrap();
+        point_response_body(&p, p.eval())
+    };
+    let head_for = |body_len: usize| {
+        format!("POST /eval HTTP/1.1\r\nContent-Length: {body_len:05}\r\n\r\n").into_bytes()
+    };
+    let fit = server::MAX_REQUEST_BYTES - head_for(0).len();
+
+    let (mut w, mut r) = connect(&s);
+    let mut body = br#"{"app":"gtc","platform":"x1msp","procs":256"#.to_vec();
+    body.resize(fit - 1, b' ');
+    body.push(b'}');
+    w.write_all(&[head_for(fit), body].concat()).unwrap();
+    let resp = read_response(&mut r).expect("a request that fits is answered");
+    assert_eq!((resp.status, resp.body.as_str()), (200, want.as_str()));
+
+    let (mut w, mut r) = connect(&s);
+    w.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    w.write_all(&head_for(fit + 1)).unwrap();
+    let resp = read_response(&mut r).expect("an oversized request is refused, not left waiting");
+    assert_eq!((resp.status, resp.connection.as_str()), (400, "close"));
+
+    // A Content-Length that would overflow head + body is refused the same
+    // way, and the reactor keeps answering other connections.
+    let (mut w, mut r) = connect(&s);
+    w.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    w.write_all(
+        format!("POST /eval HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX).as_bytes(),
+    )
+    .unwrap();
+    let resp = read_response(&mut r).expect("an overflowing Content-Length is refused");
+    assert_eq!((resp.status, resp.connection.as_str()), (400, "close"));
+    let (mut w, mut r) = connect(&s);
+    w.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    assert_eq!(read_response(&mut r).expect("the reactor survives").status, 200);
     s.shutdown();
     s.join();
 }
