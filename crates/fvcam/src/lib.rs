@@ -26,7 +26,7 @@
 //! * [`vertical`] — Lagrangian surface drift and conservative remap.
 //! * [`decomp`] — 1D/2D decompositions, halo exchanges, and transposes.
 //! * [`sim`] — the timestep driver plus the physics-package surrogate.
-//! * [`model`] — analytic workload model (Table 3, Figures 3/4).
+//! * [`model`] — the measured workload model (Table 3, Figures 3/4).
 
 /// Stable artifact-file tag: `TABLE_fvcam.json` / `PROFILE_fvcam.json`
 /// are keyed by this name, so renaming it breaks every committed

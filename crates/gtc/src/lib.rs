@@ -22,7 +22,7 @@
 //! * [`poisson`] — CG solve of the gyrokinetic Poisson equation per plane.
 //! * [`push`] — field gather and RK2 drift push with δf weight evolution.
 //! * [`sim`] — msim driver wiring the two-level decomposition together.
-//! * [`model`] — analytic workload model feeding `hec-arch` (Table 4).
+//! * [`model`] — the measured workload model feeding `hec-arch` (Table 4).
 
 /// Stable artifact-file tag: `TABLE_gtc.json` / `PROFILE_gtc.json`
 /// are keyed by this name, so renaming it breaks every committed

@@ -1,20 +1,21 @@
-//! Analytic workload model for Table 4's configurations.
+//! Workload model for Table 4's configurations.
 //!
 //! Table 4 is a weak-scaling study: the grid stays fixed while the particle
 //! count grows with the processor count (100 particles/cell at P=64 up to
-//! 3200 at P=2048), keeping ~3.2 million markers per processor. The
-//! per-marker kernel costs below are the audited constants of the real
-//! implementation (`deposit`, `push`), validated against instrumented runs
-//! in the tests.
+//! 3200 at P=2048), keeping ~3.2 million markers per processor.
+//! [`measured_workload`] writes each phase's flops and bytes from the
+//! per-marker (and per CG point-iteration) rates of one instrumented run,
+//! and its shape and the communication in closed form. The tests pin the
+//! measured rates to the audited per-marker constants of the real
+//! implementation (`deposit`, `push`).
 
 use std::sync::OnceLock;
 
-use hec_arch::{CommEvent, PhaseBinding, PhaseProfile, WorkloadProfile};
+use hec_arch::capture::{recorded, Extensive};
+use hec_arch::{CommEvent, PhaseProfile, WorkloadProfile};
 use hec_core::probe::{self, Capture};
 
-use crate::deposit::{FLOPS_PER_PARTICLE as DEPOSIT_FLOPS, SCATTER_POINTS};
 use crate::particles::ATTRS;
-use crate::push::{GATHER_FLOPS_PER_PARTICLE, PUSH_FLOPS_PER_PARTICLE};
 use crate::sim::{GtcParams, GtcSim};
 
 /// The production grid of the paper's benchmark problem (per-domain plane
@@ -40,86 +41,6 @@ pub const SHIFT_FRACTION: f64 = 0.05;
 pub const TABLE4_CONFIGS: [(usize, usize); 6] =
     [(64, 100), (128, 200), (256, 400), (512, 800), (1024, 1600), (2048, 3200)];
 
-/// Workload profile for one GTC step on `procs` processors with
-/// `PARTICLES_PER_PROC` markers each.
-pub fn workload(procs: usize) -> WorkloadProfile {
-    let np = PARTICLES_PER_PROC;
-    let npe = (procs / NDOMAINS).max(1);
-    let grid_bytes = PLANE_POINTS * (MZETA_LOCAL + 1.0) * 8.0;
-
-    let mut w = WorkloadProfile::new("GTC", procs);
-
-    // --- Charge deposition: random scatter (read+modify+write 32 grid
-    // points per marker) plus streaming reads of the marker arrays.
-    let mut dep = PhaseProfile::new("charge deposition");
-    dep.flops = np * DEPOSIT_FLOPS;
-    // The work-vector method vectorizes the scatter fully; the remaining
-    // scalar work is the ring/stencil index arithmetic.
-    dep.vector_fraction = 0.99;
-    dep.avg_vector_length = 256.0;
-    dep.unit_stride_bytes = np * (ATTRS as f64) * 8.0;
-    dep.gather_scatter_bytes = np * (SCATTER_POINTS as f64) * 8.0 * 2.0;
-    // The deposition's random writes land on one plane's grid — about a
-    // megabyte — which is what the cache machines keep resident.
-    dep.working_set_bytes = PLANE_POINTS * 8.0;
-    dep.cacheable_fraction = 0.35; // grid reuse: nearby markers share cells
-    dep.dense_fraction = 0.05;
-    dep.concurrent_streams = 8.0;
-    w.phases.push(dep);
-
-    // --- Poisson solve: grid work, small next to the particle phases
-    // (paper: ~85 % of the runtime is particle work).
-    let mut poi = PhaseProfile::new("poisson solve");
-    let cg_iters = CG_ITERS;
-    poi.flops = cg_iters * 15.0 * PLANE_POINTS * MZETA_LOCAL;
-    poi.vector_fraction = 0.98;
-    poi.avg_vector_length = 512.0;
-    poi.unit_stride_bytes = cg_iters * 5.0 * 8.0 * PLANE_POINTS * MZETA_LOCAL;
-    poi.working_set_bytes = grid_bytes;
-    poi.cacheable_fraction = 0.5;
-    poi.dense_fraction = 0.2;
-    poi.concurrent_streams = 6.0;
-    w.phases.push(poi);
-
-    // --- Field gather: the read-side mirror of the deposition.
-    let mut gat = PhaseProfile::new("field gather");
-    gat.flops = np * GATHER_FLOPS_PER_PARTICLE;
-    gat.vector_fraction = 0.99;
-    gat.avg_vector_length = 256.0;
-    gat.unit_stride_bytes = np * (ATTRS as f64) * 8.0;
-    // Two field components × two planes × 16 stencil points, read-only.
-    gat.gather_scatter_bytes = np * 64.0 * 8.0;
-    gat.working_set_bytes = 2.0 * PLANE_POINTS * 8.0;
-    gat.cacheable_fraction = 0.35;
-    gat.dense_fraction = 0.05;
-    gat.concurrent_streams = 8.0;
-    w.phases.push(gat);
-
-    // --- Push: pure streaming over the marker arrays.
-    let mut psh = PhaseProfile::new("particle push");
-    psh.flops = np * PUSH_FLOPS_PER_PARTICLE;
-    psh.vector_fraction = 0.99;
-    psh.avg_vector_length = 256.0;
-    psh.unit_stride_bytes = np * (ATTRS as f64) * 8.0 * 2.0;
-    psh.working_set_bytes = np * (ATTRS as f64) * 8.0;
-    psh.dense_fraction = 0.25; // straight-line RK arithmetic
-    psh.concurrent_streams = 12.0;
-    w.phases.push(psh);
-
-    // --- Communication: the particle-decomposition Allreduce of the wedge
-    // charge (paper §4.2's new cost), the toroidal ghost exchanges, and
-    // the particle shift.
-    if npe > 1 {
-        w.comm.push(CommEvent::Allreduce { bytes: grid_bytes, procs: npe as f64 });
-    }
-    w.comm.push(CommEvent::Halo { bytes: PLANE_POINTS * 8.0, neighbors: 2.0 });
-    w.comm.push(CommEvent::Halo {
-        bytes: SHIFT_FRACTION * np * (ATTRS as f64) * 8.0,
-        neighbors: 2.0,
-    });
-    w
-}
-
 /// CG iterations per step assumed by the Table 4 profile.
 pub const CG_ITERS: f64 = 40.0;
 
@@ -142,47 +63,134 @@ pub fn calibration_capture() -> &'static Capture {
     })
 }
 
-/// [`workload`] with every extensive field (flops, traffic bytes)
-/// replaced by measured per-unit rates from [`calibration_capture`],
-/// scaled to the Table 4 configuration. The particle phases scale by
-/// markers, the Poisson phase by CG point-iterations; shape fields and
-/// communication events stay analytic.
+/// Workload profile for one GTC step on `procs` processors with
+/// [`PARTICLES_PER_PROC`] markers each. Every extensive field (flops,
+/// traffic bytes) is a measured rate from [`calibration_capture`]: the
+/// particle phases scale by markers, the Poisson phase by CG
+/// point-iterations. Shape fields and communication events are closed
+/// form.
 pub fn measured_workload(procs: usize) -> WorkloadProfile {
+    let np = PARTICLES_PER_PROC;
+    let npe = (procs / NDOMAINS).max(1);
+    let grid_bytes = PLANE_POINTS * (MZETA_LOCAL + 1.0) * 8.0;
     let cap = calibration_capture();
-    let mut w = workload(procs);
     // `vector_iters` counts exactly one event per work unit (marker or
     // CG point-iteration), so it is the calibration-unit denominator.
-    let units = |phase: &str| cap.get(phase).vector_iters as f64;
-    let per_particle = |phase: &str| PARTICLES_PER_PROC / units(phase);
-    let bindings = [
-        PhaseBinding::extensive(
-            "gtc/charge deposition",
-            "charge deposition",
-            per_particle("gtc/charge deposition"),
-        ),
-        PhaseBinding::extensive(
-            "gtc/poisson solve",
-            "poisson solve",
-            CG_ITERS * PLANE_POINTS * MZETA_LOCAL / units("gtc/poisson solve"),
-        ),
-        PhaseBinding::extensive(
-            "gtc/field gather",
-            "field gather",
-            per_particle("gtc/field gather"),
-        ),
-        PhaseBinding::extensive(
-            "gtc/particle push",
-            "particle push",
-            per_particle("gtc/particle push"),
-        ),
-    ];
-    w.apply_capture(cap, &bindings).expect("GTC calibration capture is incomplete");
-    w
+    let rescaled = |phase: &str, target: f64| {
+        let c = recorded(cap, phase);
+        Extensive::rescale(&c, target, c.vector_iters as f64)
+    };
+
+    // --- Charge deposition: random scatter (read+modify+write 32 grid
+    // points per marker) plus streaming reads of the marker arrays.
+    let m = rescaled("gtc/charge deposition", np);
+    let deposit = PhaseProfile {
+        name: "charge deposition".into(),
+        flops: m.flops,
+        unit_stride_bytes: m.unit_stride_bytes,
+        gather_scatter_bytes: m.gather_scatter_bytes,
+        // The work-vector method vectorizes the scatter fully; the
+        // remaining scalar work is the ring/stencil index arithmetic.
+        vector_fraction: 0.99,
+        avg_vector_length: 256.0,
+        // The deposition's random writes land on one plane's grid — about
+        // a megabyte — which is what the cache machines keep resident.
+        working_set_bytes: PLANE_POINTS * 8.0,
+        cacheable_fraction: 0.35, // grid reuse: nearby markers share cells
+        dense_fraction: 0.05,
+        concurrent_streams: 8.0,
+        outer_parallelism: f64::INFINITY,
+    };
+
+    // --- Poisson solve: grid work, small next to the particle phases
+    // (paper: ~85 % of the runtime is particle work).
+    let m = rescaled("gtc/poisson solve", CG_ITERS * PLANE_POINTS * MZETA_LOCAL);
+    let poisson = PhaseProfile {
+        name: "poisson solve".into(),
+        flops: m.flops,
+        unit_stride_bytes: m.unit_stride_bytes,
+        gather_scatter_bytes: m.gather_scatter_bytes,
+        vector_fraction: 0.98,
+        avg_vector_length: 512.0,
+        working_set_bytes: grid_bytes,
+        cacheable_fraction: 0.5,
+        dense_fraction: 0.2,
+        concurrent_streams: 6.0,
+        outer_parallelism: f64::INFINITY,
+    };
+
+    // --- Field gather: the read-side mirror of the deposition (two field
+    // components × two planes × 16 stencil points, read-only).
+    let m = rescaled("gtc/field gather", np);
+    let gather = PhaseProfile {
+        name: "field gather".into(),
+        flops: m.flops,
+        unit_stride_bytes: m.unit_stride_bytes,
+        gather_scatter_bytes: m.gather_scatter_bytes,
+        vector_fraction: 0.99,
+        avg_vector_length: 256.0,
+        working_set_bytes: 2.0 * PLANE_POINTS * 8.0,
+        cacheable_fraction: 0.35,
+        dense_fraction: 0.05,
+        concurrent_streams: 8.0,
+        outer_parallelism: f64::INFINITY,
+    };
+
+    // --- Push: pure streaming over the marker arrays.
+    let m = rescaled("gtc/particle push", np);
+    let push = PhaseProfile {
+        name: "particle push".into(),
+        flops: m.flops,
+        unit_stride_bytes: m.unit_stride_bytes,
+        gather_scatter_bytes: m.gather_scatter_bytes,
+        vector_fraction: 0.99,
+        avg_vector_length: 256.0,
+        working_set_bytes: np * (ATTRS as f64) * 8.0,
+        cacheable_fraction: 0.0,
+        dense_fraction: 0.25, // straight-line RK arithmetic
+        concurrent_streams: 12.0,
+        outer_parallelism: f64::INFINITY,
+    };
+
+    // --- Communication: the particle-decomposition Allreduce of the wedge
+    // charge (paper §4.2's new cost), the toroidal ghost exchanges, and
+    // the particle shift.
+    let mut comm = Vec::new();
+    if npe > 1 {
+        comm.push(CommEvent::Allreduce { bytes: grid_bytes, procs: npe as f64 });
+    }
+    comm.push(CommEvent::Halo { bytes: PLANE_POINTS * 8.0, neighbors: 2.0 });
+    comm.push(CommEvent::Halo {
+        bytes: SHIFT_FRACTION * np * (ATTRS as f64) * 8.0,
+        neighbors: 2.0,
+    });
+    WorkloadProfile {
+        app: "GTC".into(),
+        job_procs: procs,
+        phases: vec![deposit, poisson, gather, push],
+        comm,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deposit::{FLOPS_PER_PARTICLE as DEPOSIT_FLOPS, SCATTER_POINTS};
+    use crate::push::{GATHER_FLOPS_PER_PARTICLE, PUSH_FLOPS_PER_PARTICLE};
+
+    /// The hand-counted (flops, unit-stride bytes, gather/scatter bytes)
+    /// of each phase at [`PARTICLES_PER_PROC`], in phase order.
+    fn analytic_oracle() -> [(f64, f64, f64); 4] {
+        let np = PARTICLES_PER_PROC;
+        let markers = np * (ATTRS as f64) * 8.0;
+        let cg = CG_ITERS * PLANE_POINTS * MZETA_LOCAL;
+        [
+            (np * DEPOSIT_FLOPS, markers, np * (SCATTER_POINTS as f64) * 8.0 * 2.0),
+            (cg * 15.0, cg * 5.0 * 8.0, 0.0),
+            (np * GATHER_FLOPS_PER_PARTICLE, markers, np * 64.0 * 8.0),
+            (np * PUSH_FLOPS_PER_PARTICLE, markers * 2.0, 0.0),
+        ]
+    }
 
     #[test]
     fn per_marker_flop_constants_match_instrumented_run() {
@@ -223,18 +231,18 @@ mod tests {
 
     #[test]
     fn weak_scaling_keeps_flops_per_proc_constant() {
-        let f64_ref = workload(64).total_flops();
+        let f64_ref = measured_workload(64).total_flops();
         for (p, _) in TABLE4_CONFIGS {
-            let f = workload(p).total_flops();
+            let f = measured_workload(p).total_flops();
             assert!((f - f64_ref).abs() < 1e-6, "weak scaling broken at P={p}");
         }
     }
 
     #[test]
     fn allreduce_appears_only_with_particle_decomposition() {
-        let w64 = workload(64); // npe = 1: no particle decomposition
+        let w64 = measured_workload(64); // npe = 1: no particle decomposition
         assert!(!w64.comm.iter().any(|e| matches!(e, CommEvent::Allreduce { .. })));
-        let w512 = workload(512); // npe = 8
+        let w512 = measured_workload(512); // npe = 8
         assert!(w512
             .comm
             .iter()
@@ -243,52 +251,37 @@ mod tests {
 
     #[test]
     fn measured_workload_agrees_with_the_analytic_oracle() {
-        let a = workload(512);
         let m = measured_workload(512);
-        assert_eq!(a.phases.len(), m.phases.len());
-        assert_eq!(a.comm, m.comm, "comm events stay analytic");
-        // Particle phases: the measured per-marker rates are exactly the
-        // audited constants, so the scaled fields agree to rounding.
-        for name in ["charge deposition", "field gather", "particle push"] {
-            let pa = a.phases.iter().find(|p| p.name == name).unwrap();
-            let pm = m.phases.iter().find(|p| p.name == name).unwrap();
-            assert!((pm.flops - pa.flops).abs() <= 1e-6 * pa.flops, "{name} flops");
-            assert!(
-                (pm.unit_stride_bytes - pa.unit_stride_bytes).abs() <= 1e-6 * pa.unit_stride_bytes,
-                "{name} unit-stride bytes"
-            );
-            assert!(
-                (pm.gather_scatter_bytes - pa.gather_scatter_bytes).abs()
-                    <= 1e-6 * pa.gather_scatter_bytes.max(1.0),
-                "{name} gather/scatter bytes"
-            );
-            // Shape fields must survive the overlay untouched.
-            assert_eq!(pm.vector_fraction, pa.vector_fraction, "{name}");
-            assert_eq!(pm.cacheable_fraction, pa.cacheable_fraction, "{name}");
+        let close = |m: f64, a: f64| (m - a).abs() <= 1e-6 * a.max(1.0);
+        for (pm, (flops, us, gs)) in m.phases.iter().zip(analytic_oracle()) {
+            let name = &pm.name;
+            // The byte rates match the hand counts to rounding in every
+            // phase: 40 B per CG point-iteration, marker streams and
+            // stencil scatter/gather per marker.
+            assert!(close(pm.unit_stride_bytes, us), "{name} unit-stride bytes");
+            assert!(close(pm.gather_scatter_bytes, gs), "{name} gather/scatter bytes");
+            if name == "poisson solve" {
+                // The measured flop rate additionally counts the CG BLAS1
+                // updates the hand-counted stencil omits, so it sits above
+                // the oracle but within a small factor.
+                assert!(
+                    pm.flops >= flops && pm.flops < 2.5 * flops,
+                    "{name}: {} vs {flops}",
+                    pm.flops
+                );
+            } else {
+                // The measured per-marker rates are exactly the audited
+                // constants.
+                assert!(close(pm.flops, flops), "{name} flops");
+            }
         }
-        // Poisson: the byte rate (40 B per point-iteration) matches
-        // exactly; the measured flop rate additionally counts the CG
-        // BLAS1 updates the analytic stencil count omits, so it sits
-        // above the oracle but within a small factor.
-        let pa = a.phases.iter().find(|p| p.name == "poisson solve").unwrap();
-        let pm = m.phases.iter().find(|p| p.name == "poisson solve").unwrap();
-        assert!(
-            (pm.unit_stride_bytes - pa.unit_stride_bytes).abs() <= 1e-6 * pa.unit_stride_bytes,
-            "poisson unit-stride bytes"
-        );
-        assert!(
-            pm.flops >= pa.flops && pm.flops < 2.5 * pa.flops,
-            "poisson flops: measured {} vs analytic {}",
-            pm.flops,
-            pa.flops
-        );
     }
 
     #[test]
     fn particle_phases_dominate() {
         // The paper: computational work directly involving particles is
         // ~85 % of the total.
-        let w = workload(512);
+        let w = measured_workload(512);
         let particle_flops: f64 =
             w.phases.iter().filter(|p| p.name != "poisson solve").map(|p| p.flops).sum();
         assert!(particle_flops / w.total_flops() > 0.85);

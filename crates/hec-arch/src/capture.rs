@@ -1,136 +1,56 @@
-//! Building workload profiles from measured probe captures.
+//! From a calibration capture to a workload's extensive fields.
 //!
 //! The applications instrument their hot paths with `hec_core::probe`
 //! counters; one small calibration run per app yields a [`Capture`] whose
 //! per-phase counters are validated against the analytic counts (exact
-//! for integer events). This module is the bridge: it overlays those
-//! *measured* per-unit rates — scaled to a production configuration —
-//! onto a [`WorkloadProfile`], so the architectural model consumes
-//! measured data while the analytic builders remain as a cross-check
-//! oracle.
+//! for integer events). Each app's `measured_workload` writes every
+//! [`PhaseProfile`](crate::PhaseProfile) field once: the *extensive*
+//! fields (flops, traffic bytes) are that capture's counters rescaled to
+//! the target configuration by [`Extensive::rescale`]; the *shape* fields
+//! (vector fraction and length, cacheability, working set…) are closed-form
+//! model parameters, which no hardware counter sees.
 //!
-//! Extensive quantities (flops, traffic bytes) scale linearly with the
-//! executed work units, so `measured × (target units / calibration
-//! units)` is exact whenever the per-unit cost is configuration-
-//! independent. Shape fields (vector fraction, cacheability, working
-//! set…) are *model parameters*, not hardware counters, and are never
-//! touched by an overlay.
+//! Extensive quantities scale linearly with the executed work units, so
+//! `measured × (target units / calibration units)` is exact whenever the
+//! per-unit cost is configuration-independent.
 
 use hec_core::probe::{Capture, Counters};
 
-use crate::profile::{PhaseProfile, WorkloadProfile};
-
-/// Which measured fields an overlay writes into the model phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Overlay {
-    /// Overlay all extensive fields: flops, unit-stride bytes, and
-    /// gather/scatter bytes.
-    Extensive,
-    /// Overlay flops only. Used where the model's byte fields follow a
-    /// different convention than the raw §2.1 counters (e.g. PARATEC's
-    /// BLAS3 phase models *panel* traffic of the blocked algorithm, not
-    /// the no-cache streaming traffic the counters report).
-    FlopsOnly,
+/// One phase's flops and memory traffic on a target configuration,
+/// rescaled from the counters a calibration run recorded.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Extensive {
+    /// Double-precision operations.
+    pub flops: f64,
+    /// Unit-stride traffic in bytes.
+    pub unit_stride_bytes: f64,
+    /// Gather/scatter traffic in bytes.
+    pub gather_scatter_bytes: f64,
 }
 
-/// Maps one captured phase onto one model phase with a unit-rescaling
-/// factor (`target units / calibration units`).
-#[derive(Clone, Copy, Debug)]
-pub struct PhaseBinding<'a> {
-    /// Phase name in the capture (e.g. `"gtc/charge deposition"`).
-    pub capture_phase: &'a str,
-    /// Phase name in the workload profile (e.g. `"charge deposition"`).
-    pub model_phase: &'a str,
-    /// Multiplier taking calibration-run counts to the target
-    /// configuration's counts.
-    pub scale: f64,
-    /// Which fields to overlay.
-    pub overlay: Overlay,
-}
-
-impl<'a> PhaseBinding<'a> {
-    /// A binding overlaying every extensive field.
-    pub fn extensive(capture_phase: &'a str, model_phase: &'a str, scale: f64) -> Self {
-        PhaseBinding { capture_phase, model_phase, scale, overlay: Overlay::Extensive }
-    }
-
-    /// A binding overlaying measured flops only.
-    pub fn flops_only(capture_phase: &'a str, model_phase: &'a str, scale: f64) -> Self {
-        PhaseBinding { capture_phase, model_phase, scale, overlay: Overlay::FlopsOnly }
+impl Extensive {
+    /// Counters `c`, recorded over `units` calibration work units,
+    /// rescaled to `target` units: each extensive counter × `target / units`.
+    pub fn rescale(c: &Counters, target: f64, units: f64) -> Extensive {
+        let scale = target / units;
+        Extensive {
+            flops: c.flops as f64 * scale,
+            unit_stride_bytes: c.unit_stride_bytes as f64 * scale,
+            gather_scatter_bytes: c.gather_scatter_bytes as f64 * scale,
+        }
     }
 }
 
-impl PhaseProfile {
-    /// Overwrites this phase's extensive fields with measured counters
-    /// scaled by `scale`; shape fields are untouched.
-    pub fn apply_counters(&mut self, c: &Counters, scale: f64, overlay: Overlay) {
-        self.flops = c.flops as f64 * scale;
-        if overlay == Overlay::Extensive {
-            self.unit_stride_bytes = c.unit_stride_bytes as f64 * scale;
-            self.gather_scatter_bytes = c.gather_scatter_bytes as f64 * scale;
-        }
-    }
-
-    /// Builds a phase whose extensive fields come from measured counters
-    /// (scaled by `scale`) and whose average vector length is the
-    /// measured trip count per vector-loop execution. The remaining
-    /// shape fields keep the [`PhaseProfile::new`] defaults.
-    pub fn from_counters(name: impl Into<String>, c: &Counters, scale: f64) -> PhaseProfile {
-        let mut p = PhaseProfile::new(name);
-        p.apply_counters(c, scale, Overlay::Extensive);
-        if c.vector_loops > 0 {
-            p.avg_vector_length = c.avg_vector_length();
-        }
-        p
-    }
-}
-
-impl WorkloadProfile {
-    /// Builds a workload directly from a capture: one phase per binding,
-    /// in binding order, via [`PhaseProfile::from_counters`]. Errors if a
-    /// bound capture phase recorded nothing (a silently-empty calibration
-    /// run must not produce an all-zero profile).
-    pub fn from_capture(
-        app: impl Into<String>,
-        job_procs: usize,
-        capture: &Capture,
-        bindings: &[PhaseBinding],
-    ) -> Result<WorkloadProfile, String> {
-        let mut w = WorkloadProfile::new(app, job_procs);
-        for b in bindings {
-            let c = capture.get(b.capture_phase);
-            if c.is_zero() {
-                return Err(format!("capture phase '{}' recorded no events", b.capture_phase));
-            }
-            w.phases.push(PhaseProfile::from_counters(b.model_phase, &c, b.scale));
-        }
-        Ok(w)
-    }
-
-    /// Overlays measured counters onto an existing (typically analytic)
-    /// profile: for each binding, the model phase named `model_phase`
-    /// gets its extensive fields replaced per [`PhaseProfile::apply_counters`].
-    /// Shape fields, unbound phases, and communication events survive.
-    /// Errors if either side of a binding is missing.
-    pub fn apply_capture(
-        &mut self,
-        capture: &Capture,
-        bindings: &[PhaseBinding],
-    ) -> Result<(), String> {
-        for b in bindings {
-            let c = capture.get(b.capture_phase);
-            if c.is_zero() {
-                return Err(format!("capture phase '{}' recorded no events", b.capture_phase));
-            }
-            let phase = self
-                .phases
-                .iter_mut()
-                .find(|p| p.name == b.model_phase)
-                .ok_or_else(|| format!("profile has no phase named '{}'", b.model_phase))?;
-            phase.apply_counters(&c, b.scale, b.overlay);
-        }
-        Ok(())
-    }
+/// The counters `capture` recorded under `phase`.
+///
+/// # Panics
+///
+/// If the phase recorded nothing: a silently empty calibration run must
+/// not produce an all-zero profile.
+pub fn recorded(capture: &Capture, phase: &str) -> Counters {
+    let c = capture.get(phase);
+    assert!(!c.is_zero(), "calibration capture phase '{phase}' recorded no events");
+    c
 }
 
 #[cfg(test)]
@@ -156,93 +76,18 @@ mod tests {
     }
 
     #[test]
-    fn from_counters_scales_extensive_fields_and_keeps_measured_avl() {
-        let cap = sample_capture();
-        let p = PhaseProfile::from_counters("work", &cap.get("app/work"), 2.5);
-        assert_eq!(p.flops, 2500.0);
-        assert_eq!(p.unit_stride_bytes, 10_000.0);
-        assert_eq!(p.gather_scatter_bytes, 500.0);
-        assert_eq!(p.avg_vector_length, 64.0);
-        // Shape fields keep builder defaults.
-        assert_eq!(p.vector_fraction, 1.0);
-        assert_eq!(p.cacheable_fraction, 0.0);
+    fn rescale_multiplies_every_extensive_counter_by_target_over_units() {
+        let c = recorded(&sample_capture(), "app/work");
+        let m = Extensive::rescale(&c, 1600.0, c.vector_iters as f64);
+        assert_eq!(
+            m,
+            Extensive { flops: 2500.0, unit_stride_bytes: 10_000.0, gather_scatter_bytes: 500.0 }
+        );
     }
 
     #[test]
-    fn apply_capture_overlays_only_bound_extensive_fields() {
-        let cap = sample_capture();
-        let mut w = WorkloadProfile::new("APP", 64);
-        let mut ph = PhaseProfile::new("work");
-        ph.flops = 1.0;
-        ph.unit_stride_bytes = 2.0;
-        ph.gather_scatter_bytes = 3.0;
-        ph.cacheable_fraction = 0.37;
-        ph.avg_vector_length = 99.0;
-        w.phases.push(ph);
-        let mut other = PhaseProfile::new("untouched");
-        other.flops = 7.0;
-        w.phases.push(other);
-
-        w.apply_capture(&cap, &[PhaseBinding::extensive("app/work", "work", 3.0)]).unwrap();
-        assert_eq!(w.phases[0].flops, 3000.0);
-        assert_eq!(w.phases[0].unit_stride_bytes, 12_000.0);
-        assert_eq!(w.phases[0].gather_scatter_bytes, 600.0);
-        // Shape fields are model parameters and survive the overlay.
-        assert_eq!(w.phases[0].cacheable_fraction, 0.37);
-        assert_eq!(w.phases[0].avg_vector_length, 99.0);
-        assert_eq!(w.phases[1].flops, 7.0);
-    }
-
-    #[test]
-    fn flops_only_overlay_preserves_modelled_traffic() {
-        let cap = sample_capture();
-        let mut w = WorkloadProfile::new("APP", 1);
-        let mut ph = PhaseProfile::new("blas3");
-        ph.unit_stride_bytes = 123.0;
-        w.phases.push(ph);
-        w.apply_capture(&cap, &[PhaseBinding::flops_only("app/work", "blas3", 1.0)]).unwrap();
-        assert_eq!(w.phases[0].flops, 1000.0);
-        assert_eq!(w.phases[0].unit_stride_bytes, 123.0);
-    }
-
-    #[test]
-    fn missing_phases_are_reported_not_zeroed() {
-        let cap = sample_capture();
-        let mut w = WorkloadProfile::new("APP", 1);
-        w.phases.push(PhaseProfile::new("work"));
-        let err = w
-            .apply_capture(&cap, &[PhaseBinding::extensive("app/ghost", "work", 1.0)])
-            .unwrap_err();
-        assert!(err.contains("app/ghost"), "{err}");
-        let err = w
-            .apply_capture(&cap, &[PhaseBinding::extensive("app/work", "ghost phase", 1.0)])
-            .unwrap_err();
-        assert!(err.contains("ghost phase"), "{err}");
-        assert!(WorkloadProfile::from_capture(
-            "A",
-            1,
-            &cap,
-            &[PhaseBinding::extensive("nope", "x", 1.0)]
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn from_capture_builds_phases_in_binding_order() {
-        let cap = sample_capture();
-        let w = WorkloadProfile::from_capture(
-            "APP",
-            8,
-            &cap,
-            &[
-                PhaseBinding::extensive("app/work", "first", 1.0),
-                PhaseBinding::extensive("app/work", "second", 0.5),
-            ],
-        )
-        .unwrap();
-        assert_eq!(w.job_procs, 8);
-        assert_eq!(w.phases[0].name, "first");
-        assert_eq!(w.phases[1].name, "second");
-        assert_eq!(w.phases[1].flops, 500.0);
+    #[should_panic(expected = "app/ghost")]
+    fn an_empty_calibration_phase_is_refused_not_zeroed() {
+        recorded(&sample_capture(), "app/ghost");
     }
 }

@@ -15,9 +15,9 @@
 //!   one timestep on one processor: flops, vectorizable fraction, average
 //!   vector length, unit-stride and gather/scatter traffic, and the
 //!   communication events captured by `msim`.
-//! * [`capture`] — the measured path: overlays per-phase counters from a
-//!   `hec_core::probe` calibration capture onto a profile, so the tables
-//!   are driven by measured rates with the analytic builders as oracle.
+//! * [`capture`] — the measured path: rescales per-phase counters from a
+//!   `hec_core::probe` calibration capture to a production configuration,
+//!   so the tables are driven by measured flops and traffic.
 //! * [`predict`](mod@predict) — the evaluator: vector machines overlap pipelined vector
 //!   arithmetic with memory streams and pay Amdahl's law on the scalar
 //!   remainder; superscalar machines are roofline-limited by cache-filtered
@@ -32,7 +32,6 @@ pub mod platforms;
 pub mod predict;
 pub mod profile;
 
-pub use capture::{Overlay, PhaseBinding};
 pub use platforms::{Arch, Platform, PlatformId, SuperscalarParams, VectorParams};
 pub use predict::{predict, TimeBreakdown};
 pub use profile::{CommEvent, PhaseProfile, WorkloadProfile};

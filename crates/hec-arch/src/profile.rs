@@ -147,8 +147,11 @@ pub struct PhaseProfile {
 }
 
 impl PhaseProfile {
-    /// A zeroed profile with the given name — builder-style starting point.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// A zeroed profile with the given name, for tests that set only the
+    /// fields they exercise. Workload builders write every field in one
+    /// struct literal instead.
+    #[cfg(test)]
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         PhaseProfile {
             name: name.into(),
             flops: 0.0,
@@ -231,7 +234,8 @@ pub struct WorkloadProfile {
 
 impl WorkloadProfile {
     /// Creates an empty profile for `app` on `job_procs` ranks.
-    pub fn new(app: impl Into<String>, job_procs: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(app: impl Into<String>, job_procs: usize) -> Self {
         WorkloadProfile { app: app.into(), job_procs, phases: Vec::new(), comm: Vec::new() }
     }
 

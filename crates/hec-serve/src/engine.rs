@@ -3,9 +3,9 @@
 //! and the Table 3–6 reproductions.
 //!
 //! Each driver builds, per (configuration, platform), the workload
-//! profile from the application's *measured* calibration capture (see
-//! each app's `measured_workload`; the analytic builders remain as the
-//! cross-check oracle) and evaluates it with the architectural model.
+//! profile from the application's *measured* calibration capture (each
+//! app's `measured_workload`, its one workload builder) and evaluates it
+//! with the architectural model.
 //! Tables use the paper's 7-column platform layout; the same
 //! [`eval_cell`] call answers a single served point, so a sweep row and
 //! a point request for one of its cells are bitwise the same number.

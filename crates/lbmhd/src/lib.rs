@@ -26,7 +26,7 @@
 //! * [`collide`] — the fused collide+stream kernel and its flop accounting.
 //! * [`decomp`] — 3D Cartesian decomposition and halo exchange.
 //! * [`sim`] — the driver: initial conditions, stepping, diagnostics.
-//! * [`model`] — analytic workload model feeding `hec-arch` (Table 5).
+//! * [`model`] — the measured workload model feeding `hec-arch` (Table 5).
 
 /// Stable artifact-file tag: `TABLE_lbmhd3d.json` / `PROFILE_lbmhd3d.json`
 /// are keyed by this name, so renaming it breaks every committed

@@ -1,18 +1,22 @@
-//! Analytic workload model for Table 5's configurations.
+//! Workload model for Table 5's configurations.
 //!
 //! Table 5 runs LBMHD3D at concurrencies of 16–2048 processors on grids of
 //! 256³–1024³ — far beyond what a thread-per-rank simulation can execute
-//! directly. This module computes the per-processor workload profile from
-//! the decomposition arithmetic; its counts are validated against the
-//! *instrumented real runs* at small scale (see the `model_matches_
-//! instrumented_run` test), which is what licenses the extrapolation.
+//! directly. [`measured_workload`] builds the per-processor profile from
+//! two sources, each field from one: the decomposition arithmetic gives
+//! the *shape* (the pacing rank's block, its vector length and halo
+//! messages) in closed form, and one small instrumented run gives the
+//! per-point flops and bytes, rescaled to that block. The tests pin the
+//! measured rates to the audited constants and the halo volume to a real
+//! multi-rank run, which is what licenses the extrapolation.
 
 use std::sync::OnceLock;
 
-use hec_arch::{CommEvent, PhaseBinding, PhaseProfile, WorkloadProfile};
+use hec_arch::capture::{recorded, Extensive};
+use hec_arch::{CommEvent, PhaseProfile, WorkloadProfile};
 use hec_core::probe::{self, Capture};
 
-use crate::collide::{BYTES_PER_POINT, CONCURRENT_STREAMS, FLOPS_PER_POINT};
+use crate::collide::{BYTES_PER_POINT, CONCURRENT_STREAMS};
 use crate::decomp::{local_extent, processor_grid};
 use crate::lattice::Q;
 use crate::sim::{SimParams, Simulation};
@@ -26,7 +30,6 @@ struct Pacing {
     ext: [usize; 3],
 }
 
-/// Decomposition arithmetic shared by the analytic and measured builders.
 fn pacing_block(n: usize, procs: usize) -> Pacing {
     let dims = processor_grid(procs);
     Pacing { dims, ext: dims.map(|d| local_extent(n, d, 0)) }
@@ -46,60 +49,12 @@ impl Pacing {
         let face = |a: usize, b: usize| ((a + 2) * (b + 2)) as f64 * (4 * Q) as f64 * 8.0;
         [face(ly, lz), face(lx, lz), face(lx, ly)]
     }
-}
 
-/// Workload profile for one timestep of LBMHD3D on a `n³` global grid over
-/// `procs` ranks.
-pub fn workload(n: usize, procs: usize) -> WorkloadProfile {
-    analytic(procs, &pacing_block(n, procs))
-}
-
-/// [`workload`] for an already computed pacing block.
-fn analytic(procs: usize, b: &Pacing) -> WorkloadProfile {
-    let [lx, ly, lz] = b.ext;
-    let points = b.points();
-
-    let mut w = WorkloadProfile::new("LBMHD3D", procs);
-
-    let mut ph = PhaseProfile::new("fused collide+stream");
-    ph.flops = points * FLOPS_PER_POINT;
-    // The collision arithmetic is fully data-parallel (paper §5.1: "No
-    // additional vectorization effort was required due to the data-parallel
-    // nature of LBMHD"); the only scalar work is loop bookkeeping.
-    ph.vector_fraction = 0.994;
-    // The vectorized loop runs over the x extent of the local block.
-    ph.avg_vector_length = lx as f64;
-    ph.unit_stride_bytes = points * BYTES_PER_POINT;
-    // The 26 shifted reads are still unit-stride but not cache-reusable at
-    // these grid sizes.
-    ph.cacheable_fraction = 0.05;
-    ph.dense_fraction = 0.3; // long unrolled arithmetic blocks, few branches
-    ph.working_set_bytes = points * BYTES_PER_POINT / 2.0;
-    ph.concurrent_streams = CONCURRENT_STREAMS;
-    // The (j, k) line loops are the streaming axis for the MSP compiler.
-    ph.outer_parallelism = (ly * lz) as f64;
-    w.phases.push(ph);
-
-    // Halo exchange: six faces, two along each axis that has neighbors.
-    let per_axis_bytes = b.face_bytes();
-    let axes_with_neighbors =
-        (0..3).filter(|&a| b.dims[a] > 1).map(|a| per_axis_bytes[a]).collect::<Vec<_>>();
-    if !axes_with_neighbors.is_empty() {
-        let avg = axes_with_neighbors.iter().sum::<f64>() / axes_with_neighbors.len() as f64;
-        w.comm.push(CommEvent::Halo {
-            bytes: avg,
-            neighbors: 2.0 * axes_with_neighbors.len() as f64,
-        });
+    /// Face-message bytes along each axis that has neighbors.
+    fn exchanged_faces(&self) -> Vec<f64> {
+        let faces = self.face_bytes();
+        (0..3).filter(|&a| self.dims[a] > 1).map(|a| faces[a]).collect()
     }
-    w
-}
-
-/// Bytes a rank sends per step under the decomposition for (`n`, `procs`) —
-/// the analytic counterpart of `Simulation::halo_bytes_sent`.
-pub fn halo_bytes_per_step(n: usize, procs: usize) -> f64 {
-    let b = pacing_block(n, procs);
-    let per_axis_bytes = b.face_bytes();
-    (0..3).filter(|&a| b.dims[a] > 1).map(|a| 2.0 * per_axis_bytes[a]).sum()
 }
 
 /// The (concurrency, grid size) pairs of paper Table 5.
@@ -108,9 +63,8 @@ pub const TABLE5_CONFIGS: [(usize, usize); 6] =
 
 /// One small instrumented run (one rank, an 8³ block, one fused
 /// collide+stream step), cached process-wide. The per-point rates it
-/// measures are exactly [`FLOPS_PER_POINT`] / [`BYTES_PER_POINT`] — the
-/// validation tests pin that — so the measured Table 5 profiles equal
-/// the analytic ones.
+/// measures are exactly `collide::FLOPS_PER_POINT` / [`BYTES_PER_POINT`]
+/// — the validation tests pin that.
 pub fn calibration_capture() -> &'static Capture {
     static CAP: OnceLock<Capture> = OnceLock::new();
     CAP.get_or_init(|| {
@@ -129,28 +83,60 @@ pub fn calibration_capture() -> &'static Capture {
     })
 }
 
-/// [`workload`] with the collide+stream phase's extensive fields
-/// replaced by measured per-point rates from [`calibration_capture`],
-/// scaled to the pacing rank's block of the (`n`, `procs`)
-/// configuration.
+/// Workload profile for one timestep of LBMHD3D on a `n³` global grid over
+/// `procs` ranks: the collide+stream phase's flops and bytes are the
+/// per-point rates of [`calibration_capture`] scaled to the pacing rank's
+/// block; everything else is the block's closed-form shape.
 pub fn measured_workload(n: usize, procs: usize) -> WorkloadProfile {
-    let cap = calibration_capture();
     let b = pacing_block(n, procs);
-    let mut w = analytic(procs, &b);
+    let [lx, ly, lz] = b.ext;
     let points = b.points();
-    let units = cap.get("lbmhd/collide+stream").vector_iters as f64;
-    w.apply_capture(
-        cap,
-        &[PhaseBinding::extensive("lbmhd/collide+stream", "fused collide+stream", points / units)],
-    )
-    .expect("LBMHD calibration capture is incomplete");
-    w
+    let c = recorded(calibration_capture(), "lbmhd/collide+stream");
+    let m = Extensive::rescale(&c, points, c.vector_iters as f64);
+
+    let collide = PhaseProfile {
+        name: "fused collide+stream".into(),
+        flops: m.flops,
+        unit_stride_bytes: m.unit_stride_bytes,
+        gather_scatter_bytes: m.gather_scatter_bytes,
+        // The collision arithmetic is fully data-parallel (paper §5.1: "No
+        // additional vectorization effort was required due to the
+        // data-parallel nature of LBMHD"); the only scalar work is loop
+        // bookkeeping.
+        vector_fraction: 0.994,
+        // The vectorized loop runs over the x extent of the local block.
+        avg_vector_length: lx as f64,
+        // The 26 shifted reads are still unit-stride but not cache-reusable
+        // at these grid sizes.
+        cacheable_fraction: 0.05,
+        dense_fraction: 0.3, // long unrolled arithmetic blocks, few branches
+        working_set_bytes: points * BYTES_PER_POINT / 2.0,
+        concurrent_streams: CONCURRENT_STREAMS,
+        // The (j, k) line loops are the streaming axis for the MSP compiler.
+        outer_parallelism: (ly * lz) as f64,
+    };
+
+    // Halo exchange: six faces, two along each axis that has neighbors.
+    let faces = b.exchanged_faces();
+    let comm = if faces.is_empty() {
+        Vec::new()
+    } else {
+        let avg = faces.iter().sum::<f64>() / faces.len() as f64;
+        vec![CommEvent::Halo { bytes: avg, neighbors: 2.0 * faces.len() as f64 }]
+    };
+    WorkloadProfile { app: "LBMHD3D".into(), job_procs: procs, phases: vec![collide], comm }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{SimParams, Simulation};
+    use crate::collide::FLOPS_PER_POINT;
+
+    /// Bytes a rank sends per step under the decomposition for (`n`,
+    /// `procs`) — the analytic counterpart of `Simulation::halo_bytes_sent`.
+    fn halo_bytes_per_step(n: usize, procs: usize) -> f64 {
+        pacing_block(n, procs).exchanged_faces().iter().map(|f| 2.0 * f).sum()
+    }
 
     #[test]
     fn model_matches_instrumented_run() {
@@ -185,24 +171,20 @@ mod tests {
             sim.flops()
         })
         .unwrap();
-        let w = workload(n, procs);
+        let w = measured_workload(n, procs);
         assert_eq!(flops[0], w.phases[0].flops);
     }
 
     #[test]
     fn measured_workload_equals_the_analytic_oracle() {
         // The measured per-point rates are exactly the audited constants,
-        // so the measured profile reproduces the analytic one bit for bit.
-        for &(procs, n) in &TABLE5_CONFIGS[..2] {
-            let a = workload(n, procs);
-            let m = measured_workload(n, procs);
-            assert_eq!(m.phases[0].flops, a.phases[0].flops, "flops at P={procs}");
-            assert_eq!(
-                m.phases[0].unit_stride_bytes, a.phases[0].unit_stride_bytes,
-                "bytes at P={procs}"
-            );
-            assert_eq!(m.phases[0].avg_vector_length, a.phases[0].avg_vector_length);
-            assert_eq!(m.comm, a.comm);
+        // so the rescaled counts equal the hand-counted ones bit for bit.
+        for &(procs, n) in &TABLE5_CONFIGS {
+            let points = pacing_block(n, procs).points();
+            let m = &measured_workload(n, procs).phases[0];
+            assert_eq!(m.flops, points * FLOPS_PER_POINT, "flops at P={procs}");
+            assert_eq!(m.unit_stride_bytes, points * BYTES_PER_POINT, "bytes at P={procs}");
+            assert_eq!(m.gather_scatter_bytes, 0.0);
         }
     }
 
@@ -211,7 +193,7 @@ mod tests {
         // Table 5 roughly doubles the grid with 8× the processors; the
         // per-rank point count across its configs stays within a factor ~4.
         let loads: Vec<f64> =
-            TABLE5_CONFIGS.iter().map(|&(p, n)| workload(n, p).phases[0].flops).collect();
+            TABLE5_CONFIGS.iter().map(|&(p, n)| measured_workload(n, p).phases[0].flops).collect();
         let (mn, mx) = loads.iter().fold((f64::MAX, 0.0f64), |(a, b), &x| (a.min(x), b.max(x)));
         assert!(mx / mn < 8.0, "per-rank work varies too much: {loads:?}");
     }
@@ -220,15 +202,15 @@ mod tests {
     fn vector_length_tracks_block_extent() {
         // 16 ranks → a [2, 2, 4] grid: a local x extent of 128.
         assert_eq!(processor_grid(16), [2, 2, 4]);
-        let w = workload(256, 16);
+        let w = measured_workload(256, 16);
         assert!(w.phases[0].avg_vector_length >= 64.0);
-        let w2 = workload(256, 2048);
+        let w2 = measured_workload(256, 2048);
         assert!(w2.phases[0].avg_vector_length < w.phases[0].avg_vector_length * 1.01);
     }
 
     #[test]
     fn single_rank_has_no_network_events() {
-        let w = workload(64, 1);
+        let w = measured_workload(64, 1);
         assert!(w.comm.is_empty());
         assert_eq!(halo_bytes_per_step(64, 1), 0.0);
     }

@@ -24,7 +24,7 @@
 //! * [`fftdist`] — distributed sphere↔real-space 3D FFT with transposes.
 //! * [`hamiltonian`] — kinetic + local + nonlocal pseudopotential apply.
 //! * [`solver`] — all-band preconditioned minimization + orthonormalization.
-//! * [`model`] — analytic workload model feeding `hec-arch` (Table 6).
+//! * [`model`] — the measured workload model feeding `hec-arch` (Table 6).
 
 /// Stable artifact-file tag: `TABLE_paratec.json` / `PROFILE_paratec.json`
 /// are keyed by this name, so renaming it breaks every committed

@@ -1,4 +1,4 @@
-//! Analytic workload model for Table 6's configurations.
+//! Workload model for Table 6's configurations.
 //!
 //! Table 6 runs 3 CG steps of a 488-atom CdSe quantum dot (35 Ry cutoff) —
 //! "the largest cell size atomistic simulation ever run with this code."
@@ -6,17 +6,19 @@
 //! phase *mix* (dominant BLAS3, significant FFT, a handwritten remainder
 //! with a lower vector-operation ratio, and all-to-all transposes growing
 //! with concurrency) is what drives every observation the paper makes
-//! about PARATEC, and the mix is validated against the real mini-app's
-//! instrumentation.
+//! about PARATEC. [`measured_workload`] takes the library phases' flops
+//! from the real mini-app's instrumentation and writes the rest in
+//! closed form.
 
 use std::sync::OnceLock;
 
-use hec_arch::{CommEvent, Overlay, PhaseBinding, PhaseProfile, WorkloadProfile};
+use hec_arch::capture::{recorded, Extensive};
+use hec_arch::{CommEvent, PhaseProfile, WorkloadProfile};
 use hec_core::probe::{self, Capture};
 use kernels::Complex64;
 
 use crate::basis::GSphere;
-use crate::fftdist::{slab_len, DistFft};
+use crate::fftdist::DistFft;
 use crate::hamiltonian::Hamiltonian;
 use crate::solver::{initial_guess, overlap_matrix};
 
@@ -36,69 +38,6 @@ pub mod cdse488 {
 
 /// The processor counts of paper Table 6.
 pub const TABLE6_CONFIGS: [usize; 6] = [64, 128, 256, 512, 1024, 2048];
-
-/// Workload profile for one CG step of the CdSe-488 problem on `procs`
-/// processors.
-pub fn workload(procs: usize) -> WorkloadProfile {
-    use cdse488::*;
-    let p = procs as f64;
-    let mut w = WorkloadProfile::new("PARATEC", procs);
-
-    // --- 3D FFTs: two per band per H-apply, 5 N log₂ N each, spread over P.
-    let fft_flops_total = NBANDS * 2.0 * 5.0 * GRID_POINTS * GRID_POINTS.log2();
-    let mut fft = PhaseProfile::new("3D FFTs");
-    fft.flops = fft_flops_total / p;
-    fft.vector_fraction = 0.985;
-    // Pencil length ~ grid edge; vectorized across pencils.
-    fft.avg_vector_length = 250.0;
-    // Each FFT pass streams the grid a handful of times.
-    fft.unit_stride_bytes = NBANDS * 2.0 * 3.0 * 2.0 * 16.0 * GRID_POINTS / p;
-    fft.cacheable_fraction = 0.55; // 1D lines are cache-resident
-    fft.dense_fraction = 0.7; // library-grade (ESSL-class) transforms
-    fft.working_set_bytes = 250.0 * 16.0 * 2.0;
-    fft.concurrent_streams = 4.0;
-    w.phases.push(fft);
-
-    // --- BLAS3: nonlocal projectors + subspace orthogonalization.
-    let gemm_flops_total = 8.0 * NBANDS * NPROJ * NG * 2.0 + 8.0 * NBANDS * NBANDS * NG;
-    let mut gemm = PhaseProfile::new("ZGEMM (nonlocal + subspace)");
-    gemm.flops = gemm_flops_total / p;
-    gemm.vector_fraction = 0.995;
-    gemm.avg_vector_length = 256.0;
-    // Blocked: traffic is the matrix panels, heavily reused.
-    gemm.unit_stride_bytes = 16.0 * (NBANDS * NG / p) * 6.0;
-    gemm.cacheable_fraction = 0.95;
-    gemm.dense_fraction = 0.95;
-    gemm.working_set_bytes = 48.0 * 48.0 * 16.0 * 3.0;
-    gemm.concurrent_streams = 3.0;
-    w.phases.push(gemm);
-
-    // --- Handwritten F90 remainder (paper §6.1: the segment whose "lower
-    // vector operation ratio" drags the X1 down): preconditioning,
-    // residual updates, diagnostics.
-    let other_flops_total = 0.12 * (fft_flops_total + gemm_flops_total);
-    let mut other = PhaseProfile::new("handwritten F90 remainder");
-    other.flops = other_flops_total / p;
-    other.vector_fraction = 0.97;
-    other.avg_vector_length = (NG / p).min(256.0).max(8.0);
-    other.unit_stride_bytes = 16.0 * 4.0 * NBANDS * NG / p;
-    other.cacheable_fraction = 0.15;
-    other.dense_fraction = 0.3;
-    other.working_set_bytes = 16.0 * NG / p;
-    other.concurrent_streams = 6.0;
-    w.phases.push(other);
-
-    // --- Communication: the FFT transposes (all-to-all), batched over
-    // bands, plus the projection/overlap allreduces.
-    let transposes = (NBANDS * 2.0 / FFT_BATCH).ceil();
-    let bytes_per_rank_per_batch = FFT_BATCH * 16.0 * GRID_POINTS / p;
-    for _ in 0..transposes as usize {
-        w.comm.push(CommEvent::Transpose { bytes_per_rank: bytes_per_rank_per_batch, procs: p });
-    }
-    w.comm.push(CommEvent::Allreduce { bytes: 16.0 * NBANDS * NPROJ / 8.0, procs: p });
-    w.comm.push(CommEvent::Allreduce { bytes: 16.0 * NBANDS * NBANDS / 8.0, procs: p });
-    w
-}
 
 /// The two instrumented calibration runs the measured Table 6 path is
 /// built from. Separate captures keep the unit bookkeeping honest: the
@@ -144,77 +83,134 @@ pub fn calibration() -> &'static Calibration {
     })
 }
 
-/// [`workload`] with the library phases' flop counts replaced by measured
-/// rates from [`calibration`], rescaled to the CdSe-488 dimensions.
+/// Workload profile for one CG step of the CdSe-488 problem on `procs`
+/// processors. The library phases' flops are measured rates from
+/// [`calibration`], rescaled to the CdSe-488 dimensions; everything else
+/// is closed form.
 ///
-/// Both overlays are flops-only deliberately: the model's byte fields
-/// follow the *blocked* algorithm's panel-traffic convention (§2.1
-/// counters would report the no-cache streaming traffic, ~3 orders of
-/// magnitude more for ZGEMM). The FFT is rescaled in dense-equivalent
-/// units — `2 · 5 N log₂ N` per transform pair — so the sparse z-stage
-/// deficit the counters measured on the calibration sphere carries over
-/// to the production estimate. The handwritten remainder stays the same
-/// fixed fraction of the library phases, re-derived from the overlaid
-/// values.
+/// Only flops are measured, deliberately: the byte fields follow the
+/// *blocked* algorithm's panel-traffic convention (§2.1 counters would
+/// report the no-cache streaming traffic, ~3 orders of magnitude more for
+/// ZGEMM). The FFT is rescaled in dense-equivalent units — `2 · 5 N log₂ N`
+/// per transform pair — so the sparse z-stage deficit the counters
+/// measured on the calibration sphere carries over to the production
+/// estimate. The handwritten remainder is a fixed fraction of the
+/// measured library flops.
 pub fn measured_workload(procs: usize) -> WorkloadProfile {
     use cdse488::*;
     let p = procs as f64;
     let cal = calibration();
-    let mut w = workload(procs);
 
+    // --- 3D FFTs: two per band per H-apply, 5 N log₂ N each, spread over P.
     let n_c = (8 * 8 * 8) as f64;
-    let fft_scale = (NBANDS * 2.0 * 5.0 * GRID_POINTS * GRID_POINTS.log2() / p)
-        / (2.0 * 5.0 * n_c * n_c.log2());
-    w.apply_capture(&cal.fft, &[PhaseBinding::flops_only("paratec/3D FFTs", "3D FFTs", fft_scale)])
-        .expect("PARATEC FFT calibration capture is incomplete");
+    let m = Extensive::rescale(
+        &recorded(&cal.fft, "paratec/3D FFTs"),
+        NBANDS * 2.0 * 5.0 * GRID_POINTS * GRID_POINTS.log2() / p,
+        2.0 * 5.0 * n_c * n_c.log2(),
+    );
+    let fft = PhaseProfile {
+        name: "3D FFTs".into(),
+        flops: m.flops,
+        // Each FFT pass streams the grid a handful of times.
+        unit_stride_bytes: NBANDS * 2.0 * 3.0 * 2.0 * 16.0 * GRID_POINTS / p,
+        gather_scatter_bytes: 0.0,
+        vector_fraction: 0.985,
+        // Pencil length ~ grid edge; vectorized across pencils.
+        avg_vector_length: 250.0,
+        cacheable_fraction: 0.55, // 1D lines are cache-resident
+        dense_fraction: 0.7,      // library-grade (ESSL-class) transforms
+        working_set_bytes: 250.0 * 16.0 * 2.0,
+        concurrent_streams: 4.0,
+        outer_parallelism: f64::INFINITY,
+    };
 
-    // The two ZGEMM families share a phase; merge their counters. The
-    // calibration unit is complex mnk (`vector_iters`).
-    let mut g = cal.gemm.get("paratec/nonlocal zgemm");
-    let sub = cal.gemm.get("paratec/subspace zgemm");
-    assert!(!g.is_zero() && !sub.is_zero(), "PARATEC ZGEMM calibration capture is incomplete");
-    g.merge(&sub);
+    // --- BLAS3: nonlocal projectors + subspace orthogonalization. The two
+    // ZGEMM families share a phase; merge their counters. The calibration
+    // unit is complex mnk (`vector_iters`).
+    let mut g = recorded(&cal.gemm, "paratec/nonlocal zgemm");
+    g.merge(&recorded(&cal.gemm, "paratec/subspace zgemm"));
     let target_mnk = (2.0 * NPROJ * NBANDS + NBANDS * NBANDS) * NG / p;
-    let gemm_scale = target_mnk / g.vector_iters as f64;
-    let gemm_phase = w
-        .phases
-        .iter_mut()
-        .find(|ph| ph.name.contains("ZGEMM"))
-        .expect("profile has no ZGEMM phase");
-    gemm_phase.apply_counters(&g, gemm_scale, Overlay::FlopsOnly);
+    let m = Extensive::rescale(&g, target_mnk, g.vector_iters as f64);
+    let gemm = PhaseProfile {
+        name: "ZGEMM (nonlocal + subspace)".into(),
+        flops: m.flops,
+        // Blocked: traffic is the matrix panels, heavily reused.
+        unit_stride_bytes: 16.0 * (NBANDS * NG / p) * 6.0,
+        gather_scatter_bytes: 0.0,
+        vector_fraction: 0.995,
+        avg_vector_length: 256.0,
+        cacheable_fraction: 0.95,
+        dense_fraction: 0.95,
+        working_set_bytes: 48.0 * 48.0 * 16.0 * 3.0,
+        concurrent_streams: 3.0,
+        outer_parallelism: f64::INFINITY,
+    };
 
-    let lib: f64 =
-        w.phases.iter().filter(|ph| !ph.name.contains("remainder")).map(|ph| ph.flops).sum();
-    let rem = w
-        .phases
-        .iter_mut()
-        .find(|ph| ph.name.contains("remainder"))
-        .expect("profile has no remainder phase");
-    rem.flops = 0.12 * lib;
-    w
-}
+    // --- Handwritten F90 remainder (paper §6.1: the segment whose "lower
+    // vector operation ratio" drags the X1 down): preconditioning,
+    // residual updates, diagnostics.
+    let other = PhaseProfile {
+        name: "handwritten F90 remainder".into(),
+        flops: 0.12 * (fft.flops + gemm.flops),
+        unit_stride_bytes: 16.0 * 4.0 * NBANDS * NG / p,
+        gather_scatter_bytes: 0.0,
+        vector_fraction: 0.97,
+        avg_vector_length: (NG / p).clamp(8.0, 256.0),
+        cacheable_fraction: 0.15,
+        dense_fraction: 0.3,
+        working_set_bytes: 16.0 * NG / p,
+        concurrent_streams: 6.0,
+        outer_parallelism: f64::INFINITY,
+    };
 
-/// Analytic bytes one rank sends in a single forward (or inverse)
-/// distributed transform — must match `DistFft::transpose_bytes` exactly.
-pub fn transpose_bytes_one_way(sphere: &GSphere, rank: usize, nprocs: usize) -> u64 {
-    let assignment = sphere.balance(nprocs);
-    let ncols = assignment[rank].len() as u64;
-    let mut bytes = 0u64;
-    for p in 0..nprocs {
-        if p == rank {
-            continue;
-        }
-        let sl = slab_len(sphere.nz, nprocs, p) as u64;
-        bytes += ncols * (2 + 2 * sl) * 8;
+    // --- Communication: the FFT transposes (all-to-all), batched over
+    // bands, plus the projection/overlap allreduces.
+    let transposes = (NBANDS * 2.0 / FFT_BATCH).ceil() as usize;
+    let bytes_per_rank_per_batch = FFT_BATCH * 16.0 * GRID_POINTS / p;
+    let mut comm = vec![
+        CommEvent::Transpose { bytes_per_rank: bytes_per_rank_per_batch, procs: p };
+        transposes
+    ];
+    comm.push(CommEvent::Allreduce { bytes: 16.0 * NBANDS * NPROJ / 8.0, procs: p });
+    comm.push(CommEvent::Allreduce { bytes: 16.0 * NBANDS * NBANDS / 8.0, procs: p });
+    WorkloadProfile {
+        app: "PARATEC".into(),
+        job_procs: procs,
+        phases: vec![fft, gemm, other],
+        comm,
     }
-    bytes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fftdist::DistFft;
-    use kernels::Complex64;
+    use crate::fftdist::slab_len;
+
+    /// Analytic bytes one rank sends in a single forward (or inverse)
+    /// distributed transform — must match `DistFft::transpose_bytes` exactly.
+    fn transpose_bytes_one_way(sphere: &GSphere, rank: usize, nprocs: usize) -> u64 {
+        let assignment = sphere.balance(nprocs);
+        let ncols = assignment[rank].len() as u64;
+        let mut bytes = 0u64;
+        for p in 0..nprocs {
+            if p == rank {
+                continue;
+            }
+            let sl = slab_len(sphere.nz, nprocs, p) as u64;
+            bytes += ncols * (2 + 2 * sl) * 8;
+        }
+        bytes
+    }
+
+    /// The hand-counted flops of the two library phases on `procs`
+    /// processors: (3D FFTs, ZGEMM).
+    fn analytic_library_flops(procs: usize) -> (f64, f64) {
+        use cdse488::*;
+        let p = procs as f64;
+        let fft = NBANDS * 2.0 * 5.0 * GRID_POINTS * GRID_POINTS.log2();
+        let gemm = 8.0 * NBANDS * NPROJ * NG * 2.0 + 8.0 * NBANDS * NBANDS * NG;
+        (fft / p, gemm / p)
+    }
 
     #[test]
     fn analytic_transpose_bytes_match_instrumented_fft() {
@@ -237,33 +233,25 @@ mod tests {
 
     #[test]
     fn measured_workload_agrees_with_the_analytic_oracle() {
-        let a = workload(256);
         let m = measured_workload(256);
-        let f = |w: &WorkloadProfile, name: &str| {
-            w.phases.iter().find(|p| p.name.contains(name)).unwrap().clone()
-        };
+        let (af, ag) = analytic_library_flops(256);
+        let (mf, mg) = (m.phases[0].flops, m.phases[1].flops);
         // Both ZGEMM families measure exactly 8 flops per complex mnk, so
         // the rescaled flop count reproduces the analytic one exactly.
-        assert_eq!(f(&m, "ZGEMM").flops, f(&a, "ZGEMM").flops);
-        // The FFT overlay carries the calibration sphere's sparse z-stage
+        assert_eq!(mg, ag);
+        // The measured FFT carries the calibration sphere's sparse z-stage
         // deficit: at or below the dense-equivalent analytic count, but
         // not by much.
-        let (mf, af) = (f(&m, "FFT").flops, f(&a, "FFT").flops);
         assert!(mf <= af && mf > 0.7 * af, "fft flops {mf} vs analytic {af}");
-        // Byte fields keep the model's blocked-panel convention.
-        assert_eq!(f(&m, "ZGEMM").unit_stride_bytes, f(&a, "ZGEMM").unit_stride_bytes);
-        assert_eq!(f(&m, "FFT").unit_stride_bytes, f(&a, "FFT").unit_stride_bytes);
-        // Remainder re-derived at the same fixed fraction of the overlay.
-        let lib = mf + f(&m, "ZGEMM").flops;
-        let rem = f(&m, "remainder").flops;
-        assert!((rem - 0.12 * lib).abs() <= 1e-9 * lib, "remainder {rem} vs {}", 0.12 * lib);
-        assert_eq!(m.comm, a.comm);
+        // The remainder stays the same fixed fraction of the library flops.
+        let rem = m.phases[2].flops;
+        assert!((rem - 0.12 * (mf + mg)).abs() <= 1e-9 * (mf + mg), "remainder {rem}");
     }
 
     #[test]
     fn strong_scaling_divides_compute() {
-        let w64 = workload(64);
-        let w512 = workload(512);
+        let w64 = measured_workload(64);
+        let w512 = measured_workload(512);
         let ratio = w64.total_flops() / w512.total_flops();
         assert!((ratio - 8.0).abs() < 0.01, "flops must divide by P: {ratio}");
     }
@@ -271,14 +259,18 @@ mod tests {
     #[test]
     fn transpose_count_is_independent_of_p() {
         let count = |p: usize| {
-            workload(p).comm.iter().filter(|e| matches!(e, CommEvent::Transpose { .. })).count()
+            measured_workload(p)
+                .comm
+                .iter()
+                .filter(|e| matches!(e, CommEvent::Transpose { .. }))
+                .count()
         };
         assert_eq!(count(64), count(2048));
     }
 
     #[test]
     fn gemm_dominates_but_ffts_are_significant() {
-        let w = workload(256);
+        let w = measured_workload(256);
         let f =
             |name: &str| w.phases.iter().find(|p| p.name.contains(name)).map(|p| p.flops).unwrap();
         let (fft, gemm) = (f("FFT"), f("ZGEMM"));

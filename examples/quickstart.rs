@@ -41,7 +41,7 @@ fn main() {
     // --- 3. Evaluate the architectural model on the paper's Table 5
     // configuration: who wins LBMHD at 256 processors on a 512^3 grid?
     println!("\n== Performance model: LBMHD3D, P=256, 512^3 (paper Table 5) ==");
-    let w = lbmhd::model::workload(512, 256);
+    let w = lbmhd::model::measured_workload(512, 256);
     for id in [
         PlatformId::Power3,
         PlatformId::Opteron,

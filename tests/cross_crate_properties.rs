@@ -301,7 +301,7 @@ fn model_is_monotone_in_peak() {
     let mut rng = Rng::new(0x30DE1);
     for case in 0..CASES {
         let scale = rng.range(1.0, 4.0);
-        let w = lbmhd::model::workload(64, 16);
+        let w = lbmhd::model::measured_workload(64, 16);
         let base = hec_arch::Platform::get(hec_arch::PlatformId::Es);
         let mut faster = base;
         faster.peak_gflops *= scale;

@@ -82,6 +82,17 @@ fn baseline_diffs_clean_against_itself_in_place() {
     assert_eq!(run_cli(&args(&[BASELINE, BASELINE])), EXIT_OK);
 }
 
+/// The pipeline regenerates the committed baseline bit for bit: every
+/// table cell, canonical response and measured workload profile, so a
+/// change to an app's workload builder that moves any field fails here.
+#[test]
+fn a_fresh_pipeline_run_diffs_clean_against_the_committed_baseline() {
+    let dir = tmpdir("fresh");
+    bench::pipeline::run_all(dir.to_str().unwrap()).unwrap();
+    assert_eq!(run_cli(&args(&[BASELINE, dir.to_str().unwrap()])), EXIT_OK);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn counter_drift_fails_and_names_the_field() {
     let dir = copy_baseline("drift");
