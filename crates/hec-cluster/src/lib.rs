@@ -5,10 +5,11 @@
 //! ([`ring`]: virtual nodes, replication factor R), the router
 //! ([`router`]) forwards each request to its key's first live owner and
 //! fails over to the next on transport failure or load shedding, each
-//! member's server, health and counters live in one record of the member
-//! table ([`replica`]) fed by a probing checker ([`health`]) plus
-//! reactive marking, and a deterministic fault plan ([`faults`]) can kill, stall,
-//! drop-connect, or slow replicas at fixed admitted-request indices.
+//! member's server and counters live in one record of the member table
+//! ([`replica`]) — a replica is up exactly when its record holds a
+//! running server, and only kill, restart and retire change that — and a
+//! deterministic fault plan ([`faults`]) can kill, stall, drop-connect,
+//! or slow replicas at fixed admitted-request indices.
 //!
 //! Membership is live ([`membership`]): versioned ring epochs with
 //! `/admin/scale-up`, `/admin/scale-down` and `/admin/drain/<i>`
@@ -38,14 +39,12 @@
 //! ```
 
 pub mod faults;
-pub mod health;
 pub mod membership;
 pub mod replica;
 pub mod ring;
 pub mod router;
 
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
-pub use health::HealthConfig;
 pub use membership::{AutoscaleConfig, Elasticity, Epoch, MembershipEvent};
 pub use replica::{Member, ReplicaSet};
 pub use ring::{owners_diff, stable_hash, OwnersDiff, Ring, DEFAULT_VNODES};

@@ -11,16 +11,17 @@
 //! [`Member::addr`], so the ring never stores a stale port.
 //!
 //! Everything the cluster knows about member `i` lives in one
-//! [`Member`]: the running server, the probed up/down/retired state with
-//! its transition counters and probe fence, the forwarded count, and the
-//! drain's final connection count. Two things guard it. The **lifecycle
-//! lock** (`life`) guards the server handle and address; `kill`,
-//! `restart` and `retire` decide, install and mark under it, so a
-//! lifecycle step and its health mark are one step. Everything else is
-//! an atomic: the forward path reads `is_up`, marks and counts without
-//! taking the lifecycle lock, which it needs only for the address. The
-//! table itself is one mutex over the vector of shared records, locked
-//! only to append a member or to clone handles out.
+//! [`Member`]: the running server, whether it is retired, its transition
+//! counters, the forwarded count, and the drain's final connection
+//! count. The **lifecycle lock** (`life`) guards the server handle, the
+//! address and the retired flag, and it is the only source of liveness:
+//! a member is up exactly when the lock holds a running server. Only
+//! `kill`, `restart` and `retire` change that, each deciding and
+//! installing under the lock, and only `kill` (when it took a server)
+//! and `restart` (when it started one) move a transition counter. The
+//! counters and the forwarded count are atomics, read without the lock.
+//! The table itself is one mutex over the vector of shared records,
+//! locked only to append a member or to clone handles out.
 //!
 //! The table is *growable and retirable* (DESIGN §12): member IDs are
 //! append-only — [`ReplicaSet::add`] assigns the next never-used ID, and
@@ -31,38 +32,25 @@
 //! requires to be zero.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hec_core::sync::Mutex;
 use hec_serve::server::{self, ServeConfig, Server};
-
-const UP: u8 = 0;
-const DOWN: u8 = 1;
-/// Terminal: a retired member never restarts, is never probed, and its
-/// transition counters are frozen — a drained replica didn't fail, it
-/// left, and must not accumulate down-transitions forever.
-const RETIRED: u8 = 2;
 
 struct Life {
     /// `None` while the member is down or retired.
     server: Option<Server>,
     /// Last bound address; retained while down for diagnostics.
     addr: SocketAddr,
+    /// Terminal: a retired member never restarts and its transition
+    /// counters are frozen — a drained replica didn't fail, it left.
+    retired: bool,
 }
 
 /// One member's whole record (see the module doc for what guards what).
 pub struct Member {
     life: Mutex<Life>,
-    /// `UP`, `DOWN` or `RETIRED`; every change goes through
-    /// [`Member::record`] or `retire`.
-    state: AtomicU8,
-    /// Bumped on every *reactive* observation (router failure, admin
-    /// kill/restart). A background probe snapshots this before its
-    /// network round trip and its result is dropped if the stamp moved
-    /// meanwhile — otherwise a probe that connected just before a kill
-    /// would land after the kill's mark and flip the replica back up.
-    reactive_stamp: AtomicU64,
     down_transitions: AtomicU64,
     up_transitions: AtomicU64,
     forwarded: AtomicU64,
@@ -83,58 +71,22 @@ impl Member {
         self.life.lock().addr
     }
 
-    /// True when the member is currently believed up.
+    /// True while the member runs a server.
     pub fn is_up(&self) -> bool {
-        self.state.load(Ordering::SeqCst) == UP
+        self.life.lock().server.is_some()
     }
 
     /// True when the member has been retired (drained out for good).
     pub fn is_retired(&self) -> bool {
-        self.state.load(Ordering::SeqCst) == RETIRED
+        self.life.lock().retired
     }
 
-    /// Moves `UP` ↔ `DOWN` and counts the transition; a no-op when the
-    /// state already reads `up` or the member is retired.
-    fn record(&self, up: bool) -> bool {
-        let (from, to) = if up { (DOWN, UP) } else { (UP, DOWN) };
-        let changed =
-            self.state.compare_exchange(from, to, Ordering::SeqCst, Ordering::SeqCst).is_ok();
-        if changed {
-            let counter = if up { &self.up_transitions } else { &self.down_transitions };
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-        changed
-    }
-
-    /// Records a *reactive* observation (a forward that failed or
-    /// succeeded, a kill or restart); counts the transition when the
-    /// state actually changed and invalidates any probe currently in
-    /// flight. Returns true on a state change. Observations of retired
-    /// members are dropped.
-    pub fn mark(&self, up: bool) -> bool {
-        self.reactive_stamp.fetch_add(1, Ordering::SeqCst);
-        self.record(up)
-    }
-
-    /// The stamp a probe must snapshot before its round trip; pass it
-    /// back to [`Member::mark_probed`].
-    pub fn probe_stamp(&self) -> u64 {
-        self.reactive_stamp.load(Ordering::SeqCst)
-    }
-
-    /// Records a background-probe observation taken under `stamp`. The
-    /// result is dropped when any reactive mark landed since the stamp
-    /// was read — the probe's evidence predates it and must not win.
-    pub fn mark_probed(&self, up: bool, stamp: u64) -> bool {
-        self.reactive_stamp.load(Ordering::SeqCst) == stamp && self.record(up)
-    }
-
-    /// Up→down transitions observed.
+    /// Up→down transitions: kills that took a running server.
     pub fn down_transitions(&self) -> u64 {
         self.down_transitions.load(Ordering::Relaxed)
     }
 
-    /// Down→up transitions observed.
+    /// Down→up transitions: restarts that started a server.
     pub fn up_transitions(&self) -> u64 {
         self.up_transitions.load(Ordering::Relaxed)
     }
@@ -161,8 +113,8 @@ pub(crate) fn invalid(msg: String) -> std::io::Error {
 }
 
 /// In-process `hec-serve` replicas: individually killable, restartable,
-/// and — for elasticity — addable and retirable. The router, the
-/// elasticity engine and the health checker share one handle to it.
+/// and — for elasticity — addable and retirable. The router and the
+/// elasticity engine share one handle to it.
 pub struct ReplicaSet {
     members: Mutex<Vec<Arc<Member>>>,
     template: ServeConfig,
@@ -203,16 +155,14 @@ impl ReplicaSet {
         server::start(ServeConfig { port: 0, ..self.template.clone() })
     }
 
-    /// Starts a fresh replica as the next member, marked up. Returns its
-    /// ID and address; the ID is stable for the life of the set.
+    /// Starts a fresh replica as the next member, up. Returns its ID and
+    /// address; the ID is stable for the life of the set.
     pub fn add(&self) -> std::io::Result<(usize, SocketAddr)> {
         let server = self.start_server()?;
         let addr = server.addr();
         let mut members = self.members.lock();
         members.push(Arc::new(Member {
-            life: Mutex::new(Life { server: Some(server), addr }),
-            state: AtomicU8::new(UP),
-            reactive_stamp: AtomicU64::new(0),
+            life: Mutex::new(Life { server: Some(server), addr, retired: false }),
             down_transitions: AtomicU64::new(0),
             up_transitions: AtomicU64::new(0),
             forwarded: AtomicU64::new(0),
@@ -221,14 +171,19 @@ impl ReplicaSet {
         Ok((members.len() - 1, addr))
     }
 
-    /// Shuts member `i` down (graceful: drains in-flight requests) and
-    /// marks it down. Returns true when it was running. Idempotent.
+    /// Shuts member `i` down (graceful: drains in-flight requests).
+    /// Returns true when it was running. Idempotent. The server leaves
+    /// the lifecycle lock before the drain, so the member reads down at
+    /// once and the router fails over instead of waiting.
     pub fn kill(&self, i: usize) -> bool {
         let Some(member) = self.get(i) else { return false };
         let server = {
             let mut life = member.life.lock();
-            member.mark(false);
-            life.server.take()
+            let server = life.server.take();
+            if server.is_some() {
+                member.down_transitions.fetch_add(1, Ordering::Relaxed);
+            }
+            server
         };
         match server {
             Some(s) => {
@@ -240,39 +195,40 @@ impl ReplicaSet {
         }
     }
 
-    /// Restarts member `i` on a fresh ephemeral port and marks it up.
-    /// Returns the address; an already-running replica is left alone.
-    /// Retired members refuse to restart. The decision and the install
-    /// happen under the lifecycle lock, so of two racing restarts
-    /// exactly one starts a server and both return its address.
+    /// Restarts member `i` on a fresh ephemeral port. Returns the
+    /// address; an already-running replica is left alone. Retired
+    /// members refuse to restart. The decision and the install happen
+    /// under the lifecycle lock, so of two racing restarts exactly one
+    /// starts a server and both return its address.
     pub fn restart(&self, i: usize) -> std::io::Result<SocketAddr> {
         let member = self.get(i).ok_or_else(|| invalid(format!("no replica {i}")))?;
         let mut life = member.life.lock();
-        if member.is_retired() {
+        if life.retired {
             return Err(invalid(format!("replica {i} is retired")));
         }
         if life.server.is_none() {
             let server = self.start_server()?;
             life.addr = server.addr();
             life.server = Some(server);
+            member.up_transitions.fetch_add(1, Ordering::Relaxed);
         }
-        member.mark(true);
         Ok(life.addr)
     }
 
-    /// Retires member `i` for good: it reads down and stops being
-    /// probed at once, then a graceful drain (in-flight requests
-    /// complete, then every connection closes) records the reactor's
-    /// final open-connection count. Returns that count, or `None` when
-    /// already retired / out of range. A down-but-not-retired member
-    /// retires with count 0. Retirement is not a down transition.
+    /// Retires member `i` for good: it reads down and retired at once,
+    /// then a graceful drain (in-flight requests complete, then every
+    /// connection closes) records the reactor's final open-connection
+    /// count. Returns that count, or `None` when already retired / out
+    /// of range. A down-but-not-retired member retires with count 0.
+    /// Retirement is not a down transition.
     pub fn retire(&self, i: usize) -> Option<u64> {
         let member = self.get(i)?;
         let server = {
             let mut life = member.life.lock();
-            if member.state.swap(RETIRED, Ordering::SeqCst) == RETIRED {
+            if life.retired {
                 return None;
             }
+            life.retired = true;
             life.server.take()
         };
         let final_open = match server {
@@ -340,7 +296,7 @@ mod tests {
         assert!(set.kill(0));
         assert!(!set.kill(0), "second kill is a no-op");
         assert!(!set.kill(7), "so is killing an ID never assigned");
-        assert!(m0.addr().is_none() && !m0.is_up(), "kill takes the server and marks down");
+        assert!(m0.addr().is_none() && !m0.is_up(), "kill takes the server");
         assert_eq!(m0.last_addr(), dead_addr, "the last address is kept for diagnostics");
         assert_eq!((m0.down_transitions(), m0.up_transitions()), (1, 0));
         assert!(m1.addr().is_some() && m1.is_up(), "killing 0 must not touch 1");
@@ -349,7 +305,7 @@ mod tests {
 
         let revived = set.restart(0).unwrap();
         assert_eq!(m0.addr(), Some(revived));
-        assert!(m0.is_up(), "restart marks up");
+        assert!(m0.is_up(), "restart installs a server");
         assert_eq!((m0.down_transitions(), m0.up_transitions()), (1, 1));
         assert_eq!(healthz(revived).unwrap(), 200);
         assert_eq!(set.restart(0).unwrap(), revived, "a running replica is left alone");
@@ -433,56 +389,61 @@ mod tests {
         set.shutdown_all();
     }
 
+    /// Every lifecycle call, in turn, against a model of each member:
+    /// after each step a member is up exactly when it has an address
+    /// (and answers on it), a step moves at most its own member's one
+    /// counter by one, and nothing revives or recounts a retired member.
     #[test]
-    fn transitions_count_only_state_changes() {
+    fn each_lifecycle_step_moves_liveness_and_exactly_its_counter() {
+        enum Call {
+            Kill,
+            Restart,
+            Retire,
+        }
+        use Call::*;
+        /// What a member reads: (up, retired, down_transitions, up_transitions).
+        type Want = (bool, bool, u64, u64);
         let set = ReplicaSet::start(2, small_cfg()).unwrap();
-        let (m0, m1) = (set.get(0).unwrap(), set.get(1).unwrap());
-        assert!(m0.is_up());
-        assert!(!m0.mark(true), "up→up is not a transition");
-        assert!(m0.mark(false));
-        assert!(!m0.mark(false));
-        assert!(m0.mark(true));
-        assert_eq!((m0.down_transitions(), m0.up_transitions()), (1, 1));
-        assert_eq!(m1.down_transitions(), 0);
-        assert!(m1.is_up());
-        set.shutdown_all();
-    }
-
-    #[test]
-    fn retired_members_freeze_their_counters() {
-        let set = ReplicaSet::start(3, small_cfg()).unwrap();
-        let m = set.get(2).unwrap();
-        assert!(m.mark(false));
-        assert!(m.mark(true));
-        set.retire(2);
-        assert!(m.is_retired() && !m.is_up());
-        // Observations after retirement are dropped, reactive or
-        // probed; retirement itself was not a down transition.
-        assert!(!m.mark(false));
-        assert!(!m.mark(true));
-        assert!(!m.mark_probed(true, m.probe_stamp()));
-        assert!(m.is_retired() && !m.is_up());
-        assert_eq!((m.down_transitions(), m.up_transitions()), (1, 1));
-        assert_eq!(set.snapshot().iter().filter(|m| m.is_up()).count(), 2);
-        set.shutdown_all();
-    }
-
-    #[test]
-    fn stale_probe_results_cannot_overwrite_a_reactive_mark() {
-        let set = ReplicaSet::start(1, small_cfg()).unwrap();
-        let m = set.get(0).unwrap();
-        // A probe snapshots its stamp, then an admin kill lands while
-        // the probe's round trip is in flight: the probe's "up" verdict
-        // is stale evidence and must be dropped.
-        let stamp = m.probe_stamp();
-        assert!(set.kill(0), "kill marks the replica down");
-        assert!(!m.mark_probed(true, stamp), "stale probe is dropped");
-        assert!(!m.is_up());
-        assert_eq!(m.up_transitions(), 0);
-        // A probe taken under the current stamp still lands.
-        let fresh = m.probe_stamp();
-        assert!(m.mark_probed(true, fresh));
-        assert!(m.is_up());
+        let mut model: Vec<Want> = vec![(true, false, 0, 0); 2];
+        // (call, member, what the call returns, what the member reads after)
+        let table: [(&str, Call, usize, &str, Want); 10] = [
+            ("kill", Kill, 0, "true", (false, false, 1, 0)),
+            ("kill again", Kill, 0, "false", (false, false, 1, 0)),
+            ("restart", Restart, 0, "new addr", (true, false, 1, 1)),
+            ("restart while running", Restart, 0, "same addr", (true, false, 1, 1)),
+            ("retire an up member", Retire, 1, "Some(0)", (false, true, 0, 0)),
+            ("kill before retiring", Kill, 0, "true", (false, false, 2, 1)),
+            ("retire a down member", Retire, 0, "Some(0)", (false, true, 2, 1)),
+            ("kill a retired member", Kill, 0, "false", (false, true, 2, 1)),
+            ("restart a retired member", Restart, 0, "refused", (false, true, 2, 1)),
+            ("retire a retired member", Retire, 0, "None", (false, true, 2, 1)),
+        ];
+        for (name, call, i, returns, want) in table {
+            let before = set.get(i).unwrap().addr();
+            let got = match call {
+                Kill => set.kill(i).to_string(),
+                Restart => match set.restart(i) {
+                    Ok(a) if Some(a) == before => "same addr".into(),
+                    Ok(_) => "new addr".into(),
+                    Err(e) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{name}");
+                        "refused".into()
+                    }
+                },
+                Retire => format!("{:?}", set.retire(i)),
+            };
+            assert_eq!(got, returns, "{name}: return value");
+            model[i] = want;
+            for (j, m) in set.snapshot().iter().enumerate() {
+                let read = (m.is_up(), m.is_retired(), m.down_transitions(), m.up_transitions());
+                assert_eq!(read, model[j], "{name}: member {j}");
+                assert_eq!(m.addr().is_some(), m.is_up(), "{name}: member {j} up iff addressed");
+                match m.addr() {
+                    Some(a) => assert_eq!(healthz(a).unwrap(), 200, "{name}: member {j}"),
+                    None => assert!(healthz(m.last_addr()).is_err(), "{name}: member {j}"),
+                }
+            }
+        }
         set.shutdown_all();
     }
 }

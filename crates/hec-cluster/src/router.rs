@@ -1,14 +1,16 @@
 //! The routing tier: one frontend URL over N `hec-serve` replicas.
 //!
-//! The router owns the member table (replicas and their health), the
+//! The router owns the member table (replicas and their servers), the
 //! consistent-hash ring, and the fault plan. Every routable request
 //! (anything that is not a router-local endpoint) is admitted, assigned
 //! the next admitted-request index (which is what fault events key on),
 //! mapped to its canonical ring key, and forwarded to the key's first *live* ring
-//! owner. A transport failure marks the replica down reactively, counts
-//! a failover, and moves to the next owner; a `503` from an overloaded
-//! replica fails over the same way (the response is kept as a fallback
-//! if every owner is shedding). When a whole pass over the owners
+//! owner — one the member table holds a running server for. A transport
+//! failure counts a failover and moves to the next owner; a `503` from
+//! an overloaded replica fails over the same way (the response is kept
+//! as a fallback if every owner is shedding). Forwards only read
+//! liveness: a replica is down when it was killed or retired, never
+//! because one request to it failed. When a whole pass over the owners
 //! yields nothing, the seeded backoff paces another pass — a replica
 //! mid-restart comes back within a retry or two — and only an exhausted
 //! budget turns into the router's own `503 + Retry-After`.
@@ -38,7 +40,7 @@
 //! one Arc swap.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,7 +55,6 @@ use hec_serve::request::{parse_query, Point};
 use hec_serve::server::{error_body, Request, ServeConfig, RETRY_AFTER_SECS};
 
 use crate::faults::{FaultKind, FaultPlan};
-use crate::health::{self, HealthConfig};
 use crate::membership::{AutoscaleConfig, Drain, Elasticity, ScaleUp};
 use crate::replica::{Member, ReplicaSet};
 use crate::ring::Ring;
@@ -80,8 +81,6 @@ pub struct ClusterConfig {
     pub queue: usize,
     /// Template for each replica's own `hec-serve` config.
     pub replica: ServeConfig,
-    /// Health-checker cadence and probe timeout.
-    pub health: HealthConfig,
     /// Per-forward retry pacing (seeded backoff, `Retry-After` cap).
     pub retry: RetryPolicy,
     /// Hedge delay in milliseconds: a GET unanswered for this long is
@@ -102,7 +101,6 @@ impl Default for ClusterConfig {
             workers: Threads::from_env().workers().max(2),
             queue: 64,
             replica: ServeConfig::default(),
-            health: HealthConfig::default(),
             retry: RetryPolicy::default(),
             hedge_ms: None,
             faults: FaultPlan::none(),
@@ -159,16 +157,21 @@ impl RouterState {
         }
     }
 
-    /// Candidate replicas for a key on `ring`: the owners' records, live
-    /// ones first, preference order preserved within each group.
-    fn candidates(&self, ring: &Ring, key: &str) -> Vec<(usize, Arc<Member>)> {
+    /// Candidate replicas for a key on `ring`: each owner's record with
+    /// its address resolved once (`None` while down), live owners first,
+    /// preference order preserved within each group.
+    fn candidates(&self, ring: &Ring, key: &str) -> Vec<(usize, Arc<Member>, Option<SocketAddr>)> {
         let all = self.replicas.snapshot();
-        let mut owners: Vec<(usize, Arc<Member>)> = ring
+        let mut owners: Vec<(usize, Arc<Member>, Option<SocketAddr>)> = ring
             .owners(key)
             .into_iter()
-            .filter_map(|r| Some((r, Arc::clone(all.get(r)?))))
+            .filter_map(|r| {
+                let member = Arc::clone(all.get(r)?);
+                let addr = member.addr();
+                Some((r, member, addr))
+            })
             .collect();
-        owners.sort_by_key(|(_, m)| !m.is_up());
+        owners.sort_by_key(|(_, _, addr)| addr.is_none());
         owners
     }
 
@@ -203,10 +206,15 @@ impl RouterState {
         (drops, slow)
     }
 
-    /// One forward attempt to a replica. `Err` means transport-level
-    /// failure (connection refused/dropped/timed out).
-    fn attempt(&self, member: &Member, req: &Request) -> std::io::Result<client::Response> {
-        let addr = member.addr().ok_or_else(|| {
+    /// One forward attempt to a replica's resolved address. `Err` means
+    /// the replica was down or the transport failed (connection
+    /// refused/dropped/timed out).
+    fn attempt(
+        &self,
+        addr: Option<SocketAddr>,
+        req: &Request,
+    ) -> std::io::Result<client::Response> {
+        let addr = addr.ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotConnected, "replica is down")
         })?;
         let url = format!("http://{addr}{}", req.target());
@@ -235,9 +243,8 @@ impl RouterState {
 
         // A failover is any request not answered by its key's primary
         // owner — whether the router actively switched after a failed
-        // attempt or routed around a replica already marked down.
+        // attempt or routed around a replica already down.
         let finish = |member: &Member, resp: client::Response, failed_over: bool| {
-            member.mark(true);
             member.note_forward();
             if failed_over {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
@@ -266,7 +273,7 @@ impl RouterState {
                 if !tried_any && drops.is_empty() && req.method != "POST" {
                     let live: Vec<(usize, &Member, SocketAddr)> = candidates
                         .iter()
-                        .filter_map(|(r, m)| m.addr().map(|a| (*r, &**m, a)))
+                        .filter_map(|(r, m, a)| a.map(|a| (*r, &**m, a)))
                         .take(2)
                         .collect();
                     if live.len() == 2 {
@@ -289,7 +296,7 @@ impl RouterState {
                 }
             }
 
-            for (r, member) in &candidates {
+            for (r, member, addr) in &candidates {
                 if let Some(pos) = drops.iter().position(|d| d == r) {
                     // Injected connection drop: consume the event and
                     // treat this exactly like a transport failure.
@@ -298,17 +305,16 @@ impl RouterState {
                     tried_any = true;
                     continue;
                 }
-                match self.attempt(member, req) {
+                match self.attempt(*addr, req) {
                     Ok(resp) if resp.status == 503 => {
-                        // Overloaded, not dead: keep it up, remember the
-                        // shed response, try the next owner.
+                        // Overloaded, not dead: remember the shed
+                        // response, try the next owner.
                         shed = Some(resp);
                         self.failovers.fetch_add(1, Ordering::Relaxed);
                         tried_any = true;
                     }
                     Ok(resp) => return finish(member, resp, tried_any || *r != primary),
                     Err(_) => {
-                        member.mark(false);
                         self.failovers.fetch_add(1, Ordering::Relaxed);
                         tried_any = true;
                     }
@@ -522,7 +528,6 @@ fn route(req: &Request, state: &RouterState, front: &Frontend) -> (u16, Vec<Stri
 pub struct Cluster {
     state: Arc<RouterState>,
     core: reactor::Core,
-    checker: std::thread::JoinHandle<()>,
 }
 
 impl Cluster {
@@ -542,7 +547,7 @@ impl Cluster {
     }
 
     /// Kills replica `i` directly (tests; the HTTP path is
-    /// `/admin/kill`). Marks it down immediately.
+    /// `/admin/kill`). It reads down immediately.
     pub fn kill_replica(&self, i: usize) -> bool {
         self.state.replicas.kill(i)
     }
@@ -578,13 +583,12 @@ impl Cluster {
     /// Waits for the router and every replica to finish draining.
     pub fn join(self) {
         self.core.join();
-        let _ = self.checker.join();
     }
 }
 
 /// Starts the cluster: `cfg.replicas` in-process `hec-serve` replicas on
-/// ephemeral ports, the health checker, and the router frontend on
-/// `127.0.0.1:cfg.port`. Returns once the router socket is accepting.
+/// ephemeral ports and the router frontend on `127.0.0.1:cfg.port`.
+/// Returns once the router socket is accepting.
 pub fn start(cfg: ClusterConfig) -> std::io::Result<Cluster> {
     let replicas = Arc::new(ReplicaSet::start(cfg.replicas, cfg.replica.clone())?);
     let planned_faults = cfg.faults.remaining();
@@ -604,10 +608,6 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<Cluster> {
         lat_local: Histogram::new(),
     });
 
-    let checker_stop = Arc::new(AtomicBool::new(false));
-    let checker =
-        health::spawn_checker(Arc::clone(&replicas), Arc::clone(&checker_stop), cfg.health);
-
     let handler_state = Arc::clone(&state);
     let handler: Arc<reactor::Handler> =
         Arc::new(move |req: &Request, t0: Instant, front: &Frontend| {
@@ -620,11 +620,8 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<Cluster> {
             (status, extra, body)
         });
     // After the reactor drains the router's in-flight requests (they may
-    // still need live replicas), stop the checker and the replicas.
-    let on_drained = Box::new(move || {
-        checker_stop.store(true, Ordering::SeqCst);
-        replicas.shutdown_all();
-    });
+    // still need live replicas), stop the replicas.
+    let on_drained = Box::new(move || replicas.shutdown_all());
     let core = reactor::start_core(
         CoreConfig {
             port: cfg.port,
@@ -637,7 +634,7 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<Cluster> {
         handler,
         Some(on_drained),
     )?;
-    Ok(Cluster { state, core, checker })
+    Ok(Cluster { state, core })
 }
 
 #[cfg(test)]
@@ -645,8 +642,8 @@ mod tests {
     use super::*;
     use crate::faults::FaultEvent;
 
-    fn small(replicas: usize, faults: FaultPlan) -> Cluster {
-        start(ClusterConfig {
+    fn small_cfg(replicas: usize) -> ClusterConfig {
+        ClusterConfig {
             replicas,
             replica: ServeConfig { port: 0, workers: 2, queue: 16, cache_capacity: 256 },
             retry: RetryPolicy {
@@ -655,14 +652,12 @@ mod tests {
                 max_retries: 3,
                 timeout: Duration::from_secs(10),
             },
-            health: HealthConfig {
-                interval: Duration::from_millis(50),
-                probe_timeout: Duration::from_millis(300),
-            },
-            faults,
             ..ClusterConfig::default()
-        })
-        .expect("cluster starts")
+        }
+    }
+
+    fn small(replicas: usize, faults: FaultPlan) -> Cluster {
+        start(ClusterConfig { faults, ..small_cfg(replicas) }).expect("cluster starts")
     }
 
     #[test]
@@ -699,6 +694,27 @@ mod tests {
         let m = client::http_get(&format!("{base}/metrics")).unwrap();
         let doc = Json::parse(&m.body).unwrap();
         assert!(doc.get("failovers").unwrap().as_f64().unwrap() >= 1.0);
+        c.shutdown();
+        c.join();
+    }
+
+    #[test]
+    fn a_forward_that_times_out_leaves_every_replica_up() {
+        // Each owner is alive but busy for 200 ms, past the router's
+        // 50 ms forward timeout: every attempt fails over and the budget
+        // runs out, yet a slow replica has not died, so none reads down.
+        let cfg = small_cfg(3);
+        let retry = RetryPolicy { timeout: Duration::from_millis(50), ..cfg.retry };
+        let c = start(ClusterConfig { retry, ..cfg }).expect("cluster starts");
+        let base = format!("http://{}", c.addr());
+        let r = client::http_get(&format!("{base}/debug/sleep?ms=200")).unwrap();
+        assert_eq!(r.status, 503, "every owner timed out: {}", r.body);
+        let doc = Json::parse(&client::http_get(&format!("{base}/metrics")).unwrap().body).unwrap();
+        assert!(doc.get("failovers").unwrap().as_f64().unwrap() >= 2.0);
+        for (i, m) in c.state.replicas.snapshot().iter().enumerate() {
+            assert!(m.is_up(), "replica {i} was only slow");
+            assert_eq!(m.down_transitions(), 0, "replica {i} was only slow");
+        }
         c.shutdown();
         c.join();
     }

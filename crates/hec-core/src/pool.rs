@@ -339,7 +339,13 @@ impl WorkerPool {
     /// Graceful shutdown: refuses new admissions, lets the workers drain
     /// every already-admitted job, then joins them.
     pub fn shutdown(self) {
-        self.shared.shutting_down.store(true, std::sync::atomic::Ordering::SeqCst);
+        // Set the flag under the queue lock: a worker reads it under that
+        // lock and then waits, so a flag set between its read and its wait
+        // would miss the notification and the join below would hang.
+        {
+            let _queue = self.shared.queue.lock();
+            self.shared.shutting_down.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
         self.shared.jobs_cv.notify_all();
         for w in self.workers {
             let _ = w.join();
@@ -584,5 +590,23 @@ mod tests {
         // Shut down immediately: every admitted job must still run.
         pool.shutdown();
         assert_eq!(done.load(Ordering::SeqCst), 100);
+    }
+
+    #[test]
+    fn shutdown_wakes_a_worker_that_is_about_to_wait() {
+        // Shutting down a fresh pool races each idle worker between its
+        // flag check and its wait; with the flag set outside the queue
+        // lock, a few thousand rounds reliably left a worker asleep and
+        // the join hung. Bounded, so a regression fails instead of hangs.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rounds = std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                WorkerPool::new(Threads::new(2), 4).shutdown();
+            }
+            let _ = tx.send(());
+        });
+        let done = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(done.is_ok(), "a pool shutdown never returned");
+        rounds.join().unwrap();
     }
 }

@@ -1,5 +1,5 @@
-//! Minimal HTTP/1.1 client for the load generator, the cluster router,
-//! and the e2e tests.
+//! Minimal HTTP/1.1 client for the cluster router, `repro post`, and
+//! the e2e tests.
 //!
 //! Matches the server's dialect: requests ask for `Connection:
 //! keep-alive`, bodies are delimited by `Content-Length` (with
@@ -8,10 +8,10 @@
 //!
 //! Connection reuse is per thread: each thread keeps at most one open
 //! connection per authority (`host:port`) in a thread-local pool, so the
-//! router's workers, the load generator's clients, and the health
-//! checker all reuse transparently with zero locking. A pooled
-//! connection can go stale — the server may have closed it since (a
-//! replica was killed, an idle timeout fired, a keep-alive limit hit).
+//! router's workers and the tests' client threads reuse transparently
+//! with zero locking. A pooled connection can go stale — the server may
+//! have closed it since (a replica was killed, an idle timeout fired, a
+//! keep-alive limit hit).
 //! When a *reused* connection fails before yielding a single response
 //! byte with a connection-shaped error (EOF, reset, broken pipe), the
 //! request is retried once on a fresh connection; a fresh connection's
@@ -89,7 +89,7 @@ fn connect(authority: &str, timeout: Duration) -> std::io::Result<TcpStream> {
 
 thread_local! {
     /// One kept-alive connection per authority, per thread. Dropped with
-    /// the thread, which closes the sockets — a load generator's senders
+    /// the thread, which closes the sockets — a test's client threads
     /// release their connections just by exiting.
     static KEEPALIVE: RefCell<HashMap<String, TcpStream>> = RefCell::new(HashMap::new());
 }
@@ -262,17 +262,14 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Outcome of a retried GET: the final response plus how it was earned.
+/// Outcome of a retried GET: the final response plus how many attempts
+/// it took.
 #[derive(Clone, Debug)]
 pub struct RetryOutcome {
     /// The last response received.
     pub response: Response,
     /// Total attempts issued (1 = no retry was needed).
     pub attempts: u32,
-    /// True when the final response is a success (< 400) that took more
-    /// than one attempt — "retried-then-succeeded", which load tooling
-    /// accounts separately from errors.
-    pub retried_ok: bool,
 }
 
 /// GET with bounded, seeded retries.
@@ -296,15 +293,10 @@ pub fn get_with_retry(url: &str, policy: &RetryPolicy, seed: u64) -> std::io::Re
                     .map(|s| Duration::from_millis((s.saturating_mul(1000)).min(policy.cap_ms)));
                 match backoff.next_delay() {
                     Some(backoff_delay) => std::thread::sleep(hint.unwrap_or(backoff_delay)),
-                    None => {
-                        return Ok(RetryOutcome { response: resp, attempts, retried_ok: false })
-                    }
+                    None => return Ok(RetryOutcome { response: resp, attempts }),
                 }
             }
-            Ok(resp) => {
-                let retried_ok = attempts > 1 && resp.status < 400;
-                return Ok(RetryOutcome { response: resp, attempts, retried_ok });
-            }
+            Ok(resp) => return Ok(RetryOutcome { response: resp, attempts }),
             Err(e) => match backoff.next_delay() {
                 Some(d) => {
                     last_err = Some(e);
@@ -469,7 +461,6 @@ mod tests {
         let elapsed = t0.elapsed();
         assert_eq!(out.response.status, 503, "budget exhausted, last 503 returned");
         assert_eq!(out.attempts, 4, "initial attempt + max_retries");
-        assert!(!out.retried_ok);
         // 3 capped sleeps of exactly 50 ms each — far from 3 x 60 s.
         assert!(elapsed >= Duration::from_millis(120), "hint ignored? {elapsed:?}");
         assert!(elapsed < Duration::from_secs(5), "cap not applied: {elapsed:?}");

@@ -477,8 +477,8 @@ impl Core {
 /// Binds `127.0.0.1:cfg.port`, builds the worker pool and the
 /// [`Frontend`], and spawns the reactor thread. Returns once the socket
 /// is accepting. `on_drained` (if any) runs on the reactor thread after
-/// the pool has drained — the router uses it to stop its health checker
-/// and replicas in order.
+/// the pool has drained — the router uses it to stop its replicas only
+/// once no routed request can still need them.
 pub fn start_core(
     cfg: CoreConfig,
     handler: Arc<Handler>,
@@ -518,7 +518,7 @@ pub fn start_core(
     let thread = std::thread::spawn(move || {
         run_reactor(reactor);
         // run_reactor already drained the pool; optional service-level
-        // teardown (checker, replicas) happens strictly after.
+        // teardown (the router's replicas) happens strictly after.
         if let Some(f) = on_drained {
             f();
         }

@@ -22,9 +22,9 @@ bash scripts/pair.sh HEAD no_such_workload 2> /dev/null || status=$?
 # Soak the four targets whose probe captures other tests in the same
 # process used to pollute (DESIGN.md §3, rule 3): a capture is scoped to
 # its own call tree at any test-thread count, every time. The cluster
-# targets ride along: kill, restart, drain and the health checker race
-# on one member record (DESIGN.md §9), and such a race has only ever
-# shown under full-suite parallelism. So do the two serve targets: they
+# targets ride along: kill, restart and drain race on one member's
+# lifecycle lock (DESIGN.md §9), and such a race has only ever shown
+# under full-suite parallelism. So do the two serve targets: they
 # drive the reactor's per-connection state machine (DESIGN.md §11), and
 # the queue-full test depends on timing.
 for threads in 1 2 4; do

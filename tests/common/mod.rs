@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use hec_cluster::{ClusterConfig, FaultPlan, HealthConfig};
+use hec_cluster::{ClusterConfig, FaultPlan};
 use hec_core::json::Json;
 use hec_serve::client::{self, RetryPolicy};
 use hec_serve::request::Point;
@@ -23,10 +23,6 @@ pub fn cluster_cfg(replicas: usize, faults: FaultPlan) -> ClusterConfig {
             cap_ms: 50,
             max_retries: 4,
             timeout: Duration::from_secs(10),
-        },
-        health: HealthConfig {
-            interval: Duration::from_millis(50),
-            probe_timeout: Duration::from_millis(300),
         },
         faults,
         ..ClusterConfig::default()
