@@ -8,41 +8,27 @@
 //! failover test replays the identical kill/stall/drop sequence every
 //! run, which is what lets the suite assert *byte-identical* responses
 //! under faults instead of "usually works".
-//!
-//! Kinds:
-//! * `Kill` — shut the target replica down (it stays down until an
-//!   explicit restart). The seeded generator emits at most `R − 1`
-//!   kills, matching the availability contract: a key with R owners
-//!   tolerates R − 1 owner deaths.
-//! * `StallMs` — delay the request before any forwarding, simulating a
-//!   router-side scheduling hiccup.
-//! * `DropConn` — the next forward attempt from this request to the
-//!   target replica fails as if the connection dropped mid-flight; the
-//!   router must fail over.
-//! * `SlowReplyMs` — delay relaying the reply, simulating a straggler
-//!   replica (the paper's scaling tables are exactly about stragglers at
-//!   high P).
-//! * `AddAt` — scale the cluster up by one replica (membership churn
-//!   pinned to an admitted-request index; the `replica` field is
-//!   ignored, the new member takes the next slot ID).
-//! * `DrainAt` — gracefully drain the target replica out of the ring
-//!   (epoch flip, then stop), the elastic counterpart of `Kill` under
-//!   the same byte-identity contract.
 
 use hec_core::rng::Rng;
 
-/// What a fault event does when it fires.
+/// What a fault event does when it fires. The delays are deadlines on
+/// the router's reactor; the membership changes run on its lifecycle
+/// pool before the request is forwarded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Shut down the target replica.
+    /// Shut down the target replica; it stays down until a restart.
     Kill,
-    /// Sleep this many milliseconds before forwarding.
+    /// Hold the request this many milliseconds before its first owner
+    /// pass (a router-side scheduling hiccup).
     StallMs(u64),
-    /// Fail the request's next forward attempt to the target replica.
+    /// Fail the request's next forward attempt to the target replica as
+    /// if the connection dropped: the router must fail over.
     DropConn,
-    /// Sleep this many milliseconds before relaying the reply.
+    /// Hold the answer this many milliseconds before relaying it (a
+    /// straggler replica).
     SlowReplyMs(u64),
-    /// Scale up: add one replica to the ring (target field ignored).
+    /// Scale up: add one replica to the ring (target field ignored; the
+    /// new member takes the next ID).
     AddAt,
     /// Scale down: gracefully drain the target replica out of the ring.
     DrainAt,

@@ -1,31 +1,21 @@
 //! `hec-cluster` — sharded, replicated, fault-tolerant serving.
 //!
-//! One frontend URL over N independent [`hec_serve`] replicas. The
-//! canonical request keyspace is partitioned by a consistent-hash ring
-//! ([`ring`]: virtual nodes, replication factor R), the router
-//! ([`router`]) forwards each request to its key's first live owner and
-//! fails over to the next on transport failure or load shedding, each
-//! member's server and counters live in one record of the member table
-//! ([`replica`]) — a replica is up exactly when its record holds a
-//! running server, and only kill, restart and retire change that — and a
-//! deterministic fault plan ([`faults`]) can kill, stall, drop-connect,
-//! or slow replicas at fixed admitted-request indices.
+//! One frontend URL over N independent [`hec_serve`] replicas. A
+//! consistent-hash ring ([`ring`]: virtual nodes, replication factor R)
+//! partitions the canonical request keyspace; the router ([`router`])
+//! forwards each request on its reactor to the key's first live owner
+//! and fails over on transport failure, timeout or load shedding; the
+//! member table ([`replica`]) is the only source of liveness; a
+//! deterministic fault plan ([`faults`]) kills, stalls, drop-connects or
+//! slows replicas at fixed admitted-request indices; and membership is
+//! live ([`membership`]: ring epochs, bounded rebalancing, an optional
+//! autoscaler on the same admitted-request clock).
 //!
-//! Membership is live ([`membership`]): versioned ring epochs with
-//! `/admin/scale-up`, `/admin/scale-down` and `/admin/drain/<i>`
-//! endpoints, bounded
-//! rebalancing (only keys whose owners changed between epochs move,
-//! and nothing is copied between replicas: a new owner evaluates a key
-//! on its first request), and an optional autoscaler driven by the
-//! router's queue gauge and inter-tick p99 — all keyed to the same
-//! admitted-request clock as the fault plan, so churn runs are
-//! bit-for-bit reproducible.
-//!
-//! The contract under faults (DESIGN.md §9): with R owners per key and
-//! at most R − 1 of them killed, every admitted request returns a
-//! response *byte-identical* to the single-process engine's — the
-//! replicas all run the same bitwise-deterministic model, so which
-//! owner answers is invisible in the bytes.
+//! The contract under faults (DESIGN.md §9): with at most R − 1 owners of
+//! a key killed, every admitted request returns a response
+//! *byte-identical* to the single-process engine's — every replica runs
+//! the same bitwise-deterministic model, so which owner answers is
+//! invisible in the bytes.
 //!
 //! ```no_run
 //! let cluster = hec_cluster::start(hec_cluster::ClusterConfig {

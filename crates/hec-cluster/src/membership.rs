@@ -1,35 +1,22 @@
 //! Live membership: ring epochs, bounded rebalancing, and the
-//! metrics-driven autoscaler.
+//! metrics-driven autoscaler (DESIGN §12).
 //!
-//! The cluster's member set is no longer fixed at start. Membership is
-//! versioned as **epochs**: an immutable `(version, members, ring)`
-//! triple behind one atomic swap. The router reads the current epoch
-//! per request; a scale-up or drain builds the next epoch off to the
-//! side and installs it in one swap — requests in flight keep the epoch
-//! they started with, so there is never a moment with no owner for a
-//! key.
+//! Membership is versioned as **epochs**: an immutable `(version,
+//! members, ring)` triple behind one atomic swap. The router reads the
+//! current epoch per owner pass; a scale-up or drain builds the next
+//! epoch off to the side and installs it in one swap, so there is never
+//! a moment with no owner for a key. Vnode positions hash the member ID,
+//! so only keys whose owner set changed move ([`crate::ring::owners_diff`]
+//! computes that set exactly); a change counts the tracked keys the diff
+//! covers (`keys_moved`) and sends nothing to any replica.
 //!
-//! Rebalancing is **bounded by construction**: vnode positions hash the
-//! member ID, not the member count, so members shared between two
-//! epochs keep their arcs and only keys whose owner set actually
-//! changed move ([`crate::ring::owners_diff`] computes that set
-//! exactly; the property test in `ring.rs` holds the moved fraction to
-//! the theoretical vnode share). A change counts the router's tracked
-//! keys that the diff covers (`keys_moved`) and sends nothing to any
-//! replica: a key's new owner evaluates it on its first request, which
-//! costs about a microsecond of model, and every owner answers the same
-//! bytes.
-//!
-//! The **autoscaler** is deliberately boring: every `tick_every`-th
-//! admitted request it samples the router's queue depth and the p99 of
-//! the latency observed *since the previous tick* (bucket deltas, not
-//! lifetime quantiles — a long-lived histogram never forgets a burst).
-//! Sustained busy ticks scale up by one, sustained idle ticks drain
-//! the highest member, bounded by `[min, max]` with a cooldown between
-//! decisions. Because ticks are keyed to the admitted-request index —
-//! the same clock the fault plan uses — a seeded run makes the *same
-//! decisions at the same indices* every time, which is what lets
-//! `tests/cluster_elasticity.rs` assert the decision counts exactly.
+//! The **autoscaler**: every `tick_every`-th admitted request it samples
+//! the router's forwards in flight and the p99 of the latency observed
+//! *since the previous tick* (bucket deltas). Sustained busy ticks scale
+//! up by one, sustained idle ticks drain the highest member, bounded by
+//! `[min, max]` with a cooldown between decisions. Ticks are keyed to the
+//! admitted-request index, the fault plan's clock, so a seeded run makes
+//! the same decisions at the same indices every time.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,14 +66,14 @@ pub struct AutoscaleConfig {
     /// Sample every this many admitted requests (ticks fire on indices
     /// `tick_every − 1, 2·tick_every − 1, …`).
     pub tick_every: u64,
-    /// A tick with queue depth at or above this is busy.
+    /// A tick with at least this many forwards in flight is busy.
     pub up_queue_depth: usize,
     /// A tick whose inter-tick p99 is at or above this (µs) is busy.
     pub up_p99_us: u64,
     /// Consecutive busy ticks before scaling up by one.
     pub up_ticks: u32,
-    /// A tick with queue depth at or below this (and a calm p99) is
-    /// idle.
+    /// A tick with at most this many forwards in flight (and a calm
+    /// p99) is idle.
     pub down_queue_depth: usize,
     /// Consecutive idle ticks before draining one member.
     pub down_ticks: u32,
@@ -150,8 +137,14 @@ struct AutoState {
     prev_buckets: Vec<(u64, u64)>,
 }
 
-enum Decision {
+/// An autoscaler decision: [`Elasticity::autoscale_tick`] makes it on
+/// the router's reactor, [`Elasticity::scale`] carries it out on the
+/// router's worker pool (it starts or drains a replica).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// Add one replica.
     Up,
+    /// Drain the highest member.
     Down,
 }
 
@@ -299,64 +292,64 @@ impl Elasticity {
         self.tracked.lock().iter().filter(|k| diff.covers(stable_hash(k.as_bytes()))).count() as u64
     }
 
-    /// One autoscaler observation, keyed to the admitted-request index.
-    /// Called on every admitted request; only tick indices do work.
-    pub fn autoscale_tick(&self, index: u64, queue_depth: usize, hist: &Histogram) {
-        let Some(cfg) = self.autoscale else { return };
+    /// One autoscaler observation, keyed to the admitted-request index:
+    /// `queue_depth` is the router's count of forwards in flight. Called
+    /// on every admitted request; only tick indices do work, and a tick
+    /// returns the decision it makes for [`Elasticity::scale`].
+    pub fn autoscale_tick(
+        &self,
+        index: u64,
+        queue_depth: usize,
+        hist: &Histogram,
+    ) -> Option<Scale> {
+        let cfg = self.autoscale?;
         if (index + 1) % cfg.tick_every != 0 {
-            return;
+            return None;
         }
-        let decision = {
-            let mut st = self.auto_state.lock();
-            let cur = hist.nonzero_buckets();
-            let p99 = delta_p99(&st.prev_buckets, &cur);
-            st.prev_buckets = cur;
-            let busy = queue_depth >= cfg.up_queue_depth || p99 >= cfg.up_p99_us;
-            let idle = queue_depth <= cfg.down_queue_depth && p99 < cfg.up_p99_us;
-            // Streaks update even during cooldown — the signal keeps
-            // accumulating; only the *decision* is suppressed.
-            if busy {
-                st.up_streak += 1;
-                st.down_streak = 0;
-            } else if idle {
-                st.down_streak += 1;
-                st.up_streak = 0;
-            } else {
-                st.up_streak = 0;
-                st.down_streak = 0;
-            }
-            if st.cooldown > 0 {
-                st.cooldown -= 1;
-                None
-            } else {
-                let members = self.current().members.len();
-                if st.up_streak >= cfg.up_ticks && members < cfg.max {
-                    st.up_streak = 0;
-                    st.down_streak = 0;
-                    st.cooldown = cfg.cooldown_ticks;
-                    Some(Decision::Up)
-                } else if st.down_streak >= cfg.down_ticks && members > cfg.min {
-                    st.up_streak = 0;
-                    st.down_streak = 0;
-                    st.cooldown = cfg.cooldown_ticks;
-                    Some(Decision::Down)
-                } else {
-                    None
-                }
-            }
+        let mut st = self.auto_state.lock();
+        let cur = hist.nonzero_buckets();
+        let p99 = delta_p99(&st.prev_buckets, &cur);
+        st.prev_buckets = cur;
+        let busy = queue_depth >= cfg.up_queue_depth || p99 >= cfg.up_p99_us;
+        let idle = queue_depth <= cfg.down_queue_depth && p99 < cfg.up_p99_us;
+        // Streaks update even during cooldown — the signal keeps
+        // accumulating; only the *decision* is suppressed.
+        if busy {
+            st.up_streak += 1;
+            st.down_streak = 0;
+        } else if idle {
+            st.down_streak += 1;
+            st.up_streak = 0;
+        } else {
+            st.up_streak = 0;
+            st.down_streak = 0;
+        }
+        if st.cooldown > 0 {
+            st.cooldown -= 1;
+            return None;
+        }
+        let members = self.current().members.len();
+        let decision = if st.up_streak >= cfg.up_ticks && members < cfg.max {
+            Scale::Up
+        } else if st.down_streak >= cfg.down_ticks && members > cfg.min {
+            Scale::Down
+        } else {
+            return None;
         };
-        match decision {
-            Some(Decision::Up) => {
-                if self.scale_up().is_ok() {
-                    self.auto_up.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Some(Decision::Down) => {
-                if self.scale_down().is_ok() {
-                    self.auto_down.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => {}
+        st.up_streak = 0;
+        st.down_streak = 0;
+        st.cooldown = cfg.cooldown_ticks;
+        Some(decision)
+    }
+
+    /// Carries out an autoscaler decision and counts it if it took.
+    pub fn scale(&self, decision: Scale) {
+        let (done, counter) = match decision {
+            Scale::Up => (self.scale_up().is_ok(), &self.auto_up),
+            Scale::Down => (self.scale_down().is_ok(), &self.auto_down),
+        };
+        if done {
+            counter.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -526,14 +519,18 @@ mod tests {
         // Two busy ticks (slow p99 deltas) -> one scale-up, capped at max.
         for i in 0..4u64 {
             h.record_us(300_000);
-            e.autoscale_tick(i, 0, &h);
+            if let Some(decision) = e.autoscale_tick(i, 0, &h) {
+                e.scale(decision);
+            }
         }
         assert_eq!(e.autoscale_decisions(), (1, 0), "max bounds the up decisions");
         assert_eq!(e.current().members.len(), 2);
         // Idle ticks: cooldown (2) absorbs the first two, then 3 idle
         // ticks drain the newest member back to min.
         for i in 4..12u64 {
-            e.autoscale_tick(i, 0, &h);
+            if let Some(decision) = e.autoscale_tick(i, 0, &h) {
+                e.scale(decision);
+            }
         }
         assert_eq!(e.autoscale_decisions(), (1, 1));
         let cur = e.current();

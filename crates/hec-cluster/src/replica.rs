@@ -11,25 +11,14 @@
 //! [`Member::addr`], so the ring never stores a stale port.
 //!
 //! Everything the cluster knows about member `i` lives in one
-//! [`Member`]: the running server, whether it is retired, its transition
-//! counters, the forwarded count, and the drain's final connection
-//! count. The **lifecycle lock** (`life`) guards the server handle, the
-//! address and the retired flag, and it is the only source of liveness:
-//! a member is up exactly when the lock holds a running server. Only
-//! `kill`, `restart` and `retire` change that, each deciding and
-//! installing under the lock, and only `kill` (when it took a server)
-//! and `restart` (when it started one) move a transition counter. The
-//! counters and the forwarded count are atomics, read without the lock.
-//! The table itself is one mutex over the vector of shared records,
-//! locked only to append a member or to clone handles out.
+//! [`Member`] (DESIGN §9 tabulates what guards what). Its **lifecycle
+//! lock** guards the server, address and retired flag and is the only
+//! source of liveness: a member is up exactly when the lock holds a
+//! running server, and only `kill`, `restart` and `retire` change that.
 //!
-//! The table is *growable and retirable* (DESIGN §12): member IDs are
-//! append-only — [`ReplicaSet::add`] assigns the next never-used ID, and
-//! [`ReplicaSet::retire`] gracefully drains a member and marks it retired
-//! forever (IDs are never reused, so a ring epoch that names member `i`
-//! always means the same process). A retired member records the
-//! reactor's final open-connection count, the number the drain contract
-//! requires to be zero.
+//! Member IDs are append-only and never reused (DESIGN §12), so a ring
+//! epoch that names member `i` always means the same process; a retired
+//! member keeps its drain's final open-connection count (0 when clean).
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};

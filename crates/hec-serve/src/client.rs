@@ -1,69 +1,42 @@
-//! Minimal HTTP/1.1 client for the cluster router, `repro post`, and
-//! the e2e tests.
+//! Minimal blocking HTTP/1.1 client for `repro post`, `benchmark/` and
+//! the tests. Nothing on a serving path uses it: the cluster router
+//! forwards through the reactor's non-blocking exchanges
+//! ([`crate::reactor::Io::exchange`]).
 //!
 //! Matches the server's dialect: requests ask for `Connection:
 //! keep-alive`, bodies are delimited by `Content-Length` (with
-//! read-to-EOF as the close-framed fallback). Only `http://host:port/`
-//! URLs.
+//! read-to-EOF as the close-framed fallback), and responses are parsed
+//! by the reactor's [`parse_response`]. Only `http://host:port/` URLs.
 //!
 //! Connection reuse is per thread: each thread keeps at most one open
 //! connection per authority (`host:port`) in a thread-local pool, so the
-//! router's workers and the tests' client threads reuse transparently
-//! with zero locking. A pooled connection can go stale — the server may
-//! have closed it since (a replica was killed, an idle timeout fired, a
-//! keep-alive limit hit).
+//! tests' client threads reuse transparently with zero locking. A pooled
+//! connection can go stale — the server may have closed it since (a
+//! replica was killed, a keep-alive limit hit).
 //! When a *reused* connection fails before yielding a single response
 //! byte with a connection-shaped error (EOF, reset, broken pipe), the
 //! request is retried once on a fresh connection; a fresh connection's
 //! failure, or a timeout, surfaces immediately — a timed-out request may
 //! have executed, and masking that would double-execute it.
 //!
-//! On top of the bare [`http_get`]/[`http_post`] pair this module adds
-//! the resilience layer the cluster tier depends on:
-//!
-//! * [`get_with_retry`] — bounded retries on transport failure and on
-//!   `503`, honoring the server's `Retry-After` header (capped), paced
-//!   by the seeded [`hec_core::retry::Backoff`] so tests are
-//!   deterministic;
-//! * [`hedged_get`] — a tail-latency hedge: fire the same request at a
-//!   second URL if the first has not answered within a delay, take
-//!   whichever responds first (safe here because every replica serves
-//!   byte-identical responses).
+//! On top of the bare [`http_get`]/[`http_post`] pair, [`get_with_retry`]
+//! adds bounded retries on transport failure and on `503`, honoring the
+//! server's `Retry-After` header (capped), paced by the seeded
+//! [`hec_core::retry::Backoff`] so tests are deterministic.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::mpsc;
 use std::time::Duration;
 
 use hec_core::retry::Backoff;
 
+use crate::reactor::parse_response;
+pub use crate::reactor::Response;
+
 /// Default per-request socket timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// A parsed HTTP response.
-#[derive(Clone, Debug)]
-pub struct Response {
-    /// Status code.
-    pub status: u16,
-    /// Raw header lines (name-case preserved), without the status line.
-    pub headers: Vec<(String, String)>,
-    /// The body as text.
-    pub body: String,
-}
-
-impl Response {
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
-    }
-
-    /// The `Retry-After` header as whole seconds, when present and sane.
-    pub fn retry_after_secs(&self) -> Option<u64> {
-        self.header("Retry-After")?.trim().parse().ok()
-    }
-}
 
 /// `(host:port, path?query)` from an `http://` URL.
 fn split_url(url: &str) -> std::io::Result<(String, String)> {
@@ -136,50 +109,20 @@ fn exchange(
     stream.write_all(req.as_bytes())?;
     stream.flush()?;
 
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(std::io::Error::new(ErrorKind::UnexpectedEof, "connection closed"));
-    }
-    let status: u16 =
-        status_line.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line: {status_line:?}"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    let mut content_length: Option<usize> = None;
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 16 * 1024];
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 || line == "\r\n" || line == "\n" {
-            break;
+        let n = stream.read(&mut chunk)?;
+        if n == 0 && buf.is_empty() {
+            return Err(std::io::Error::new(ErrorKind::UnexpectedEof, "connection closed"));
         }
-        if let Some((k, v)) = line.split_once(':') {
-            let (k, v) = (k.trim().to_string(), v.trim().to_string());
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v.parse().ok();
-            }
-            headers.push((k, v));
+        buf.extend_from_slice(&chunk[..n]);
+        let parsed = parse_response(&buf, n == 0)
+            .map_err(|msg| std::io::Error::new(ErrorKind::InvalidData, msg))?;
+        if let Some((response, _, reusable)) = parsed {
+            return Ok((response, reusable));
         }
     }
-    let (body, framed) = match content_length {
-        Some(len) => {
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf)?;
-            (String::from_utf8_lossy(&buf).into_owned(), true)
-        }
-        None => {
-            let mut buf = Vec::new();
-            reader.read_to_end(&mut buf)?;
-            (String::from_utf8_lossy(&buf).into_owned(), false)
-        }
-    };
-    let response = Response { status, headers, body };
-    let reusable = framed
-        && response.header("Connection").is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"));
-    Ok((response, reusable))
 }
 
 fn request(
@@ -222,19 +165,9 @@ pub fn http_get(url: &str) -> std::io::Result<Response> {
     request("GET", url, None, DEFAULT_TIMEOUT)
 }
 
-/// Issues a GET with an explicit connect/read/write timeout.
-pub fn http_get_timeout(url: &str, timeout: Duration) -> std::io::Result<Response> {
-    request("GET", url, None, timeout)
-}
-
 /// Issues a POST with a body and reads the full response.
 pub fn http_post(url: &str, body: &str) -> std::io::Result<Response> {
     request("POST", url, Some(body), DEFAULT_TIMEOUT)
-}
-
-/// Issues a POST with an explicit timeout.
-pub fn http_post_timeout(url: &str, body: &str, timeout: Duration) -> std::io::Result<Response> {
-    request("POST", url, Some(body), timeout)
 }
 
 // ---------------------------------------------------------------------
@@ -304,86 +237,6 @@ pub fn get_with_retry(url: &str, policy: &RetryPolicy, seed: u64) -> std::io::Re
                 }
                 None => return Err(last_err.unwrap_or(e)),
             },
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Hedging
-// ---------------------------------------------------------------------
-
-/// Result of a hedged GET: the winning response, which URL index won,
-/// and whether the hedge request was actually fired.
-#[derive(Clone, Debug)]
-pub struct HedgedOutcome {
-    /// The first successful response.
-    pub response: Response,
-    /// Index into the `urls` slice of the responder.
-    pub winner: usize,
-    /// True when the hedge (second request) was launched.
-    pub hedged: bool,
-}
-
-/// Tail-latency hedged GET over equivalent URLs.
-///
-/// Fires `urls[0]`; if it has not answered within `hedge_delay`, fires
-/// `urls[1]` too and returns whichever answers first with a transport-
-/// level success. Correct only when every URL serves byte-identical
-/// responses for the request — which is exactly the cluster replica
-/// contract. The losing request is abandoned (its connection closes
-/// when the thread finishes; the server completes it harmlessly).
-pub fn hedged_get(
-    urls: &[String],
-    hedge_delay: Duration,
-    timeout: Duration,
-) -> std::io::Result<HedgedOutcome> {
-    match urls {
-        [] => Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, "no urls to hedge over")),
-        [only] => {
-            let response = http_get_timeout(only, timeout)?;
-            Ok(HedgedOutcome { response, winner: 0, hedged: false })
-        }
-        [primary, hedge, ..] => {
-            let (tx, rx) = mpsc::channel::<(usize, std::io::Result<Response>)>();
-            let spawn = |idx: usize, url: String, tx: mpsc::Sender<_>| {
-                std::thread::spawn(move || {
-                    let _ = tx.send((idx, http_get_timeout(&url, timeout)));
-                })
-            };
-            spawn(0, primary.clone(), tx.clone());
-            let first = match rx.recv_timeout(hedge_delay) {
-                Ok(got) => Some(got),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::BrokenPipe,
-                        "hedge primary vanished",
-                    ))
-                }
-            };
-            match first {
-                Some((idx, Ok(response))) => {
-                    Ok(HedgedOutcome { response, winner: idx, hedged: false })
-                }
-                Some((_, Err(_))) | None => {
-                    // Primary slow or failed: launch the hedge, then take
-                    // the first success from either in arrival order.
-                    spawn(1, hedge.clone(), tx.clone());
-                    drop(tx);
-                    let mut last_err: Option<std::io::Error> = None;
-                    while let Ok((idx, result)) = rx.recv() {
-                        match result {
-                            Ok(response) => {
-                                return Ok(HedgedOutcome { response, winner: idx, hedged: true })
-                            }
-                            Err(e) => last_err = Some(e),
-                        }
-                    }
-                    Err(last_err.unwrap_or_else(|| {
-                        std::io::Error::new(std::io::ErrorKind::Other, "all hedged requests failed")
-                    }))
-                }
-            }
         }
     }
 }
@@ -465,11 +318,6 @@ mod tests {
         assert!(elapsed >= Duration::from_millis(120), "hint ignored? {elapsed:?}");
         assert!(elapsed < Duration::from_secs(5), "cap not applied: {elapsed:?}");
         drop(server); // listener thread exits with the test process
-    }
-
-    #[test]
-    fn hedged_get_rejects_empty_url_list() {
-        assert!(hedged_get(&[], Duration::from_millis(1), Duration::from_millis(50)).is_err());
     }
 
     #[test]

@@ -21,17 +21,18 @@
 //! * [`reactor`] — the event-driven serving core: one thread
 //!   multiplexing every connection over `poll(2)` (std-only platform
 //!   shim), per-connection state machines with HTTP/1.1 keep-alive and
-//!   pipelining, answering non-blocking requests itself and dispatching
-//!   the rest to the bounded worker pool. The server and the
-//!   `hec-cluster` router both ride it.
+//!   pipelining, a deadline heap and non-blocking upstream exchanges,
+//!   answering what cannot block itself and handing what joins threads
+//!   to the bounded worker pool. The server and the `hec-cluster` router
+//!   both ride it.
 //! * [`server`] — the listener: every endpoint answered on the reactor
 //!   thread except `/debug/sleep`, which takes the bounded worker pool
 //!   (queue-full ⇒ 503 + `Retry-After`); `/metrics`; graceful shutdown
 //!   that drains in-flight requests.
-//! * [`client`] — the minimal HTTP/1.1 client the load generator, the
-//!   cluster router, and the e2e tests use, with per-thread keep-alive
-//!   connection reuse, seeded-backoff retries (`Retry-After`-aware) and
-//!   tail-latency request hedging.
+//! * [`client`] — the minimal blocking HTTP/1.1 client `repro`,
+//!   `benchmark/` and the tests use, with per-thread keep-alive
+//!   connection reuse and seeded-backoff retries (`Retry-After`-aware).
+//!   No serving path uses it.
 //! * [`metrics`] — per-endpoint latency histograms.
 //!
 //! Determinism contract: responses are emitted from ordered JSON objects

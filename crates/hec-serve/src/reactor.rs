@@ -1,64 +1,74 @@
 //! The event-driven serving core (DESIGN §11): one reactor thread
-//! multiplexes every accepted connection over `poll(2)` and answers every
-//! request that cannot block itself; only a request the tier's `inline`
-//! predicate rejects goes to a bounded [`hec_core::pool::WorkerPool`].
-//! Connection count is decoupled from thread count, and HTTP/1.1
-//! keep-alive and pipelined parsing let one connection carry many
-//! requests.
+//! multiplexes every accepted connection, and every upstream connection
+//! a tier opens, over `poll(2)`. It answers every request that cannot
+//! block itself; only work that blocks goes to a bounded
+//! [`hec_core::pool::WorkerPool`]. Connection count is decoupled from
+//! thread count, and HTTP/1.1 keep-alive and pipelined parsing let one
+//! connection carry many requests.
 //!
-//! Layering: this module knows HTTP framing, connection lifecycle and
-//! admission accounting but nothing about routes. `hec-serve`'s listener
-//! and the `hec-cluster` router both instantiate [`start_core`] with
-//! their own handler closure, `inline` predicate and queue-full
-//! rejection body; the core owns what the two tiers have in common
-//! ([`Frontend`]: request counters, connection gauges, queue gauge,
-//! shutdown latch and the shared part of `/metrics`) — one reactor, two
-//! services.
+//! Layering: this module knows HTTP framing, connection lifecycle,
+//! admission accounting, deadlines and upstream exchanges, but nothing
+//! about routes. `hec-serve`'s listener and the `hec-cluster` router both
+//! instantiate [`start_core`] with their own [`Service`]; the core owns
+//! what the two tiers have in common ([`Frontend`]: request counters,
+//! connection gauges, queue gauge, shutdown latch and the shared part of
+//! `/metrics`) — one reactor, two services.
 //!
 //! Per-connection state machine (level-triggered):
 //!
 //! ```text
-//!   Reading --parse--+-- inline: handler on the reactor --------+
-//!      ^             |                                          |
-//!      |             +-- pooled: Dispatched --completion--------+
-//!      |             |                                          |
-//!      |             +-- queue full: 503 ------------------------+
-//!      |                                                        v
-//!      |                                        answer appended to `out`
-//!      |                                                        |
-//!      +-- next buffered request, unless pooled / close / `out` full
-//!                                                               |
-//!                                              Writing: one write for all
-//!                                                               |
-//!              Connection: close / stop / parse error --> Closed
+//!   Reading --parse--+-- answered now: handler on the reactor -----+
+//!      ^             |                                             |
+//!      |             +-- Waiting: pool job, or an upstream          |
+//!      |             |   exchange / alarm driven by the service ---+
+//!      |             |                                             |
+//!      |             +-- queue full: 503 ---------------------------+
+//!      |                                                           v
+//!      |                                           answer appended to `out`
+//!      |                                                           |
+//!      +-- next buffered request, unless waiting / close / `out` full
+//!                                                                  |
+//!                                                 Writing: one write for all
+//!                                                                  |
+//!                 Connection: close / stop / parse error --> Closed
 //! ```
 //!
 //! The reactor polls `POLLIN` only while it is willing to buffer more
-//! request bytes (per-connection flow control: one dispatched request at
-//! a time, buffer capped at [`MAX_REQUEST_BYTES`]) and `POLLOUT` only
-//! while response bytes are pending or a capped connection awaits its
-//! turn, so the loop never spins. The answers to one connection's
-//! buffered requests leave in one write per iteration. Answering pauses
-//! once the pending output reaches [`MAX_REQUEST_BYTES`] and resumes on
-//! the next iteration after the socket drains, so a client that
-//! pipelines without reading holds at most that plus one response, and
-//! no connection answers more than that per iteration while others wait.
-//! Workers push finished responses onto a completion list and wake the
-//! reactor through a loopback socket pair — the same channel `/shutdown`
-//! uses — keeping the whole core on `std` with a single `extern "C"`
-//! line.
+//! request bytes (per-connection flow control: one waiting request at a
+//! time, buffer capped at [`MAX_REQUEST_BYTES`]) and `POLLOUT` only while
+//! response bytes are pending or a capped connection awaits its turn, so
+//! the loop never spins. The answers to one connection's buffered
+//! requests leave in one write per iteration. Answering pauses once the
+//! pending output reaches [`MAX_REQUEST_BYTES`] and resumes on the next
+//! iteration after the socket drains, so a client that pipelines without
+//! reading holds at most that plus one response, and no connection
+//! answers more than that per iteration while others wait.
+//!
+//! A service that must wait without blocking — the router forwarding to
+//! a replica — uses [`Io`]: [`Io::exchange`] sends one request on a
+//! non-blocking upstream connection in the same poll set (reusing an
+//! idle kept-alive one when it can) and reports the response through
+//! [`Service::exchanged`]; [`Io::alarm`] puts a deadline on the core's
+//! one min-heap, whose nearest entry is the poll timeout, and reports it
+//! through [`Service::alarm`]; [`Io::answer`] answers the waiting
+//! connection. Pool jobs push their results onto a completion list and
+//! wake the reactor through a loopback socket pair — the same channel
+//! `/shutdown` uses — keeping the whole core on `std` with a single
+//! `extern "C"` line. A tier that never exchanges nor sets alarms (a
+//! replica) has an empty heap and no upstream sockets.
 //!
 //! Shutdown drains: accepting stops, idle keep-alive connections close,
-//! dispatched requests complete and their responses flush, then the
-//! worker pool joins. In-flight work is never dropped.
+//! waiting requests complete and their responses flush, then the worker
+//! pool joins. In-flight work is never dropped.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hec_core::json::Json;
 use hec_core::pool::{QueueGauge, Threads, WorkerPool};
@@ -69,8 +79,9 @@ pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 /// `Retry-After` seconds advertised on queue-full 503s.
 pub const RETRY_AFTER_SECS: u64 = 1;
 
-/// Reactor poll timeout: a liveness tick, not a scheduling quantum —
-/// every state change arrives as an fd event or a wake byte.
+/// Reactor poll timeout when no deadline is pending: a liveness tick, not
+/// a scheduling quantum — every state change arrives as an fd event, a
+/// wake byte or a due deadline.
 const POLL_TICK_MS: i32 = 250;
 
 #[cfg(unix)]
@@ -290,17 +301,89 @@ pub fn error_body(msg: &str) -> String {
     Json::obj([("error", Json::Str(msg.to_string()))]).emit_pretty()
 }
 
+/// A parsed HTTP response: what an upstream exchange (or the blocking
+/// client) reads back.
+#[derive(Clone, Debug)]
+pub struct Response {
+    /// Status code.
+    pub status: u16,
+    /// Raw header lines (name-case preserved), without the status line.
+    pub headers: Vec<(String, String)>,
+    /// The body as text.
+    pub body: String,
+}
+
+impl Response {
+    /// Case-insensitive header lookup.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
+    }
+
+    /// The `Retry-After` header as whole seconds, when present and sane.
+    pub fn retry_after_secs(&self) -> Option<u64> {
+        self.header("Retry-After")?.trim().parse().ok()
+    }
+}
+
+/// Parses one response off the front of `buf`: `Ok(None)` until it is
+/// whole. `eof` says the peer has closed, which ends a body that has no
+/// `Content-Length` and makes anything still missing an error. On
+/// success returns the response, the bytes it used, and whether the
+/// connection can carry another exchange (length-framed and
+/// `Connection: keep-alive`).
+pub fn parse_response(buf: &[u8], eof: bool) -> Result<Option<(Response, usize, bool)>, String> {
+    let Some(head_len) = head_end(buf) else {
+        return if eof {
+            Err("connection closed before a whole response".into())
+        } else {
+            Ok(None)
+        };
+    };
+    let head = std::str::from_utf8(&buf[..head_len]).map_err(|_| "non-utf8 response head")?;
+    let mut lines = head.split('\n').map(|l| l.trim_end_matches('\r'));
+    let status_line = lines.next().unwrap_or("");
+    let status = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("bad status line: {status_line:?}"))?;
+    let mut headers = Vec::new();
+    let mut content_length: Option<usize> = None;
+    for line in lines {
+        if let Some((k, v)) = line.split_once(':') {
+            let (k, v) = (k.trim().to_string(), v.trim().to_string());
+            if k.eq_ignore_ascii_case("content-length") {
+                content_length = Some(v.parse().map_err(|_| "bad Content-Length".to_string())?);
+            }
+            headers.push((k, v));
+        }
+    }
+    let end = match content_length {
+        Some(len) if buf.len() - head_len >= len => head_len + len,
+        Some(_) if eof => return Err("connection closed mid-body".into()),
+        None if eof => buf.len(),
+        _ => return Ok(None),
+    };
+    let body = String::from_utf8_lossy(&buf[head_len..end]).into_owned();
+    let response = Response { status, headers, body };
+    let reusable = content_length.is_some()
+        && response.header("Connection").is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"));
+    Ok(Some((response, end, reusable)))
+}
+
 // ---------------------------------------------------------------------
 // Shared core state
 // ---------------------------------------------------------------------
 
-/// A finished request: the handler's verdict, headed back to its
-/// connection. The reactor frames it (keep-alive vs close) at delivery.
+/// What a service answers: status, extra header lines, body.
+pub type Answer = (u16, Vec<String>, String);
+
+/// A pool job's result, headed back to its connection: an answer the
+/// reactor frames (keep-alive vs close) at delivery, or `None` to hand
+/// the connection back to the service ([`Service::resumed`]).
 struct Completion {
     token: u64,
-    code: u16,
-    headers: Vec<String>,
-    body: String,
+    answer: Option<Answer>,
 }
 
 /// The counters and gauges behind the common `/metrics` sections.
@@ -318,7 +401,7 @@ struct Counters {
     max_open: AtomicU64,
     /// Requests parsed off connections (admitted or shed).
     parsed: AtomicU64,
-    /// Requests handed to the worker pool (the rest ran on the reactor).
+    /// Jobs handed to the worker pool (everything else ran on the reactor).
     dispatched: AtomicU64,
     /// Largest pending output any connection has held, bytes: the test
     /// of the output cap reads it; release builds do not keep it.
@@ -327,15 +410,16 @@ struct Counters {
     /// Requests served on an already-used connection — the keep-alive
     /// win: `parsed - accepted` when every client reuses perfectly.
     keepalive: AtomicU64,
-    /// Reactor loop iterations (readiness wakeups + liveness ticks).
+    /// Reactor loop iterations (readiness wakeups + deadline and
+    /// liveness ticks).
     iterations: AtomicU64,
 }
 
 /// What every tier's front end has in common, owned by the core: the
 /// admission counters, the connection and reactor gauges, the queue
 /// gauge, the shutdown latch and the wake channel into the reactor.
-/// The handler gets a `&Frontend` with every request; a tier keeps only
-/// the state that is its own.
+/// Services reach it through [`Io::front`]; a tier keeps only the state
+/// that is its own.
 pub struct Frontend {
     started: Instant,
     counters: Counters,
@@ -356,11 +440,6 @@ impl Frontend {
     /// True once a stop has been requested.
     pub fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Requests waiting for a worker right now.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
     }
 
     /// Currently registered connections, raw. Read out-of-band (not over
@@ -424,30 +503,310 @@ impl Frontend {
 }
 
 /// What a tier tells the core: where to bind, how to size the worker
-/// pool and its admission queue, which requests the reactor answers
-/// itself, and what a queue-full rejection says.
+/// pool and its admission queue, and what a queue-full rejection says.
 pub struct CoreConfig {
     /// Port to bind on 127.0.0.1 (0 = ephemeral).
     pub port: u16,
-    /// Worker threads executing the handler for pooled requests.
+    /// Worker threads running the jobs a service hands to [`Io::spawn`].
     pub workers: usize,
-    /// Admission-queue bound (requests waiting for a worker).
+    /// Admission-queue bound (jobs waiting for a worker).
     pub queue: usize,
-    /// True for a request whose handler cannot block: the reactor runs
-    /// it in place, and it is never queued or shed. Every other request
-    /// goes to the worker pool. Decided from the request alone.
-    pub inline: fn(&Request) -> bool,
     /// Body of the `503` answered when the admission queue is full.
     pub reject_body: String,
 }
 
-/// Request handler: `(request, parse instant, the core's shared state)`
-/// to `(status, extra headers, body)`. Runs on the reactor thread when
-/// [`CoreConfig::inline`] accepts the request — where a slow answer
-/// delays every connection — and on a worker thread otherwise. The
-/// parse instant lets the service record latency inclusive of queue
-/// wait. The core counts the request and, for a status >= 400, the error.
-pub type Handler = dyn Fn(&Request, Instant, &Frontend) -> (u16, Vec<String>, String) + Send + Sync;
+/// A tier's request logic. Every method runs on the reactor thread,
+/// where anything slow delays every connection, so none may block: work
+/// that blocks goes to the pool through [`Io::spawn`], and waiting on a
+/// peer or a clock goes through [`Io::exchange`] and [`Io::alarm`]. The
+/// core counts each request and, for a status >= 400, the error.
+pub trait Service: Send + 'static {
+    /// Handles the request parsed off connection `conn` at instant `at`
+    /// (the parse instant, so a service can record latency inclusive of
+    /// any wait). `Some` answers now. `None` leaves the connection
+    /// waiting — nothing more is parsed from it — until its answer comes
+    /// through [`Io::answer`] or a pool job [`Io::spawn`] started for it.
+    fn handle(&mut self, conn: u64, req: Request, at: Instant, io: &mut Io) -> Option<Answer>;
+
+    /// An alarm set with [`Io::alarm`] for `key` is due. Alarms are never
+    /// cancelled, so a service checks that the wait is still its own.
+    fn alarm(&mut self, _key: u64, _io: &mut Io) {}
+
+    /// The exchange [`Io::exchange`] sent for `key` and returned `id` for
+    /// has ended: its response, or the transport error or timeout that
+    /// ended it.
+    fn exchanged(&mut self, _key: u64, _id: u64, _result: std::io::Result<Response>, _io: &mut Io) {
+    }
+
+    /// A job [`Io::spawn`]ed for `conn` returned `None`: the connection is
+    /// the service's again.
+    fn resumed(&mut self, _conn: u64, _io: &mut Io) {}
+}
+
+/// A plain closure is a service that answers every request itself or
+/// through the pool.
+impl<F> Service for F
+where
+    F: FnMut(u64, Request, Instant, &mut Io) -> Option<Answer> + Send + 'static,
+{
+    fn handle(&mut self, conn: u64, req: Request, at: Instant, io: &mut Io) -> Option<Answer> {
+        self(conn, req, at, io)
+    }
+}
+
+/// A due time on the core's heap: a service's alarm, or the deadline of
+/// an upstream exchange.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Timer {
+    Alarm(u64),
+    Exchange(u64),
+}
+
+/// One request in flight on an upstream connection.
+struct Exchange {
+    addr: SocketAddr,
+    stream: TcpStream,
+    /// The request bytes, kept to resend once if a reused connection
+    /// turns out to have been closed by the peer.
+    request: Vec<u8>,
+    sent: usize,
+    buf: Vec<u8>,
+    reused: bool,
+    /// The service's key for the outcome; `None` once it lost interest:
+    /// the reply is still read, and reported to nobody.
+    key: Option<u64>,
+}
+
+/// A fresh non-blocking upstream connection. `std` has no non-blocking
+/// connect, so the call itself blocks; to a loopback peer (every replica
+/// is one) it completes or is refused at once.
+fn dial(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+impl Exchange {
+    /// Writes what the socket takes of the unsent request.
+    fn flush(&mut self) -> std::io::Result<()> {
+        while self.sent < self.request.len() {
+            match (&self.stream).write(&self.request[self.sent..]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Starts over on a fresh connection, once: the reused one was closed
+    /// by the peer before a byte of its answer, so the request never
+    /// reached a handler, and resending it is not a failover.
+    fn redial(&mut self) -> std::io::Result<()> {
+        self.stream = dial(self.addr)?;
+        self.reused = false;
+        self.sent = 0;
+        self.buf.clear();
+        self.flush()
+    }
+}
+
+/// The core's side of a [`Service`] callback: the shared front end, the
+/// worker pool, the deadline heap and the upstream connections.
+pub struct Io {
+    front: Arc<Frontend>,
+    pool: WorkerPool,
+    reject_body: String,
+    /// Answers for waiting connections, delivered when the callback
+    /// returns.
+    answers: Vec<(u64, Answer)>,
+    /// Alarms and exchange deadlines, nearest first. An exchange that
+    /// ends before its deadline leaves a stale entry behind, so the heap
+    /// is compacted once it doubles.
+    timers: BinaryHeap<Reverse<(Instant, Timer)>>,
+    compact_at: usize,
+    exchanges: HashMap<u64, Exchange>,
+    next_exchange: u64,
+    /// Kept-alive upstream connections awaiting reuse, with their peers.
+    idle: Vec<(SocketAddr, TcpStream)>,
+}
+
+impl Io {
+    /// The shared front end: counters, shutdown latch, `/metrics` sections.
+    pub fn front(&self) -> &Arc<Frontend> {
+        &self.front
+    }
+
+    /// Answers the request connection `conn` is waiting on.
+    pub fn answer(&mut self, conn: u64, answer: Answer) {
+        self.answers.push((conn, answer));
+    }
+
+    /// Runs `job` on the worker pool for connection `conn`, which waits
+    /// for it: `Some` answers it, `None` hands it back through
+    /// [`Service::resumed`]. When the admission queue is full the request
+    /// is shed instead — `503` with `Retry-After`, counted as rejected —
+    /// and this returns false.
+    pub fn spawn(
+        &mut self,
+        conn: u64,
+        job: impl FnOnce() -> Option<Answer> + Send + 'static,
+    ) -> bool {
+        let front = Arc::clone(&self.front);
+        let job = move || {
+            let answer = job();
+            front.complete(Completion { token: conn, answer });
+        };
+        if self.pool.try_submit(job).is_ok() {
+            self.front.counters.dispatched.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        self.front.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        let retry_after = vec![format!("Retry-After: {RETRY_AFTER_SECS}")];
+        self.answers.push((conn, (503, retry_after, self.reject_body.clone())));
+        false
+    }
+
+    /// Calls [`Service::alarm`] with `key` once `at` has passed.
+    pub fn alarm(&mut self, at: Instant, key: u64) {
+        self.push_timer(at, Timer::Alarm(key));
+    }
+
+    /// Sends `request` (whole HTTP/1.1 bytes) to `addr` on an idle
+    /// kept-alive connection to it, or a new one, and returns the
+    /// exchange's id; [`Service::exchanged`] reports how it ended, with
+    /// `key`, at the latest when `timeout` has passed, which closes the
+    /// connection. A reused connection that fails before the first byte
+    /// of its answer is retried once on a fresh one. `Err` when `addr`
+    /// refuses at once.
+    pub fn exchange(
+        &mut self,
+        addr: SocketAddr,
+        request: Vec<u8>,
+        timeout: Duration,
+        key: u64,
+    ) -> std::io::Result<u64> {
+        let (stream, reused) = match self.idle.iter().rposition(|(a, _)| *a == addr) {
+            Some(i) => (self.idle.swap_remove(i).1, true),
+            None => (dial(addr)?, false),
+        };
+        let mut x =
+            Exchange { addr, stream, request, sent: 0, buf: Vec::new(), reused, key: Some(key) };
+        if let Err(e) = x.flush() {
+            if !x.reused {
+                return Err(e);
+            }
+            x.redial()?;
+        }
+        let id = self.next_exchange;
+        self.next_exchange += 1;
+        self.exchanges.insert(id, x);
+        self.push_timer(Instant::now() + timeout, Timer::Exchange(id));
+        Ok(id)
+    }
+
+    /// Drops interest in exchange `id`: its reply is still read (keeping
+    /// the connection reusable) but not reported.
+    pub fn abandon(&mut self, id: u64) {
+        if let Some(x) = self.exchanges.get_mut(&id) {
+            x.key = None;
+        }
+    }
+
+    fn push_timer(&mut self, at: Instant, timer: Timer) {
+        if self.timers.len() >= self.compact_at {
+            let exchanges = &self.exchanges;
+            self.timers.retain(|Reverse((_, t))| match t {
+                Timer::Exchange(id) => exchanges.contains_key(id),
+                Timer::Alarm(_) => true,
+            });
+            self.compact_at = 2 * self.timers.len() + 64;
+        }
+        self.timers.push(Reverse((at, timer)));
+    }
+
+    /// Milliseconds until the nearest deadline (rounded up, so a wake-up
+    /// finds it due), capped at the liveness tick.
+    fn poll_timeout(&self) -> i32 {
+        match self.timers.peek() {
+            None => POLL_TICK_MS,
+            Some(Reverse((at, _))) => {
+                let wait = at.saturating_duration_since(Instant::now()).as_micros().div_ceil(1000);
+                wait.min(POLL_TICK_MS as u128) as i32
+            }
+        }
+    }
+
+    /// Pops the nearest deadline if it has passed (an empty heap reads
+    /// no clock).
+    fn due_timer(&mut self) -> Option<Timer> {
+        let Reverse((at, _)) = self.timers.peek()?;
+        if *at > Instant::now() {
+            return None;
+        }
+        self.timers.pop().map(|Reverse((_, t))| t)
+    }
+
+    /// Ends exchange `id` at its deadline, closing its connection.
+    fn expire(&mut self, id: u64) -> Option<(u64, std::io::Result<Response>)> {
+        let x = self.exchanges.remove(&id)?;
+        let timed_out = std::io::Error::new(ErrorKind::TimedOut, "upstream exchange timed out");
+        Some((x.key?, Err(timed_out)))
+    }
+
+    /// Moves exchange `id` along after a readiness event: finishes the
+    /// send, reads, and returns the outcome (with its key) once there is
+    /// one to report.
+    fn pump(&mut self, id: u64) -> Option<(u64, std::io::Result<Response>)> {
+        let x = self.exchanges.get_mut(&id)?;
+        let mut failure = x.flush().err();
+        let mut eof = false;
+        let mut chunk = [0u8; 16 * 1024];
+        while failure.is_none() {
+            match (&x.stream).read(&mut chunk) {
+                Ok(0) => {
+                    eof = true;
+                    break;
+                }
+                Ok(n) => {
+                    x.buf.extend_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => failure = Some(e),
+            }
+        }
+        let closed = eof || failure.is_some();
+        if closed && x.buf.is_empty() && x.reused {
+            match x.redial() {
+                Ok(()) => return None,
+                Err(e) => failure = Some(e),
+            }
+        }
+        if x.buf.is_empty() && !closed {
+            return None;
+        }
+        let outcome = match parse_response(&x.buf, closed) {
+            Ok(None) => return None,
+            Ok(Some((response, used, reusable))) => {
+                let x = self.exchanges.remove(&id)?;
+                if reusable && !closed && used == x.buf.len() {
+                    self.idle.push((x.addr, x.stream));
+                }
+                return Some((x.key?, Ok(response)));
+            }
+            Err(msg) => failure.unwrap_or_else(|| std::io::Error::new(ErrorKind::InvalidData, msg)),
+        };
+        let x = self.exchanges.remove(&id)?;
+        Some((x.key?, Err(outcome)))
+    }
+}
 
 /// A running reactor core. Dropping it does not stop it — call
 /// [`Frontend::shutdown`] then [`Core::join`].
@@ -475,13 +834,13 @@ impl Core {
 }
 
 /// Binds `127.0.0.1:cfg.port`, builds the worker pool and the
-/// [`Frontend`], and spawns the reactor thread. Returns once the socket
-/// is accepting. `on_drained` (if any) runs on the reactor thread after
-/// the pool has drained — the router uses it to stop its replicas only
-/// once no routed request can still need them.
+/// [`Frontend`], and spawns the reactor thread running `service`.
+/// Returns once the socket is accepting. `on_drained` (if any) runs on
+/// the reactor thread after the pool has drained — the router uses it to
+/// stop its replicas only once no routed request can still need them.
 pub fn start_core(
     cfg: CoreConfig,
-    handler: Arc<Handler>,
+    service: impl Service,
     on_drained: Option<Box<dyn FnOnce() + Send>>,
 ) -> std::io::Result<Core> {
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
@@ -506,17 +865,19 @@ pub fn start_core(
         wake,
     });
 
-    let reactor = Reactor {
-        listener,
-        wake_rx,
-        pool,
+    let io = Io {
         front: Arc::clone(&front),
-        handler,
-        inline: cfg.inline,
+        pool,
         reject_body: cfg.reject_body,
+        answers: Vec::new(),
+        timers: BinaryHeap::new(),
+        compact_at: 64,
+        exchanges: HashMap::new(),
+        next_exchange: 0,
+        idle: Vec::new(),
     };
     let thread = std::thread::spawn(move || {
-        run_reactor(reactor);
+        run_reactor(listener, wake_rx, io, service);
         // run_reactor already drained the pool; optional service-level
         // teardown (the router's replicas) happens strictly after.
         if let Some(f) = on_drained {
@@ -540,9 +901,10 @@ struct Conn {
     /// Answering stopped with `out` at its cap while whole requests may
     /// remain in `buf`; resume on the next iteration.
     backlog: bool,
-    /// One request is with the worker pool; reads pause until it lands.
-    dispatched: bool,
-    /// Keep-alive verdict of the request currently dispatched.
+    /// One request awaits an answer from the pool or the service; reads
+    /// pause until it lands.
+    waiting: bool,
+    /// Keep-alive verdict of the request awaiting its answer.
     keep_current: bool,
     close_after_write: bool,
     /// Peer half-closed (EOF seen); finish writing, admit nothing new.
@@ -560,7 +922,7 @@ impl Conn {
             out: Vec::new(),
             sent: 0,
             backlog: false,
-            dispatched: false,
+            waiting: false,
             keep_current: true,
             close_after_write: false,
             peer_closed: false,
@@ -580,7 +942,7 @@ impl Conn {
     }
 
     fn wants_read(&self) -> bool {
-        !self.dispatched
+        !self.waiting
             && !self.peer_closed
             && !self.close_after_write
             && self.buf.len() < MAX_REQUEST_BYTES
@@ -588,21 +950,17 @@ impl Conn {
 
     /// Idle: safe to close at shutdown without dropping admitted work.
     fn idle(&self) -> bool {
-        !self.dispatched && !self.write_pending()
+        !self.waiting && !self.write_pending()
     }
 
-    /// Appends a handler's answer, framed keep-alive only when the request
-    /// asked for it and the service is not stopping, and counts it.
-    fn answer(
-        &mut self,
-        front: &Frontend,
-        code: u16,
-        headers: &[String],
-        body: &str,
-        keep_alive: bool,
-    ) {
+    /// Appends an answer, framed keep-alive only when the request asked
+    /// for it and the service is not stopping, and counts it.
+    fn answer(&mut self, front: &Frontend, (code, headers, body): Answer, keep_alive: bool) {
+        if code >= 400 {
+            front.counters.errors.fetch_add(1, Ordering::Relaxed);
+        }
         let keep = keep_alive && !front.stopping();
-        write_response(&mut self.out, code, headers, body, keep);
+        write_response(&mut self.out, code, &headers, &body, keep);
         if !keep {
             self.close_after_write = true;
         }
@@ -613,33 +971,26 @@ impl Conn {
     }
 }
 
-struct Reactor {
-    listener: TcpListener,
-    wake_rx: TcpStream,
-    pool: WorkerPool,
-    front: Arc<Frontend>,
-    handler: Arc<Handler>,
-    inline: fn(&Request) -> bool,
-    reject_body: String,
-}
-
-fn run_reactor(r: Reactor) {
+fn run_reactor(listener: TcpListener, wake_rx: TcpStream, mut io: Io, mut service: impl Service) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 1;
     let mut fds: Vec<sys::PollFd> = Vec::new();
-    // fd slot -> connection token, parallel to `fds` past the fixed slots.
+    // fd slot -> connection token / exchange id, parallel to `fds` past
+    // the fixed slots; idle upstream connections take the last slots.
     let mut slots: Vec<u64> = Vec::new();
+    let mut upstream: Vec<u64> = Vec::new();
+    let mut touched: Vec<u64> = Vec::new();
 
     loop {
-        r.front.counters.iterations.fetch_add(1, Ordering::Relaxed);
-        let stopping = r.front.stopping();
+        io.front.counters.iterations.fetch_add(1, Ordering::Relaxed);
+        let stopping = io.front.stopping();
         if stopping {
             for c in conns.values_mut() {
                 if c.idle() {
                     c.dead = true;
                 }
             }
-            reap(&mut conns, &r.front);
+            reap(&mut conns, &io.front);
             if conns.is_empty() {
                 break;
             }
@@ -647,11 +998,12 @@ fn run_reactor(r: Reactor) {
 
         fds.clear();
         slots.clear();
-        fds.push(sys::PollFd { fd: r.wake_rx.as_raw_fd(), events: sys::POLLIN, revents: 0 });
+        upstream.clear();
+        fds.push(sys::PollFd { fd: wake_rx.as_raw_fd(), events: sys::POLLIN, revents: 0 });
         let accept_slot = if stopping {
             None
         } else {
-            fds.push(sys::PollFd { fd: r.listener.as_raw_fd(), events: sys::POLLIN, revents: 0 });
+            fds.push(sys::PollFd { fd: listener.as_raw_fd(), events: sys::POLLIN, revents: 0 });
             Some(1)
         };
         for (&token, c) in conns.iter() {
@@ -662,38 +1014,70 @@ fn run_reactor(r: Reactor) {
             if c.wants_write() {
                 events |= sys::POLLOUT;
             }
+            // A connection waiting on its answer with nothing to write
+            // stays out of the set (a negative fd is ignored), so a peer
+            // that hangs up meanwhile cannot spin the loop on POLLHUP.
+            let fd = if events == 0 { -1 } else { c.stream.as_raw_fd() };
             slots.push(token);
-            fds.push(sys::PollFd { fd: c.stream.as_raw_fd(), events, revents: 0 });
+            fds.push(sys::PollFd { fd, events, revents: 0 });
+        }
+        for (&id, x) in io.exchanges.iter() {
+            let events =
+                if x.sent < x.request.len() { sys::POLLIN | sys::POLLOUT } else { sys::POLLIN };
+            upstream.push(id);
+            fds.push(sys::PollFd { fd: x.stream.as_raw_fd(), events, revents: 0 });
+        }
+        for (_, s) in &io.idle {
+            fds.push(sys::PollFd { fd: s.as_raw_fd(), events: sys::POLLIN, revents: 0 });
         }
 
-        if sys::wait(&mut fds, POLL_TICK_MS).is_err() {
+        if sys::wait(&mut fds, io.poll_timeout()).is_err() {
             // poll itself failing is unrecoverable for this loop; bail
             // out through the drain path rather than spinning.
-            r.front.shutdown();
+            io.front.shutdown();
             continue;
+        }
+
+        // An idle upstream connection only ever becomes readable because
+        // its peer closed it (or sent what nobody asked for): drop it.
+        // Before any callback, so `idle` still matches its slots.
+        let idle_base = fds.len() - io.idle.len();
+        for i in (0..io.idle.len()).rev() {
+            if fds[idle_base + i].revents != 0 {
+                io.idle.swap_remove(i);
+            }
         }
 
         if fds[0].revents & sys::POLLIN != 0 {
             let mut sink = [0u8; 64];
-            while matches!((&r.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+            while matches!((&wake_rx).read(&mut sink), Ok(n) if n > 0) {}
         }
 
-        // Deliver finished responses before I/O so a completed request's
+        // Deliver finished pool jobs before I/O so a completed request's
         // bytes go out in this same iteration.
-        let finished: Vec<Completion> = std::mem::take(&mut *r.front.completions.lock());
-        let mut touched: Vec<u64> = Vec::with_capacity(finished.len());
+        let finished: Vec<Completion> = std::mem::take(&mut *io.front.completions.lock());
         for comp in finished {
-            let Some(c) = conns.get_mut(&comp.token) else { continue };
-            c.dispatched = false;
-            let keep = c.keep_current;
-            c.answer(&r.front, comp.code, &comp.headers, &comp.body, keep);
-            touched.push(comp.token);
+            match comp.answer {
+                Some(answer) => io.answers.push((comp.token, answer)),
+                None => service.resumed(comp.token, &mut io),
+            }
+        }
+
+        while let Some(timer) = io.due_timer() {
+            match timer {
+                Timer::Alarm(key) => service.alarm(key, &mut io),
+                Timer::Exchange(id) => {
+                    if let Some((key, result)) = io.expire(id) {
+                        service.exchanged(key, id, result, &mut io);
+                    }
+                }
+            }
         }
 
         if let Some(slot) = accept_slot {
             if fds[slot].revents & sys::POLLIN != 0 {
                 loop {
-                    match r.listener.accept() {
+                    match listener.accept() {
                         Ok((stream, _)) => {
                             if stream.set_nonblocking(true).is_err() {
                                 continue;
@@ -701,9 +1085,10 @@ fn run_reactor(r: Reactor) {
                             let _ = stream.set_nodelay(true);
                             conns.insert(next_token, Conn::new(stream));
                             next_token += 1;
-                            r.front.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                            let open = r.front.counters.open.fetch_add(1, Ordering::Relaxed) + 1;
-                            r.front.counters.max_open.fetch_max(open, Ordering::Relaxed);
+                            let counters = &io.front.counters;
+                            counters.accepted.fetch_add(1, Ordering::Relaxed);
+                            let open = counters.open.fetch_add(1, Ordering::Relaxed) + 1;
+                            counters.max_open.fetch_max(open, Ordering::Relaxed);
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -713,7 +1098,7 @@ fn run_reactor(r: Reactor) {
             }
         }
 
-        let first_conn_slot = fds.len() - slots.len();
+        let first_conn_slot = accept_slot.map_or(1, |s| s + 1);
         for (i, &token) in slots.iter().enumerate() {
             let revents = fds[first_conn_slot + i].revents;
             if revents == 0 {
@@ -734,20 +1119,42 @@ fn run_reactor(r: Reactor) {
                 c.dead = true;
                 continue;
             }
-            advance(c, token, &r);
+            advance(c, token, &mut io, &mut service);
         }
-        for token in touched {
-            if let Some(c) = conns.get_mut(&token) {
-                advance(c, token, &r);
+
+        let first_upstream_slot = first_conn_slot + slots.len();
+        for (i, &id) in upstream.iter().enumerate() {
+            if fds[first_upstream_slot + i].revents != 0 {
+                if let Some((key, result)) = io.pump(id) {
+                    service.exchanged(key, id, result, &mut io);
+                }
             }
         }
-        reap(&mut conns, &r.front);
+
+        // Deliver the answers; answering lets a connection parse its next
+        // request, whose handling may answer in turn.
+        while !io.answers.is_empty() {
+            touched.clear();
+            for (token, answer) in std::mem::take(&mut io.answers) {
+                let Some(c) = conns.get_mut(&token) else { continue };
+                c.waiting = false;
+                let keep = c.keep_current;
+                c.answer(&io.front, answer, keep);
+                touched.push(token);
+            }
+            for &token in &touched {
+                if let Some(c) = conns.get_mut(&token) {
+                    advance(c, token, &mut io, &mut service);
+                }
+            }
+        }
+        reap(&mut conns, &io.front);
     }
 
-    drop(r.listener);
+    drop(listener);
     // Queued-but-unstarted jobs still run here; their completions land
     // in `front` with nobody reading — harmless, the conns are gone.
-    r.pool.shutdown();
+    io.pool.shutdown();
 }
 
 fn reap(conns: &mut HashMap<u64, Conn>, front: &Frontend) {
@@ -787,11 +1194,11 @@ fn read_some(c: &mut Conn) {
 /// buffered, then flush every answer with one write. A connection whose
 /// answers stopped at the output cap resumes on the next iteration, once
 /// every other ready connection has had its turn.
-fn advance(c: &mut Conn, token: u64, r: &Reactor) {
-    let starved = answer_buffered(c, token, r);
+fn advance(c: &mut Conn, token: u64, io: &mut Io, service: &mut impl Service) {
+    let starved = answer_buffered(c, token, io, service);
     c.backlog = false;
     #[cfg(test)]
-    r.front.counters.max_out.fetch_max(c.out.len() as u64, Ordering::Relaxed);
+    io.front.counters.max_out.fetch_max(c.out.len() as u64, Ordering::Relaxed);
     while c.write_pending() {
         match (&c.stream).write(&c.out[c.sent..]) {
             Ok(0) => {
@@ -813,10 +1220,10 @@ fn advance(c: &mut Conn, token: u64, r: &Reactor) {
         c.dead = true;
         return;
     }
-    if c.dispatched {
+    if c.waiting {
         return;
     }
-    if r.front.stopping() {
+    if io.front.stopping() {
         // Drain mode: finished writing, nothing in flight — buffered
         // not-yet-admitted bytes are dropped with the connection.
         c.dead = true;
@@ -829,17 +1236,16 @@ fn advance(c: &mut Conn, token: u64, r: &Reactor) {
     }
 }
 
-/// Parses buffered requests and appends their answers to `c.out` —
-/// inline ones straight from the handler — until one goes to the pool,
-/// the connection is to close, `c.out` holds [`MAX_REQUEST_BYTES`], or
-/// the service is stopping. Returns true when it stopped for want of a
-/// whole request.
-fn answer_buffered(c: &mut Conn, token: u64, r: &Reactor) -> bool {
-    let counters = &r.front.counters;
-    while !c.dispatched
+/// Parses buffered requests and appends the answers the service gives at
+/// once to `c.out`, until one leaves the connection waiting, the
+/// connection is to close, `c.out` holds [`MAX_REQUEST_BYTES`], or the
+/// service is stopping. Returns true when it stopped for want of a whole
+/// request.
+fn answer_buffered(c: &mut Conn, token: u64, io: &mut Io, service: &mut impl Service) -> bool {
+    while !c.waiting
         && !c.close_after_write
         && c.out.len() < MAX_REQUEST_BYTES
-        && !r.front.stopping()
+        && !io.front.stopping()
     {
         let (req, keep_alive) = match parse_request(&c.buf) {
             Ok(Parse::Incomplete) => return true,
@@ -848,6 +1254,7 @@ fn answer_buffered(c: &mut Conn, token: u64, r: &Reactor) -> bool {
                 (req, keep_alive)
             }
             Err(msg) => {
+                let counters = &io.front.counters;
                 counters.requests.fetch_add(1, Ordering::Relaxed);
                 counters.errors.fetch_add(1, Ordering::Relaxed);
                 write_response(&mut c.out, 400, &[], &error_body(&msg), false);
@@ -855,46 +1262,21 @@ fn answer_buffered(c: &mut Conn, token: u64, r: &Reactor) -> bool {
                 return false;
             }
         };
-        counters.parsed.fetch_add(1, Ordering::Relaxed);
-        counters.requests.fetch_add(1, Ordering::Relaxed);
+        io.front.counters.parsed.fetch_add(1, Ordering::Relaxed);
+        io.front.counters.requests.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        if (r.inline)(&req) {
-            // A panicking handler costs its request a 500, as a pooled
-            // job's panic costs only that job — not the reactor.
-            let (code, headers, body) =
-                catch_unwind(AssertUnwindSafe(|| (r.handler)(&req, t0, &r.front)))
-                    .unwrap_or_else(|_| (500, Vec::new(), error_body("handler panicked")));
-            if code >= 400 {
-                counters.errors.fetch_add(1, Ordering::Relaxed);
+        // A panicking handler costs its request a 500, as a pool job's
+        // panic costs only that job — not the reactor.
+        match catch_unwind(AssertUnwindSafe(|| service.handle(token, req, t0, io))) {
+            Ok(Some(answer)) => c.answer(&io.front, answer, keep_alive),
+            Ok(None) => {
+                c.keep_current = keep_alive;
+                c.waiting = true;
             }
-            c.answer(&r.front, code, &headers, &body, keep_alive);
-            continue;
-        }
-        c.keep_current = keep_alive;
-        let handler = Arc::clone(&r.handler);
-        let front = Arc::clone(&r.front);
-        let job = move || {
-            let (code, headers, body) = handler(&req, t0, &front);
-            if code >= 400 {
-                front.counters.errors.fetch_add(1, Ordering::Relaxed);
+            Err(_) => {
+                let answer = (500, Vec::new(), error_body("handler panicked"));
+                c.answer(&io.front, answer, keep_alive);
             }
-            front.complete(Completion { token, code, headers, body });
-        };
-        if r.pool.try_submit(job).is_ok() {
-            counters.dispatched.fetch_add(1, Ordering::Relaxed);
-            c.dispatched = true;
-            return false;
-        }
-        // Queue full: shed with 503 + Retry-After. The connection
-        // survives (keep-alive permitting) so the client's
-        // capped-Retry-After retry can land here again. A shed request
-        // still counts as a request and an error.
-        counters.rejected.fetch_add(1, Ordering::Relaxed);
-        counters.errors.fetch_add(1, Ordering::Relaxed);
-        let retry_after = [format!("Retry-After: {RETRY_AFTER_SECS}")];
-        write_response(&mut c.out, 503, &retry_after, &r.reject_body, keep_alive);
-        if !keep_alive {
-            c.close_after_write = true;
         }
     }
     false
@@ -903,6 +1285,10 @@ fn answer_buffered(c: &mut Conn, token: u64, r: &Reactor) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn test_config() -> CoreConfig {
+        CoreConfig { port: 0, workers: 1, queue: 1, reject_body: String::new() }
+    }
 
     #[test]
     fn parser_handles_incremental_arrival() {
@@ -995,18 +1381,11 @@ mod tests {
 
     #[test]
     fn a_panicking_inline_handler_costs_its_request_a_500_not_the_reactor() {
-        let handler: Arc<Handler> = Arc::new(|req: &Request, _: Instant, _: &Frontend| {
+        let service = |_: u64, req: Request, _: Instant, _: &mut Io| {
             assert_ne!(req.path, "/boom", "a handler bug");
-            (200, Vec::new(), "{}".to_string())
-        });
-        let cfg = CoreConfig {
-            port: 0,
-            workers: 1,
-            queue: 1,
-            inline: |_| true,
-            reject_body: String::new(),
+            Some((200, Vec::new(), "{}".to_string()))
         };
-        let core = start_core(cfg, handler, None).unwrap();
+        let core = start_core(test_config(), service, None).unwrap();
         let mut s = TcpStream::connect(core.addr()).unwrap();
         s.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
         s.write_all(b"GET /boom HTTP/1.1\r\n\r\nGET /ok HTTP/1.1\r\nConnection: close\r\n\r\n")
@@ -1025,16 +1404,9 @@ mod tests {
     #[test]
     fn pending_output_stops_at_the_cap_plus_one_answer() {
         const BODY: usize = 10_000;
-        let handler: Arc<Handler> =
-            Arc::new(|_: &Request, _: Instant, _: &Frontend| (200, Vec::new(), "x".repeat(BODY)));
-        let cfg = CoreConfig {
-            port: 0,
-            workers: 1,
-            queue: 1,
-            inline: |_| true,
-            reject_body: String::new(),
-        };
-        let core = start_core(cfg, handler, None).unwrap();
+        let service =
+            |_: u64, _: Request, _: Instant, _: &mut Io| Some((200, Vec::new(), "x".repeat(BODY)));
+        let core = start_core(test_config(), service, None).unwrap();
         let mut hostile = TcpStream::connect(core.addr()).unwrap();
         hostile.set_nonblocking(true).unwrap();
         let burst = b"GET / HTTP/1.1\r\n\r\n".repeat(1024);
@@ -1063,6 +1435,110 @@ mod tests {
             "pending output {max_out} B exceeds the cap plus one {one} B answer"
         );
         drop(hostile);
+        core.frontend().shutdown();
+        core.join();
+    }
+
+    /// An alarm is a deadline on the core's heap, and the nearest one is
+    /// the poll timeout: an answer parked 30 ms out leaves well before
+    /// the 250 ms liveness tick would have woken the reactor.
+    #[test]
+    fn an_alarm_fires_at_its_deadline_not_at_the_liveness_tick() {
+        struct Delayed;
+        impl Service for Delayed {
+            fn handle(
+                &mut self,
+                conn: u64,
+                _: Request,
+                at: Instant,
+                io: &mut Io,
+            ) -> Option<Answer> {
+                io.alarm(at + Duration::from_millis(30), conn);
+                None
+            }
+            fn alarm(&mut self, conn: u64, io: &mut Io) {
+                io.answer(conn, (200, Vec::new(), "late".into()));
+            }
+        }
+        let core = start_core(test_config(), Delayed, None).unwrap();
+        let mut s = TcpStream::connect(core.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let t0 = Instant::now();
+        s.write_all(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut got = String::new();
+        s.read_to_string(&mut got).unwrap();
+        let took = t0.elapsed();
+        assert!(got.starts_with("HTTP/1.1 200 OK\r\n") && got.ends_with("late"), "{got}");
+        assert!(took >= Duration::from_millis(30), "answered before its alarm: {took:?}");
+        assert!(took < Duration::from_millis(POLL_TICK_MS as u64), "waited for the tick: {took:?}");
+        core.frontend().shutdown();
+        core.join();
+    }
+
+    /// An exchange on a reused upstream connection that the peer closed
+    /// before answering is resent once on a fresh connection, and the
+    /// service sees only the answer. The mock upstream answers the first
+    /// request on its first connection, reads the second and hangs up.
+    #[test]
+    fn a_reused_upstream_connection_closed_unanswered_is_resent_once() {
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let up_addr = upstream.local_addr().unwrap();
+        let mock = std::thread::spawn(move || {
+            let ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\nok";
+            let mut requests_per_connection = Vec::new();
+            for (i, stream) in upstream.incoming().take(2).enumerate() {
+                let mut s = stream.unwrap();
+                let mut buf = [0u8; 1024];
+                let mut seen = 0;
+                while let Ok(n @ 1..) = s.read(&mut buf) {
+                    seen += buf[..n].windows(4).filter(|w| w == b"\r\n\r\n").count();
+                    if i == 0 && seen == 2 {
+                        break; // the second request: hang up unanswered
+                    }
+                    s.write_all(ok).unwrap();
+                    if i == 1 {
+                        break;
+                    }
+                }
+                requests_per_connection.push(seen);
+            }
+            requests_per_connection
+        });
+        struct Relay(SocketAddr);
+        impl Service for Relay {
+            fn handle(&mut self, conn: u64, _: Request, _: Instant, io: &mut Io) -> Option<Answer> {
+                let request = b"GET / HTTP/1.1\r\nContent-Length: 0\r\n\r\n".to_vec();
+                io.exchange(self.0, request, Duration::from_secs(30), conn).unwrap();
+                None
+            }
+            fn exchanged(
+                &mut self,
+                conn: u64,
+                _: u64,
+                result: std::io::Result<Response>,
+                io: &mut Io,
+            ) {
+                let answer = match result {
+                    Ok(r) => (r.status, Vec::new(), r.body),
+                    Err(e) => (500, Vec::new(), e.to_string()),
+                };
+                io.answer(conn, answer);
+            }
+        }
+        let core = start_core(test_config(), Relay(up_addr), None).unwrap();
+        for _ in 0..2 {
+            let mut s = TcpStream::connect(core.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            s.write_all(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+            let mut got = String::new();
+            s.read_to_string(&mut got).unwrap();
+            assert!(got.starts_with("HTTP/1.1 200 OK\r\n") && got.ends_with("ok"), "{got}");
+        }
+        assert_eq!(
+            mock.join().unwrap(),
+            [2, 1],
+            "two requests on the first connection, one resent"
+        );
         core.frontend().shutdown();
         core.join();
     }

@@ -41,7 +41,7 @@ use hec_core::json::{Json, ToJson};
 use crate::cache::ShardedLru;
 use crate::engine::{self, AppId, Cell};
 use crate::metrics::Histogram;
-use crate::reactor::{self, CoreConfig, Frontend};
+use crate::reactor::{self, Answer, CoreConfig, Frontend, Io};
 use crate::request::{parse_query, Point};
 
 pub use crate::reactor::{error_body, status_text, Request, MAX_REQUEST_BYTES, RETRY_AFTER_SECS};
@@ -50,7 +50,7 @@ pub use crate::reactor::{error_body, status_text, Request, MAX_REQUEST_BYTES, RE
 pub const MAX_DEBUG_SLEEP_MS: u64 = 10_000;
 
 /// The one endpoint whose handler blocks: [`route`] sleeps in it, and
-/// [`runs_inline`] sends it to the worker pool.
+/// [`start`] sends it to the worker pool.
 const DEBUG_SLEEP: &str = "/debug/sleep";
 
 /// Server tuning.
@@ -247,11 +247,16 @@ fn route(req: &Request, state: &ServeState, front: &Frontend) -> (u16, String) {
     }
 }
 
-/// The replica's [`CoreConfig::inline`] predicate: every arm of [`route`]
-/// answers without blocking except [`DEBUG_SLEEP`]. A new arm that can
-/// block must be named here too.
-fn runs_inline(req: &Request) -> bool {
-    req.path != DEBUG_SLEEP
+/// Answers one request through [`route`] and records its latency from
+/// the parse instant `t0`, so queue wait is part of it.
+fn answer(req: &Request, t0: Instant, state: &ServeState, front: &Frontend) -> Answer {
+    let (code, body) = route(req, state, front);
+    match req.path.as_str() {
+        "/eval" => state.lat_eval.record(t0.elapsed()),
+        "/sweep" => state.lat_sweep.record(t0.elapsed()),
+        _ => state.lat_other.record(t0.elapsed()),
+    }
+    (code, Vec::new(), body)
 }
 
 // ---------------------------------------------------------------------
@@ -300,32 +305,30 @@ impl Server {
 /// bound and accepting; the reactor and its workers run until a
 /// shutdown is requested.
 pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
-    let state = ServeState {
+    let state = Arc::new(ServeState {
         cache: ShardedLru::new(cfg.cache_capacity),
         lat_eval: Histogram::new(),
         lat_sweep: Histogram::new(),
         lat_other: Histogram::new(),
+    });
+    // Every arm of `route` answers without blocking except DEBUG_SLEEP,
+    // which goes to the pool; a new arm that can block must go there too.
+    let service = move |conn: u64, req: Request, t0: Instant, io: &mut Io| {
+        if req.path != DEBUG_SLEEP {
+            return Some(answer(&req, t0, &state, io.front()));
+        }
+        let (state, front) = (Arc::clone(&state), Arc::clone(io.front()));
+        io.spawn(conn, move || Some(answer(&req, t0, &state, &front)));
+        None
     };
-    let handler: Arc<reactor::Handler> =
-        Arc::new(move |req: &Request, t0: Instant, front: &Frontend| {
-            let (code, body) = route(req, &state, front);
-            // t0 is the parse instant, so queue wait is part of the latency.
-            match req.path.as_str() {
-                "/eval" => state.lat_eval.record(t0.elapsed()),
-                "/sweep" => state.lat_sweep.record(t0.elapsed()),
-                _ => state.lat_other.record(t0.elapsed()),
-            }
-            (code, Vec::new(), body)
-        });
     let core = reactor::start_core(
         CoreConfig {
             port: cfg.port,
             workers: cfg.workers,
             queue: cfg.queue,
-            inline: runs_inline,
             reject_body: error_body("admission queue full; retry"),
         },
-        handler,
+        service,
         None,
     )?;
     Ok(Server { core })

@@ -5,7 +5,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace --examples
-# --no-fail-fast: a red package must not hide the ones after it.
+# The packages tier-1's `cargo test -q` runs too (the root
+# `default-members`); --no-fail-fast is what this pass adds: a red
+# package must not hide the ones after it.
 cargo test -q --offline --workspace --no-fail-fast
 cargo fmt --check
 # A doc link to a private, ambiguous or deleted item fails here instead
@@ -24,14 +26,15 @@ bash scripts/pair.sh HEAD no_such_workload 2> /dev/null || status=$?
 # its own call tree at any test-thread count, every time. The cluster
 # targets ride along: kill, restart and drain race on one member's
 # lifecycle lock (DESIGN.md §9), and such a race has only ever shown
-# under full-suite parallelism. So do the two serve targets: they
-# drive the reactor's per-connection state machine (DESIGN.md §11), and
-# the queue-full test depends on timing.
+# under full-suite parallelism. So do the serve targets: they drive the
+# reactor's per-connection state machine, deadlines and upstream
+# exchanges (DESIGN.md §11), and their queue-full and deadline tests
+# depend on timing.
 for threads in 1 2 4; do
     for target in "-p hec-core --lib" "-p fvcam --lib" "-p paratec --lib" \
                   "-p hec-suite --test cross_crate_properties" \
                   "-p hec-cluster --lib" "-p hec-suite --test cluster_e2e" \
-                  "-p hec-suite --test cluster_elasticity" \
+                  "-p hec-suite --test cluster_elasticity" "-p hec-serve --lib" \
                   "-p hec-suite --test serve_e2e" "-p hec-suite --test serve_protocol"; do
         for _ in 1 2 3 4 5; do
             # shellcheck disable=SC2086  # $target is a word list on purpose

@@ -97,6 +97,74 @@ fn killing_a_replica_mid_load_loses_nothing_and_changes_no_bytes() {
     c.join();
 }
 
+/// (i′) Kill a replica while forwards are in flight on its upstream
+/// connections: four slow requests it owns hold both its workers and two
+/// queue slots, and closed-loop clients keep routing evals to it, when
+/// the kill lands. The kill drains what the replica admitted, the router
+/// fails the rest over, and no request is lost or changes a byte.
+#[test]
+fn a_kill_with_forwards_in_flight_on_its_connections_loses_nothing() {
+    let c = hec_cluster::start(cluster_cfg(3, FaultPlan::none())).unwrap();
+    let base = format!("http://{}", c.addr());
+    let cases = Arc::new(expected_bodies());
+    let ring = hec_cluster::Ring::new(3, hec_cluster::DEFAULT_VNODES, 2);
+    let victim = ring.primary(&Point::from_query(&cases[0].0).unwrap().canonical_key());
+    let (slow_ms, slow) = (300u64..)
+        .map(|ms| (ms, format!("/debug/sleep?ms={ms}")))
+        .find(|(_, target)| ring.primary(target) == victim)
+        .unwrap();
+    let slow_want = Json::obj([("slept_ms", Json::Num(slow_ms as f64))]).emit_pretty();
+
+    let sleepers: Vec<_> = (0..4)
+        .map(|_| {
+            let url = format!("{base}{slow}");
+            std::thread::spawn(move || client::http_get(&url))
+        })
+        .collect();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let evals: Vec<_> = (0..2)
+        .map(|t| {
+            let (base, cases, stop) = (base.clone(), Arc::clone(&cases), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut failures = 0u64;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    for (query, want) in cases.iter() {
+                        match client::http_get(&format!("{base}/eval?{query}")) {
+                            Ok(r) if r.status == 200 => {
+                                assert_eq!(r.body, *want, "bytes drifted for {query} (thread {t})")
+                            }
+                            _ => failures += 1,
+                        }
+                    }
+                }
+                failures
+            })
+        })
+        .collect();
+
+    let replica = format!("http://{}", c.replica_addr(victim).unwrap());
+    let t0 = std::time::Instant::now();
+    while metric(&replica, &["reactor", "dispatched"]) < 4.0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "the slow forwards never all arrived");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(c.kill_replica(victim), "replica {victim} should have been up");
+    std::thread::sleep(Duration::from_millis(100));
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+
+    let failures: u64 = evals.into_iter().map(|h| h.join().unwrap()).sum();
+    assert_eq!(failures, 0, "a kill with forwards in flight must lose zero requests");
+    for s in sleepers {
+        let r = s.join().unwrap().expect("a slow forward failed in transport");
+        assert_eq!((r.status, r.body.as_str()), (200, slow_want.as_str()));
+    }
+    assert!(metric(&base, &["failovers"]) >= 1.0, "evals owned by the victim must fail over");
+    assert_eq!(replica_field(&base, victim, "down_transitions").as_f64().unwrap(), 1.0);
+    assert_eq!(metric(&base, &["errors"]), 0.0);
+    c.shutdown();
+    c.join();
+}
+
 /// (ii) A seeded fault plan — stalls, dropped connections, slow
 /// replies, and at most R−1 kills — injects its whole schedule without
 /// one failed request or one changed byte. Same seed, same schedule.
