@@ -10,6 +10,7 @@
 //! derive magic.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Maximum container nesting depth [`Json::parse`] accepts. The parser
 /// recurses per nesting level, so adversarial input (the serve path
@@ -228,8 +229,10 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 fn write_number(out: &mut String, x: f64) {
     if x.is_finite() {
         // Rust's shortest round-trip formatting; integral values print
-        // without a fraction, like serde_json's integer path.
-        out.push_str(&format!("{x}"));
+        // without a fraction, like serde_json's integer path. Formatting
+        // straight into `out` allocates no temporary string; writing to a
+        // `String` cannot fail.
+        let _ = write!(out, "{x}");
     } else {
         // JSON has no Inf/NaN; emit null, as serde_json does by default.
         out.push_str("null");
@@ -248,7 +251,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn parseval_3d() {
-        let mut g = Grid3::zeros(6, 9, 5); // mixed radix via Bluestein
+        let mut g = Grid3::zeros(6, 9, 5); // lengths for the Stockham mixed-radix path
         fill(&mut g);
         let e_time: f64 = g.data.iter().map(|z| z.norm_sqr()).sum();
         fft3(&mut g);

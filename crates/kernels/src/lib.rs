@@ -7,8 +7,9 @@
 //! mini-apps:
 //!
 //! * [`complex`] — a minimal `Complex64` type (no external num crate).
-//! * [`fft`] — 1D complex FFT: iterative radix-2 plus Bluestein's algorithm
-//!   for arbitrary lengths.
+//! * [`fft`] — 1D complex FFT: iterative radix-2 for powers of two, a
+//!   Stockham mixed-radix 2/3/5 transform for other lengths with prime
+//!   factors ≤ 5, and Bluestein's algorithm for every remaining length.
 //! * [`fft3d`] — local (single address space) 3D FFT over a dense cube,
 //!   pencil-at-a-time, used as the reference for the distributed transforms.
 //! * [`blas`] — blocked `dgemm`/`zgemm`, `dot`/`axpy`/`norm` level-1 helpers.
