@@ -1,16 +1,16 @@
 //! Result generation for every table and figure.
 //!
 //! The per-cell evaluation core (measured workload → architectural model
-//! → Gflop/P and % of peak) lives in [`hec_serve::engine`] since the
-//! service and the CLI must produce bitwise-identical numbers; the
-//! moved items are re-exported here so existing callers keep working.
-//! What remains local is everything that needs the simulated runtime:
-//! the Figure 2 traffic capture and the Figure 8 assembly.
+//! → Gflop/P and % of peak) and the Table 3–6 rows
+//! ([`hec_serve::engine::rows`]) live in [`hec_serve::engine`], since the
+//! service and the CLI must produce bitwise-identical numbers. What
+//! remains here is everything that needs the simulated runtime: the
+//! Figure 2 traffic capture and the Figure 8 assembly.
 //!
 //! Results use the paper's 7-column platform layout (see
 //! `report::paper::PLATFORMS`).
 
-pub use hec_serve::engine::{fvcam_rows, gtc_rows, lbmhd_rows, paratec_rows, Cell, Row};
+use hec_serve::engine::{self, AppId, Cell, Row};
 
 /// Figure 8 data: the 256-processor slice of all four applications —
 /// (% of peak, speed relative to ES) per platform per app.
@@ -30,10 +30,10 @@ pub fn fig8_apps() -> Vec<Fig8App> {
             .unwrap_or([None; 7])
     };
     vec![
-        Fig8App { app: "FVCAM", cells: pick(&fvcam_rows(), Some("2D Pz=4")) },
-        Fig8App { app: "GTC", cells: pick(&gtc_rows(), None) },
-        Fig8App { app: "LBMHD3D", cells: pick(&lbmhd_rows(), None) },
-        Fig8App { app: "PARATEC", cells: pick(&paratec_rows(), None) },
+        Fig8App { app: "FVCAM", cells: pick(&engine::rows(AppId::Fvcam), Some("2D Pz=4")) },
+        Fig8App { app: "GTC", cells: pick(&engine::rows(AppId::Gtc), None) },
+        Fig8App { app: "LBMHD3D", cells: pick(&engine::rows(AppId::Lbmhd), None) },
+        Fig8App { app: "PARATEC", cells: pick(&engine::rows(AppId::Paratec), None) },
     ]
 }
 
@@ -71,15 +71,20 @@ mod tests {
 
     #[test]
     fn all_tables_produce_rows() {
-        assert_eq!(gtc_rows().len(), 6);
-        assert_eq!(lbmhd_rows().len(), 6);
-        assert_eq!(paratec_rows().len(), 6);
-        assert_eq!(fvcam_rows().len(), 13);
+        assert_eq!(engine::rows(AppId::Gtc).len(), 6);
+        assert_eq!(engine::rows(AppId::Lbmhd).len(), 6);
+        assert_eq!(engine::rows(AppId::Paratec).len(), 6);
+        assert_eq!(engine::rows(AppId::Fvcam).len(), 13);
     }
 
     #[test]
     fn every_defined_cell_is_positive_and_below_peak() {
-        for rows in [gtc_rows(), lbmhd_rows(), paratec_rows(), fvcam_rows()] {
+        for rows in [
+            engine::rows(AppId::Gtc),
+            engine::rows(AppId::Lbmhd),
+            engine::rows(AppId::Paratec),
+            engine::rows(AppId::Fvcam),
+        ] {
             for r in rows {
                 for c in r.cells.iter().flatten() {
                     assert!(c.gflops > 0.0);

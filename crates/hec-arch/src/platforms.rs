@@ -7,7 +7,6 @@
 //! prose and the cited references; they are fixed here once, globally, for
 //! all experiments.
 
-use hec_core::json::{FromJson, Json, JsonError, ToJson};
 use hec_net::{NetworkParams, Topology};
 
 /// Identifies one evaluated machine (X1 appears twice: MSP and SSP modes).
@@ -74,22 +73,6 @@ impl PlatformId {
     }
 }
 
-impl ToJson for PlatformId {
-    fn to_json(&self) -> Json {
-        Json::Str(self.label().to_string())
-    }
-}
-
-impl FromJson for PlatformId {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let s = v.as_str().ok_or_else(|| JsonError::new("platform id must be a string"))?;
-        PlatformId::ALL
-            .into_iter()
-            .find(|id| id.label() == s)
-            .ok_or_else(|| JsonError::new(format!("unknown platform '{s}'")))
-    }
-}
-
 /// Microarchitecture class with its model parameters.
 #[derive(Clone, Copy, Debug)]
 pub enum Arch {
@@ -120,9 +103,6 @@ pub struct SuperscalarParams {
     /// Number of concurrent unit-stride streams the prefetch engines track
     /// before bandwidth degrades (LBMHD touches 100+ streams).
     pub prefetch_streams: f64,
-    /// Whether the FPU executes fused multiply-add (the Opteron does not;
-    /// the paper calls this out for PARATEC's dense algebra).
-    pub has_fma: bool,
     /// Average cost (ns) of one gathered element that hits in cache —
     /// dependent loads pipeline only partially even out of L2/L3.
     pub cached_gather_ns: f64,
@@ -171,9 +151,8 @@ pub struct Platform {
     pub peak_gflops: f64,
     /// Measured EP-STREAM triad bandwidth per CPU in GB/s (Table 1).
     pub stream_bw_gbps: f64,
-    /// Processors per SMP node (Table 1).
-    pub cpus_per_node: usize,
-    /// Network measurements and topology (Table 1).
+    /// Network measurements and topology, and the processors per SMP
+    /// node (Table 1).
     pub net: NetworkParams,
     /// Microarchitecture model.
     pub arch: Arch,
@@ -205,116 +184,6 @@ impl Platform {
     }
 }
 
-impl ToJson for SuperscalarParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("dense_ilp", Json::Num(self.dense_ilp)),
-            ("sparse_ilp", Json::Num(self.sparse_ilp)),
-            ("cache_bytes", Json::Num(self.cache_bytes)),
-            ("gather_bw_frac", Json::Num(self.gather_bw_frac)),
-            ("prefetch_streams", Json::Num(self.prefetch_streams)),
-            ("has_fma", Json::Bool(self.has_fma)),
-            ("cached_gather_ns", Json::Num(self.cached_gather_ns)),
-        ])
-    }
-}
-
-impl FromJson for SuperscalarParams {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(SuperscalarParams {
-            dense_ilp: v.num_field("dense_ilp")?,
-            sparse_ilp: v.num_field("sparse_ilp")?,
-            cache_bytes: v.num_field("cache_bytes")?,
-            gather_bw_frac: v.num_field("gather_bw_frac")?,
-            prefetch_streams: v.num_field("prefetch_streams")?,
-            has_fma: v.bool_field("has_fma")?,
-            cached_gather_ns: v.num_field("cached_gather_ns")?,
-        })
-    }
-}
-
-impl ToJson for VectorParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("vreg_len", Json::Num(self.vreg_len)),
-            ("startup_slots", Json::Num(self.startup_slots)),
-            ("scalar_frac", Json::Num(self.scalar_frac)),
-            ("gather_bw_frac", Json::Num(self.gather_bw_frac)),
-            ("cache_bytes", Json::Num(self.cache_bytes)),
-            ("msp_ways", Json::Num(self.msp_ways)),
-            ("stream_serial_frac", Json::Num(self.stream_serial_frac)),
-            ("scalar_ilp", Json::Num(self.scalar_ilp)),
-        ])
-    }
-}
-
-impl FromJson for VectorParams {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(VectorParams {
-            vreg_len: v.num_field("vreg_len")?,
-            startup_slots: v.num_field("startup_slots")?,
-            scalar_frac: v.num_field("scalar_frac")?,
-            gather_bw_frac: v.num_field("gather_bw_frac")?,
-            cache_bytes: v.num_field("cache_bytes")?,
-            msp_ways: v.num_field("msp_ways")?,
-            stream_serial_frac: v.num_field("stream_serial_frac")?,
-            scalar_ilp: v.num_field("scalar_ilp")?,
-        })
-    }
-}
-
-impl ToJson for Arch {
-    fn to_json(&self) -> Json {
-        match self {
-            Arch::Superscalar(p) => {
-                Json::obj([("class", Json::Str("superscalar".into())), ("params", p.to_json())])
-            }
-            Arch::Vector(p) => {
-                Json::obj([("class", Json::Str("vector".into())), ("params", p.to_json())])
-            }
-        }
-    }
-}
-
-impl FromJson for Arch {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let params = v.field("params")?;
-        match v.str_field("class")? {
-            "superscalar" => Ok(Arch::Superscalar(SuperscalarParams::from_json(params)?)),
-            "vector" => Ok(Arch::Vector(VectorParams::from_json(params)?)),
-            other => Err(JsonError::new(format!("unknown arch class '{other}'"))),
-        }
-    }
-}
-
-impl ToJson for Platform {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", self.id.to_json()),
-            ("clock_mhz", Json::Num(self.clock_mhz)),
-            ("peak_gflops", Json::Num(self.peak_gflops)),
-            ("stream_bw_gbps", Json::Num(self.stream_bw_gbps)),
-            ("cpus_per_node", Json::Num(self.cpus_per_node as f64)),
-            ("net", self.net.to_json()),
-            ("arch", self.arch.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Platform {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Platform {
-            id: PlatformId::from_json(v.field("id")?)?,
-            clock_mhz: v.num_field("clock_mhz")?,
-            peak_gflops: v.num_field("peak_gflops")?,
-            stream_bw_gbps: v.num_field("stream_bw_gbps")?,
-            cpus_per_node: usize::from_json(v.field("cpus_per_node")?)?,
-            net: NetworkParams::from_json(v.field("net")?)?,
-            arch: Arch::from_json(v.field("arch")?)?,
-        })
-    }
-}
-
 /// IBM Power3 (Seaborg). Table 1 row 1. 375 MHz × 4 flops/cycle = 1.5
 /// Gflop/s peak; 0.4 GB/s STREAM per CPU when all 16 CPUs compete.
 pub const POWER3: Platform = Platform {
@@ -322,7 +191,6 @@ pub const POWER3: Platform = Platform {
     clock_mhz: 375.0,
     peak_gflops: 1.5,
     stream_bw_gbps: 0.4,
-    cpus_per_node: 16,
     net: NetworkParams {
         latency_us: 16.3,
         bw_gbps: 0.13,
@@ -336,7 +204,6 @@ pub const POWER3: Platform = Platform {
         cache_bytes: 8.0e6,
         gather_bw_frac: 0.35,
         prefetch_streams: 8.0,
-        has_fma: true,
         cached_gather_ns: 18.0,
     }),
 };
@@ -347,7 +214,6 @@ pub const ITANIUM2: Platform = Platform {
     clock_mhz: 1400.0,
     peak_gflops: 5.6,
     stream_bw_gbps: 1.1,
-    cpus_per_node: 4,
     net: NetworkParams {
         latency_us: 3.0,
         bw_gbps: 0.25,
@@ -363,7 +229,6 @@ pub const ITANIUM2: Platform = Platform {
         // accesses hit L2/L3, degrading gathers more than on the others.
         gather_bw_frac: 0.25,
         prefetch_streams: 8.0,
-        has_fma: true,
         cached_gather_ns: 6.8,
     }),
 };
@@ -374,7 +239,6 @@ pub const OPTERON: Platform = Platform {
     clock_mhz: 2200.0,
     peak_gflops: 4.4,
     stream_bw_gbps: 2.3,
-    cpus_per_node: 2,
     net: NetworkParams {
         latency_us: 6.0,
         bw_gbps: 0.59,
@@ -391,7 +255,6 @@ pub const OPTERON: Platform = Platform {
         // On-chip memory controller: low-latency random access.
         gather_bw_frac: 0.45,
         prefetch_streams: 16.0,
-        has_fma: false,
         cached_gather_ns: 4.0,
     }),
 };
@@ -402,7 +265,6 @@ pub const X1_MSP: Platform = Platform {
     clock_mhz: 800.0,
     peak_gflops: 12.8,
     stream_bw_gbps: 14.9,
-    cpus_per_node: 4,
     net: NetworkParams {
         latency_us: 7.1,
         bw_gbps: 6.3,
@@ -430,7 +292,6 @@ pub const X1_SSP: Platform = Platform {
     clock_mhz: 800.0,
     peak_gflops: 3.2,
     stream_bw_gbps: 3.725, // quarter of the node's 14.9 GB/s
-    cpus_per_node: 16,
     net: NetworkParams {
         latency_us: 7.1,
         bw_gbps: 1.575,
@@ -457,7 +318,6 @@ pub const X1E: Platform = Platform {
     clock_mhz: 1130.0,
     peak_gflops: 18.0,
     stream_bw_gbps: 9.7,
-    cpus_per_node: 4,
     net: NetworkParams {
         latency_us: 5.0,
         bw_gbps: 2.9,
@@ -484,7 +344,6 @@ pub const ES: Platform = Platform {
     clock_mhz: 1000.0,
     peak_gflops: 8.0,
     stream_bw_gbps: 26.3,
-    cpus_per_node: 8,
     net: NetworkParams {
         latency_us: 5.6,
         bw_gbps: 1.5,
@@ -512,7 +371,6 @@ pub const SX8: Platform = Platform {
     clock_mhz: 2000.0,
     peak_gflops: 16.0,
     stream_bw_gbps: 41.0,
-    cpus_per_node: 8,
     net: NetworkParams {
         latency_us: 5.0,
         bw_gbps: 2.0,
@@ -616,33 +474,6 @@ mod tests {
         let es_rel = es.stream_bw_gbps * esv.gather_bw_frac / es.peak_gflops;
         let sx_rel = sx8.stream_bw_gbps * sxv.gather_bw_frac / sx8.peak_gflops;
         assert!(es_rel > 1.4 * sx_rel);
-    }
-
-    #[test]
-    fn every_platform_round_trips_through_json() {
-        for p in Platform::all() {
-            let text = p.to_json().emit_pretty();
-            let back = Platform::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back.id, p.id);
-            assert_eq!(back.clock_mhz, p.clock_mhz);
-            assert_eq!(back.peak_gflops, p.peak_gflops);
-            assert_eq!(back.stream_bw_gbps, p.stream_bw_gbps);
-            assert_eq!(back.cpus_per_node, p.cpus_per_node);
-            assert_eq!(back.net.topology, p.net.topology);
-            match (p.arch, back.arch) {
-                (Arch::Superscalar(a), Arch::Superscalar(b)) => {
-                    assert_eq!(a.dense_ilp, b.dense_ilp);
-                    assert_eq!(a.has_fma, b.has_fma);
-                    assert_eq!(a.cached_gather_ns, b.cached_gather_ns);
-                }
-                (Arch::Vector(a), Arch::Vector(b)) => {
-                    assert_eq!(a.vreg_len, b.vreg_len);
-                    assert_eq!(a.msp_ways, b.msp_ways);
-                    assert_eq!(a.scalar_ilp, b.scalar_ilp);
-                }
-                _ => panic!("arch class changed in round trip for {:?}", p.id),
-            }
-        }
     }
 
     #[test]

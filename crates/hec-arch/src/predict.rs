@@ -200,14 +200,8 @@ fn comm_event_secs(net: &NetworkModel, ev: &CommEvent) -> f64 {
         CommEvent::Allreduce { bytes, procs } => {
             collectives::allreduce_secs(net, procs as usize, bytes as usize)
         }
-        CommEvent::Alltoall { bytes_per_pair, procs } => {
-            collectives::alltoall_secs(net, procs as usize, bytes_per_pair as usize)
-        }
         CommEvent::Transpose { bytes_per_rank, procs } => {
             collectives::transpose_secs(net, procs as usize, bytes_per_rank as usize)
-        }
-        CommEvent::Bcast { bytes, procs } => {
-            collectives::bcast_secs(net, procs as usize, bytes as usize)
         }
     }
 }

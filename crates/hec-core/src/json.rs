@@ -1,13 +1,14 @@
 //! A minimal JSON value type with emit and parse.
 //!
-//! Replaces `serde`/`serde_json` for the suite's needs: experiment and
-//! bench results out, platform/profile descriptions round-tripped in
-//! tests. Objects preserve insertion order so emitted files are stable
-//! across runs (important for diffing `BENCH_*.json` artifacts).
+//! Replaces `serde`/`serde_json` for the suite's needs: artifacts and
+//! server responses out, request bodies and committed artifacts parsed
+//! back as [`Json`] values. Objects preserve insertion order so emitted
+//! files are stable across runs (important for diffing artifacts).
 //!
-//! Types opt in by implementing [`ToJson`] / [`FromJson`] by hand — the
-//! workspace policy (DESIGN.md §6) is explicit field mapping rather than
-//! derive magic.
+//! Types whose JSON some artifact or endpoint emits implement [`ToJson`]
+//! by hand — the workspace policy (DESIGN.md §6) is explicit field
+//! mapping rather than derive magic. Nothing reads a typed value back:
+//! readers navigate the parsed [`Json`] with its accessors.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -35,7 +36,7 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Error from [`Json::parse`] or [`FromJson`] conversions.
+/// Error from [`Json::parse`] or a required-field accessor.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JsonError {
     /// Human-readable description, with byte offset where applicable.
@@ -61,15 +62,6 @@ impl std::error::Error for JsonError {}
 pub trait ToJson {
     /// The JSON representation of `self`.
     fn to_json(&self) -> Json;
-}
-
-/// Build `Self` back from a [`Json`] value.
-pub trait FromJson: Sized {
-    /// Parses `Self` out of `v`.
-    ///
-    /// # Errors
-    /// Returns [`JsonError`] when `v` has the wrong shape.
-    fn from_json(v: &Json) -> Result<Self, JsonError>;
 }
 
 impl Json {
@@ -543,44 +535,6 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl FromJson for f64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_f64().ok_or_else(|| JsonError::new("expected a number"))
-    }
-}
-
-impl FromJson for usize {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let x = v.as_f64().ok_or_else(|| JsonError::new("expected a number"))?;
-        if x < 0.0 || x.fract() != 0.0 {
-            return Err(JsonError::new(format!("{x} is not a usize")));
-        }
-        Ok(x as usize)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_bool().ok_or_else(|| JsonError::new("expected a bool"))
-    }
-}
-
-impl FromJson for String {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_str().map(str::to_string).ok_or_else(|| JsonError::new("expected a string"))
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_arr()
-            .ok_or_else(|| JsonError::new("expected an array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,13 +686,16 @@ mod tests {
     }
 
     #[test]
-    fn primitive_tojson_fromjson_round_trip() {
+    fn primitive_tojson_round_trips_through_text() {
         let xs = vec![1.5f64, -2.0, 0.0];
         let j = xs.to_json();
-        assert_eq!(Vec::<f64>::from_json(&j).unwrap(), xs);
-        assert_eq!(usize::from_json(&Json::Num(7.0)).unwrap(), 7);
-        assert!(usize::from_json(&Json::Num(7.5)).is_err());
-        assert!(usize::from_json(&Json::Num(-1.0)).is_err());
-        assert_eq!(String::from_json(&Json::Str("x".into())).unwrap(), "x");
+        assert_eq!(j, Json::Arr(vec![Json::Num(1.5), Json::Num(-2.0), Json::Num(0.0)]));
+        assert_eq!(Json::parse(&j.emit()).unwrap(), j);
+        assert_eq!(7usize.to_json(), Json::Num(7.0));
+        assert_eq!(true.to_json(), Json::Bool(true));
+        assert_eq!("x".to_json(), Json::Str("x".into()));
+        assert_eq!(String::from("x").to_json(), Json::Str("x".into()));
+        assert_eq!(Some(2.5).to_json(), Json::Num(2.5));
+        assert_eq!(None::<f64>.to_json(), Json::Null);
     }
 }

@@ -7,8 +7,8 @@
 //! * [`rng`] — a small deterministic generator (splitmix64-seeded
 //!   xoshiro256++) with uniform/normal helpers, replacing `rand`;
 //! * [`json`] — a minimal JSON value type with emit and parse, replacing
-//!   `serde`/`serde_json` (types provide hand-written `to_json` /
-//!   `from_json` via [`json::ToJson`] / [`json::FromJson`]);
+//!   `serde`/`serde_json` (emitted types provide a hand-written `to_json`
+//!   via [`json::ToJson`]);
 //! * [`sync`] — poison-tolerant `Mutex`/`Condvar` wrappers, replacing
 //!   `parking_lot` (msim ranks unwind through held locks by design);
 //! * [`pool`] — scoped-thread `par_map`/`par_chunks_mut`, replacing
@@ -31,5 +31,5 @@ pub mod retry;
 pub mod rng;
 pub mod sync;
 
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{Json, JsonError, ToJson};
 pub use rng::Rng;

@@ -7,7 +7,7 @@
 //!   (latitude, level) and (longitude, latitude) decompositions (paper §3.2).
 //!
 //! All models are built from the pt2pt Hockney terms in [`crate::cost`] with
-//! the standard algorithm shapes (recursive doubling / ring / pairwise
+//! the standard algorithm shapes (recursive doubling, pairwise
 //! exchange), matching 2005-era MPI implementations.
 
 use crate::cost::NetworkModel;
@@ -22,23 +22,6 @@ pub fn allreduce_secs(net: &NetworkModel, procs: usize, bytes: usize) -> f64 {
     let rounds = (procs as f64).log2().ceil();
     let per_round = net.latency_secs() + bytes as f64 / (net.params.bw_gbps * 1e9);
     rounds * per_round
-}
-
-/// Cost of an `MPI_Barrier` over `procs` ranks (dissemination algorithm).
-pub fn barrier_secs(net: &NetworkModel, procs: usize) -> f64 {
-    if procs <= 1 {
-        return 0.0;
-    }
-    (procs as f64).log2().ceil() * net.latency_secs()
-}
-
-/// Cost of an `MPI_Bcast` of `bytes` over `procs` ranks (binomial tree).
-pub fn bcast_secs(net: &NetworkModel, procs: usize, bytes: usize) -> f64 {
-    if procs <= 1 {
-        return 0.0;
-    }
-    let rounds = (procs as f64).log2().ceil();
-    rounds * (net.latency_secs() + bytes as f64 / (net.params.bw_gbps * 1e9))
 }
 
 /// Cost of an `MPI_Alltoall` where each rank sends `bytes_per_pair` to every
@@ -87,8 +70,6 @@ mod tests {
     fn single_rank_collectives_are_free() {
         let m = model(1);
         assert_eq!(allreduce_secs(&m, 1, 1024), 0.0);
-        assert_eq!(barrier_secs(&m, 1), 0.0);
-        assert_eq!(bcast_secs(&m, 1, 1024), 0.0);
         assert_eq!(alltoall_secs(&m, 1, 1024), 0.0);
         assert_eq!(transpose_secs(&m, 1, 1024), 0.0);
     }
@@ -120,11 +101,5 @@ mod tests {
         // More ranks means more rounds (latency) but same bandwidth volume.
         assert!(t_large > t_small * 0.5);
         assert!(t_large < t_small * 40.0);
-    }
-
-    #[test]
-    fn barrier_is_cheaper_than_allreduce() {
-        let m = model(512);
-        assert!(barrier_secs(&m, 512) <= allreduce_secs(&m, 512, 8));
     }
 }

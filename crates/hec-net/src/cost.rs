@@ -5,8 +5,6 @@
 //! (GB/s). Intranode messages use the STREAM memory system instead of the
 //! network, which matters for the 8- and 16-way SMP nodes.
 
-use hec_core::json::{FromJson, Json, JsonError, ToJson};
-
 use crate::topology::Topology;
 
 /// Measured network parameters of one platform (paper Table 1).
@@ -22,30 +20,6 @@ pub struct NetworkParams {
     pub intranode_bw_gbps: f64,
     /// Interconnect topology.
     pub topology: Topology,
-}
-
-impl ToJson for NetworkParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("latency_us", Json::Num(self.latency_us)),
-            ("bw_gbps", Json::Num(self.bw_gbps)),
-            ("cpus_per_node", Json::Num(self.cpus_per_node as f64)),
-            ("intranode_bw_gbps", Json::Num(self.intranode_bw_gbps)),
-            ("topology", self.topology.to_json()),
-        ])
-    }
-}
-
-impl FromJson for NetworkParams {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(NetworkParams {
-            latency_us: v.num_field("latency_us")?,
-            bw_gbps: v.num_field("bw_gbps")?,
-            cpus_per_node: usize::from_json(v.field("cpus_per_node")?)?,
-            intranode_bw_gbps: v.num_field("intranode_bw_gbps")?,
-            topology: Topology::from_json(v.field("topology")?)?,
-        })
-    }
 }
 
 /// Evaluates message and pattern costs for one platform.
@@ -108,24 +82,6 @@ impl NetworkModel {
     /// The latency term in seconds.
     pub fn latency_secs(&self) -> f64 {
         self.params.latency_us * 1e-6
-    }
-}
-
-impl ToJson for NetworkModel {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("params", self.params.to_json()),
-            ("job_procs", Json::Num(self.job_procs as f64)),
-        ])
-    }
-}
-
-impl FromJson for NetworkModel {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(NetworkModel {
-            params: NetworkParams::from_json(v.field("params")?)?,
-            job_procs: usize::from_json(v.field("job_procs")?)?,
-        })
     }
 }
 
@@ -201,18 +157,5 @@ mod tests {
         let t2 = m.halo_secs(4096, 2);
         let t6 = m.halo_secs(4096, 6);
         assert!((t6 / t2 - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn network_model_json_round_trips() {
-        let m = NetworkModel::new(fat_tree(), 64);
-        let text = m.to_json().emit();
-        let back = NetworkModel::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.job_procs, m.job_procs);
-        assert_eq!(back.params.latency_us, m.params.latency_us);
-        assert_eq!(back.params.bw_gbps, m.params.bw_gbps);
-        assert_eq!(back.params.cpus_per_node, m.params.cpus_per_node);
-        assert_eq!(back.params.intranode_bw_gbps, m.params.intranode_bw_gbps);
-        assert_eq!(back.params.topology, m.params.topology);
     }
 }

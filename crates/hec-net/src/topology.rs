@@ -6,21 +6,17 @@
 //! a global pattern (all-to-all) oversubscribes the narrowest cut relative
 //! to a nearest-neighbor pattern.
 
-use hec_core::json::{FromJson, Json, JsonError, ToJson};
-
 /// Interconnect topology of a platform (paper Table 1, last column).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Topology {
     /// Full-bisection fat-tree (SP Switch2, Quadrics Elan4, InfiniBand).
     FatTree,
-    /// Cray X1/X1E: modules in a 4D hypercube up to 512 MSPs, 2D torus above.
+    /// Cray X1/X1E: modules in a 4D hypercube (up to 512 MSPs).
     Hypercube4D,
     /// Earth Simulator: 640×640 single-stage crossbar — every node one hop.
     Crossbar,
     /// NEC IXS multi-stage crossbar (SX-8).
     Ixs,
-    /// 2D torus (X1 beyond 512 MSPs).
-    Torus2D,
 }
 
 impl Topology {
@@ -35,8 +31,6 @@ impl Topology {
             Topology::Hypercube4D => (n.log2() / 2.0).max(1.0),
             Topology::Crossbar => 1.0,
             Topology::Ixs => 2.0,
-            // Mean Manhattan distance on a √n × √n torus.
-            Topology::Torus2D => n.sqrt() / 2.0,
         }
     }
 
@@ -46,8 +40,7 @@ impl Topology {
     ///
     /// Full-bisection networks (fat-tree, crossbar) ideally sustain 1.0;
     /// practical fat-trees lose some to static routing collisions. The
-    /// hypercube/torus lose bandwidth once the pattern exceeds the
-    /// bisection.
+    /// hypercube loses bandwidth once the pattern exceeds the bisection.
     pub fn alltoall_contention(self, nodes: usize) -> f64 {
         let n = nodes.max(2) as f64;
         match self {
@@ -55,7 +48,6 @@ impl Topology {
             Topology::Crossbar => 1.0,                       // single-stage, non-blocking
             Topology::Ixs => 1.1,                            // multi-stage, near-full bisection
             Topology::Hypercube4D => 1.0 + (n.log2() / 8.0), // dim-ordered routing
-            Topology::Torus2D => (n.sqrt() / 4.0).max(1.0),
         }
     }
 
@@ -72,34 +64,12 @@ impl Topology {
             Topology::Hypercube4D => "4D-Hypercube",
             Topology::Crossbar => "Crossbar",
             Topology::Ixs => "IXS Crossbar",
-            Topology::Torus2D => "2D-Torus",
         }
     }
 
-    /// Every topology variant, for exhaustive iteration in tests and JSON.
-    pub const ALL: [Topology; 5] = [
-        Topology::FatTree,
-        Topology::Hypercube4D,
-        Topology::Crossbar,
-        Topology::Ixs,
-        Topology::Torus2D,
-    ];
-}
-
-impl ToJson for Topology {
-    fn to_json(&self) -> Json {
-        Json::Str(self.label().to_string())
-    }
-}
-
-impl FromJson for Topology {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let s = v.as_str().ok_or_else(|| JsonError::new("topology must be a string"))?;
-        Topology::ALL
-            .into_iter()
-            .find(|t| t.label() == s)
-            .ok_or_else(|| JsonError::new(format!("unknown topology '{s}'")))
-    }
+    /// Every topology variant, for exhaustive iteration in tests.
+    pub const ALL: [Topology; 4] =
+        [Topology::FatTree, Topology::Hypercube4D, Topology::Crossbar, Topology::Ixs];
 }
 
 #[cfg(test)]
@@ -115,7 +85,7 @@ mod tests {
 
     #[test]
     fn hop_counts_grow_with_system_size() {
-        for topo in [Topology::FatTree, Topology::Hypercube4D, Topology::Torus2D] {
+        for topo in [Topology::FatTree, Topology::Hypercube4D] {
             assert!(
                 topo.avg_hops(1024) >= topo.avg_hops(16),
                 "{topo:?} hops should not shrink with size"
@@ -129,35 +99,15 @@ mod tests {
     }
 
     #[test]
-    fn torus_contention_exceeds_fat_tree_at_scale() {
-        assert!(
-            Topology::Torus2D.alltoall_contention(1024)
-                > Topology::FatTree.alltoall_contention(1024)
-        );
-    }
-
-    #[test]
     fn neighbor_patterns_are_uncontended_everywhere() {
-        for topo in [
-            Topology::FatTree,
-            Topology::Hypercube4D,
-            Topology::Crossbar,
-            Topology::Ixs,
-            Topology::Torus2D,
-        ] {
+        for topo in Topology::ALL {
             assert_eq!(topo.neighbor_contention(), 1.0);
         }
     }
 
     #[test]
     fn labels_are_distinct() {
-        let labels = [
-            Topology::FatTree.label(),
-            Topology::Hypercube4D.label(),
-            Topology::Crossbar.label(),
-            Topology::Ixs.label(),
-            Topology::Torus2D.label(),
-        ];
+        let labels = Topology::ALL.map(Topology::label);
         for (i, a) in labels.iter().enumerate() {
             for b in &labels[i + 1..] {
                 assert_ne!(a, b);
@@ -166,19 +116,8 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_every_variant() {
-        for t in Topology::ALL {
-            let j = t.to_json();
-            let parsed = Json::parse(&j.emit()).unwrap();
-            assert_eq!(Topology::from_json(&parsed).unwrap(), t);
-        }
-        assert!(Topology::from_json(&Json::Str("Mesh".into())).is_err());
-        assert!(Topology::from_json(&Json::Num(1.0)).is_err());
-    }
-
-    #[test]
     fn degenerate_small_systems_do_not_panic() {
-        for topo in [Topology::FatTree, Topology::Hypercube4D, Topology::Torus2D] {
+        for topo in [Topology::FatTree, Topology::Hypercube4D] {
             assert!(topo.avg_hops(1) >= 0.0);
             assert!(topo.alltoall_contention(1) >= 1.0);
         }

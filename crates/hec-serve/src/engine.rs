@@ -168,15 +168,10 @@ fn eval_4ssp(w: &WorkloadProfile) -> Cell {
         match ev {
             Halo { bytes, .. } => *bytes /= 4.0,
             Allreduce { procs, .. } => *procs *= 4.0,
-            Alltoall { procs, bytes_per_pair } => {
-                *procs *= 4.0;
-                *bytes_per_pair /= 16.0; // per-rank volume /4, pairs ×4
-            }
             Transpose { procs, bytes_per_rank } => {
                 *procs *= 4.0;
                 *bytes_per_rank /= 4.0;
             }
-            Bcast { procs, .. } => *procs *= 4.0,
         }
     }
     let p = predict(&ssp, &quarter);
@@ -349,26 +344,6 @@ pub fn rows(app: AppId) -> Vec<Row> {
             Row { procs: rs.procs, label: rs.label, cells }
         })
         .collect()
-}
-
-/// Table 3 / Figures 3–4: FVCAM on the D mesh.
-pub fn fvcam_rows() -> Vec<Row> {
-    rows(AppId::Fvcam)
-}
-
-/// Table 4: GTC weak scaling (3.2 M particles per processor).
-pub fn gtc_rows() -> Vec<Row> {
-    rows(AppId::Gtc)
-}
-
-/// Table 5: LBMHD3D at 256³–1024³.
-pub fn lbmhd_rows() -> Vec<Row> {
-    rows(AppId::Lbmhd)
-}
-
-/// Table 6: PARATEC, 488-atom CdSe dot, 3 CG steps.
-pub fn paratec_rows() -> Vec<Row> {
-    rows(AppId::Paratec)
 }
 
 #[cfg(test)]

@@ -448,13 +448,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
-/// Complex inner product `⟨x, y⟩ = Σ conj(x_i) y_i`.
-#[inline]
-pub fn zdotc(x: &[Complex64], y: &[Complex64]) -> Complex64 {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y).fold(Complex64::ZERO, |acc, (a, b)| acc.mul_add(a.conj(), *b))
-}
-
 /// `y ← y + alpha x`.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -575,19 +568,6 @@ mod tests {
         axpy(2.0, &x, &mut y);
         assert_eq!(y, vec![6.0, 9.0, 12.0]);
         assert!((nrm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn zdotc_is_conjugate_linear_in_first_arg() {
-        let x = vec![Complex64::new(1.0, 2.0), Complex64::new(-0.5, 0.25)];
-        let y = vec![Complex64::new(0.5, -1.0), Complex64::new(2.0, 2.0)];
-        let d = zdotc(&x, &y);
-        let manual = x[0].conj() * y[0] + x[1].conj() * y[1];
-        assert!((d - manual).abs() < 1e-12);
-        // ⟨x, x⟩ is real and equals ‖x‖².
-        let xx = zdotc(&x, &x);
-        assert!(xx.im.abs() < 1e-12);
-        assert!((xx.re - znrm2(&x).powi(2)).abs() < 1e-12);
     }
 
     #[test]

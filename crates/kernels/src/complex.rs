@@ -20,8 +20,6 @@ impl Complex64 {
     pub const ZERO: Complex64 = Complex64 { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
     pub const ONE: Complex64 = Complex64 { re: 1.0, im: 0.0 };
-    /// The imaginary unit.
-    pub const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from real and imaginary parts.
     #[inline(always)]
@@ -59,12 +57,6 @@ impl Complex64 {
         self.norm_sqr().sqrt()
     }
 
-    /// Argument (phase angle) in radians.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiply by a real scalar.
     #[inline(always)]
     pub fn scale(self, s: f64) -> Self {
@@ -78,17 +70,6 @@ impl Complex64 {
         Complex64 {
             re: self.re + a.re * b.re - a.im * b.im,
             im: self.im + a.re * b.im + a.im * b.re,
-        }
-    }
-
-    /// Multiplicative inverse; `None` at the origin.
-    #[inline]
-    pub fn recip(self) -> Option<Self> {
-        let d = self.norm_sqr();
-        if d == 0.0 {
-            None
-        } else {
-            Some(Complex64 { re: self.re / d, im: -self.im / d })
         }
     }
 }
@@ -188,7 +169,7 @@ mod tests {
         assert!(close(z + Complex64::ZERO, z));
         assert!(close(z * Complex64::ONE, z));
         assert!(close(z - z, Complex64::ZERO));
-        assert!(close(z * Complex64::I, Complex64::new(4.0, 3.0)));
+        assert!(close(z * Complex64::new(0.0, 1.0), Complex64::new(4.0, 3.0)));
     }
 
     #[test]
@@ -204,14 +185,6 @@ mod tests {
         let a = Complex64::new(1.5, 2.5);
         let b = Complex64::new(-0.5, 4.0);
         assert!(close(a * b / b, a));
-    }
-
-    #[test]
-    fn recip_matches_division() {
-        let z = Complex64::new(2.0, -1.0);
-        let r = z.recip().unwrap();
-        assert!(close(z * r, Complex64::ONE));
-        assert!(Complex64::ZERO.recip().is_none());
     }
 
     #[test]

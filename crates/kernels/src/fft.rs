@@ -533,11 +533,6 @@ pub fn fft(data: &mut [Complex64]) {
     FftPlan::new(data.len()).execute(data, Direction::Forward);
 }
 
-/// Convenience one-shot inverse transform (plans and executes).
-pub fn ifft(data: &mut [Complex64]) {
-    FftPlan::new(data.len()).execute(data, Direction::Inverse);
-}
-
 /// Naive O(n²) DFT used as the correctness oracle in tests.
 pub fn dft_reference(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
     let n = input.len();

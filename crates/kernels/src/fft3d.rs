@@ -177,16 +177,6 @@ impl Fft3Plan {
     }
 }
 
-/// One-shot forward 3D FFT.
-pub fn fft3(g: &mut Grid3) {
-    Fft3Plan::new(g.nx, g.ny, g.nz).execute(g, Direction::Forward);
-}
-
-/// One-shot inverse 3D FFT.
-pub fn ifft3(g: &mut Grid3) {
-    Fft3Plan::new(g.nx, g.ny, g.nz).execute(g, Direction::Inverse);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,8 +199,9 @@ mod tests {
         let mut g = Grid3::zeros(8, 6, 10);
         fill(&mut g);
         let orig = g.clone();
-        fft3(&mut g);
-        ifft3(&mut g);
+        let plan = Fft3Plan::new(8, 6, 10);
+        plan.execute(&mut g, Direction::Forward);
+        plan.execute(&mut g, Direction::Inverse);
         for (a, b) in g.data.iter().zip(&orig.data) {
             assert!((*a - *b).abs() < 1e-10);
         }
@@ -236,7 +227,7 @@ mod tests {
                 }
             }
         }
-        fft3(&mut g);
+        Fft3Plan::new(nx, ny, nz).execute(&mut g, Direction::Forward);
         let total = (nx * ny * nz) as f64;
         for k in 0..nz {
             for j in 0..ny {
@@ -257,7 +248,7 @@ mod tests {
         let mut g = Grid3::zeros(6, 9, 5); // lengths for the Stockham mixed-radix path
         fill(&mut g);
         let e_time: f64 = g.data.iter().map(|z| z.norm_sqr()).sum();
-        fft3(&mut g);
+        Fft3Plan::new(6, 9, 5).execute(&mut g, Direction::Forward);
         let e_freq: f64 = g.data.iter().map(|z| z.norm_sqr()).sum::<f64>() / g.len() as f64;
         assert!((e_time - e_freq).abs() < 1e-8 * e_time.max(1.0));
     }

@@ -13,9 +13,9 @@
 //! * [`fft3d`] — local (single address space) 3D FFT over a dense cube,
 //!   pencil-at-a-time, used as the reference for the distributed transforms.
 //! * [`blas`] — blocked `dgemm`/`zgemm`, `dot`/`axpy`/`norm` level-1 helpers.
-//! * [`solve`] — conjugate-gradient and tridiagonal (Thomas) solvers.
-//! * [`stream`] — STREAM-style triad/copy microkernels used to sanity-check
-//!   the memory-bandwidth terms of the architectural model.
+//! * [`solve`] — the conjugate-gradient solver.
+//! * [`stream`] — the STREAM triad microkernel, in the units of the
+//!   memory-bandwidth terms of the architectural model.
 
 pub mod blas;
 pub mod complex;

@@ -1,8 +1,7 @@
-//! Iterative and direct solvers shared by the applications.
+//! The conjugate-gradient solver shared by the applications.
 //!
 //! GTC's Poisson solve on each poloidal plane and PARATEC's Kohn–Sham
-//! minimization are both built on conjugate-gradient iterations; FVCAM's
-//! vertical remap uses tridiagonal solves.
+//! minimization are both built on conjugate-gradient iterations.
 
 use crate::blas::{axpy, dot, nrm2};
 
@@ -68,41 +67,6 @@ where
         }
     }
     CgResult { iterations: max_iter, residual: rr.sqrt(), converged: rr.sqrt() <= target }
-}
-
-/// Solves a tridiagonal system with the Thomas algorithm.
-///
-/// `lower[0]` and `upper[n-1]` are ignored. Returns `None` when a pivot
-/// vanishes (system not diagonally dominant enough).
-pub fn thomas(lower: &[f64], diag: &[f64], upper: &[f64], rhs: &[f64]) -> Option<Vec<f64>> {
-    let n = diag.len();
-    assert_eq!(lower.len(), n);
-    assert_eq!(upper.len(), n);
-    assert_eq!(rhs.len(), n);
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    let mut c = vec![0.0; n];
-    let mut d = vec![0.0; n];
-    if diag[0] == 0.0 {
-        return None;
-    }
-    c[0] = upper[0] / diag[0];
-    d[0] = rhs[0] / diag[0];
-    for i in 1..n {
-        let m = diag[i] - lower[i] * c[i - 1];
-        if m == 0.0 {
-            return None;
-        }
-        c[i] = upper[i] / m;
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / m;
-    }
-    let mut x = d;
-    for i in (0..n - 1).rev() {
-        let xi = x[i] - c[i] * x[i + 1];
-        x[i] = xi;
-    }
-    Some(x)
 }
 
 #[cfg(test)]
@@ -171,39 +135,5 @@ mod tests {
         let mut x = vec![0.0; n];
         let res = conjugate_gradient(dense_apply(&a, n), &b, &mut x, 1e-10, n + 2);
         assert!(res.converged);
-    }
-
-    #[test]
-    fn thomas_matches_direct_solution() {
-        let n = 10;
-        let lower = vec![-1.0; n];
-        let diag = vec![2.5; n];
-        let upper = vec![-1.0; n];
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-        // rhs = A x_true
-        let mut rhs = vec![0.0; n];
-        for i in 0..n {
-            rhs[i] = diag[i] * x_true[i];
-            if i > 0 {
-                rhs[i] += lower[i] * x_true[i - 1];
-            }
-            if i + 1 < n {
-                rhs[i] += upper[i] * x_true[i + 1];
-            }
-        }
-        let x = thomas(&lower, &diag, &upper, &rhs).unwrap();
-        for (a, b) in x.iter().zip(&x_true) {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn thomas_rejects_singular_pivot() {
-        assert!(thomas(&[0.0, 1.0], &[0.0, 1.0], &[0.0, 0.0], &[1.0, 1.0]).is_none());
-    }
-
-    #[test]
-    fn thomas_empty_system() {
-        assert_eq!(thomas(&[], &[], &[], &[]), Some(vec![]));
     }
 }

@@ -1,10 +1,10 @@
-//! STREAM-style memory microkernels.
+//! The STREAM triad microkernel.
 //!
 //! Table 1 of the paper characterizes every platform by its measured
 //! EP-STREAM triad bandwidth; the architectural model's memory terms are
-//! expressed in the same units. These kernels let the test-suite measure the
-//! *host* machine's triad bandwidth and verify that the model's
-//! bytes-per-iteration accounting is exact.
+//! expressed in the same units. The benchmark times [`triad`] to state the
+//! *host* machine's bandwidth, and the probe counts of [`triad_with`] hold
+//! the model's bytes-per-iteration accounting exact.
 
 use hec_core::probe::{self, Counters};
 
@@ -58,95 +58,6 @@ pub fn triad_with(threads: &hec_core::pool::Threads, a: &mut [f64], b: &[f64], c
     });
 }
 
-/// STREAM copy: `a[i] = b[i]`.
-pub fn copy(a: &mut [f64], b: &[f64]) {
-    assert_eq!(a.len(), b.len());
-    a.copy_from_slice(b);
-}
-
-/// STREAM scale: `a[i] = q * b[i]`.
-pub fn scale(a: &mut [f64], b: &[f64], q: f64) {
-    assert_eq!(a.len(), b.len());
-    for (ai, bi) in a.iter_mut().zip(b) {
-        *ai = q * *bi;
-    }
-}
-
-/// STREAM sum: `a[i] = b[i] + c[i]`.
-pub fn add(a: &mut [f64], b: &[f64], c: &[f64]) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), c.len());
-    for ((ai, bi), ci) in a.iter_mut().zip(b).zip(c) {
-        *ai = *bi + *ci;
-    }
-}
-
-/// Gather kernel `a[i] = b[idx[i]]` — the random-access pattern of GTC's
-/// field interpolation. Returns the number of gathered elements.
-pub fn gather(a: &mut [f64], b: &[f64], idx: &[usize]) -> usize {
-    assert_eq!(a.len(), idx.len());
-    for (ai, &j) in a.iter_mut().zip(idx) {
-        *ai = b[j];
-    }
-    let n = idx.len() as u64;
-    probe::count(
-        "kernels/gather",
-        Counters {
-            // Index read + destination write stream; source reads are random.
-            unit_stride_bytes: n * 16,
-            gather_scatter_bytes: n * 8,
-            gather_scatter_ops: n,
-            vector_iters: n,
-            vector_loops: 1,
-            ..Default::default()
-        },
-    );
-    idx.len()
-}
-
-/// Scatter-add kernel `b[idx[i]] += a[i]` — the charge-deposition pattern.
-/// Returns the number of scattered elements.
-pub fn scatter_add(a: &[f64], b: &mut [f64], idx: &[usize]) -> usize {
-    assert_eq!(a.len(), idx.len());
-    for (ai, &j) in a.iter().zip(idx) {
-        b[j] += *ai;
-    }
-    let n = idx.len() as u64;
-    probe::count(
-        "kernels/scatter-add",
-        Counters {
-            flops: n,
-            // Value + index read streams; grid points are read-modify-write
-            // at random addresses.
-            unit_stride_bytes: n * 16,
-            gather_scatter_bytes: n * 16,
-            gather_scatter_ops: n,
-            vector_iters: n,
-            vector_loops: 1,
-            ..Default::default()
-        },
-    );
-    idx.len()
-}
-
-/// Measures triad bandwidth on the host in GB/s over `n` elements and
-/// `reps` repetitions. Used only for reporting, never for model input.
-pub fn measure_triad_gbps(n: usize, reps: usize) -> f64 {
-    let b = vec![1.0f64; n];
-    let c = vec![2.0f64; n];
-    let mut a = vec![0.0f64; n];
-    // Warm-up pass so page faults don't pollute the timing.
-    triad(&mut a, &b, &c, 3.0);
-    let start = std::time::Instant::now();
-    for _ in 0..reps {
-        triad(&mut a, &b, &c, 3.0);
-    }
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    // The checksum keeps the optimizer from discarding the loop.
-    std::hint::black_box(a[n / 2]);
-    (n * reps * TRIAD_BYTES_PER_ELEM) as f64 / secs / 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,50 +69,6 @@ mod tests {
         let mut a = vec![0.0; 3];
         triad(&mut a, &b, &c, 0.5);
         assert_eq!(a, vec![6.0, 12.0, 18.0]);
-    }
-
-    #[test]
-    fn copy_scale_add() {
-        let b = vec![1.0, -2.0, 4.0];
-        let c = vec![0.5, 0.5, 0.5];
-        let mut a = vec![0.0; 3];
-        copy(&mut a, &b);
-        assert_eq!(a, b);
-        scale(&mut a, &b, -1.0);
-        assert_eq!(a, vec![-1.0, 2.0, -4.0]);
-        add(&mut a, &b, &c);
-        assert_eq!(a, vec![1.5, -1.5, 4.5]);
-    }
-
-    #[test]
-    fn gather_scatter_round_trip() {
-        let src = vec![10.0, 20.0, 30.0, 40.0];
-        let idx = vec![3, 0, 2, 1];
-        let mut dst = vec![0.0; 4];
-        assert_eq!(gather(&mut dst, &src, &idx), 4);
-        assert_eq!(dst, vec![40.0, 10.0, 30.0, 20.0]);
-
-        let mut acc = vec![0.0; 4];
-        assert_eq!(scatter_add(&dst, &mut acc, &idx), 4);
-        // Scatter through the same permutation restores the original order.
-        assert_eq!(acc, src);
-    }
-
-    #[test]
-    fn scatter_add_accumulates_collisions() {
-        // Two particles deposit on the same grid point — the memory-conflict
-        // case the work-vector method exists to avoid on vector hardware.
-        let vals = vec![1.0, 2.0, 3.0];
-        let idx = vec![1, 1, 1];
-        let mut grid = vec![0.0; 2];
-        scatter_add(&vals, &mut grid, &idx);
-        assert_eq!(grid, vec![0.0, 6.0]);
-    }
-
-    #[test]
-    fn measured_bandwidth_is_finite_and_positive() {
-        let gbps = measure_triad_gbps(1 << 12, 4);
-        assert!(gbps.is_finite() && gbps > 0.0);
     }
 
     #[test]

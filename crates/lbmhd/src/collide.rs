@@ -119,16 +119,6 @@ pub fn equilibrium(rho: f64, u: [f64; 3], b: [f64; 3]) -> ([f64; Q], [[f64; 3]; 
     (feq, geq)
 }
 
-/// One fused collide+stream step: reads `src` (whose halo must be current)
-/// and writes the interior of `dst`. Returns the number of interior points
-/// updated (× [`FLOPS_PER_POINT`] gives the step's flop count).
-///
-/// Resolves the worker count from the environment; [`step_with`] takes an
-/// explicit [`Threads`] handle.
-pub fn step(src: &Block, dst: &mut Block, omega: f64, omega_m: f64) -> usize {
-    step_with(&Threads::from_env(), src, dst, omega, omega_m)
-}
-
 /// Per-line scratch lanes (a padded x-line each, `nx` used): ρ, ρu (3),
 /// B (3), u (3), Π (9), tr Π, cᵢ·u, cᵢ·B.
 const SCRATCH_LANES: usize = 22;
@@ -253,10 +243,14 @@ fn collide_line(
     }
 }
 
-/// [`step`] with an explicit worker handle. Workers own disjoint z-slabs,
-/// each one contiguous window of `dst`, so every worker streams straight
-/// into `dst` — no intermediate rows, no commit pass — and the result is
-/// bitwise identical for every worker count.
+/// One fused collide+stream step: reads `src` (whose halo must be current)
+/// and writes the interior of `dst`. Returns the number of interior points
+/// updated (× [`FLOPS_PER_POINT`] gives the step's flop count).
+///
+/// Workers own disjoint z-slabs, each one contiguous window of `dst`, so
+/// every worker streams straight into `dst` — no intermediate rows, no
+/// commit pass — and the result is bitwise identical for every worker
+/// count.
 pub fn step_with(
     threads: &Threads,
     src: &Block,
@@ -427,7 +421,7 @@ mod tests {
         set_equilibrium(&mut src, |_, _, _| m);
         wrap_halo(&mut src);
         let mut dst = Block::zeros(4, 4, 4);
-        step(&src, &mut dst, 1.0, 1.0);
+        step_with(&Threads::from_env(), &src, &mut dst, 1.0, 1.0);
         for k in 0..4 {
             for j in 0..4 {
                 for i in 0..4 {
@@ -461,7 +455,7 @@ mod tests {
         let before = src.totals();
         let mut dst = Block::zeros(n, n, n);
         wrap_halo(&mut src);
-        step(&src, &mut dst, 1.8, 1.2);
+        step_with(&Threads::from_env(), &src, &mut dst, 1.8, 1.2);
         let after = dst.totals();
         assert!((before.rho - after.rho).abs() < 1e-10, "mass");
         for a in 0..3 {
@@ -486,7 +480,7 @@ mod tests {
         }
         wrap_halo(&mut src);
         let mut dst = Block::zeros(n, n, n);
-        step(&src, &mut dst, 0.0, 0.0);
+        step_with(&Threads::from_env(), &src, &mut dst, 0.0, 0.0);
         for q in 0..Q {
             let mut a: Vec<f64> = interior().map(|(i, j, k)| src.at(q, i, j, k)).collect();
             let mut b: Vec<f64> = interior().map(|(i, j, k)| dst.at(q, i, j, k)).collect();

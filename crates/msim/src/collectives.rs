@@ -7,7 +7,7 @@
 //! shapes matter only because the captured traffic volumes should look like
 //! real MPI traffic.
 
-use crate::comm::{Comm, Payload};
+use crate::comm::Comm;
 use crate::traffic::{CollectiveKind, CollectiveRecord};
 
 /// Element-wise reduction operators for `allreduce`.
@@ -56,7 +56,7 @@ impl Comm {
         while dist < p {
             let to = (self.rank() + dist) % p;
             let from = (self.rank() + p - dist) % p;
-            self.send_coll(to, tag, Payload::Bytes(Vec::new()));
+            self.send_coll(to, tag, Vec::new());
             let _ = self.recv_internal(from, tag);
             dist *= 2;
         }
@@ -83,10 +83,7 @@ impl Comm {
             // Binomial tree: parent is vrank with its lowest set bit cleared.
             let parent_v = vrank & (vrank - 1);
             let parent = (parent_v + root) % p;
-            let Payload::F64(v) = self.recv_internal(parent, tag) else {
-                panic!("bcast type mismatch")
-            };
-            *data = v;
+            *data = self.recv_internal(parent, tag);
         }
         // Children: vrank + 2^k for k above vrank's lowest set bit range.
         let mut mask = 1usize;
@@ -95,7 +92,7 @@ impl Comm {
                 let child_v = vrank | mask;
                 if child_v < p {
                     let child = (child_v + root) % p;
-                    self.send_coll(child, tag, Payload::F64(data.clone()));
+                    self.send_coll(child, tag, data.clone());
                 }
             }
             mask <<= 1;
@@ -121,14 +118,12 @@ impl Comm {
         while mask < p {
             if self.rank() & mask != 0 {
                 let dst = self.rank() & !mask;
-                self.send_coll(dst, tag, Payload::F64(data.clone()));
+                self.send_coll(dst, tag, data.clone());
                 break;
             } else {
                 let src = self.rank() | mask;
                 if src < p {
-                    let Payload::F64(v) = self.recv_internal(src, tag) else {
-                        panic!("allreduce type mismatch")
-                    };
+                    let v = self.recv_internal(src, tag);
                     op.apply(data, &v);
                 }
             }
@@ -162,17 +157,14 @@ impl Comm {
         let tag = self.next_coll_tag();
         for dst in 0..p {
             if dst != self.rank() {
-                self.send_coll(dst, tag, Payload::F64(send[dst].clone()));
+                self.send_coll(dst, tag, send[dst].clone());
             }
         }
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
         out[self.rank()] = send[self.rank()].clone();
         for src in 0..p {
             if src != self.rank() {
-                let Payload::F64(v) = self.recv_internal(src, tag) else {
-                    panic!("alltoall type mismatch")
-                };
-                out[src] = v;
+                out[src] = self.recv_internal(src, tag);
             }
         }
         if self.rank() == 0 {
@@ -181,36 +173,6 @@ impl Comm {
                 kind: CollectiveKind::Alltoall,
                 comm_size: p,
                 bytes,
-            });
-        }
-        out
-    }
-
-    /// Allgather: every rank contributes `mine`, every rank receives all
-    /// contributions in rank order.
-    pub fn allgather_f64(&mut self, mine: &[f64]) -> Vec<Vec<f64>> {
-        let p = self.size();
-        let tag = self.next_coll_tag();
-        for dst in 0..p {
-            if dst != self.rank() {
-                self.send_coll(dst, tag, Payload::F64(mine.to_vec()));
-            }
-        }
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-        out[self.rank()] = mine.to_vec();
-        for src in 0..p {
-            if src != self.rank() {
-                let Payload::F64(v) = self.recv_internal(src, tag) else {
-                    panic!("allgather type mismatch")
-                };
-                out[src] = v;
-            }
-        }
-        if self.rank() == 0 {
-            self.traffic().record_collective(CollectiveRecord {
-                kind: CollectiveKind::Allgather,
-                comm_size: p,
-                bytes: mine.len() * 8,
             });
         }
         out
@@ -296,20 +258,6 @@ mod tests {
         for (d, recv) in out.iter().enumerate() {
             for (r, block) in recv.iter().enumerate() {
                 assert_eq!(block, &vec![(100 * r + d) as f64]);
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_collects_in_rank_order() {
-        let out = run(6, |c| {
-            let mine = vec![c.rank() as f64 * 2.0];
-            c.allgather_f64(&mine)
-        })
-        .unwrap();
-        for recv in out {
-            for (r, block) in recv.iter().enumerate() {
-                assert_eq!(block, &vec![r as f64 * 2.0]);
             }
         }
     }

@@ -15,36 +15,17 @@ use hec_core::sync::{Condvar, Mutex};
 
 use crate::traffic::TrafficMatrix;
 
-/// Message payload. The applications exchange dense `f64` blocks almost
-/// exclusively; a raw byte variant covers everything else.
-#[derive(Clone, Debug)]
-pub enum Payload {
-    /// Dense doubles (grid blocks, particle coordinates, spectral columns).
-    F64(Vec<f64>),
-    /// Raw bytes (headers, counts, serialized metadata).
-    Bytes(Vec<u8>),
-}
-
-impl Payload {
-    fn size_bytes(&self) -> usize {
-        match self {
-            Payload::F64(v) => v.len() * 8,
-            Payload::Bytes(v) => v.len(),
-        }
-    }
-}
-
 /// Matching key: (source world rank, communicator id, tag).
 type Key = (usize, u64, u64);
 
 #[derive(Default)]
 struct Mailbox {
-    queues: Mutex<HashMap<Key, VecDeque<Payload>>>,
+    queues: Mutex<HashMap<Key, VecDeque<Vec<f64>>>>,
     cv: Condvar,
 }
 
 impl Mailbox {
-    fn push(&self, key: Key, payload: Payload) {
+    fn push(&self, key: Key, payload: Vec<f64>) {
         self.queues.lock().entry(key).or_default().push_back(payload);
         self.cv.notify_all();
     }
@@ -53,7 +34,7 @@ impl Mailbox {
     /// (another rank panicked), panics instead of waiting forever — this is
     /// what turns one rank's failure into a clean whole-job [`RunError`]
     /// rather than a deadlock.
-    fn pop_blocking(&self, key: Key, poisoned: &AtomicBool) -> Payload {
+    fn pop_blocking(&self, key: Key, poisoned: &AtomicBool) -> Vec<f64> {
         let mut q = self.queues.lock();
         loop {
             if let Some(dq) = q.get_mut(&key) {
@@ -138,23 +119,18 @@ impl Comm {
         &self.world.traffic
     }
 
-    fn send_payload(&self, dst: usize, tag: u64, payload: Payload) {
-        assert!(tag & COLL_TAG_BIT == 0, "tag {tag:#x} collides with reserved space");
-        self.send_internal(dst, tag, payload);
-    }
-
-    pub(crate) fn send_internal(&self, dst: usize, tag: u64, payload: Payload) {
+    pub(crate) fn send_internal(&self, dst: usize, tag: u64, payload: Vec<f64>) {
         let src_w = self.members[self.rank];
         let dst_w = self.members[dst];
         // Zero-byte control tokens (barrier rounds) carry no data volume
         // and are excluded from the traffic matrix, as in IPM captures.
-        if src_w != dst_w && payload.size_bytes() > 0 {
-            self.world.traffic.record(src_w, dst_w, payload.size_bytes());
+        if src_w != dst_w && !payload.is_empty() {
+            self.world.traffic.record(src_w, dst_w, payload.len() * 8);
         }
         self.world.mailboxes[dst_w].push((src_w, self.id, tag), payload);
     }
 
-    pub(crate) fn recv_internal(&self, src: usize, tag: u64) -> Payload {
+    pub(crate) fn recv_internal(&self, src: usize, tag: u64) -> Vec<f64> {
         let src_w = self.members[src];
         let me_w = self.members[self.rank];
         self.world.mailboxes[me_w].pop_blocking((src_w, self.id, tag), &self.world.poisoned)
@@ -169,34 +145,13 @@ impl Comm {
     /// itself moves into the receiver's mailbox (and comes out of its
     /// `recv_f64`), so nothing is copied or allocated.
     pub fn send_vec_f64(&self, dst: usize, tag: u64, data: Vec<f64>) {
-        self.send_payload(dst, tag, Payload::F64(data));
-    }
-
-    /// Buffered send of raw bytes to communicator rank `dst`.
-    pub fn send_bytes(&self, dst: usize, tag: u64, data: &[u8]) {
-        self.send_payload(dst, tag, Payload::Bytes(data.to_vec()));
+        assert!(tag & COLL_TAG_BIT == 0, "tag {tag:#x} collides with reserved space");
+        self.send_internal(dst, tag, data);
     }
 
     /// Blocking receive of a block of doubles from communicator rank `src`.
-    ///
-    /// # Panics
-    /// Panics if the matching message holds bytes instead of doubles.
     pub fn recv_f64(&self, src: usize, tag: u64) -> Vec<f64> {
-        match self.recv_internal(src, tag) {
-            Payload::F64(v) => v,
-            Payload::Bytes(_) => panic!("type mismatch: expected F64 from {src} tag {tag}"),
-        }
-    }
-
-    /// Blocking receive of raw bytes from communicator rank `src`.
-    ///
-    /// # Panics
-    /// Panics if the matching message holds doubles instead of bytes.
-    pub fn recv_bytes(&self, src: usize, tag: u64) -> Vec<u8> {
-        match self.recv_internal(src, tag) {
-            Payload::Bytes(v) => v,
-            Payload::F64(_) => panic!("type mismatch: expected Bytes from {src} tag {tag}"),
-        }
+        self.recv_internal(src, tag)
     }
 
     /// Combined exchange: send `data` to `dst` and receive from `src` with
@@ -213,7 +168,7 @@ impl Comm {
         t
     }
 
-    pub(crate) fn send_coll(&self, dst: usize, tag: u64, payload: Payload) {
+    pub(crate) fn send_coll(&self, dst: usize, tag: u64, payload: Vec<f64>) {
         self.send_internal(dst, tag, payload);
     }
 
@@ -227,16 +182,14 @@ impl Comm {
         let my = [color as f64, key as f64];
         for r in 0..self.size() {
             if r != self.rank {
-                self.send_internal(r, tag, Payload::F64(my.to_vec()));
+                self.send_internal(r, tag, my.to_vec());
             }
         }
         let mut entries: Vec<(u64, u64, usize)> = Vec::with_capacity(self.size());
         entries.push((color, key, self.rank));
         for r in 0..self.size() {
             if r != self.rank {
-                let Payload::F64(v) = self.recv_internal(r, tag) else {
-                    panic!("split metadata type mismatch")
-                };
+                let v = self.recv_internal(r, tag);
                 entries.push((v[0] as u64, v[1] as u64, r));
             }
         }
@@ -467,20 +420,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out[1], 12.0);
-    }
-
-    #[test]
-    fn bytes_payloads_round_trip() {
-        let out = run(2, |c| {
-            if c.rank() == 0 {
-                c.send_bytes(1, 3, b"hello");
-                Vec::new()
-            } else {
-                c.recv_bytes(0, 3)
-            }
-        })
-        .unwrap();
-        assert_eq!(out[1], b"hello");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`run`] launches `P` ranks, each on its own OS thread, and joins them;
 //! * [`Comm`] is the communicator handle: point-to-point `send`/`recv`,
-//!   `sendrecv`, and the collectives the paper's applications use
-//!   (`barrier`, `bcast`, `allreduce`, `alltoall`, `allgather`), plus
+//!   `sendrecv` of `f64` blocks, and the collectives the paper's
+//!   applications use (`barrier`, `bcast`, `allreduce`, `alltoall`), plus
 //!   `split` for the sub-communicators GTC's particle decomposition needs;
 //! * every byte that crosses ranks is recorded in a [`TrafficMatrix`] —
 //!   this is how Figure 2's communication-volume plots are regenerated, in

@@ -19,8 +19,6 @@ pub enum CollectiveKind {
     Allreduce,
     /// `Comm::alltoall`(v)
     Alltoall,
-    /// `Comm::allgather`
-    Allgather,
 }
 
 /// One collective operation performed by some communicator.

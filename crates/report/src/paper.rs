@@ -7,8 +7,6 @@
 //! *shape* holds: platform ordering, rough ratios, and where scaling rolls
 //! over.
 
-use hec_core::json::{FromJson, Json, JsonError, ToJson};
-
 /// Platform column order used by all the grids below.
 pub const PLATFORMS: [&str; 7] =
     ["Power3", "Itanium2", "Opteron", "X1 (MSP)", "X1 (4-SSP)", "ES", "SX-8"];
@@ -26,39 +24,6 @@ pub struct PaperRow {
 
 fn row(procs: usize, label: &str, g: [Option<f64>; 7]) -> PaperRow {
     PaperRow { procs, label: label.into(), gflops: g }
-}
-
-impl ToJson for PaperRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("procs", Json::Num(self.procs as f64)),
-            ("label", Json::Str(self.label.clone())),
-            // A missing cell ("—" in the paper) emits as null.
-            ("gflops", Json::Arr(self.gflops.iter().map(|g| g.to_json()).collect())),
-        ])
-    }
-}
-
-impl FromJson for PaperRow {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let cells =
-            v.field("gflops")?.as_arr().ok_or_else(|| JsonError::new("gflops must be an array"))?;
-        if cells.len() != 7 {
-            return Err(JsonError::new(format!("expected 7 gflops cells, got {}", cells.len())));
-        }
-        let mut gflops = [None; 7];
-        for (slot, cell) in gflops.iter_mut().zip(cells) {
-            *slot = match cell {
-                Json::Null => None,
-                other => Some(f64::from_json(other)?),
-            };
-        }
-        Ok(PaperRow {
-            procs: usize::from_json(v.field("procs")?)?,
-            label: v.str_field("label")?.to_string(),
-            gflops,
-        })
-    }
 }
 
 /// Paper Table 3 (FVCAM). Platform order here is
@@ -238,21 +203,5 @@ mod tests {
         let b = [Some(1.0), Some(10.0)];
         assert!((typical_ratio(&a, &b) - 2.0).abs() < 1e-12);
         assert_eq!(typical_ratio(&[None], &[None]), 1.0);
-    }
-
-    #[test]
-    fn every_published_row_round_trips_through_json() {
-        for table in [table3(), table4(), table5(), table6()] {
-            for r in table {
-                let text = r.to_json().emit();
-                let back = PaperRow::from_json(&Json::parse(&text).unwrap()).unwrap();
-                assert_eq!(back.procs, r.procs);
-                assert_eq!(back.label, r.label);
-                assert_eq!(back.gflops, r.gflops);
-            }
-        }
-        // Wrong arity is rejected, not silently truncated.
-        let bad = Json::parse(r#"{"procs": 4, "label": "", "gflops": [1.0]}"#).unwrap();
-        assert!(PaperRow::from_json(&bad).is_err());
     }
 }

@@ -31,15 +31,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Formats a `Gflop/P` + `%peak` pair the way the paper's tables do,
-    /// or the em-dash for unavailable configurations.
-    pub fn perf_cell(gflops: Option<f64>, pct: Option<f64>) -> (String, String) {
-        match (gflops, pct) {
-            (Some(g), Some(p)) => (format!("{g:.2}"), format!("{p:.1}")),
-            _ => ("—".into(), "—".into()),
-        }
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -100,12 +91,6 @@ mod tests {
         assert!(lines[1].contains("name") && lines[1].contains("value"));
         // All body lines equal length (alignment).
         assert_eq!(lines[3].len(), lines[4].len());
-    }
-
-    #[test]
-    fn perf_cell_formats_pairs_and_dashes() {
-        assert_eq!(Table::perf_cell(Some(1.234), Some(9.87)), ("1.23".into(), "9.9".into()));
-        assert_eq!(Table::perf_cell(None, None).0, "—");
     }
 
     #[test]

@@ -16,6 +16,11 @@ cargo test -q --offline --workspace --no-fail-fast
 RUSTFLAGS='' CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/portable" \
     cargo test -q --offline -p kernels --lib
 cargo fmt --check
+# Warnings are errors on every target: a private helper or an import that
+# a deletion orphans fails here instead of lingering. A target dir of its
+# own, since RUSTFLAGS would otherwise invalidate the builds above.
+RUSTFLAGS='-D warnings' CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/warnings" \
+    cargo check --offline --workspace --all-targets
 # A doc link to a private, ambiguous or deleted item fails here instead
 # of rotting.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps

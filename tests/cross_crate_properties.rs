@@ -263,7 +263,7 @@ fn lbmhd_stream_is_a_permutation_when_collision_is_off() {
         }
         wrap_halo(&mut src);
         let mut dst = Block::zeros(n, n, n);
-        let updated = lbmhd::collide::step(&src, &mut dst, 0.0, 0.0);
+        let updated = lbmhd::collide::step_with(&Threads::from_env(), &src, &mut dst, 0.0, 0.0);
         assert_eq!(updated, n * n * n);
         for lane in 0..LANES {
             assert_eq!(
@@ -415,11 +415,11 @@ fn distfft_round_trip_is_bitwise_stable_across_threads() {
 }
 
 /// Collective cost models are monotone: more bytes or more processors
-/// never make an allreduce / bcast / alltoall / transpose cheaper, for
+/// never make an allreduce / alltoall / transpose cheaper, for
 /// randomized but physical network parameters over every topology.
 #[test]
 fn collective_costs_are_monotone_in_bytes_and_procs() {
-    use hec_net::collectives::{allreduce_secs, alltoall_secs, bcast_secs, transpose_secs};
+    use hec_net::collectives::{allreduce_secs, alltoall_secs, transpose_secs};
     use hec_net::{NetworkModel, NetworkParams, Topology};
 
     let mut rng = Rng::new(0xC0117EC);
@@ -436,11 +436,10 @@ fn collective_costs_are_monotone_in_bytes_and_procs() {
         let procs = 2 + rng.below(510) as usize;
         let net = NetworkModel::new(params, procs);
         let mut bytes = 8usize;
-        let mut prev = [0.0f64; 4];
+        let mut prev = [0.0f64; 3];
         while bytes <= 1 << 22 {
             let cur = [
                 allreduce_secs(&net, procs, bytes),
-                bcast_secs(&net, procs, bytes),
                 alltoall_secs(&net, procs, bytes),
                 transpose_secs(&net, procs, bytes * procs),
             ];
@@ -455,12 +454,11 @@ fn collective_costs_are_monotone_in_bytes_and_procs() {
         // Monotone in processors at a fixed payload. Power-of-two sizes
         // keep the transpose's per-pair integer division exact.
         let bytes = 1usize << (10 + rng.below(12));
-        let mut prev = [0.0f64; 4];
+        let mut prev = [0.0f64; 3];
         for procs in [1usize, 2, 4, 16, 64, 256, 1024] {
             let net = NetworkModel::new(params, procs);
             let cur = [
                 allreduce_secs(&net, procs, bytes),
-                bcast_secs(&net, procs, bytes),
                 alltoall_secs(&net, procs, bytes),
                 transpose_secs(&net, procs, bytes),
             ];

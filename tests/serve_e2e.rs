@@ -8,7 +8,7 @@
 
 use hec_core::json::Json;
 use hec_serve::client;
-use hec_serve::engine::{AppId, PlatformSel, PointSpec};
+use hec_serve::engine::{self, AppId, PlatformSel, PointSpec};
 use hec_serve::request::Point;
 use hec_serve::server::{self, ServeConfig, Server};
 
@@ -99,9 +99,9 @@ fn served_sweep_matches_bench_experiments_rows_exactly() {
     let want = server::sweep_response_body(AppId::Gtc, |p| p.eval());
     assert_eq!(resp.body, want, "sweep bytes differ from in-process rendering");
     // And numerically: the JSON numbers round-trip to the exact f64s of
-    // bench::experiments::gtc_rows() (shortest-form emission re-parses
-    // to the identical bits).
-    let rows = bench::experiments::gtc_rows();
+    // the Table 4 rows `repro` prints, engine::rows(AppId::Gtc)
+    // (shortest-form emission re-parses to the identical bits).
+    let rows = engine::rows(AppId::Gtc);
     let doc = Json::parse(&resp.body).unwrap();
     let jrows = doc.get("rows").and_then(|r| r.as_arr()).unwrap();
     assert_eq!(jrows.len(), rows.len());
