@@ -12,10 +12,11 @@
 //!
 //! The **work-vector method** (Oliker et al. 2004, adopted by the paper)
 //! gives every vector-register slot a private copy of the grid, scatters
-//! without conflict, and reduces the copies afterwards. We implement both
-//! paths; the replicated one is also what a threaded deposition uses.
+//! without conflict, and reduces the copies afterwards. [`deposit_threaded`]
+//! is that method, with a private copy per chunk of markers rather than
+//! per register slot; [`deposit`] is the plain serial scatter.
 
-use crate::geometry::PoloidalGrid;
+use crate::geometry::{PoloidalGrid, RING_COS, RING_SIN};
 use crate::particles::Particles;
 use hec_core::pool::Threads;
 
@@ -34,9 +35,12 @@ pub const DEPOSIT_CHUNK: usize = 1024;
 /// flags as the work-vector method's cost.
 const MAX_CHUNKS: usize = 64;
 
-/// Flops per marker for deposition, audited from the kernel below: 4 ring
-/// positions (4 adds + 4 trig ≈ 12) + per ring point: locate (6) + corner
-/// weights (6) + 8 weighted adds with plane split (3 each = 24) → 4×36 + 12.
+/// Flops per marker for deposition, audited from the paper's kernel
+/// arithmetic: 4 ring positions (4 adds + 4 trig ≈ 12) + per ring point:
+/// locate (6) + corner weights (6) + 8 weighted adds with plane split
+/// (3 each = 24) → 4×36 + 12. The code below reads the ring's trig from
+/// a table, but the value stays fixed: the model's measured counters
+/// (`PROFILE_gtc.json`, `tests/measured_vs_analytic.rs`) rest on it.
 pub const FLOPS_PER_PARTICLE: f64 = 156.0;
 
 /// Deposits markers' weights onto `charge` (per-plane arrays of one
@@ -74,26 +78,25 @@ fn deposit_range(
         let z = (fz as usize).min(mzeta - 1);
         let wz = fz - z as f64;
         let w_particle = particles.weight[p] * 0.25; // split over 4 ring points
-        let rho = particles.rho[p];
+        let (r0, rho) = (particles.r[p], particles.rho[p]);
+        let r_safe = r0.max(1e-6);
         // 4-point gyro-averaging ring.
         for ring in 0..4 {
-            let angle = ring as f64 * std::f64::consts::FRAC_PI_2;
-            let r = particles.r[p] + rho * angle.cos();
-            let theta = particles.theta[p] + rho * angle.sin() / particles.r[p].max(1e-6);
+            let r = r0 + rho * RING_COS[ring];
+            let theta = particles.theta[p] + rho * RING_SIN[ring] / r_safe;
             let ((i, j), (wr, wt)) = grid.locate(r, theta);
-            let jp = (j + 1) % grid.mtheta;
-            let c00 = (1.0 - wr) * (1.0 - wt) * w_particle;
-            let c10 = wr * (1.0 - wt) * w_particle;
-            let c01 = (1.0 - wr) * wt * w_particle;
-            let c11 = wr * wt * w_particle;
-            let (za, zb) = (z, z + 1);
-            let (wa, wb) = (1.0 - wz, wz);
-            for (cz, cw) in [(za, wa), (zb, wb)] {
+            let corners = grid.corners(i, j);
+            let c = [
+                (1.0 - wr) * (1.0 - wt) * w_particle,
+                wr * (1.0 - wt) * w_particle,
+                (1.0 - wr) * wt * w_particle,
+                wr * wt * w_particle,
+            ];
+            for (cz, cw) in [(z, 1.0 - wz), (z + 1, wz)] {
                 let plane = &mut charge[cz];
-                plane[grid.idx(i, j)] += c00 * cw;
-                plane[grid.idx(i + 1, j)] += c10 * cw;
-                plane[grid.idx(i, jp)] += c01 * cw;
-                plane[grid.idx(i + 1, jp)] += c11 * cw;
+                for (ix, ck) in corners.into_iter().zip(c) {
+                    plane[ix] += ck * cw;
+                }
             }
         }
     }
@@ -155,51 +158,6 @@ pub fn deposit_threaded(
     n
 }
 
-/// Work-vector deposition: scatters into `replicas` private grid copies
-/// (round-robin over markers, the way vector-register slots would) and
-/// reduces them into `charge`. Produces bit-different but numerically
-/// equivalent sums; the memory cost is `replicas ×` the grid — the paper's
-/// explanation of why GTC's vector ports need 2–8× more memory and cannot
-/// also afford OpenMP grid copies.
-///
-/// Returns the number of markers deposited.
-pub fn deposit_work_vector(
-    grid: &PoloidalGrid,
-    particles: &Particles,
-    charge: &mut [Vec<f64>],
-    zeta_lo: f64,
-    dzeta: f64,
-    replicas: usize,
-) -> usize {
-    assert!(replicas > 0, "need at least one replica");
-    let mzeta = charge.len() - 1;
-    let plane_len = grid.len();
-    // Private copies: replicas × planes.
-    let mut private: Vec<Vec<Vec<f64>>> =
-        (0..replicas).map(|_| (0..=mzeta).map(|_| vec![0.0; plane_len]).collect()).collect();
-    // Deal markers round-robin to replicas — the register-slot pattern.
-    for (p, copy) in (0..particles.len()).map(|p| (p, p % replicas)) {
-        let one = single_marker_view(particles, p);
-        deposit(grid, &one, &mut private[copy], zeta_lo, dzeta);
-    }
-    // Reduction of the work-vector copies.
-    for copy in &private {
-        for (z, plane) in copy.iter().enumerate() {
-            for (dst, src) in charge[z].iter_mut().zip(plane) {
-                *dst += *src;
-            }
-        }
-    }
-    particles.len()
-}
-
-/// Borrowless single-marker view used by the work-vector path.
-fn single_marker_view(p: &Particles, i: usize) -> Particles {
-    let mut one = Particles::default();
-    one.push(p.get(i));
-    one
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,21 +183,6 @@ mod tests {
             "deposited {total} vs loaded {}",
             parts.total_weight()
         );
-    }
-
-    #[test]
-    fn work_vector_matches_serial_deposition() {
-        let g = grid();
-        let parts = load_uniform(300, 0.15, 0.85, 0.0, 1.0, 4);
-        let mut serial = empty_planes(&g, 2);
-        deposit(&g, &parts, &mut serial, 0.0, 0.5);
-        for replicas in [1usize, 4, 8] {
-            let mut wv = empty_planes(&g, 2);
-            deposit_work_vector(&g, &parts, &mut wv, 0.0, 0.5, replicas);
-            for (a, b) in serial.iter().flatten().zip(wv.iter().flatten()) {
-                assert!((a - b).abs() < 1e-10, "replicas={replicas}");
-            }
-        }
     }
 
     #[test]

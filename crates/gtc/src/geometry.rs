@@ -6,6 +6,27 @@
 //! toroidal direction never needs more than ~64 planes (paper §4.1) — the
 //! physics, not the algorithm, caps the 1D domain decomposition.
 
+use std::f64::consts::TAU;
+
+/// `cos(ring·π/2)` of the four gyro-ring points: the exact bits libm
+/// returns for `(ring as f64 * FRAC_PI_2).cos()` (π/2 rounds, so ring 1
+/// is 6.1e-17, not 0), held as constants to keep libm out of the stencil.
+pub(crate) const RING_COS: [f64; 4] = [1.0, 6.123233995736766e-17, -1.0, -1.8369701987210297e-16];
+
+/// `sin(ring·π/2)` of the four gyro-ring points, bit for bit as libm.
+pub(crate) const RING_SIN: [f64; 4] = [0.0, 1.0, 1.2246467991473532e-16, -1.0];
+
+/// `x.rem_euclid(TAU)` bit for bit, without `rem_euclid`'s `fmod` call
+/// for an x already in [0, 2π), as nearly every gyro-ring θ is.
+#[inline(always)]
+pub(crate) fn wrap_tau(x: f64) -> f64 {
+    if (0.0..TAU).contains(&x) {
+        x
+    } else {
+        x.rem_euclid(TAU)
+    }
+}
+
 /// The annular poloidal grid shared by all planes.
 #[derive(Clone, Copy, Debug)]
 pub struct PoloidalGrid {
@@ -47,6 +68,16 @@ impl PoloidalGrid {
         i * self.mtheta + (j % self.mtheta)
     }
 
+    /// Linear indices of the bilinear corners `(i, j), (i+1, j), (i, j+1),
+    /// (i+1, j+1)` of the cell [`PoloidalGrid::locate`] returns; `j+1`
+    /// wraps periodically with a branch, not a `%`.
+    #[inline(always)]
+    pub(crate) fn corners(&self, i: usize, j: usize) -> [usize; 4] {
+        debug_assert!(i + 1 < self.mpsi && j < self.mtheta);
+        let (row, jp) = (i * self.mtheta, if j + 1 == self.mtheta { 0 } else { j + 1 });
+        [row + j, row + self.mtheta + j, row + jp, row + self.mtheta + jp]
+    }
+
     /// Radius of radial index `i`.
     pub fn radius(&self, i: usize) -> f64 {
         self.r_inner + i as f64 * self.dr()
@@ -58,12 +89,12 @@ impl PoloidalGrid {
     /// the annulus.
     #[inline]
     pub fn locate(&self, r: f64, theta: f64) -> ((usize, usize), (f64, f64)) {
-        let rr = r.clamp(self.r_inner, self.r_outer - 1e-12 * self.dr());
-        let fi = (rr - self.r_inner) / self.dr();
+        let dr = self.dr();
+        let rr = r.clamp(self.r_inner, self.r_outer - 1e-12 * dr);
+        let fi = (rr - self.r_inner) / dr;
         let i = (fi as usize).min(self.mpsi - 2);
         let wr = fi - i as f64;
-        let t = theta.rem_euclid(std::f64::consts::TAU);
-        let ft = t / self.dtheta();
+        let ft = wrap_tau(theta) / self.dtheta();
         let j = (ft as usize).min(self.mtheta - 1);
         let wt = ft - j as f64;
         ((i, j), (wr, wt))
@@ -176,6 +207,56 @@ mod tests {
         let ((_, j1), _) = g.locate(0.5, 0.1);
         let ((_, j2), _) = g.locate(0.5, 0.1 + std::f64::consts::TAU);
         assert_eq!(j1, j2);
+    }
+
+    #[test]
+    fn wrap_tau_matches_rem_euclid_bit_for_bit() {
+        let below_4pi = f64::from_bits((2.0 * TAU).to_bits() - 1);
+        let edges = [
+            0.0,
+            -0.0,
+            TAU,
+            -TAU,
+            2.0 * TAU,
+            below_4pi,
+            -f64::MIN_POSITIVE,
+            -1e-300,
+            -1e-17,
+            -f64::EPSILON,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e6,
+            -1e6,
+        ];
+        let sweep = (-4000..4000).map(|k| k as f64 * 3.7e-3);
+        for x in edges.into_iter().chain(sweep) {
+            assert_eq!(wrap_tau(x).to_bits(), x.rem_euclid(TAU).to_bits(), "x = {x:e}");
+        }
+        // The tiny negatives round up to TAU itself, as rem_euclid does.
+        assert_eq!(wrap_tau(-1e-17), TAU);
+    }
+
+    #[test]
+    fn ring_tables_hold_libm_bits() {
+        for ring in 0..4 {
+            let angle = std::hint::black_box(ring as f64 * std::f64::consts::FRAC_PI_2);
+            assert_eq!(RING_COS[ring].to_bits(), angle.cos().to_bits(), "cos, ring {ring}");
+            assert_eq!(RING_SIN[ring].to_bits(), angle.sin().to_bits(), "sin, ring {ring}");
+        }
+    }
+
+    #[test]
+    fn corners_match_modular_indices() {
+        let g = grid();
+        for i in 0..g.mpsi - 1 {
+            for j in 0..g.mtheta {
+                let jp = (j + 1) % g.mtheta;
+                let want = [g.idx(i, j), g.idx(i + 1, j), g.idx(i, jp), g.idx(i + 1, jp)];
+                assert_eq!(g.corners(i, j), want, "cell ({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! ES, and (b) added `Allreduce` calls over the sub-communicators to merge
 //! each domain's grid charge. Both are implemented here, as is the
 //! **work-vector deposition** (§4: private grid copies per vector-register
-//! element to break the scatter memory dependency).
+//! element to break the scatter memory dependency), which
+//! [`deposit::deposit_threaded`] applies per chunk of markers.
 //!
 //! Modules:
 //! * [`geometry`] — annular poloidal grid × toroidal planes, field arrays.
 //! * [`particles`] — SoA marker storage and toroidal loading.
-//! * [`deposit`] — gyro-ring charge scatter (serial and work-vector).
+//! * [`deposit`] — gyro-ring charge scatter (serial, and the threaded
+//!   work-vector method).
 //! * [`poisson`] — CG solve of the gyrokinetic Poisson equation per plane.
 //! * [`push`] — field gather and RK2 drift push with δf weight evolution.
 //! * [`sim`] — msim driver wiring the two-level decomposition together.

@@ -66,18 +66,8 @@ impl Particles {
         ]
     }
 
-    /// Serializes markers at `indices` into a flat buffer and removes them
-    /// (descending-index swap-removes keep earlier indices valid).
-    pub fn extract(&mut self, mut indices: Vec<usize>) -> Vec<f64> {
-        indices.sort_unstable_by(|a, b| b.cmp(a));
-        let mut buf = Vec::with_capacity(indices.len() * ATTRS);
-        for i in indices {
-            buf.extend_from_slice(&self.swap_remove(i));
-        }
-        buf
-    }
-
-    /// Appends markers from a flat buffer produced by [`Particles::extract`].
+    /// Appends markers from a flat buffer of [`Particles::swap_remove`]d
+    /// attribute arrays (the toroidal shift's wire format).
     ///
     /// # Panics
     /// Panics if the buffer length is not a multiple of [`ATTRS`].
@@ -198,15 +188,22 @@ mod tests {
     }
 
     #[test]
-    fn extract_absorb_round_trip_preserves_multiset() {
+    fn swap_remove_absorb_round_trip_preserves_multiset() {
         let mut p = load_uniform(50, 0.1, 0.9, 0.0, 1.0, 3);
         let w_before = p.total_weight();
-        let buf = p.extract(vec![0, 10, 49, 25]);
+        // Descending indices, as the shift removes them: a swap-remove
+        // never moves a marker still to be taken.
+        let taken = [49, 25, 10, 0];
+        let want = taken.map(|i| p.get(i));
+        let buf: Vec<f64> = taken.into_iter().flat_map(|i| p.swap_remove(i)).collect();
         assert_eq!(p.len(), 46);
         assert_eq!(buf.len(), 4 * ATTRS);
         let mut q = Particles::default();
         q.absorb(&buf);
         assert_eq!(q.len(), 4);
+        for (k, attrs) in want.iter().enumerate() {
+            assert_eq!(q.get(k).map(f64::to_bits), attrs.map(f64::to_bits), "marker {k}");
+        }
         assert!((p.total_weight() + q.total_weight() - w_before).abs() < 1e-12);
     }
 

@@ -28,26 +28,25 @@ pub const RHO_S2: f64 = 4.0e-3;
 pub fn apply_operator(grid: &PoloidalGrid, x: &[f64], y: &mut [f64]) {
     let (dr, dt) = (grid.dr(), grid.dtheta());
     let (np, nt) = (grid.mpsi, grid.mtheta);
-    for i in 0..np {
+    // Dirichlet walls: identity rows; the CG iterates stay zero there
+    // because the RHS is zeroed too.
+    let last = (np - 1) * nt;
+    y[..nt].copy_from_slice(&x[..nt]);
+    y[last..last + nt].copy_from_slice(&x[last..last + nt]);
+    for i in 1..np - 1 {
         let r = grid.radius(i).max(1e-9);
-        for j in 0..nt {
-            let ix = grid.idx(i, j);
-            if i == 0 || i == np - 1 {
-                // Dirichlet walls: identity row; the CG iterates stay zero
-                // there because the RHS is zeroed too.
-                y[ix] = x[ix];
-                continue;
-            }
-            let jp = (j + 1) % nt;
-            let jm = (j + nt - 1) % nt;
-            // r∇⊥² = ∂r(r ∂r) + 1/r ∂θθ, discretized flux-style: the
-            // coefficient r_{i±1/2} is shared by rows i and i±1, which is
-            // exactly what makes the matrix symmetric.
-            let rp = r + 0.5 * dr;
-            let rm = r - 0.5 * dr;
-            let d2r = (rp * (x[grid.idx(i + 1, j)] - x[ix]) - rm * (x[ix] - x[grid.idx(i - 1, j)]))
-                / (dr * dr);
-            let d2t = (x[grid.idx(i, jp)] - 2.0 * x[ix] + x[grid.idx(i, jm)]) / (r * dt * dt);
+        // r∇⊥² = ∂r(r ∂r) + 1/r ∂θθ, discretized flux-style: the
+        // coefficient r_{i±1/2} is shared by rows i and i±1, which is
+        // exactly what makes the matrix symmetric.
+        let rp = r + 0.5 * dr;
+        let rm = r - 0.5 * dr;
+        let row = i * nt;
+        for ix in row..row + nt {
+            // Periodic θ neighbours.
+            let jp = if ix + 1 == row + nt { row } else { ix + 1 };
+            let jm = if ix == row { row + nt - 1 } else { ix - 1 };
+            let d2r = (rp * (x[ix + nt] - x[ix]) - rm * (x[ix] - x[ix - nt])) / (dr * dr);
+            let d2t = (x[jp] - 2.0 * x[ix] + x[jm]) / (r * dt * dt);
             y[ix] = -RHO_S2 * (d2r + d2t) + r * x[ix];
         }
     }

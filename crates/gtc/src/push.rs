@@ -14,20 +14,22 @@
 //! with B = R₀ = 1 in normalized units and κ the background temperature
 //! gradient drive.
 
-use crate::geometry::{safety_factor, PoloidalGrid};
+use crate::geometry::{safety_factor, PoloidalGrid, RING_COS, RING_SIN};
 use crate::particles::Particles;
 use hec_core::pool::Threads;
 
 /// Background gradient drive for the δf weight equation.
 pub const KAPPA: f64 = 2.0;
 
-/// Flops per marker per gather, audited from the kernel: 4 ring points ×
-/// (locate 6 + corner weights 6 + 2 fields × 8 weighted adds + plane blend
-/// 4) ≈ 4 × 28, plus the ring setup 12.
+/// Flops per marker per gather, audited from the paper's kernel
+/// arithmetic: 4 ring points × (locate 6 + corner weights 6 + 2 fields ×
+/// 8 weighted adds + plane blend 4) ≈ 4 × 28, plus the ring setup 12.
+/// Fixed, like the deposit's count: the model's counters rest on it.
 pub const GATHER_FLOPS_PER_PARTICLE: f64 = 124.0;
 
-/// Flops per marker per RK2 push (two derivative evaluations at ~20 flops
-/// plus the update arithmetic).
+/// Flops per marker per RK2 push, audited from the paper's kernel
+/// arithmetic (two derivative evaluations at ~20 flops plus the update).
+/// Fixed, like the deposit's count: the model's counters rest on it.
 pub const PUSH_FLOPS_PER_PARTICLE: f64 = 58.0;
 
 /// Gathered electric field at each marker.
@@ -78,24 +80,19 @@ fn gather_range(
         let fz = ((particles.zeta[p] - zeta_lo) / dzeta).clamp(0.0, mzeta as f64 - 1e-12);
         let z = (fz as usize).min(mzeta - 1);
         let wz = fz - z as f64;
-        let rho = particles.rho[p];
+        let (r0, rho) = (particles.r[p], particles.rho[p]);
+        let r_safe = r0.max(1e-6);
+        let (ra, rb, ta, tb) = (&e_r[z], &e_r[z + 1], &e_theta[z], &e_theta[z + 1]);
         let mut acc_r = 0.0;
         let mut acc_t = 0.0;
         for ring in 0..4 {
-            let angle = ring as f64 * std::f64::consts::FRAC_PI_2;
-            let r = particles.r[p] + rho * angle.cos();
-            let theta = particles.theta[p] + rho * angle.sin() / particles.r[p].max(1e-6);
+            let r = r0 + rho * RING_COS[ring];
+            let theta = particles.theta[p] + rho * RING_SIN[ring] / r_safe;
             let ((i, j), (wr, wt)) = grid.locate(r, theta);
-            let jp = (j + 1) % grid.mtheta;
-            let c = [
-                (grid.idx(i, j), (1.0 - wr) * (1.0 - wt)),
-                (grid.idx(i + 1, j), wr * (1.0 - wt)),
-                (grid.idx(i, jp), (1.0 - wr) * wt),
-                (grid.idx(i + 1, jp), wr * wt),
-            ];
-            for (ix, w) in c {
-                let blend_r = (1.0 - wz) * e_r[z][ix] + wz * e_r[z + 1][ix];
-                let blend_t = (1.0 - wz) * e_theta[z][ix] + wz * e_theta[z + 1][ix];
+            let c = [(1.0 - wr) * (1.0 - wt), wr * (1.0 - wt), (1.0 - wr) * wt, wr * wt];
+            for (ix, w) in grid.corners(i, j).into_iter().zip(c) {
+                let blend_r = (1.0 - wz) * ra[ix] + wz * rb[ix];
+                let blend_t = (1.0 - wz) * ta[ix] + wz * tb[ix];
                 acc_r += w * blend_r;
                 acc_t += w * blend_t;
             }
@@ -193,6 +190,8 @@ fn push_range(
             r_new = 2.0 * grid.r_outer - r_new;
         }
         r[p] = r_new.clamp(grid.r_inner, grid.r_outer);
+        // Not `geometry::wrap_tau`: a push takes θ out of [0, 2π) too
+        // often for its range test to beat `fmod`.
         theta[p] = (theta[p] + dt * k2[1]).rem_euclid(tau);
         zeta[p] = (zeta[p] + dt * k2[2]).rem_euclid(tau);
         weight[p] += dt * k2[3];

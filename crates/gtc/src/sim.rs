@@ -552,6 +552,43 @@ mod tests {
     }
 
     #[test]
+    fn five_steps_reproduce_golden_state_bits() {
+        // Pins the exact bits of the marker state and of every charge and
+        // potential plane after 5 steps at 2 ranks, with enough markers
+        // for several private-grid deposit chunks. A rewrite of the
+        // stencil arithmetic (deposit, gather, push, Poisson) that moves
+        // any output bit fails here, with or without target-cpu=native.
+        let params = GtcParams {
+            ndomains: 2,
+            mzeta_total: 4,
+            particles_per_domain: 3 * crate::deposit::DEPOSIT_CHUNK + 300,
+            threads: 1,
+            ..Default::default()
+        };
+        let hashes = msim::run(2, move |world| {
+            let mut sim = GtcSim::new(params, world);
+            sim.run(world, 5);
+            // FNV-1a over the little-endian bytes of every value.
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let p = &sim.particles;
+            for v in [&p.r, &p.theta, &p.zeta, &p.weight]
+                .into_iter()
+                .chain(sim.fields.charge.iter())
+                .chain(sim.fields.phi.iter())
+            {
+                for x in v {
+                    for b in x.to_bits().to_le_bytes() {
+                        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+            h
+        })
+        .unwrap();
+        assert_eq!(hashes, [0x9b0c_4f34_981c_0d6d, 0x0f15_da75_0341_09a8], "GTC state bits moved");
+    }
+
+    #[test]
     fn charge_is_conserved_globally() {
         // Total deposited charge across all domains equals total weight
         // (before the push changes weights).
