@@ -8,11 +8,11 @@
 //!   bytes, the artifact schema itself. These are bitwise-deterministic
 //!   by the suite's contracts (thread-invariant counters, one shared
 //!   evaluation core), so *any* drift is a finding, on any host.
-//! * **ignored** — what a clock or a checkout can move: profile span
-//!   wall-times and the provenance half of the stamp (commit, host,
-//!   thread count, creation time, keys older baselines still carry).
-//!   How fast anything runs is measured by `benchmark/` (see its
-//!   README), not gated here.
+//! * **ignored** — what a clock or a checkout can move: the provenance
+//!   half of the stamp (commit, host, thread count, creation time, keys
+//!   older baselines still carry). No artifact records how fast anything
+//!   ran; that is measured by `benchmark/` (see its README), not gated
+//!   here.
 //!
 //! Exit codes (pinned by the golden-fixture tests): `0` clean, `1` any
 //! finding (drift, missing or extra artifact/field), `2` usage or
@@ -50,8 +50,9 @@ enum Class {
 }
 
 /// The field-class table: one place that says what is contract and what
-/// is noise, per artifact family.
-fn classify(file: &str, path: &[String]) -> Class {
+/// is noise. Only the stamp carries noise; every other field of every
+/// artifact family is exact.
+fn classify(path: &[String]) -> Class {
     let named_leaf =
         path.iter().rev().find(|s| !s.starts_with('[')).map(String::as_str).unwrap_or("");
     if path.first().is_some_and(|s| s == "meta") {
@@ -63,16 +64,6 @@ fn classify(file: &str, path: &[String]) -> Class {
             _ => Class::Ignore,
         };
     }
-    if file.starts_with("TABLE_") || file.starts_with("CANON_") {
-        return Class::Exact;
-    }
-    if file.starts_with("PROFILE_") {
-        // Span wall-times are explicitly outside the deterministic
-        // contract (hec_core::probe); every counter and derived
-        // workload number is inside it.
-        return if path.iter().any(|s| s == "timing") { Class::Ignore } else { Class::Exact };
-    }
-    // Unknown artifact families are held to the strictest standard.
     Class::Exact
 }
 
@@ -149,7 +140,7 @@ impl Differ<'_> {
                 }
             }
             leaf => {
-                if classify(self.file, path) != Class::Ignore {
+                if classify(path) != Class::Ignore {
                     let side = if kind == FindingKind::Missing { "old" } else { "new" };
                     self.push(path, kind, format!("only in {side}: {}", leaf_repr(leaf)));
                 }
@@ -225,7 +216,7 @@ impl Differ<'_> {
                 }
             }
             (ov, nv) => {
-                if classify(self.file, path) == Class::Exact && ov != nv {
+                if classify(path) == Class::Exact && ov != nv {
                     let detail = format!("{} -> {}", leaf_repr(ov), leaf_repr(nv));
                     self.push(path, FindingKind::Drift, detail);
                 }
@@ -348,7 +339,8 @@ mod tests {
     }
 
     #[test]
-    fn profile_timing_spans_are_tolerated() {
+    fn profile_timing_fields_are_exact() {
+        // No field outside the stamp is noise, whatever it is named.
         let mk = |ns: f64| {
             dir_of(&[(
                 "PROFILE_gtc.json",
@@ -356,7 +348,9 @@ mod tests {
             )])
         };
         let r = diff_dirs(&mk(1.0), &mk(9e9));
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].kind, FindingKind::Drift);
+        assert_eq!(r.findings[0].path, "timing.total_ns");
     }
 
     #[test]

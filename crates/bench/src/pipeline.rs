@@ -11,7 +11,7 @@
 //!   in `artifact::eval_queries` (the serving determinism
 //!   contract, byte for byte; exact).
 //! * `PROFILE_<tag>.json` — per-phase calibration captures and derived
-//!   workloads (counters exact, span timings ignored).
+//!   workloads (counters exact).
 //!
 //! Nothing here starts a server or offers load: what a served request
 //! returns under kills, churn and autoscaling is asserted in-process by
@@ -65,7 +65,7 @@ pub fn run_all(dir: &str) -> Result<(), String> {
     w.write("CANON_eval.json", [("responses", Json::Arr(responses))])
         .map_err(|e| format!("cannot write CANON_eval.json: {e}"))?;
 
-    println!("\n== profiles (counters exact, timings ignored) ==");
+    println!("\n== profiles (counters exact) ==");
     crate::profile::run_into(&w);
 
     println!("repro all: artifacts complete in {dir}");

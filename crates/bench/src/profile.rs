@@ -4,9 +4,9 @@
 //! measured Table 3–6 path consumes), derives a representative measured
 //! workload profile from each, and writes one `PROFILE_<app>.json` per
 //! application. Each file carries the raw capture — per-phase
-//! hardware-style counters plus span timings — and the derived
-//! per-processor workload, so profile changes can be diffed across
-//! commits (`repro diff`: counters exact, span timings ignored).
+//! hardware-style counters — and the derived per-processor workload, so
+//! profile changes can be diffed across commits (`repro diff`: every
+//! field exact).
 
 use hec_arch::WorkloadProfile;
 use hec_core::json::{Json, ToJson};
@@ -120,14 +120,9 @@ pub fn run_into(w: &crate::artifact::Writer) {
     for p in collect() {
         println!("== {} ({}) ==", p.app, p.config);
         for (name, cap) in &p.captures {
-            for (phase, c) in cap.deterministic() {
-                let t = cap
-                    .timings
-                    .get(phase)
-                    .map(|s| format!("  {:.3} ms over {} spans", s.total_ns as f64 / 1e6, s.calls))
-                    .unwrap_or_default();
+            for (phase, c) in &cap.counters {
                 println!(
-                    "  {name:<12} {phase:<28} {:>14} flops  {:>14} B unit-stride{t}",
+                    "  {name:<12} {phase:<28} {:>14} flops  {:>14} B unit-stride",
                     c.flops,
                     c.unit_stride_bytes + c.gather_scatter_bytes,
                 );

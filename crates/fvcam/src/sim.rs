@@ -231,24 +231,14 @@ impl FvSim {
         // --- Vertical coupling: a geopotential-like reduction over the Pz
         // level groups of this latitude band (sub-communicator Allreduce in
         // real FVCAM; pairwise here to keep the Figure-2 pattern visible).
+        // The model state does not use the reduced value: the exchange is
+        // kept for its traffic, which Figure 2 measures.
         if self.decomp.pz > 1 {
             let (jz, jy) = self.decomp.coords(self.rank);
             let local_sum: f64 = self.q.iter().map(|b| block_mass(&self.grid, b, self.lat0)).sum();
-            let mut total = local_sum;
-            for kz in 0..self.decomp.pz {
-                if kz == jz {
-                    continue;
-                }
+            for kz in (0..self.decomp.pz).filter(|&kz| kz != jz) {
                 let peer = self.decomp.rank_of(kz, jy);
-                let got = comm.sendrecv_f64(peer, peer, tag + 3, &[local_sum]);
-                total += got[0];
-            }
-            // The coupling value feeds a (tiny) pressure adjustment.
-            let adjust = 1e-12 * total;
-            for b in self.q.iter_mut() {
-                for j in 0..b.nlat {
-                    b.row_mut(j as isize)[0] += adjust * 0.0; // placeholder force, conserves mass
-                }
+                comm.sendrecv_f64(peer, peer, tag + 3, &[local_sum]);
             }
         }
 

@@ -11,12 +11,13 @@
 //!   via [`json::ToJson`]);
 //! * [`sync`] — poison-tolerant `Mutex`/`Condvar` wrappers, replacing
 //!   `parking_lot` (msim ranks unwind through held locks by design);
-//! * [`pool`] — scoped-thread `par_map`/`par_chunks_mut`, replacing
-//!   `rayon` for the OpenMP-style loops of the mini-apps;
-//! * [`probe`] — phase-scoped event counters and wall-clock spans: the
-//!   capture layer the kernels and apps report measured workload
-//!   characteristics through (deterministic `u64` event sums, free when
-//!   disabled);
+//! * [`pool`] — one scoped-thread fork-join (`par_tasks`, with
+//!   `par_map`/`par_chunks_mut` cut onto it), replacing `rayon` for the
+//!   OpenMP-style loops of the mini-apps, plus the serve subsystem's
+//!   bounded `WorkerPool`;
+//! * [`probe`] — phase-scoped event counters: the capture layer the
+//!   kernels and apps report measured workload characteristics through
+//!   (deterministic `u64` event sums, free when disabled);
 //! * [`retry`] — seeded exponential backoff with jitter, so the serve
 //!   client and the cluster router retry transient failures on a delay
 //!   sequence tests can replay exactly.

@@ -3,9 +3,11 @@
 //!
 //! The suite's parallel loops are coarse (z-slabs of a lattice block,
 //! latitude bands of a sphere, particle chunks): a handful of contiguous
-//! chunks handed to scoped threads is all the machinery they need. Work
-//! is split into contiguous chunks — one per worker — so results
-//! concatenate back in input order.
+//! chunks handed to scoped threads is all the machinery they need. There
+//! is one fork-join, [`Threads::par_tasks`]: `par_map` and
+//! `par_chunks_mut` only cut their input into contiguous chunks, one
+//! closure each, and hand those to it, so results concatenate back in
+//! input order.
 //!
 //! Determinism contract: every decomposition here depends only on the
 //! *input size*, never on the worker count, and reductions the callers
@@ -77,11 +79,6 @@ impl Threads {
         self.workers
     }
 
-    /// True when parallel calls run inline on the caller.
-    pub fn is_serial(&self) -> bool {
-        self.workers <= 1
-    }
-
     /// A handle clamped so every worker gets at least
     /// `min_units_per_worker` of the `units` of work — the serial-cutoff
     /// rule for cheap element-wise loops, where spawn cost (~10 µs per
@@ -113,22 +110,12 @@ impl Threads {
         if workers <= 1 || items.len() < SERIAL_CUTOFF {
             return items.iter().map(f).collect();
         }
-        let chunk = items.len().div_ceil(workers);
-        let mut parts: Vec<Vec<R>> = Vec::with_capacity(workers);
-        let probes = crate::probe::scope();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|c| scope.spawn(|| probes.run(|| c.iter().map(&f).collect::<Vec<R>>())))
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(v) => parts.push(v),
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            }
-        });
-        parts.into_iter().flatten().collect()
+        let f = &f;
+        let tasks: Vec<_> = items
+            .chunks(items.len().div_ceil(workers))
+            .map(|c| move || c.iter().map(f).collect::<Vec<R>>())
+            .collect();
+        self.par_tasks(tasks).into_iter().flatten().collect()
     }
 
     /// Splits `data` into chunks of at most `chunk_len` elements and
@@ -146,36 +133,10 @@ impl Threads {
         F: Fn(usize, &mut [T]) + Sync,
     {
         assert!(chunk_len > 0, "chunk_len must be positive");
-        let mut chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
-        let workers = self.workers.min(chunks.len());
-        if workers <= 1 {
-            for (i, c) in chunks {
-                f(i, c);
-            }
-            return;
-        }
-        let per = chunks.len().div_ceil(workers);
-        let probes = crate::probe::scope();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            while !chunks.is_empty() {
-                let take = per.min(chunks.len());
-                let group: Vec<(usize, &mut [T])> = chunks.drain(..take).collect();
-                let (f, probes) = (&f, &probes);
-                handles.push(scope.spawn(move || {
-                    probes.run(|| {
-                        for (i, c) in group {
-                            f(i, c);
-                        }
-                    })
-                }));
-            }
-            for h in handles {
-                if let Err(p) = h.join() {
-                    std::panic::resume_unwind(p);
-                }
-            }
-        });
+        let f = &f;
+        let tasks: Vec<_> =
+            data.chunks_mut(chunk_len).enumerate().map(|(i, c)| move || f(i, c)).collect();
+        self.par_tasks(tasks);
     }
 
     /// Runs a small set of heavyweight, independent closures and returns
@@ -183,7 +144,9 @@ impl Threads {
     /// is no item-count cutoff: each task is assumed to be worth a
     /// thread (e.g. one private charge-grid scatter, one Poisson
     /// plane). Tasks are grouped contiguously onto at most `workers`
-    /// threads; worker panics resurface on the caller.
+    /// threads, `tasks.len().div_ceil(workers)` to a thread, and record
+    /// [`crate::probe`] events into the caller's capture; worker panics
+    /// resurface on the caller after every worker has stopped.
     pub fn par_tasks<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -195,26 +158,20 @@ impl Threads {
         }
         let per = tasks.len().div_ceil(workers);
         let mut tasks = tasks;
-        let mut parts: Vec<Vec<T>> = Vec::with_capacity(workers);
-        let probes = crate::probe::scope();
+        let probes = &crate::probe::scope();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             while !tasks.is_empty() {
-                let take = per.min(tasks.len());
-                let group: Vec<F> = tasks.drain(..take).collect();
-                let probes = &probes;
-                handles.push(
-                    scope.spawn(move || probes.run(|| group.into_iter().map(|t| t()).collect())),
-                );
+                let group: Vec<F> = tasks.drain(..per.min(tasks.len())).collect();
+                handles.push(scope.spawn(move || {
+                    probes.run(|| group.into_iter().map(|t| t()).collect::<Vec<T>>())
+                }));
             }
-            for h in handles {
-                match h.join() {
-                    Ok(v) => parts.push(v),
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            }
-        });
-        parts.into_iter().flatten().collect()
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
     }
 }
 
@@ -315,16 +272,6 @@ impl WorkerPool {
         Ok(())
     }
 
-    /// Jobs currently waiting for a worker (excludes jobs being run).
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.lock().len()
-    }
-
-    /// The admission-queue bound.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -417,25 +364,24 @@ mod tests {
 
     #[test]
     fn par_map_propagates_panics() {
-        let items = vec![1, 2, 3, 4];
+        // Every fork-join entry point re-raises a worker's panic, with its
+        // payload, on the caller.
+        fn raised(r: std::thread::Result<()>) -> &'static str {
+            *r.expect_err("the worker panic must surface").downcast::<&str>().unwrap()
+        }
+        let tasks: Vec<_> = (0..4).map(|x| move || assert!(x != 3, "task died")).collect();
+        let r = std::panic::catch_unwind(|| drop(Threads::new(4).par_tasks(tasks)));
+        assert_eq!(raised(r), "task died");
+        let items: Vec<i32> = (0..100).collect();
         let r = std::panic::catch_unwind(|| {
-            Threads::new(4).par_tasks(
-                items
-                    .iter()
-                    .map(|&x| move || if x == 3 { panic!("worker died") } else { x })
-                    .collect::<Vec<_>>(),
-            )
+            drop(Threads::new(4).par_map(&items, |&x| assert!(x != 63, "item died")))
         });
-        assert!(r.is_err());
-        let r = std::panic::catch_unwind(|| {
-            Threads::new(4).par_map(&(0..100).collect::<Vec<i32>>(), |&x| {
-                if x == 63 {
-                    panic!("worker died");
-                }
-                x
-            })
-        });
-        assert!(r.is_err());
+        assert_eq!(raised(r), "item died");
+        let mut data = vec![0u8; 64];
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Threads::new(4).par_chunks_mut(&mut data, 8, |i, _| assert!(i != 5, "chunk died"))
+        }));
+        assert_eq!(raised(r), "chunk died");
     }
 
     #[test]
@@ -451,7 +397,7 @@ mod tests {
     #[test]
     fn threads_config_resolution() {
         assert_eq!(Threads::new(0).workers(), 1);
-        assert!(Threads::serial().is_serial());
+        assert_eq!(Threads::serial().workers(), 1);
         assert_eq!(Threads::from_config(3).workers(), 3);
         // 0 = auto: whatever the env gives, it is at least one worker.
         assert!(Threads::from_config(0).workers() >= 1);
@@ -472,8 +418,8 @@ mod tests {
     fn clamp_for_selects_serial_below_the_cutoff() {
         let t = Threads::new(4);
         // Not enough work for even two workers: serial.
-        assert!(t.clamp_for(4096, 32 * 1024).is_serial());
-        assert!(t.clamp_for(0, 1024).is_serial());
+        assert_eq!(t.clamp_for(4096, 32 * 1024).workers(), 1);
+        assert_eq!(t.clamp_for(0, 1024).workers(), 1);
         // Enough for two but not four.
         assert_eq!(t.clamp_for(80_000, 32 * 1024).workers(), 2);
         // Plenty of work: the full worker count survives.
@@ -500,7 +446,7 @@ mod tests {
         use std::sync::Arc;
         let pool = WorkerPool::new(Threads::new(3), 64);
         assert_eq!(pool.workers(), 3);
-        assert_eq!(pool.capacity(), 64);
+        assert_eq!(pool.queue_gauge().capacity(), 64);
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..40 {
             let done = Arc::clone(&done);
@@ -532,7 +478,7 @@ mod tests {
             .unwrap();
         }
         // Wait until the worker has picked up the blocking job.
-        while pool.queue_len() > 0 {
+        while !pool.queue_gauge().is_empty() {
             std::thread::yield_now();
         }
         for _ in 0..2 {

@@ -1,4 +1,4 @@
-//! Lightweight in-process observability: phase counters and spans.
+//! Lightweight in-process observability: per-phase event counters.
 //!
 //! The paper's methodology rests on *measured* workload characteristics —
 //! flop counts, memory-traffic classes, vector lengths — feeding the
@@ -14,9 +14,8 @@
 //!    `HEC_THREADS=1/2/4` are identical bit for bit. Call sites report
 //!    quantities derived from the *work executed* (particles deposited,
 //!    lattice points updated, CG iterations run), never from how the work
-//!    was chunked across workers. Wall-clock spans are kept in a separate
-//!    table ([`Capture::timings`]) and are explicitly outside the
-//!    determinism contract.
+//!    was chunked across workers. Nothing here reads a clock: how fast
+//!    a phase ran is `benchmark/`'s question.
 //! 2. **Disabled ⇒ free.** Probes check one thread-local and return; no
 //!    locks are touched and no state is created. Counting happens at
 //!    phase/bulk granularity (once per kernel call or per fixed-size
@@ -33,7 +32,6 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::json::{Json, ToJson};
 use crate::sync::Mutex;
@@ -113,31 +111,11 @@ impl ToJson for Counters {
     }
 }
 
-/// Wall-clock statistics for one phase's spans. Timing is *not* part of
-/// the determinism contract.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Total nanoseconds spent inside spans of this phase.
-    pub total_ns: u64,
-    /// Number of completed spans.
-    pub calls: u64,
-}
-
-impl ToJson for SpanStat {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("total_ns", Json::Num(self.total_ns as f64)),
-            ("calls", Json::Num(self.calls as f64)),
-        ])
-    }
-}
-
 /// Where one capture's events accumulate: shared by the capturing thread
 /// and every thread a [`Scope`] carried it to.
 #[derive(Default)]
 struct Sink {
     counters: Mutex<BTreeMap<String, Counters>>,
-    timings: Mutex<BTreeMap<String, SpanStat>>,
 }
 
 thread_local! {
@@ -169,43 +147,11 @@ pub fn count(phase: &str, c: Counters) {
     with_sink(|sink| sink.counters.lock().entry(phase.to_string()).or_default().merge(&c));
 }
 
-/// An RAII wall-clock span: created by [`span`], records elapsed time
-/// into the phase's [`SpanStat`] on drop.
-pub struct Span {
-    phase: Option<(&'static str, Instant)>,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((phase, start)) = self.phase.take() {
-            with_sink(|sink| {
-                let ns = start.elapsed().as_nanos() as u64;
-                let mut map = sink.timings.lock();
-                let s = map.entry(phase.to_string()).or_default();
-                s.total_ns += ns;
-                s.calls += 1;
-            });
-        }
-    }
-}
-
-/// Starts a monotonic timer for `phase`; the elapsed time is recorded
-/// when the returned [`Span`] drops. Free outside a capture.
-#[inline]
-pub fn span(phase: &'static str) -> Span {
-    if !enabled() {
-        return Span { phase: None };
-    }
-    Span { phase: Some((phase, Instant::now())) }
-}
-
 /// A snapshot of everything counted during one [`capture`] run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Capture {
-    /// Per-phase deterministic event counters.
+    /// Per-phase event counters.
     pub counters: BTreeMap<String, Counters>,
-    /// Per-phase wall-clock span statistics (non-deterministic).
-    pub timings: BTreeMap<String, SpanStat>,
 }
 
 impl Capture {
@@ -218,12 +164,6 @@ impl Capture {
     pub fn is_empty(&self) -> bool {
         self.counters.values().all(Counters::is_zero)
     }
-
-    /// The deterministic part only — what the threading-invariance tests
-    /// compare. (Timings are wall-clock and excluded by construction.)
-    pub fn deterministic(&self) -> &BTreeMap<String, Counters> {
-        &self.counters
-    }
 }
 
 impl ToJson for Capture {
@@ -232,15 +172,11 @@ impl ToJson for Capture {
             .counters
             .iter()
             .map(|(name, c)| {
-                let mut fields = vec![
-                    ("phase".to_string(), Json::Str(name.clone())),
-                    ("counters".to_string(), c.to_json()),
-                    ("avg_vector_length".to_string(), Json::Num(c.avg_vector_length())),
-                ];
-                if let Some(t) = self.timings.get(name) {
-                    fields.push(("timing".to_string(), t.to_json()));
-                }
-                Json::Obj(fields)
+                Json::obj([
+                    ("phase", Json::Str(name.clone())),
+                    ("counters", c.to_json()),
+                    ("avg_vector_length", Json::Num(c.avg_vector_length())),
+                ])
             })
             .collect();
         Json::obj([("phases", Json::Arr(phases))])
@@ -283,11 +219,8 @@ impl Scope {
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Capture) {
     let sink = Arc::new(Sink::default());
     let out = Scope(Some(Arc::clone(&sink))).run(f);
-    let cap = Capture {
-        counters: std::mem::take(&mut *sink.counters.lock()),
-        timings: std::mem::take(&mut *sink.timings.lock()),
-    };
-    (out, cap)
+    let counters = std::mem::take(&mut *sink.counters.lock());
+    (out, Capture { counters })
 }
 
 #[cfg(test)]
@@ -298,14 +231,12 @@ mod tests {
     fn disabled_probes_record_nothing() {
         assert!(!enabled());
         count("ghost phase", Counters { flops: 1, ..Default::default() });
-        drop(span("ghost span"));
         let ((), cap) = capture(|| {});
         assert!(cap.is_empty(), "events outside a capture must vanish: {cap:?}");
-        assert!(cap.timings.is_empty());
     }
 
     #[test]
-    fn capture_collects_counts_and_spans() {
+    fn capture_collects_counts() {
         let (val, cap) = capture(|| {
             count("alpha", Counters { flops: 10, unit_stride_bytes: 80, ..Default::default() });
             count(
@@ -313,7 +244,6 @@ mod tests {
                 Counters { flops: 5, vector_iters: 64, vector_loops: 2, ..Default::default() },
             );
             count("beta", Counters { messages: 3, message_bytes: 24, ..Default::default() });
-            let _s = span("alpha");
             42
         });
         assert_eq!(val, 42);
@@ -323,7 +253,6 @@ mod tests {
         assert_eq!(a.avg_vector_length(), 32.0);
         assert_eq!(cap.get("beta").messages, 3);
         assert_eq!(cap.get("missing"), Counters::default());
-        assert_eq!(cap.timings["alpha"].calls, 1);
     }
 
     #[test]
@@ -380,10 +309,9 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let _s = span("k");
         });
         // The emitted text parses back to the same value, and carries the
-        // phase's counters and its span timing.
+        // phase's name, counters and vector length and nothing else.
         let parsed = Json::parse(&cap.to_json().emit_pretty()).unwrap();
         assert_eq!(parsed, cap.to_json());
         let [phase] = parsed.field("phases").unwrap().as_arr().unwrap() else { panic!() };
@@ -391,7 +319,9 @@ mod tests {
         let counters = phase.field("counters").unwrap();
         assert_eq!(counters.num_field("flops").unwrap(), 7.0);
         assert_eq!(counters.num_field("collective_bytes").unwrap(), 8.0);
-        assert_eq!(phase.field("timing").unwrap().num_field("calls").unwrap(), 1.0);
+        let Json::Obj(fields) = phase else { panic!() };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["phase", "counters", "avg_vector_length"]);
     }
 
     #[test]

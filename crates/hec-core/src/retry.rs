@@ -39,16 +39,6 @@ impl Backoff {
         }
     }
 
-    /// Attempts delayed so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
-    /// True when the attempt budget is spent.
-    pub fn exhausted(&self) -> bool {
-        self.attempt >= self.max_attempts
-    }
-
     /// The next delay to sleep before retrying, or `None` when the
     /// attempt budget is exhausted. Deterministic given the seed.
     pub fn next_delay(&mut self) -> Option<Duration> {
@@ -87,7 +77,7 @@ mod tests {
             assert_eq!(a.next_delay(), b.next_delay());
         }
         assert_eq!(a.next_delay(), None);
-        assert!(a.exhausted());
+        assert!(a.next_delay().is_none(), "a spent budget stays spent");
     }
 
     #[test]
@@ -111,7 +101,6 @@ mod tests {
         a.next_delay();
         a.next_delay();
         let mut b = a.clone();
-        assert_eq!(b.attempts(), a.attempts());
         for _ in 0..6 {
             assert_eq!(a.next_delay(), b.next_delay());
         }
@@ -142,8 +131,7 @@ mod tests {
     #[test]
     fn zero_attempts_refuses_immediately() {
         let mut b = Backoff::new(3, 10, 100, 0);
-        assert!(b.exhausted());
-        assert_eq!(b.next_delay(), None);
+        assert!(b.next_delay().is_none());
     }
 
     #[test]

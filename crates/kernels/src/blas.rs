@@ -157,15 +157,7 @@ pub fn dgemm(
     beta: f64,
     c: &mut [f64],
 ) {
-    assert_eq!(a.len(), m * k, "A dimension mismatch");
-    assert_eq!(b.len(), k * n, "B dimension mismatch");
-    assert_eq!(c.len(), m * n, "C dimension mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    count_dgemm(m, n, k);
-    let bp = pack_b(n, k, b);
-    dgemm_band(0, n, k, alpha, a, &bp, beta, c);
+    par_dgemm(&Threads::serial(), m, n, k, alpha, a, b, beta, c);
 }
 
 /// The packed GEMM body on a band of C rows starting at global row
@@ -269,18 +261,7 @@ pub fn zgemm(
     beta: Complex64,
     c: &mut [Complex64],
 ) {
-    match ta {
-        Trans::None => assert_eq!(a.len(), m * k, "A dimension mismatch"),
-        Trans::ConjTrans => assert_eq!(a.len(), k * m, "A dimension mismatch"),
-    }
-    assert_eq!(b.len(), k * n, "B dimension mismatch");
-    assert_eq!(c.len(), m * n, "C dimension mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    count_zgemm(m, n, k);
-    let bp = pack_zb(n, k, b);
-    zgemm_band(ta, 0, m, n, k, alpha, a, &bp, beta, c);
+    par_zgemm(&Threads::serial(), ta, m, n, k, alpha, a, b, beta, c);
 }
 
 /// Packs complex `k×n` B into `ZNR`-wide panels — the complex analog of
@@ -600,7 +581,7 @@ mod tests {
         // below the flop floor the clamped handle must be serial.
         let t = Threads::new(4);
         let min_rows_128 = (GEMM_MIN_FLOPS_PER_WORKER / (2 * 128 * 128)) as usize;
-        assert!(t.clamp_for(128, min_rows_128).is_serial());
+        assert_eq!(t.clamp_for(128, min_rows_128).workers(), 1);
         let min_rows_512 = (GEMM_MIN_FLOPS_PER_WORKER / (2 * 512 * 512)) as usize;
         assert_eq!(t.clamp_for(512, min_rows_512).workers(), 4);
     }

@@ -78,8 +78,8 @@ mod tests {
         // clamped handle is serial, so no threads are spawned for the
         // bench's 4096-element case that regressed 45× under /t4.
         let t = Threads::new(4);
-        assert!(t.clamp_for(4096, TRIAD_MIN_ELEMS_PER_WORKER).is_serial());
-        assert!(t.clamp_for(65536, TRIAD_MIN_ELEMS_PER_WORKER).is_serial());
+        assert_eq!(t.clamp_for(4096, TRIAD_MIN_ELEMS_PER_WORKER).workers(), 1);
+        assert_eq!(t.clamp_for(65536, TRIAD_MIN_ELEMS_PER_WORKER).workers(), 1);
         assert_eq!(t.clamp_for(1 << 20, TRIAD_MIN_ELEMS_PER_WORKER).workers(), 4);
         // And the clamped path still computes the same values.
         let n = 4096;

@@ -87,16 +87,18 @@ print(f"bench smoke ok: {workload}: {n} operations, fail_frac 0")
 ' "$workload"
 done
 
-# Regenerate every artifact (tables, canonical responses, profiles) in
-# one run, then hold it against the committed baseline: every exact field
-# (phase counters, table cells, response bytes) must match bit for bit,
-# on any host. How fast anything ran is benchmark/'s question (above),
-# not this gate's.
+# Regenerate every artifact (tables, canonical responses, profiles) at
+# 1, 2 and 4 workers, and hold each run against the committed baseline:
+# every exact field (phase counters, table cells, response bytes) must
+# match bit for bit, on any host and at any worker count. How fast
+# anything ran is benchmark/'s question (above), not this gate's.
 ART_DIR=$(mktemp -d)
 LOG=$(mktemp)
 trap 'rm -rf "$ART_DIR" "$LOG"' EXIT
-HEC_THREADS=2 ./target/release/repro all "$ART_DIR"
-./target/release/repro diff baseline "$ART_DIR"
+for threads in 1 2 4; do
+    HEC_THREADS=$threads ./target/release/repro all "$ART_DIR/$threads"
+    ./target/release/repro diff baseline "$ART_DIR/$threads"
+done
 
 # What only a process can show: the CLI wiring and the log lines. Start
 # each server, read its bound address off the `listening on` line, drive

@@ -544,8 +544,7 @@ fn probe_counters_do_not_leak_outside_a_capture() {
 
 /// Captured counters are bitwise invariant across shared-memory worker
 /// counts: a composite GTC + LBMHD run records identical per-phase event
-/// totals with 1, 2, or 4 workers per rank (timings differ; counters
-/// never do).
+/// totals with 1, 2, or 4 workers per rank.
 #[test]
 fn captures_are_bitwise_invariant_across_worker_counts() {
     use hec_core::probe;
@@ -570,7 +569,7 @@ fn captures_are_bitwise_invariant_across_worker_counts() {
             })
             .unwrap();
         });
-        cap.deterministic().clone()
+        cap.counters
     };
     let reference = run(1);
     assert!(!reference.is_empty());

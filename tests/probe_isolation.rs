@@ -65,7 +65,7 @@ fn a_capture_beside_instrumented_noise_records_only_its_own_work() {
         stop.store(true, Ordering::Release);
         out
     });
-    assert_eq!(beside.deterministic(), alone.deterministic());
+    assert_eq!(beside.counters, alone.counters);
 }
 
 /// The capture follows the work onto `msim` rank threads and `Threads`
@@ -100,7 +100,7 @@ fn counts_from_rank_threads_and_pool_workers_land_in_the_enclosing_capture() {
     assert_eq!(flops("par_tasks"), 6);
     assert!(reference.get("stray thread").is_zero());
     for workers in [2, 4] {
-        assert_eq!(run(workers).deterministic(), reference.deterministic(), "{workers} workers");
+        assert_eq!(run(workers).counters, reference.counters, "{workers} workers");
     }
 }
 

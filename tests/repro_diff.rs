@@ -1,8 +1,8 @@
 //! Golden-fixture tests for `repro diff` — the cross-commit gate.
 //!
 //! The committed `baseline/` directory is the golden fixture. Each test
-//! copies it, applies one synthetic mutation (counter drift, a tenfold
-//! timing change, a missing artifact, an extra artifact), runs the
+//! copies it, applies one synthetic mutation (counter drift, an extra
+//! field, a missing artifact, an extra artifact), runs the
 //! same `run_cli` entry point the `repro diff` subcommand uses, and
 //! asserts the exact exit code plus that the report names the offending
 //! file and field.
@@ -41,8 +41,7 @@ fn mutate(dir: &Path, file: &str, edit: impl FnOnce(&mut Json)) {
 }
 
 /// Nudges the first numeric leaf under the given top-level field by
-/// `delta`, skipping `timing` subtrees (those are tolerated noise, so
-/// mutating them would not produce a finding).
+/// `delta`.
 fn bump_first_num(doc: &mut Json, field: &str, delta: f64) {
     fn walk(v: &mut Json, delta: f64) -> bool {
         match v {
@@ -50,7 +49,7 @@ fn bump_first_num(doc: &mut Json, field: &str, delta: f64) {
                 *n += delta;
                 true
             }
-            Json::Obj(fields) => fields.iter_mut().any(|(k, v)| k != "timing" && walk(v, delta)),
+            Json::Obj(fields) => fields.iter_mut().any(|(_, v)| walk(v, delta)),
             Json::Arr(items) => items.iter_mut().any(|v| walk(v, delta)),
             _ => false,
         }
@@ -215,29 +214,29 @@ fn wall_clock_and_sample_count_changes_are_tolerated() {
             *field(meta, "host") = Json::Str("plan9-mips-64cpu".into());
         });
     }
-    // Everything a clock can move: a run that recorded span timings
-    // where the committed captures carry none. How fast the captures
-    // ran is `benchmark/`'s question, not this gate's.
-    fn add_timings(v: &mut Json) -> usize {
-        match v {
-            Json::Obj(fields) => {
-                let nested: usize = fields.iter_mut().map(|(_, v)| add_timings(v)).sum();
-                if fields.iter().all(|(k, _)| k != "phase") {
-                    return nested;
-                }
-                let span = [("total_ns", Json::Num(1e10)), ("calls", Json::Num(10.0))];
-                fields.push(("timing".to_string(), Json::obj(span)));
-                nested + 1
-            }
-            Json::Arr(items) => items.iter_mut().map(add_timings).sum(),
-            _ => 0,
-        }
-    }
-    mutate(&dir, "PROFILE_gtc.json", |doc| {
-        assert!(add_timings(doc) > 0, "PROFILE_gtc.json holds capture phases");
-    });
     let d = dir.to_str().unwrap();
     assert_eq!(run_cli(&args(&[BASELINE, d])), EXIT_OK);
+
+    // Outside the stamp nothing is noise: a capture phase carrying a
+    // wall-clock `timing` block its baseline lacks is one extra field.
+    let before = std::fs::read(dir.join("PROFILE_gtc.json")).unwrap();
+    mutate(&dir, "PROFILE_gtc.json", |doc| {
+        let profile = field(doc, "profile");
+        let Json::Arr(captures) = field(profile, "captures") else { panic!("captures") };
+        let Json::Arr(phases) = field(field(&mut captures[0], "capture"), "phases") else {
+            panic!("phases")
+        };
+        let Json::Obj(phase) = &mut phases[0] else { panic!("a phase is an object") };
+        phase.push(("timing".to_string(), Json::obj([("total_ns", Json::Num(1e10))])));
+    });
+    assert_eq!(run_cli(&args(&[BASELINE, d])), EXIT_FINDINGS);
+    let old = bench::artifact::load_dir(Path::new(BASELINE)).unwrap();
+    let report = diff_dirs(&old, &bench::artifact::load_dir(&dir).unwrap());
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(report.findings[0].kind, FindingKind::Extra);
+    assert_eq!(report.findings[0].file, "PROFILE_gtc.json");
+    assert!(report.findings[0].path.ends_with(".timing.total_ns"), "{}", report.findings[0].path);
+    std::fs::write(dir.join("PROFILE_gtc.json"), before).unwrap();
 
     // A different host stamp does not loosen the exact fields: one
     // table cell, then one counter, on that same foreign host is exactly
