@@ -25,6 +25,23 @@ pub struct Particles {
     pub weight: Vec<f64>,
     /// Gyroradius ρ (sets the 4-point gyro-averaging ring).
     pub rho: Vec<f64>,
+    /// Buffers [`Particles::bin_by_cell`] keeps from one step to the next.
+    bin: BinScratch,
+}
+
+/// The working arrays of [`Particles::bin_by_cell`], kept so a step's
+/// binning allocates nothing once the population has stopped growing.
+#[derive(Clone, Debug, Default)]
+struct BinScratch {
+    /// Each marker's cell.
+    cells: Vec<usize>,
+    /// Cell histogram, then the running output offset per cell.
+    counts: Vec<usize>,
+    /// Source marker of each output slot.
+    perm: Vec<usize>,
+    /// The spare attribute vector each reorder gathers into and swaps
+    /// with the attribute it reorders.
+    spare: Vec<f64>,
 }
 
 impl Particles {
@@ -98,22 +115,23 @@ impl Particles {
             return n;
         }
         let ncells = grid.len();
-        let cells: Vec<usize> = (0..n)
-            .map(|p| {
-                let ((i, j), _) = grid.locate(self.r[p], self.theta[p]);
-                grid.idx(i, j)
-            })
-            .collect();
+        let BinScratch { cells, counts, perm, spare } = &mut self.bin;
+        cells.clear();
+        cells.extend((0..n).map(|p| {
+            let ((i, j), _) = grid.locate(self.r[p], self.theta[p]);
+            grid.idx(i, j)
+        }));
         // Counting sort: histogram, exclusive prefix sum, stable gather.
-        let mut counts = vec![0usize; ncells + 1];
-        for &c in &cells {
+        counts.clear();
+        counts.resize(ncells + 1, 0);
+        for &c in cells.iter() {
             counts[c + 1] += 1;
         }
         let occupied = counts[1..].iter().filter(|&&k| k > 0).count();
         for c in 1..=ncells {
             counts[c] += counts[c - 1];
         }
-        let mut perm = vec![0usize; n];
+        perm.resize(n, 0);
         for (p, &c) in cells.iter().enumerate() {
             perm[counts[c]] = p;
             counts[c] += 1;
@@ -126,8 +144,9 @@ impl Particles {
             &mut self.weight,
             &mut self.rho,
         ] {
-            let old = std::mem::take(attr);
-            attr.extend(perm.iter().map(|&p| old[p]));
+            spare.clear();
+            spare.extend(perm.iter().map(|&p| attr[p]));
+            std::mem::swap(attr, spare);
         }
         occupied
     }

@@ -14,9 +14,14 @@
 //!
 //! A [`FftPlan`] precomputes twiddle factors once and can be reused across
 //! many transforms of the same length — the usage pattern of both
-//! applications (many FFTs of one fixed length per timestep, vectorized
-//! *across* transforms on the vector machines, as §3.1 of the paper
-//! describes for the polar filters).
+//! applications: many FFTs of one fixed length per timestep. The vector
+//! machines vectorized *across* those transforms (§3.1 of the paper, for
+//! the polar filters), and so does this host: [`FftPlan::execute_batch`]
+//! runs `batch` sequences stored interleaved (element `e` of sequence `b`
+//! at `data[e * batch + b]`), every algorithm's innermost loop runs over
+//! the sequences, and [`FftPlan::execute`] is a batch of one. Each
+//! sequence goes through exactly the floating-point operations a lone
+//! transform would, so the output bits do not depend on the batch width.
 
 use crate::complex::Complex64;
 use hec_core::probe::{self, Counters};
@@ -140,18 +145,33 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len() != self.len()`.
     pub fn execute(&self, data: &mut [Complex64], dir: Direction) {
-        assert_eq!(data.len(), self.n, "FFT buffer length mismatch");
-        match &self.algo {
-            Algo::Radix2(r) => {
-                r.execute(data, dir);
-                scale_inverse(data, dir);
-            }
-            Algo::Stockham(st) => {
-                st.execute(data, dir);
-                scale_inverse(data, dir);
-            }
-            Algo::Bluestein(b) => b.execute(data, dir),
+        self.execute_batch(data, 1, dir);
+    }
+
+    /// Executes `batch` transforms in place, vectorized across them:
+    /// element `e` of sequence `b` sits at `data[e * batch + b]`, so each
+    /// of the `n` rows holds one element of every sequence. Every
+    /// sequence's output is bit-for-bit what [`FftPlan::execute`] gives
+    /// it alone, and the `kernels/fft` probe phases count `batch`
+    /// executions.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != self.len() * batch`.
+    pub fn execute_batch(&self, data: &mut [Complex64], batch: usize, dir: Direction) {
+        assert_eq!(data.len(), self.n * batch, "FFT buffer length mismatch");
+        if batch == 0 {
+            return;
         }
+        match &self.algo {
+            // One call site for each batch width the compiler should see
+            // as a constant: a lone transform keeps its unit-stride
+            // butterfly loop over `k`.
+            Algo::Radix2(r) if batch == 1 => r.execute(data, 1, dir),
+            Algo::Radix2(r) => r.execute(data, batch, dir),
+            Algo::Stockham(st) => st.execute(data, batch, dir),
+            Algo::Bluestein(b) => return b.execute(data, batch, dir),
+        }
+        scale_inverse(data, self.n, dir);
     }
 
     /// *Baseline* floating-point operation count of one execution:
@@ -167,10 +187,10 @@ impl FftPlan {
     }
 }
 
-/// The `1/n` scaling of the inverse transform.
-fn scale_inverse(data: &mut [Complex64], dir: Direction) {
+/// The `1/n` scaling of an inverse transform of length `n`.
+fn scale_inverse(data: &mut [Complex64], n: usize, dir: Direction) {
     if dir == Direction::Inverse {
-        let s = 1.0 / data.len() as f64;
+        let s = 1.0 / n as f64;
         for z in data.iter_mut() {
             *z = z.scale(s);
         }
@@ -183,11 +203,12 @@ impl Radix2 {
         Radix2 { stages_fwd, stages_inv, bitrev: make_bitrev(n) }
     }
 
-    /// In-place iterative radix-2 Cooley–Tukey; the length must be a power
-    /// of 2. Unscaled in both directions.
-    fn execute(&self, data: &mut [Complex64], dir: Direction) {
-        let n = data.len();
-        debug_assert!(n.is_power_of_two());
+    /// In-place iterative radix-2 Cooley–Tukey over `batch` interleaved
+    /// sequences (see [`FftPlan::execute_batch`]). Unscaled in both
+    /// directions.
+    #[inline(always)]
+    fn execute(&self, data: &mut [Complex64], batch: usize, dir: Direction) {
+        let n = self.bitrev.len();
         if probe::enabled() && n > 1 {
             // (n/2)·log₂n butterflies at 10 flops each — 5n·log₂n, the
             // baseline count, which the radix-2 core executes exactly.
@@ -196,46 +217,66 @@ impl Radix2 {
             let (nu, stages) = (n as u64, n.trailing_zeros() as u64);
             probe::count(
                 "kernels/fft",
-                Counters {
-                    flops: 5 * nu * stages,
-                    unit_stride_bytes: 40 * nu * stages + 32 * nu,
-                    vector_iters: (nu / 2) * stages,
-                    vector_loops: stages,
-                    ..Default::default()
-                },
+                times(
+                    Counters {
+                        flops: 5 * nu * stages,
+                        unit_stride_bytes: 40 * nu * stages + 32 * nu,
+                        vector_iters: (nu / 2) * stages,
+                        vector_loops: stages,
+                        ..Default::default()
+                    },
+                    batch,
+                ),
             );
         }
-        // Bit-reversal permutation.
+        // Bit-reversal permutation of whole rows.
         for (i, &r) in self.bitrev.iter().enumerate() {
             let r = r as usize;
             if i < r {
-                data.swap(i, r);
+                let (head, tail) = data.split_at_mut(r * batch);
+                head[i * batch..][..batch].swap_with_slice(&mut tail[..batch]);
             }
         }
         // Butterfly passes. Each stage reads its own contiguous twiddle
-        // table (pre-conjugated for the inverse), so the inner loop is
-        // three unit-stride streams with no branch.
+        // table (pre-conjugated for the inverse); the innermost loop runs
+        // across the sequences, two unit-stride streams with no branch.
         let tables = match dir {
             Direction::Forward => &self.stages_fwd,
             Direction::Inverse => &self.stages_inv,
         };
         for (stage, tw) in tables.iter().enumerate() {
-            let half = 1usize << stage;
-            let len = half * 2;
-            let tw = &tw[..half];
-            let mut base = 0;
-            while base < n {
-                let (los, his) = data[base..base + len].split_at_mut(half);
-                for k in 0..half {
-                    let w = tw[k];
-                    let lo = los[k];
-                    let hi = his[k] * w;
-                    los[k] = lo + hi;
-                    his[k] = lo - hi;
+            let half = (1usize << stage) * batch;
+            for block in data.chunks_exact_mut(2 * half) {
+                let (los, his) = block.split_at_mut(half);
+                for ((los, his), &w) in
+                    los.chunks_exact_mut(batch).zip(his.chunks_exact_mut(batch)).zip(tw)
+                {
+                    for (lo, hi) in los.iter_mut().zip(his.iter_mut()) {
+                        let a = *lo;
+                        let b = *hi * w;
+                        *lo = a + b;
+                        *hi = a - b;
+                    }
                 }
-                base += len;
             }
         }
+    }
+}
+
+/// `c` counted `batch` times: the probe events of a batched call.
+fn times(c: Counters, batch: usize) -> Counters {
+    let k = batch as u64;
+    Counters {
+        flops: c.flops * k,
+        unit_stride_bytes: c.unit_stride_bytes * k,
+        gather_scatter_bytes: c.gather_scatter_bytes * k,
+        gather_scatter_ops: c.gather_scatter_ops * k,
+        vector_iters: c.vector_iters * k,
+        vector_loops: c.vector_loops * k,
+        messages: c.messages * k,
+        message_bytes: c.message_bytes * k,
+        collectives: c.collectives * k,
+        collective_bytes: c.collective_bytes * k,
     }
 }
 
@@ -301,11 +342,11 @@ impl Stockham {
         Stockham { passes, work }
     }
 
-    /// Runs the passes, ping-ponging between `data` and one scratch
-    /// buffer. Unscaled in both directions.
-    fn execute(&self, data: &mut [Complex64], dir: Direction) {
+    /// Runs the passes over `batch` interleaved sequences, ping-ponging
+    /// between `data` and one scratch buffer. Unscaled in both directions.
+    fn execute(&self, data: &mut [Complex64], batch: usize, dir: Direction) {
         if probe::enabled() {
-            probe::count("kernels/fft", self.work);
+            probe::count("kernels/fft", times(self.work, batch));
         }
         let mut scratch = vec![Complex64::ZERO; data.len()];
         // The radix-3/5 butterflies' sine terms and the radix-4 rotation
@@ -322,7 +363,7 @@ impl Stockham {
             };
             let (src, dst) =
                 if in_data { (&*data, &mut scratch[..]) } else { (&scratch[..], &mut *data) };
-            pass.run(src, dst, tw, sign);
+            pass.run(src, dst, tw, sign, batch);
             in_data = !in_data;
         }
         if !in_data {
@@ -347,9 +388,19 @@ fn mul_i(z: Complex64) -> Complex64 {
 
 impl Pass {
     /// One pass from `src` into `dst` with twiddle table `tw`; `sign` is
-    /// −1 forward and +1 inverse.
-    fn run(&self, src: &[Complex64], dst: &mut [Complex64], tw: &[Complex64], sign: f64) {
-        let (p, s) = (self.radix, self.stride);
+    /// −1 forward and +1 inverse. With `batch` interleaved sequences every
+    /// element is a row of `batch` values, so the pass is the same pass at
+    /// stride `stride · batch`: the `q` loop then runs across sequences
+    /// too, and each sequence sees exactly its lone transform's arithmetic.
+    fn run(
+        &self,
+        src: &[Complex64],
+        dst: &mut [Complex64],
+        tw: &[Complex64],
+        sign: f64,
+        batch: usize,
+    ) {
+        let (p, s) = (self.radix, self.stride * batch);
         let m = src.len() / (p * s);
         for j in 0..m {
             let w = &tw[j * (p - 1)..][..p - 1];
@@ -448,8 +499,10 @@ impl Bluestein {
         Bluestein { m, chirp, kernel_hat: kernel, inner }
     }
 
-    fn execute(&self, data: &mut [Complex64], dir: Direction) {
-        let n = data.len();
+    /// Chirp-z over `batch` interleaved sequences: the two inner
+    /// power-of-two transforms run as one batch each.
+    fn execute(&self, data: &mut [Complex64], batch: usize, dir: Direction) {
+        let n = self.chirp.len();
         if probe::enabled() {
             // Chirp-z overhead beyond the two inner radix-2 transforms
             // (those count themselves): three complex multiply passes —
@@ -457,45 +510,53 @@ impl Bluestein {
             let (nu, mu) = (n as u64, self.m as u64);
             probe::count(
                 "kernels/fft bluestein",
-                Counters {
-                    flops: 12 * nu + 6 * mu,
-                    unit_stride_bytes: 48 * (2 * nu + mu),
-                    vector_iters: 2 * nu + mu,
-                    vector_loops: 3,
-                    ..Default::default()
-                },
+                times(
+                    Counters {
+                        flops: 12 * nu + 6 * mu,
+                        unit_stride_bytes: 48 * (2 * nu + mu),
+                        vector_iters: 2 * nu + mu,
+                        vector_loops: 3,
+                        ..Default::default()
+                    },
+                    batch,
+                ),
             );
         }
+        let chirp = |k: usize| match dir {
+            Direction::Forward => self.chirp[k],
+            Direction::Inverse => self.chirp[k].conj(),
+        };
         // x'_k = x_k * chirp_k  (conjugate chirp for the inverse transform).
-        let mut a = vec![Complex64::ZERO; self.m];
-        for k in 0..n {
-            let c = if dir == Direction::Forward { self.chirp[k] } else { self.chirp[k].conj() };
-            a[k] = data[k] * c;
+        let mut a = vec![Complex64::ZERO; self.m * batch];
+        for (k, (dst, src)) in a.chunks_exact_mut(batch).zip(data.chunks_exact(batch)).enumerate() {
+            let c = chirp(k);
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = *s * c;
+            }
         }
         // Convolve with the precomputed kernel via the power-of-two FFT.
-        self.inner.execute(&mut a, Direction::Forward);
-        match dir {
-            Direction::Forward => {
-                for (z, k) in a.iter_mut().zip(self.kernel_hat.iter()) {
-                    *z *= *k;
-                }
-            }
-            Direction::Inverse => {
-                // The inverse chirp kernel is the conjugate of the forward
-                // kernel's time series; in frequency space that is a
-                // conjugate + index reversal identity. Rather than store a
-                // second kernel we exploit conj(FFT(x)) = IFFT(conj(x))·m.
-                for (z, k) in a.iter_mut().zip(self.kernel_hat.iter()) {
-                    *z = (z.conj() * *k).conj();
-                }
+        self.inner.execute_batch(&mut a, batch, Direction::Forward);
+        for (row, k) in a.chunks_exact_mut(batch).zip(self.kernel_hat.iter()) {
+            for z in row {
+                *z = match dir {
+                    Direction::Forward => *z * *k,
+                    // The inverse chirp kernel is the conjugate of the
+                    // forward kernel's time series; in frequency space that
+                    // is a conjugate + index reversal identity. Rather than
+                    // store a second kernel we exploit
+                    // conj(FFT(x)) = IFFT(conj(x))·m.
+                    Direction::Inverse => (z.conj() * *k).conj(),
+                };
             }
         }
-        self.inner.execute(&mut a, Direction::Inverse);
+        self.inner.execute_batch(&mut a, batch, Direction::Inverse);
         // y_k = chirp_k * conv_k, plus 1/n scaling for the inverse.
         let scale = if dir == Direction::Inverse { 1.0 / n as f64 } else { 1.0 };
-        for k in 0..n {
-            let c = if dir == Direction::Forward { self.chirp[k] } else { self.chirp[k].conj() };
-            data[k] = (a[k] * c).scale(scale);
+        for (k, (dst, src)) in data.chunks_exact_mut(batch).zip(a.chunks_exact(batch)).enumerate() {
+            let c = chirp(k);
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = (*s * c).scale(scale);
+            }
         }
     }
 }
@@ -686,6 +747,81 @@ mod tests {
             assert_eq!(bits_hash(&data), fwd, "forward n={n}");
             plan.execute(&mut data, Direction::Inverse);
             assert_eq!(bits_hash(&data), inv, "inverse n={n}");
+        }
+    }
+
+    /// `batch` distinct test sequences of length `n`.
+    fn sequences(n: usize, batch: usize) -> Vec<Vec<Complex64>> {
+        (0..batch)
+            .map(|b| {
+                (0..n)
+                    .map(|e| {
+                        let (t, u) = ((e + 3 * b) as f64, (5 * e + b) as f64);
+                        Complex64::new((t * 0.37).sin(), (u * 0.11).cos())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs `plan` over `seqs` as one interleaved batch and checks every
+    /// output bit against `execute` on each sequence alone.
+    fn assert_batch_matches_per_sequence(plan: &FftPlan, seqs: &[Vec<Complex64>]) {
+        let (n, batch) = (plan.len(), seqs.len());
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let mut data: Vec<Complex64> =
+                (0..n * batch).map(|i| seqs[i % batch][i / batch]).collect();
+            plan.execute_batch(&mut data, batch, dir);
+            for (b, seq) in seqs.iter().enumerate() {
+                let mut want = seq.clone();
+                plan.execute(&mut want, dir);
+                for (e, w) in want.iter().enumerate() {
+                    let got = data[e * batch + b];
+                    assert_eq!(
+                        (got.re.to_bits(), got.im.to_bits()),
+                        (w.re.to_bits(), w.im.to_bits()),
+                        "n={n} batch={batch} {dir:?}: sequence {b}, element {e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_matches_per_sequence_bit_for_bit() {
+        for n in (0..=10).map(|s| 1usize << s) {
+            let plan = FftPlan::new(n);
+            for batch in [1usize, 2, 3, 7, 16, 32, 123] {
+                assert_batch_matches_per_sequence(&plan, &sequences(n, batch));
+            }
+        }
+        // The Stockham and Bluestein paths batch the same way.
+        for n in [6usize, 144, 576, 1000, 7, 97] {
+            let plan = FftPlan::new(n);
+            for batch in [1usize, 3, 16] {
+                assert_batch_matches_per_sequence(&plan, &sequences(n, batch));
+            }
+        }
+    }
+
+    #[test]
+    fn batched_call_counts_batch_executions() {
+        use hec_core::probe;
+        for n in [256usize, 576, 97] {
+            let (plan, batch) = (FftPlan::new(n), 7);
+            let ((), one) = probe::capture(|| plan.execute(&mut ramp(n), Direction::Forward));
+            let ((), many) = probe::capture(|| {
+                let mut data = vec![Complex64::ONE; n * batch];
+                plan.execute_batch(&mut data, batch, Direction::Forward);
+            });
+            assert!(!one.get("kernels/fft").is_zero(), "n={n}");
+            for phase in ["kernels/fft", "kernels/fft bluestein"] {
+                let mut want = Counters::default();
+                for _ in 0..batch {
+                    want.merge(&one.get(phase));
+                }
+                assert_eq!(many.get(phase), want, "n={n} {phase}");
+            }
         }
     }
 

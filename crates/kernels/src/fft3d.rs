@@ -3,45 +3,47 @@
 //! The distributed transforms in `paratec` decompose into exactly these
 //! pencil sweeps separated by data transposes; this module is both the
 //! building block for the per-rank work and the whole-problem oracle the
-//! distributed version is tested against.
+//! distributed version is tested against. Each sweep gathers blocks of
+//! `TB` pencils into a batch and transforms them with one
+//! [`FftPlan::execute_batch`] call, vectorized across the pencils the way
+//! the paper's vector machines ran their FFTs.
 
 use crate::complex::Complex64;
 use crate::fft::{Direction, FftPlan};
 
-/// Pencils gathered per transpose block. Gathering `TB` neighboring
-/// pencils at once turns the strided y/z sweeps into copies of
-/// `TB`-element contiguous runs (a blocked transpose), instead of
-/// touching one element per cache line. Pure data movement — the
-/// transformed values are bitwise unchanged.
+/// Pencils gathered per block. Gathering `TB` neighboring pencils at once
+/// turns the strided y/z sweeps into copies of `TB`-element contiguous
+/// runs (a blocked transpose) instead of touching one element per cache
+/// line, and gives the batched transform `TB` sequences to vectorize
+/// across. Pure data movement — the transformed values are bitwise
+/// unchanged.
 const TB: usize = 16;
 
-/// Gathers pencils `i0..i0+tb` of length `len` and stride `stride` from
-/// `data[base..]` into `buf` (line-major: pencil `it` at `buf[it*len..]`),
-/// transforms each line, and scatters them back.
+/// Gathers the `tb` pencils `data[base + seq_stride·it + elem_stride·e]`
+/// (`it` in `0..tb`, `e` in `0..len`) into `buf` as a batch — element `e`
+/// of pencil `it` at `buf[e·tb + it]` — transforms them with one batched
+/// call, and scatters them back.
+#[allow(clippy::too_many_arguments)]
 fn transform_pencil_block(
     plan: &FftPlan,
     dir: Direction,
     data: &mut [Complex64],
     base: usize,
-    i0: usize,
     tb: usize,
-    len: usize,
-    stride: usize,
+    elem_stride: usize,
+    seq_stride: usize,
     buf: &mut [Complex64],
 ) {
-    for e in 0..len {
-        let row = &data[base + i0 + stride * e..][..tb];
-        for (it, v) in row.iter().enumerate() {
-            buf[it * len + e] = *v;
+    let buf = &mut buf[..tb * plan.len()];
+    for (e, row) in buf.chunks_exact_mut(tb).enumerate() {
+        for (it, v) in row.iter_mut().enumerate() {
+            *v = data[base + elem_stride * e + seq_stride * it];
         }
     }
-    for line in buf[..tb * len].chunks_exact_mut(len) {
-        plan.execute(line, dir);
-    }
-    for e in 0..len {
-        let row = &mut data[base + i0 + stride * e..][..tb];
-        for (it, v) in row.iter_mut().enumerate() {
-            *v = buf[it * len + e];
+    plan.execute_batch(buf, tb, dir);
+    for (e, row) in buf.chunks_exact(tb).enumerate() {
+        for (it, v) in row.iter().enumerate() {
+            data[base + elem_stride * e + seq_stride * it] = *v;
         }
     }
 }
@@ -121,45 +123,38 @@ impl Fft3Plan {
         assert_eq!(g.ny, self.plan_y.len());
         assert_eq!(g.nz, self.plan_z.len());
         let (nx, ny, nz) = (g.nx, g.ny, g.nz);
+        let mut buf = vec![Complex64::ZERO; TB * nx.max(ny).max(nz)];
 
-        // x pencils are contiguous.
-        for line in g.data.chunks_exact_mut(nx) {
-            self.plan_x.execute(line, dir);
+        // x pencils: each block of TB neighboring rows is transposed into
+        // the batch.
+        for row0 in (0..ny * nz).step_by(TB) {
+            let tb = TB.min(ny * nz - row0);
+            transform_pencil_block(&self.plan_x, dir, &mut g.data, nx * row0, tb, 1, nx, &mut buf);
         }
 
-        // y pencils: blocked transpose — TB neighboring pencils per
-        // gather, so every copy is a contiguous TB-element run.
-        let mut buf = vec![Complex64::ZERO; TB * ny.max(nz)];
+        // y pencils: TB neighboring pencils per gather, so every copy is a
+        // contiguous TB-element run.
         for k in 0..nz {
             for i0 in (0..nx).step_by(TB) {
                 let tb = TB.min(nx - i0);
-                transform_pencil_block(
-                    &self.plan_y,
-                    dir,
-                    &mut g.data,
-                    nx * ny * k,
-                    i0,
-                    tb,
-                    ny,
-                    nx,
-                    &mut buf,
-                );
+                let base = nx * ny * k + i0;
+                transform_pencil_block(&self.plan_y, dir, &mut g.data, base, tb, nx, 1, &mut buf);
             }
         }
 
-        // z pencils: same blocked transpose with stride nx·ny.
+        // z pencils: same blocked gather with element stride nx·ny.
         for j in 0..ny {
             for i0 in (0..nx).step_by(TB) {
                 let tb = TB.min(nx - i0);
+                let base = nx * j + i0;
                 transform_pencil_block(
                     &self.plan_z,
                     dir,
                     &mut g.data,
-                    nx * j,
-                    i0,
+                    base,
                     tb,
-                    nz,
                     nx * ny,
+                    1,
                     &mut buf,
                 );
             }

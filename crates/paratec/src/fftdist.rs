@@ -4,17 +4,24 @@
 //! coefficients live on the load-balanced G-sphere (whole columns per
 //! rank); real-space fields live as z-slabs. One forward transform is:
 //!
-//! 1. **column FFTs** — each rank 1D-inverse-transforms its columns along
-//!    gz (the sphere is sparse, so only resident columns are touched);
+//! 1. **column FFTs** — each rank gathers its columns' dense z-lines into
+//!    one `[z][column]` batch and 1D-inverse-transforms them along gz in
+//!    one batched call (the sphere is sparse, so only resident columns are
+//!    touched);
 //! 2. **global transpose** — every rank sends, for each of its columns,
 //!    the z-range owned by each slab rank (an all-to-all; "the global data
 //!    transposes within these FFT operations account for the bulk of
 //!    PARATEC's communication overhead");
-//! 3. **plane FFTs** — each slab rank 2D-transforms its z-planes (x then
-//!    y pencils).
+//! 3. **plane FFTs** — each slab rank 2D-transforms its z-planes: the x
+//!    pencils as one batch over the transposed plane, then the y pencils
+//!    as one batch over the plane in place (its rows already interleave
+//!    them).
 //!
-//! The inverse direction reverses the three stages. Complex values travel
-//! through msim as (re, im) pairs.
+//! Every 1D transform runs through [`FftPlan::execute_batch`], vectorized
+//! across the pencils as the paper's vector machines ran their FFTs, with
+//! each pencil's arithmetic — and so every output bit — the same as a
+//! lone transform's. The inverse direction reverses the three stages.
+//! Complex values travel through msim as (re, im) pairs.
 
 use hec_core::pool::Threads;
 use hec_core::probe::{self, Counters};
@@ -22,7 +29,7 @@ use kernels::fft::{Direction, FftPlan};
 use kernels::Complex64;
 use msim::Comm;
 
-use crate::basis::{wrap_freq, Column, GSphere};
+use crate::basis::{wrap_freq, GSphere};
 
 /// Z-slab ownership: rank `p` owns planes `[start(p), start(p+1))`.
 pub fn slab_start(nz: usize, nprocs: usize, p: usize) -> usize {
@@ -60,6 +67,28 @@ pub struct DistFft {
     pub transpose_bytes: u64,
     /// Flops executed in FFT stages so far (instrumentation).
     pub fft_flops: f64,
+    /// Where each of my columns starts in a local coefficient slice, plus
+    /// the total: `ncols + 1` entries.
+    col_offsets: Vec<usize>,
+    /// Each local coefficient's index on its column's dense z-line (its
+    /// gz wrapped onto `0..nz`), so no transform takes a remainder.
+    z_of: Vec<usize>,
+    /// My columns' dense z-lines, `nz · ncols` values: one panel per
+    /// worker, each a `[z][column]` batch of a contiguous column range
+    /// (see [`DistFft::panel_width`]).
+    cols: Vec<Complex64>,
+    /// This rank's real-space slab, reused by every transform.
+    slab: Vec<Complex64>,
+    /// One transposed `[x][y]` plane per worker, for the x pencils.
+    plane_tmp: Vec<Complex64>,
+}
+
+/// Where column `i` lives in the column panels, for `ncols` columns of
+/// length `nz` in panels of `width` columns (the last panel may be
+/// narrower): element `z` sits at `start + z * step`.
+fn col_slot(ncols: usize, nz: usize, width: usize, i: usize) -> (usize, usize) {
+    let (p, j) = (i / width, i % width);
+    (p * width * nz + j, width.min(ncols - p * width))
 }
 
 impl DistFft {
@@ -74,10 +103,26 @@ impl DistFft {
     pub fn with_threads(sphere: GSphere, rank: usize, nprocs: usize, threads: Threads) -> Self {
         let assignment = sphere.balance(nprocs);
         let my_columns = assignment[rank].clone();
+        let col_offsets: Vec<usize> = std::iter::once(0)
+            .chain(my_columns.iter().scan(0usize, |off, &ci| {
+                *off += sphere.columns[ci].len();
+                Some(*off)
+            }))
+            .collect();
+        let (nx, ny, nz) = (sphere.nx, sphere.ny, sphere.nz);
+        let z_of = my_columns
+            .iter()
+            .flat_map(|&ci| sphere.columns[ci].gz.iter().map(|&gz| wrap_freq(gz, nz)))
+            .collect();
         DistFft {
-            plan_z: FftPlan::new(sphere.nz),
-            plan_x: FftPlan::new(sphere.nx),
-            plan_y: FftPlan::new(sphere.ny),
+            plan_z: FftPlan::new(nz),
+            plan_x: FftPlan::new(nx),
+            plan_y: FftPlan::new(ny),
+            cols: vec![Complex64::ZERO; nz * my_columns.len()],
+            slab: vec![Complex64::ZERO; nx * ny * slab_len(nz, nprocs, rank)],
+            plane_tmp: Vec::new(),
+            col_offsets,
+            z_of,
             sphere,
             my_columns,
             assignment,
@@ -91,67 +136,74 @@ impl DistFft {
 
     /// Local G-vector count (the length of a local coefficient slice).
     pub fn local_ng(&self) -> usize {
-        self.my_columns.iter().map(|&c| self.sphere.columns[c].len()).sum()
+        self.col_offsets[self.my_columns.len()]
     }
 
     /// Local slab size in real space: `nx × ny × slab_len` points.
     pub fn local_slab_len(&self) -> usize {
-        self.sphere.nx * self.sphere.ny * slab_len(self.sphere.nz, self.nprocs, self.rank)
+        self.slab.len()
+    }
+
+    /// Columns per worker panel: my columns split into one contiguous
+    /// range per worker, so each worker transforms its own batch.
+    fn panel_width(&self) -> usize {
+        self.my_columns.len().div_ceil(self.threads.workers()).max(1)
     }
 
     /// Forward transform: sphere coefficients (this rank's columns,
     /// concatenated in `my_columns` order) → real-space z-slab
     /// (x-fastest, then y, then local plane).
     pub fn to_real_space(&mut self, comm: &mut Comm, coeffs: &[Complex64]) -> Vec<Complex64> {
+        self.sphere_to_slab(comm, coeffs).to_vec()
+    }
+
+    /// [`DistFft::to_real_space`] into the transform's own slab buffer,
+    /// which it returns: the caller may work on it in place and hand it
+    /// back with [`DistFft::slab_to_sphere`], with no allocation per band.
+    pub fn sphere_to_slab(&mut self, comm: &mut Comm, coeffs: &[Complex64]) -> &mut [Complex64] {
         assert_eq!(coeffs.len(), self.local_ng(), "coefficient slice mismatch");
         let (nx, ny, nz) = (self.sphere.nx, self.sphere.ny, self.sphere.nz);
+        let ncols = self.my_columns.len();
+        let width = self.panel_width();
 
-        // Stage 1: scatter each column's sparse gz points onto a dense
-        // z-line and inverse-FFT it (G→r along z). Columns are
-        // independent, so they split across workers; each writes its own
-        // line.
-        let offsets: Vec<usize> = self
-            .my_columns
-            .iter()
-            .scan(0usize, |off, &ci| {
-                let here = *off;
-                *off += self.sphere.columns[ci].len();
-                Some(here)
-            })
-            .collect();
-        let sphere = &self.sphere;
-        let my_columns = &self.my_columns;
-        let plan_z = &self.plan_z;
-        let col_idx: Vec<usize> = (0..my_columns.len()).collect();
-        let lines: Vec<(usize, usize, Vec<Complex64>)> = self.threads.par_map(&col_idx, |&i| {
-            let col: &Column = &sphere.columns[my_columns[i]];
-            let mut line = vec![Complex64::ZERO; nz];
-            for (k, &gz) in col.gz.iter().enumerate() {
-                line[wrap_freq(gz, nz)] = coeffs[offsets[i] + k];
+        // Stage 1: scatter each column's sparse gz points onto its dense
+        // z-line and inverse-FFT the lines (G→r along z), one batch per
+        // worker panel.
+        let (offsets, z_of, plan_z) = (&self.col_offsets, &self.z_of, &self.plan_z);
+        self.threads.par_chunks_mut(&mut self.cols, width * nz, |p, panel| {
+            let w = panel.len() / nz;
+            panel.fill(Complex64::ZERO);
+            for j in 0..w {
+                let (lo, hi) = (offsets[p * width + j], offsets[p * width + j + 1]);
+                for (&z, &c) in z_of[lo..hi].iter().zip(&coeffs[lo..hi]) {
+                    panel[z * w + j] = c;
+                }
             }
-            plan_z.execute(&mut line, Direction::Inverse);
-            (col.gx, col.gy, line)
+            plan_z.execute_batch(panel, w, Direction::Inverse);
         });
-        self.fft_flops += my_columns.len() as f64 * self.plan_z.flops();
+        self.fft_flops += ncols as f64 * self.plan_z.flops();
         self.count_z_stage();
 
         // Stage 2: transpose — ship each slab rank its z-range of every
         // column, tagged with the column's (gx, gy). One pack task per
         // destination rank (each builds its own buffer).
-        let nprocs = self.nprocs;
-        let lines_ref = &lines;
+        let (sphere, my_columns, nprocs, cols) =
+            (&self.sphere, &self.my_columns, self.nprocs, &self.cols);
         let send: Vec<Vec<f64>> = self.threads.par_tasks(
             (0..nprocs)
                 .map(|p| {
                     move || {
                         let (s, l) = (slab_start(nz, nprocs, p), slab_len(nz, nprocs, p));
-                        let mut buf = Vec::with_capacity(lines_ref.len() * (2 + 2 * l));
-                        for (gx, gy, line) in lines_ref {
-                            buf.push(*gx as f64);
-                            buf.push(*gy as f64);
+                        let mut buf = Vec::with_capacity(ncols * (2 + 2 * l));
+                        for (i, &ci) in my_columns.iter().enumerate() {
+                            let col = &sphere.columns[ci];
+                            buf.push(col.gx as f64);
+                            buf.push(col.gy as f64);
+                            let (start, step) = col_slot(ncols, nz, width, i);
                             for z in s..s + l {
-                                buf.push(line[z].re);
-                                buf.push(line[z].im);
+                                let v = cols[start + z * step];
+                                buf.push(v.re);
+                                buf.push(v.im);
                             }
                         }
                         buf
@@ -171,14 +223,14 @@ impl DistFft {
         // record carries one value for each local plane, so plane `z`
         // reads offset `2 + 2z` of every record and owns its writes.
         let my_len = slab_len(nz, self.nprocs, self.rank);
-        let mut slab = vec![Complex64::ZERO; nx * ny * my_len];
         if my_len > 0 {
             let rec_len = 2 + 2 * my_len;
             for buf in &recv {
                 assert!(buf.len() % rec_len == 0, "corrupt transpose record");
             }
             let recv_ref = &recv;
-            self.threads.par_chunks_mut(&mut slab, nx * ny, |z, plane| {
+            self.threads.par_chunks_mut(&mut self.slab, nx * ny, |z, plane| {
+                plane.fill(Complex64::ZERO);
                 for buf in recv_ref {
                     for rec in buf.chunks_exact(rec_len) {
                         let (gx, gy) = (rec[0] as usize, rec[1] as usize);
@@ -190,8 +242,8 @@ impl DistFft {
 
         // Stage 3: inverse 2D FFT on each local plane (x pencils, then
         // y), planes split across workers.
-        self.plane_ffts(&mut slab, Direction::Inverse);
-        slab
+        self.plane_ffts(Direction::Inverse);
+        &mut self.slab
     }
 
     /// Records the probe events of one z-stage column sweep: baseline
@@ -213,29 +265,42 @@ impl DistFft {
         );
     }
 
-    /// 2D x/y pencil FFTs on every `nx × ny` plane of `slab`, planes
-    /// split across workers (each plane is a disjoint contiguous slice,
-    /// so the result is bitwise identical to the serial sweep).
-    fn plane_ffts(&mut self, slab: &mut [Complex64], dir: Direction) {
+    /// 2D x/y pencil FFTs on every `nx × ny` plane of the slab, planes
+    /// split into one contiguous group per worker (each plane is a
+    /// disjoint contiguous slice, so the result is bitwise identical to
+    /// the serial sweep). A plane is a `[y][x]` batch of its y pencils as
+    /// it stands; its x pencils are batched through the worker's
+    /// transposed copy.
+    fn plane_ffts(&mut self, dir: Direction) {
         let (nx, ny) = (self.sphere.nx, self.sphere.ny);
-        let planes = slab.len() / (nx * ny).max(1);
-        let plan_x = &self.plan_x;
-        let plan_y = &self.plan_y;
-        self.threads.par_chunks_mut(slab, nx * ny, |_, plane| {
-            for row in plane.chunks_exact_mut(nx) {
-                plan_x.execute(row, dir);
-            }
-            let mut line = vec![Complex64::ZERO; ny];
-            for x in 0..nx {
-                for (y, l) in line.iter_mut().enumerate() {
-                    *l = plane[x + nx * y];
+        let planes = self.slab.len() / (nx * ny);
+        let workers = self.threads.workers();
+        self.plane_tmp.resize(workers * nx * ny, Complex64::ZERO);
+        let (plan_x, plan_y) = (&self.plan_x, &self.plan_y);
+        let tasks: Vec<_> = self
+            .slab
+            .chunks_mut(planes.div_ceil(workers).max(1) * nx * ny)
+            .zip(self.plane_tmp.chunks_exact_mut(nx * ny))
+            .map(|(group, tmp)| {
+                move || {
+                    for plane in group.chunks_exact_mut(nx * ny) {
+                        for (y, row) in plane.chunks_exact(nx).enumerate() {
+                            for (x, v) in row.iter().enumerate() {
+                                tmp[x * ny + y] = *v;
+                            }
+                        }
+                        plan_x.execute_batch(tmp, ny, dir);
+                        for (y, row) in plane.chunks_exact_mut(nx).enumerate() {
+                            for (x, v) in row.iter_mut().enumerate() {
+                                *v = tmp[x * ny + y];
+                            }
+                        }
+                        plan_y.execute_batch(plane, nx, dir);
+                    }
                 }
-                plan_y.execute(&mut line, dir);
-                for (y, l) in line.iter().enumerate() {
-                    plane[x + nx * y] = *l;
-                }
-            }
-        });
+            })
+            .collect();
+        self.threads.par_tasks(tasks);
         self.fft_flops +=
             planes as f64 * (ny as f64 * self.plan_x.flops() + nx as f64 * self.plan_y.flops());
         if probe::enabled() {
@@ -258,20 +323,30 @@ impl DistFft {
     /// Inverse transform: real-space z-slab → sphere coefficients (this
     /// rank's columns). Exactly adjoint to [`DistFft::to_real_space`].
     pub fn to_fourier_space(&mut self, comm: &mut Comm, slab: &[Complex64]) -> Vec<Complex64> {
+        assert_eq!(slab.len(), self.slab.len(), "slab slice mismatch");
+        self.slab.copy_from_slice(slab);
+        let mut coeffs = vec![Complex64::ZERO; self.local_ng()];
+        self.slab_to_sphere(comm, &mut coeffs);
+        coeffs
+    }
+
+    /// [`DistFft::to_fourier_space`] of the transform's own slab buffer
+    /// (as [`DistFft::sphere_to_slab`] left it, or as the caller changed
+    /// it in place) into `coeffs`. The slab buffer is overwritten.
+    pub fn slab_to_sphere(&mut self, comm: &mut Comm, coeffs: &mut [Complex64]) {
+        assert_eq!(coeffs.len(), self.local_ng(), "coefficient slice mismatch");
         let (nx, ny, nz) = (self.sphere.nx, self.sphere.ny, self.sphere.nz);
         let my_len = slab_len(nz, self.nprocs, self.rank);
-        assert_eq!(slab.len(), nx * ny * my_len, "slab slice mismatch");
-        let mut work = slab.to_vec();
 
         // Stage 3 adjoint: forward 2D FFT per plane, planes split across
         // workers.
-        self.plane_ffts(&mut work, Direction::Forward);
+        self.plane_ffts(Direction::Forward);
 
         // Stage 2 adjoint: ship every column owner its (gx, gy) values for
         // my z-range. One pack task per destination rank.
         let sphere = &self.sphere;
         let assignment = &self.assignment;
-        let work_ref = &work;
+        let work_ref = &self.slab;
         let send: Vec<Vec<f64>> = self.threads.par_tasks(
             (0..self.nprocs)
                 .map(|owner| {
@@ -301,11 +376,11 @@ impl DistFft {
             .sum::<u64>();
         let recv = comm.alltoall_f64(&send);
 
-        // Reassemble each of my columns' dense z-lines, then stage 1
-        // adjoint: forward z-FFT and harvest of the sphere points — one
-        // task per column. Every rank packed its records in
-        // `assignment[me]` = `my_columns` order, so column `li`'s record
-        // sits at a fixed offset in every receive buffer (no search).
+        // Reassemble my columns' dense z-lines into the worker panels,
+        // then stage 1 adjoint: forward z-FFT, one batch per panel. Every
+        // rank packed its records in `assignment[me]` = `my_columns`
+        // order, so column `i`'s record sits at a fixed offset in every
+        // receive buffer (no search).
         let ncols = self.my_columns.len();
         for (p, buf) in recv.iter().enumerate() {
             let sl = slab_len(nz, self.nprocs, p);
@@ -313,42 +388,45 @@ impl DistFft {
                 assert_eq!(buf.len(), ncols * (2 + 2 * sl), "corrupt transpose record");
             }
         }
-        let sphere = &self.sphere;
-        let my_columns = &self.my_columns;
-        let plan_z = &self.plan_z;
+        let width = self.panel_width();
+        let (sphere, my_columns, plan_z) = (&self.sphere, &self.my_columns, &self.plan_z);
         let nprocs = self.nprocs;
         let recv_ref = &recv;
-        let col_idx: Vec<usize> = (0..ncols).collect();
-        let per_col: Vec<Vec<Complex64>> = self.threads.par_map(&col_idx, |&li| {
-            let col = &sphere.columns[my_columns[li]];
-            let mut line = vec![Complex64::ZERO; nz];
-            for (p, buf) in recv_ref.iter().enumerate() {
-                let sl = slab_len(nz, nprocs, p);
-                if sl == 0 {
-                    continue;
-                }
-                let ss = slab_start(nz, nprocs, p);
-                let rec_len = 2 + 2 * sl;
-                let rec = &buf[li * rec_len..(li + 1) * rec_len];
-                debug_assert_eq!((rec[0] as usize, rec[1] as usize), (col.gx, col.gy));
-                for z in 0..sl {
-                    line[ss + z] = Complex64::new(rec[2 + 2 * z], rec[3 + 2 * z]);
+        self.threads.par_chunks_mut(&mut self.cols, width * nz, |p, panel| {
+            let w = panel.len() / nz;
+            for j in 0..w {
+                let i = p * width + j;
+                let col = &sphere.columns[my_columns[i]];
+                for (src, buf) in recv_ref.iter().enumerate() {
+                    let sl = slab_len(nz, nprocs, src);
+                    if sl == 0 {
+                        continue;
+                    }
+                    let ss = slab_start(nz, nprocs, src);
+                    let rec_len = 2 + 2 * sl;
+                    let rec = &buf[i * rec_len..(i + 1) * rec_len];
+                    debug_assert_eq!((rec[0] as usize, rec[1] as usize), (col.gx, col.gy));
+                    for z in 0..sl {
+                        panel[(ss + z) * w + j] = Complex64::new(rec[2 + 2 * z], rec[3 + 2 * z]);
+                    }
                 }
             }
-            plan_z.execute(&mut line, Direction::Forward);
-            col.gz.iter().map(|&gz| line[wrap_freq(gz, nz)]).collect()
+            plan_z.execute_batch(panel, w, Direction::Forward);
         });
         self.fft_flops += ncols as f64 * self.plan_z.flops();
         self.count_z_stage();
-        let mut coeffs = Vec::with_capacity(self.local_ng());
-        for v in per_col {
-            coeffs.extend(v);
+
+        // Harvest the sphere points. Normalization: the z-inverse already
+        // divides by nz and the plane inverses by nx·ny, while the
+        // forwards multiply by nothing — to_fourier_space ∘ to_real_space
+        // is exactly the identity with this convention.
+        for i in 0..ncols {
+            let (lo, hi) = (self.col_offsets[i], self.col_offsets[i + 1]);
+            let (start, step) = col_slot(ncols, nz, width, i);
+            for (c, &z) in coeffs[lo..hi].iter_mut().zip(&self.z_of[lo..hi]) {
+                *c = self.cols[start + z * step];
+            }
         }
-        // Normalize so to_real_space ∘ to_fourier_space = identity: the
-        // z-inverse already divides by nz and the plane inverses by nx·ny,
-        // while the forwards multiply by nothing — the round trip is
-        // exactly the identity with this convention.
-        coeffs
     }
 }
 

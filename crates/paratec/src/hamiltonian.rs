@@ -118,23 +118,20 @@ impl Hamiltonian {
         assert_eq!(psi.len(), nbands * ng, "band block shape mismatch");
         let mut out = vec![Complex64::ZERO; nbands * ng];
 
-        // Kinetic: diagonal in G.
+        // Local potential: FFT to the slab, multiply, FFT back, per band,
+        // in the transform's own slab buffer; V ψ lands in `out`.
         for b in 0..nbands {
-            for g in 0..ng {
-                out[b * ng + g] = psi[b * ng + g].scale(self.kinetic[g]);
-            }
-        }
-
-        // Local potential: FFT to the slab, multiply, FFT back, per band.
-        for b in 0..nbands {
-            let band = &psi[b * ng..(b + 1) * ng];
-            let mut slab = self.fft.to_real_space(comm, band);
+            let slab = self.fft.sphere_to_slab(comm, &psi[b * ng..(b + 1) * ng]);
             for (v, s) in self.v_local.iter().zip(slab.iter_mut()) {
                 *s = s.scale(*v);
             }
-            let vpsi = self.fft.to_fourier_space(comm, &slab);
+            self.fft.slab_to_sphere(comm, &mut out[b * ng..(b + 1) * ng]);
+        }
+
+        // Kinetic: diagonal in G.
+        for b in 0..nbands {
             for g in 0..ng {
-                out[b * ng + g] += vpsi[g];
+                out[b * ng + g] += psi[b * ng + g].scale(self.kinetic[g]);
             }
         }
 

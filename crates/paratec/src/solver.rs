@@ -261,6 +261,45 @@ mod tests {
     }
 
     #[test]
+    fn five_iterations_reproduce_golden_band_bits() {
+        // Pins the exact bits of ψ after one 5-iteration `minimize` of a
+        // 16³ problem, per rank, at 1 and 2 ranks and 1 and 2 workers. A
+        // rewrite of the FFT, transpose or Hamiltonian arithmetic that
+        // moves any output bit fails here, with or without
+        // target-cpu=native.
+        let golden: [&[u64]; 2] =
+            [&[0x4e64_07fa_2066_7756], &[0x1875_a292_6c55_3012, 0x540c_0b31_d62a_539f]];
+        for (nprocs, want) in [1usize, 2].into_iter().zip(golden) {
+            for workers in [1usize, 2] {
+                let hashes = msim::run(nprocs, move |comm| {
+                    let sphere = GSphere::build(16, 16, 16, 20.0);
+                    let threads = hec_core::pool::Threads::new(workers);
+                    let fft = DistFft::with_threads(sphere, comm.rank(), comm.size(), threads);
+                    let mut h = Hamiltonian::model(fft, 4, 1.5);
+                    let nbands = 8;
+                    let mut psi = initial_guess(h.ng(), nbands, comm.rank());
+                    minimize(comm, &mut h, &mut psi, nbands, 5, 0.5);
+                    // FNV-1a over the little-endian bytes of every re/im.
+                    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+                    for z in &psi {
+                        for b in
+                            z.re.to_bits()
+                                .to_le_bytes()
+                                .into_iter()
+                                .chain(z.im.to_bits().to_le_bytes())
+                        {
+                            hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                        }
+                    }
+                    hash
+                })
+                .unwrap();
+                assert_eq!(hashes, want, "ψ bits moved at {nprocs} ranks × {workers} workers");
+            }
+        }
+    }
+
+    #[test]
     fn attractive_potential_lowers_the_spectrum() {
         let free = run_minimize(2, 0, 0.0, 2, 40);
         let bound = run_minimize(2, 0, 2.0, 2, 40);

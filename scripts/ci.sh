@@ -10,11 +10,12 @@ cargo build --release --offline --workspace --examples
 # package must not hide the ones after it.
 cargo test -q --offline --workspace --no-fail-fast
 # .cargo/config.toml builds for target-cpu=native and claims that changes
-# no bits. The kernels' pinned FFT outputs and GTC's golden state bits
-# hold that claim: run them once more for the portable target, in a
-# target dir of their own so the native build above is not thrown away.
+# no bits. The kernels' pinned FFT outputs and the golden GTC state and
+# PARATEC band bits hold that claim: run them once more for the portable
+# target, in a target dir of their own so the native build above is not
+# thrown away.
 RUSTFLAGS='' CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/portable" \
-    cargo test -q --offline -p kernels -p gtc --lib
+    cargo test -q --offline -p kernels -p gtc -p paratec --lib
 cargo fmt --check
 # Warnings are errors on every target: a private helper or an import that
 # a deletion orphans fails here instead of lingering. A target dir of its
