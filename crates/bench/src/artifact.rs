@@ -75,11 +75,10 @@ pub struct Meta {
 impl Meta {
     /// Collects the metadata for a run started now.
     pub fn collect() -> Meta {
-        let platforms: Vec<String> = report::paper::PLATFORMS
+        let platforms: Vec<String> = AppId::ALL
             .iter()
-            .chain(report::paper::FVCAM_PLATFORMS.iter())
-            .filter(|p| **p != "(n/a)") // table-layout hole, not a platform
-            .map(|s| s.to_string())
+            .flat_map(|&app| crate::render::labelled_columns(app))
+            .map(|(_, label)| label.to_string())
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect();

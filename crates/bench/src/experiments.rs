@@ -7,33 +7,40 @@
 //! remains here is everything that needs the simulated runtime: the
 //! Figure 2 traffic capture and the Figure 8 assembly.
 //!
-//! Results use the paper's 7-column platform layout (see
-//! `report::paper::PLATFORMS`).
+//! Results use each table's 7-column platform layout
+//! ([`engine::columns`]).
 
-use hec_serve::engine::{self, AppId, Cell, Row};
+use std::sync::Arc;
+
+use hec_serve::engine::{self, AppId, Cell};
+use msim::TrafficMatrix;
 
 /// Figure 8 data: the 256-processor slice of all four applications —
 /// (% of peak, speed relative to ES) per platform per app.
 pub struct Fig8App {
-    /// Application name.
-    pub app: &'static str,
-    /// Per-platform cells at P=256.
+    /// Application name as the figure prints it.
+    pub name: &'static str,
+    /// The application, whose table columns the cells follow.
+    pub id: AppId,
+    /// Per-platform cells at P=256, in [`engine::columns`] order.
     pub cells: [Option<Cell>; 7],
 }
 
 /// Collects the 256-processor rows of all four applications.
 pub fn fig8_apps() -> Vec<Fig8App> {
-    let pick = |rows: &[Row], label_filter: Option<&str>| -> [Option<Cell>; 7] {
-        rows.iter()
+    let pick = |name, id, label_filter: Option<&str>| {
+        let cells = engine::rows(id)
+            .iter()
             .find(|r| r.procs == 256 && label_filter.map(|f| r.label.contains(f)).unwrap_or(true))
-            .map(|r| r.cells.clone())
-            .unwrap_or([None; 7])
+            .map(|r| r.cells)
+            .unwrap_or([None; 7]);
+        Fig8App { name, id, cells }
     };
     vec![
-        Fig8App { app: "FVCAM", cells: pick(&engine::rows(AppId::Fvcam), Some("2D Pz=4")) },
-        Fig8App { app: "GTC", cells: pick(&engine::rows(AppId::Gtc), None) },
-        Fig8App { app: "LBMHD3D", cells: pick(&engine::rows(AppId::Lbmhd), None) },
-        Fig8App { app: "PARATEC", cells: pick(&engine::rows(AppId::Paratec), None) },
+        pick("FVCAM", AppId::Fvcam, Some("2D Pz=4")),
+        pick("GTC", AppId::Gtc, None),
+        pick("LBMHD3D", AppId::Lbmhd, None),
+        pick("PARATEC", AppId::Paratec, None),
     ]
 }
 
@@ -42,7 +49,7 @@ pub fn fig8_apps() -> Vec<Fig8App> {
 /// captures the point-to-point traffic matrix for the 1D and the
 /// 2D (Pz = 4) decompositions. `scale` shrinks the mesh for quick runs
 /// (1 = full D mesh).
-pub fn fig2_traffic(pz: usize, scale: usize) -> (Vec<u64>, usize) {
+pub fn fig2_traffic(pz: usize, scale: usize) -> Arc<TrafficMatrix> {
     let nlon = 576 / scale.max(1);
     let nlat = 361 / scale.max(1);
     let nlev = 26;
@@ -62,7 +69,7 @@ pub fn fig2_traffic(pz: usize, scale: usize) -> (Vec<u64>, usize) {
         sim.step(comm);
     })
     .expect("fig2 capture run failed");
-    (traffic.snapshot(), ranks)
+    traffic
 }
 
 #[cfg(test)]
@@ -100,13 +107,14 @@ mod tests {
         let apps = fig8_apps();
         assert_eq!(apps.len(), 4);
         for a in &apps {
-            assert!(a.cells.iter().any(|c| c.is_some()), "{} missing", a.app);
+            assert!(a.cells.iter().any(|c| c.is_some()), "{} missing", a.name);
         }
     }
 
     #[test]
     fn fig2_capture_runs_on_a_reduced_mesh() {
-        let (matrix, ranks) = fig2_traffic(1, 8);
+        let traffic = fig2_traffic(1, 8);
+        let (matrix, ranks) = (traffic.snapshot(), traffic.nprocs());
         assert_eq!(matrix.len(), ranks * ranks);
         assert!(matrix.iter().sum::<u64>() > 0);
         // 1D: traffic only between adjacent ranks (and none on the

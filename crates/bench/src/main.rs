@@ -8,9 +8,8 @@
 
 use std::num::NonZeroUsize;
 
-use bench::{experiments, render, validate};
+use bench::{experiments, paper, render, validate};
 use hec_serve::engine::{self, AppId};
-use report::paper;
 
 /// One `repro` subcommand: its name, argument hint, one-line help, and
 /// handler. Usage text, dispatch, and the unknown-subcommand error are
@@ -34,12 +33,6 @@ const COMMANDS: &[Cmd] = &[
         args: "",
         help: "shape comparison against the paper's published numbers",
         run: |_| validate_all(),
-    },
-    Cmd {
-        name: "profile",
-        args: "",
-        help: "calibration captures; writes PROFILE_<app>.json",
-        run: |_| bench::profile::run(),
     },
     Cmd {
         name: "serve",
@@ -105,30 +98,18 @@ const SECTIONS: &[Section] = &[
     Section { name: "table1", print: || print!("{}", render::table1().render()) },
     Section { name: "table2", print: table2 },
     Section { name: "table3", print: || print!("{}", render::app_table(AppId::Fvcam).render()) },
-    Section {
-        name: "fig3",
-        print: || print!("{}", render::fig3(&engine::rows(AppId::Fvcam), &paper::FVCAM_PLATFORMS)),
-    },
+    Section { name: "fig3", print: || print!("{}", render::fig3(&engine::rows(AppId::Fvcam))) },
     Section {
         name: "fig4",
         print: || {
-            print!(
-                "{}",
-                render::fig4(
-                    &engine::rows(AppId::Fvcam),
-                    &paper::FVCAM_PLATFORMS,
-                    fvcam::model::D_MESH_STEPS_PER_DAY
-                )
-            )
+            let rows = engine::rows(AppId::Fvcam);
+            print!("{}", render::fig4(&rows, fvcam::model::D_MESH_STEPS_PER_DAY))
         },
     },
     Section { name: "table4", print: || print!("{}", render::app_table(AppId::Gtc).render()) },
     Section { name: "table5", print: || print!("{}", render::app_table(AppId::Lbmhd).render()) },
     Section { name: "table6", print: || print!("{}", render::app_table(AppId::Paratec).render()) },
-    Section {
-        name: "fig8",
-        print: || print!("{}", render::fig8(&experiments::fig8_apps(), &paper::PLATFORMS)),
-    },
+    Section { name: "fig8", print: || print!("{}", render::fig8(&experiments::fig8_apps())) },
     Section { name: "fig2", print: || fig2(FIG2_DIVISOR) },
 ];
 
@@ -317,19 +298,19 @@ fn table2() {
 
 fn fig2(scale: usize) {
     eprintln!("capturing FVCAM traffic on a 1/{scale} D mesh (64 MPI ranks)...");
-    let (m1, ranks) = experiments::fig2_traffic(1, scale);
-    let (m2, _) = experiments::fig2_traffic(4, scale);
-    print!("{}", render::fig2(&m1, &m2, ranks));
+    let (m1, m2) = (experiments::fig2_traffic(1, scale), experiments::fig2_traffic(4, scale));
+    print!("{}", render::fig2(&m1, &m2));
 }
 
 fn validate_all() {
-    let cases = [
-        ("Table 3 (FVCAM)", engine::rows(AppId::Fvcam), paper::table3()),
-        ("Table 4 (GTC)", engine::rows(AppId::Gtc), paper::table4()),
-        ("Table 5 (LBMHD3D)", engine::rows(AppId::Lbmhd), paper::table5()),
-        ("Table 6 (PARATEC)", engine::rows(AppId::Paratec), paper::table6()),
-    ];
-    for (name, ours, published) in cases {
+    for app in AppId::ALL {
+        let name = match app {
+            AppId::Fvcam => "Table 3 (FVCAM)",
+            AppId::Gtc => "Table 4 (GTC)",
+            AppId::Lbmhd => "Table 5 (LBMHD3D)",
+            AppId::Paratec => "Table 6 (PARATEC)",
+        };
+        let (ours, published) = (engine::rows(app), paper::published(app));
         let shape = validate::compare(&ours, &published);
         println!(
             "{name}: ordering agreement {:.0}%, typical factor {:.2}x over {} rows",
@@ -337,7 +318,7 @@ fn validate_all() {
             shape.factor,
             shape.rows
         );
-        print!("{}", validate::diff_table(name, &ours, &published));
+        print!("{}", validate::diff_table(name, app, &ours, &published));
         println!();
     }
 }
@@ -396,5 +377,45 @@ mod tests {
         // `repro cluster 0`: no replicas is an error, not a cluster of one.
         assert!(parse_arg(&["0"], 0, NonZeroUsize::MIN).is_err());
         assert_eq!(parse_arg(&["2"], 0, NonZeroUsize::MIN).map(NonZeroUsize::get), Ok(2));
+    }
+
+    /// Every `repro <cmd>` README.md quotes names an entry of
+    /// [`COMMANDS`], and every `repro report <name>` an entry of
+    /// [`SECTIONS`], so the README cannot advertise a deleted command.
+    #[test]
+    fn readme_quotes_only_commands_and_sections_that_exist() {
+        let readme = include_str!("../../../README.md");
+        // Whitespace-separated words; "\n" marks each line end.
+        let words: Vec<&str> =
+            readme.lines().flat_map(|l| l.split_whitespace().chain(["\n"])).collect();
+        let bare = |w: &str| w.trim_matches(|c: char| !c.is_ascii_alphanumeric()).to_string();
+        let mut seen = 0;
+        for (i, w) in words.iter().enumerate() {
+            // `repro` followed by a command; "`repro`" alone is the binary.
+            if w.trim_start_matches(['`', '(']) != "repro" {
+                continue;
+            }
+            let j = (i + 1..words.len()).find(|&j| !["\n", "#"].contains(&words[j])).unwrap();
+            let cmd = bare(words[j]);
+            assert!(COMMANDS.iter().any(|c| c.name == cmd), "README quotes `repro {cmd}`");
+            seen += 1;
+            if cmd != "report" || words[j].contains('`') {
+                continue;
+            }
+            for arg in &words[j + 1..] {
+                if *arg == "\n" || arg.starts_with('#') {
+                    break;
+                }
+                let name = bare(arg);
+                assert!(
+                    SECTIONS.iter().any(|s| s.name == name),
+                    "README quotes `repro report {name}`"
+                );
+                if arg.contains('`') {
+                    break;
+                }
+            }
+        }
+        assert!(seen >= COMMANDS.len() / 2, "only {seen} quoted commands found");
     }
 }

@@ -1,4 +1,5 @@
-//! `repro profile` — structured per-phase profiles from measured captures.
+//! Structured per-phase profiles from measured captures, the
+//! `PROFILE_<app>.json` artifacts of `repro all`.
 //!
 //! Runs every application's calibration capture (the same captures the
 //! measured Table 3–6 path consumes), derives a representative measured
@@ -106,14 +107,6 @@ pub fn file_name(p: &AppProfile) -> String {
     format!("PROFILE_{}.json", p.tag)
 }
 
-/// Runs the captures and writes the profiles into the current directory
-/// with a fresh metadata stamp (the standalone `repro profile` entry
-/// point).
-pub fn run() {
-    let meta = crate::artifact::Meta::collect();
-    run_into(&crate::artifact::Writer::new(".", &meta).expect("the current directory exists"));
-}
-
 /// Runs the captures, prints a per-phase summary, and writes one
 /// `PROFILE_<tag>.json` per application through `w`.
 pub fn run_into(w: &crate::artifact::Writer) {
@@ -133,6 +126,7 @@ pub fn run_into(w: &crate::artifact::Writer) {
             println!("    {:<28} {:>14.3e} flops/proc/step", ph.name, ph.flops);
         }
         let name = file_name(&p);
+        // The committed baseline's bytes carry this source label.
         let payload = [("source", Json::Str("repro profile".into())), ("profile", p.to_json())];
         if let Err(e) = w.write(&name, payload) {
             eprintln!("warning: could not write {name}: {e}");

@@ -9,9 +9,10 @@
 //! 3. **Trend** — do the paper's qualitative scaling statements hold
 //!    (e.g. %peak falls with P for the fixed-size problems)?
 
-use report::paper::{ordering_agreement, typical_ratio, PaperRow};
+use hec_serve::engine::{AppId, Row};
 
-use hec_serve::engine::Row;
+use crate::paper::{ordering_agreement, typical_ratio, PaperRow};
+use crate::render::labelled_columns;
 
 /// Shape scores for one table.
 #[derive(Clone, Copy, Debug)]
@@ -24,19 +25,29 @@ pub struct Shape {
     pub rows: usize,
 }
 
+/// Pairs each published row with the reproduced row of the same
+/// processor count and, when the published row has one, a label
+/// containing or contained in its label; unmatched rows are dropped.
+fn matched<'a>(
+    ours: &'a [Row],
+    paper: &'a [PaperRow],
+) -> impl Iterator<Item = (&'a Row, &'a PaperRow)> {
+    paper.iter().filter_map(move |p| {
+        let m = ours.iter().find(|r| {
+            r.procs == p.procs
+                && (p.label.is_empty() || r.label.contains(&p.label) || p.label.contains(&r.label))
+        });
+        m.map(|m| (m, p))
+    })
+}
+
 /// Matches reproduced rows against published rows by (procs, label-ish)
 /// and computes the shape scores.
 pub fn compare(ours: &[Row], paper: &[PaperRow]) -> Shape {
     let mut ord_sum = 0.0;
     let mut ratio_sum = 0.0;
     let mut n = 0usize;
-    for p in paper {
-        // Match on processor count and label when the paper row has one.
-        let m = ours.iter().find(|r| {
-            r.procs == p.procs
-                && (p.label.is_empty() || r.label.contains(&p.label) || p.label.contains(&r.label))
-        });
-        let Some(m) = m else { continue };
+    for (m, p) in matched(ours, paper) {
         let our_g: Vec<Option<f64>> = m.cells.iter().map(|c| c.map(|c| c.gflops)).collect();
         ord_sum += ordering_agreement(&our_g, &p.gflops);
         ratio_sum += typical_ratio(&our_g, &p.gflops).ln();
@@ -48,24 +59,21 @@ pub fn compare(ours: &[Row], paper: &[PaperRow]) -> Shape {
     Shape { ordering: ord_sum / n as f64, factor: (ratio_sum / n as f64).exp(), rows: n }
 }
 
-/// Renders a side-by-side `ours vs paper` diff for calibration work.
-pub fn diff_table(title: &str, ours: &[Row], paper: &[PaperRow]) -> String {
+/// Renders a side-by-side `ours vs paper` diff of `app`'s table for
+/// calibration work, one column per platform the table has.
+pub fn diff_table(title: &str, app: AppId, ours: &[Row], paper: &[PaperRow]) -> String {
+    let columns = labelled_columns(app);
     let mut out = format!("{title}: reproduced vs published Gflop/P (ratio)\n");
     out.push_str(&format!(
         "{:<12} {:>6}  {}\n",
         "config",
         "P",
-        report::paper::PLATFORMS.iter().map(|p| format!("{p:>18}")).collect::<String>()
+        columns.iter().map(|(_, label)| format!("{label:>18}")).collect::<String>()
     ));
-    for p in paper {
-        let m = ours.iter().find(|r| {
-            r.procs == p.procs
-                && (p.label.is_empty() || r.label.contains(&p.label) || p.label.contains(&r.label))
-        });
-        let Some(m) = m else { continue };
+    for (m, p) in matched(ours, paper) {
         out.push_str(&format!("{:<12} {:>6}  ", p.label, p.procs));
-        for (c, pub_g) in m.cells.iter().zip(&p.gflops) {
-            let cell = match (c, pub_g) {
+        for &(ci, _) in &columns {
+            let cell = match (m.cells[ci], p.gflops[ci]) {
                 (Some(c), Some(g)) => {
                     format!("{:>6.2}/{:<5.2}x{:<4.1}", c.gflops, g, c.gflops / g)
                 }
@@ -83,11 +91,12 @@ pub fn diff_table(title: &str, ours: &[Row], paper: &[PaperRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hec_serve::engine::{self, AppId};
+    use crate::paper::published;
+    use hec_serve::engine;
 
     #[test]
     fn gtc_shape_is_comparable() {
-        let shape = compare(&engine::rows(AppId::Gtc), &report::paper::table4());
+        let shape = compare(&engine::rows(AppId::Gtc), &published(AppId::Gtc));
         assert_eq!(shape.rows, 6);
         assert!(shape.ordering > 0.0);
         assert!(shape.factor.is_finite());
@@ -95,14 +104,14 @@ mod tests {
 
     #[test]
     fn diff_table_renders() {
-        let s = diff_table("T4", &engine::rows(AppId::Gtc), &report::paper::table4());
+        let s = diff_table("T4", AppId::Gtc, &engine::rows(AppId::Gtc), &published(AppId::Gtc));
         assert!(s.contains("T4"));
         assert!(s.contains('x'));
     }
 
     #[test]
     fn empty_comparison_is_flagged() {
-        let shape = compare(&[], &report::paper::table4());
+        let shape = compare(&[], &published(AppId::Gtc));
         assert_eq!(shape.rows, 0);
         assert!(shape.factor.is_infinite());
     }

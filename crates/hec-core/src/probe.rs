@@ -5,7 +5,7 @@
 //! architectural model. This module is the capture layer: kernels and
 //! apps report hardware-style event counts per named phase, and a
 //! [`capture`] run snapshots them for the model (`hec-arch`) and the
-//! `repro profile` command.
+//! `PROFILE_<app>.json` artifacts of `repro all`.
 //!
 //! Design rules, in priority order:
 //!

@@ -19,18 +19,14 @@
 //! failure, or a timeout, surfaces immediately — a timed-out request may
 //! have executed, and masking that would double-execute it.
 //!
-//! On top of the bare [`http_get`]/[`http_post`] pair, [`get_with_retry`]
-//! adds bounded retries on transport failure and on `503`, honoring the
-//! server's `Retry-After` header (capped), paced by the seeded
-//! [`hec_core::retry::Backoff`] so tests are deterministic.
+//! [`RetryPolicy`] is the router's retry budget for its upstream
+//! exchanges (and the tests' for their retried GETs).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-use hec_core::retry::Backoff;
 
 use crate::reactor::parse_response;
 pub use crate::reactor::Response;
@@ -125,7 +121,9 @@ fn exchange(
     }
 }
 
-fn request(
+/// Issues one request with a per-request socket `timeout` and reads the
+/// full response: [`http_get`] and [`http_post`] with the default timeout.
+pub fn request(
     method: &str,
     url: &str,
     body: Option<&str>,
@@ -174,14 +172,14 @@ pub fn http_post(url: &str, body: &str) -> std::io::Result<Response> {
 // Retry
 // ---------------------------------------------------------------------
 
-/// Retry behaviour for [`get_with_retry`].
+/// Retry budget: backoff pacing, attempts and the per-attempt timeout.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// First backoff delay, milliseconds.
     pub base_ms: u64,
-    /// Backoff ceiling, milliseconds. Also caps an honored `Retry-After`
-    /// (advertised in whole seconds, which would otherwise dominate a
-    /// short load run).
+    /// Backoff ceiling, milliseconds. The tests' retried GET also caps
+    /// an honored `Retry-After` at it (advertised in whole seconds, which
+    /// would otherwise dominate a short load run).
     pub cap_ms: u64,
     /// Retries after the initial attempt.
     pub max_retries: u32,
@@ -192,52 +190,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy { base_ms: 20, cap_ms: 250, max_retries: 4, timeout: DEFAULT_TIMEOUT }
-    }
-}
-
-/// Outcome of a retried GET: the final response plus how many attempts
-/// it took.
-#[derive(Clone, Debug)]
-pub struct RetryOutcome {
-    /// The last response received.
-    pub response: Response,
-    /// Total attempts issued (1 = no retry was needed).
-    pub attempts: u32,
-}
-
-/// GET with bounded, seeded retries.
-///
-/// Transport errors and `503` responses are retried up to
-/// `policy.max_retries` times. A `503` carrying `Retry-After: N` sleeps
-/// `min(N seconds, policy.cap_ms)` — honoring the server's pacing hint
-/// without letting a 1-second hint starve a short run — otherwise the
-/// seeded exponential backoff paces the retry. Every other status
-/// returns immediately: a `400` will not get better by asking again.
-pub fn get_with_retry(url: &str, policy: &RetryPolicy, seed: u64) -> std::io::Result<RetryOutcome> {
-    let mut backoff = Backoff::new(seed, policy.base_ms, policy.cap_ms, policy.max_retries);
-    let mut attempts = 0u32;
-    let mut last_err: Option<std::io::Error> = None;
-    loop {
-        attempts += 1;
-        match request("GET", url, None, policy.timeout) {
-            Ok(resp) if resp.status == 503 => {
-                let hint = resp
-                    .retry_after_secs()
-                    .map(|s| Duration::from_millis((s.saturating_mul(1000)).min(policy.cap_ms)));
-                match backoff.next_delay() {
-                    Some(backoff_delay) => std::thread::sleep(hint.unwrap_or(backoff_delay)),
-                    None => return Ok(RetryOutcome { response: resp, attempts }),
-                }
-            }
-            Ok(resp) => return Ok(RetryOutcome { response: resp, attempts }),
-            Err(e) => match backoff.next_delay() {
-                Some(d) => {
-                    last_err = Some(e);
-                    std::thread::sleep(d);
-                }
-                None => return Err(last_err.unwrap_or(e)),
-            },
-        }
     }
 }
 
@@ -273,56 +225,8 @@ mod tests {
     }
 
     #[test]
-    fn get_with_retry_gives_up_against_a_dead_port() {
-        // Nothing listens on this port of TEST-NET; every attempt must
-        // fail fast and the call must return the transport error after
-        // exhausting its budget.
-        let policy = RetryPolicy {
-            base_ms: 1,
-            cap_ms: 2,
-            max_retries: 2,
-            timeout: Duration::from_millis(200),
-        };
-        let t0 = std::time::Instant::now();
-        let r = get_with_retry("http://127.0.0.1:1/healthz", &policy, 9);
-        assert!(r.is_err());
-        assert!(t0.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn retry_after_hint_is_capped_at_cap_ms() {
-        // A server advertising `Retry-After: 60` (seconds) must not
-        // stall the client for a minute per retry: the hint is honored
-        // but clamped to `cap_ms`. Mock listener: always 503.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut s) = stream else { break };
-                let mut buf = [0u8; 1024];
-                let _ = std::io::Read::read(&mut s, &mut buf);
-                let _ = s.write_all(
-                    b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 60\r\n\
-                      Content-Length: 0\r\nConnection: close\r\n\r\n",
-                );
-            }
-        });
-        let policy =
-            RetryPolicy { base_ms: 1, cap_ms: 50, max_retries: 3, timeout: Duration::from_secs(5) };
-        let t0 = std::time::Instant::now();
-        let out = get_with_retry(&format!("http://{addr}/eval"), &policy, 7).unwrap();
-        let elapsed = t0.elapsed();
-        assert_eq!(out.response.status, 503, "budget exhausted, last 503 returned");
-        assert_eq!(out.attempts, 4, "initial attempt + max_retries");
-        // 3 capped sleeps of exactly 50 ms each — far from 3 x 60 s.
-        assert!(elapsed >= Duration::from_millis(120), "hint ignored? {elapsed:?}");
-        assert!(elapsed < Duration::from_secs(5), "cap not applied: {elapsed:?}");
-        drop(server); // listener thread exits with the test process
-    }
-
-    #[test]
     fn one_thread_rides_one_keepalive_connection() {
-        // Plain GETs and retried GETs from a single thread must all
+        // Plain GETs and timed requests from a single thread must all
         // reuse the same pooled connection; the server's accepted-count
         // gauge is the witness.
         let s = crate::server::start(crate::server::ServeConfig {
@@ -336,9 +240,9 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(http_get(&format!("{base}/healthz")).unwrap().status, 200);
         }
-        let out = get_with_retry(&format!("{base}/healthz"), &RetryPolicy::default(), 11).unwrap();
-        assert_eq!(out.response.status, 200);
-        assert_eq!(out.attempts, 1);
+        // A request with its own timeout (a retried GET's attempt) too.
+        let timeout = RetryPolicy::default().timeout;
+        assert_eq!(request("GET", &format!("{base}/healthz"), None, timeout).unwrap().status, 200);
         let m = http_get(&format!("{base}/metrics")).unwrap();
         let doc = hec_core::json::Json::parse(&m.body).unwrap();
         let accepted = doc

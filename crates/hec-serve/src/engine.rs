@@ -259,31 +259,32 @@ pub struct RowSpec {
     pub columns: [Option<PlatformSel>; 7],
 }
 
-/// The standard 7-column layout of Tables 4–6.
-fn standard_columns() -> [Option<PlatformSel>; 7] {
-    [
-        Some(PlatformSel::Direct(PlatformId::Power3)),
-        Some(PlatformSel::Direct(PlatformId::Itanium2)),
-        Some(PlatformSel::Direct(PlatformId::Opteron)),
-        Some(PlatformSel::Direct(PlatformId::X1Msp)),
-        Some(PlatformSel::Agg4Ssp),
-        Some(PlatformSel::Direct(PlatformId::Es)),
-        Some(PlatformSel::Direct(PlatformId::Sx8)),
-    ]
-}
-
-/// Table 3's layout: no Opteron or SX-8 data, and the X1E column sits in
-/// the "4-SSP" slot (FVCAM reports X1E, not SSP mode).
-fn fvcam_columns() -> [Option<PlatformSel>; 7] {
-    [
-        Some(PlatformSel::Direct(PlatformId::Power3)),
-        Some(PlatformSel::Direct(PlatformId::Itanium2)),
-        None,
-        Some(PlatformSel::Direct(PlatformId::X1Msp)),
-        Some(PlatformSel::Direct(PlatformId::X1e)),
-        Some(PlatformSel::Direct(PlatformId::Es)),
-        None,
-    ]
+/// The seven column selectors of `app`'s table, in table order: the one
+/// owner of every table's platform layout. Tables 4–6 share the standard
+/// layout; Table 3 (FVCAM) has no Opteron or SX-8 data (`None`), and its
+/// X1E column sits in the slot the others give X1 4-SSP.
+pub fn columns(app: AppId) -> [Option<PlatformSel>; 7] {
+    let direct = |id| Some(PlatformSel::Direct(id));
+    match app {
+        AppId::Fvcam => [
+            direct(PlatformId::Power3),
+            direct(PlatformId::Itanium2),
+            None,
+            direct(PlatformId::X1Msp),
+            direct(PlatformId::X1e),
+            direct(PlatformId::Es),
+            None,
+        ],
+        AppId::Gtc | AppId::Lbmhd | AppId::Paratec => [
+            direct(PlatformId::Power3),
+            direct(PlatformId::Itanium2),
+            direct(PlatformId::Opteron),
+            direct(PlatformId::X1Msp),
+            Some(PlatformSel::Agg4Ssp),
+            direct(PlatformId::Es),
+            direct(PlatformId::Sx8),
+        ],
+    }
 }
 
 /// The paper's sweep for `app`: every table row as coordinates +
@@ -291,6 +292,7 @@ fn fvcam_columns() -> [Option<PlatformSel>; 7] {
 /// decompose a sweep request into per-point cache entries; the row
 /// builders below walk the same list, so the two agree cell for cell.
 pub fn row_specs(app: AppId) -> Vec<RowSpec> {
+    let columns = columns(app);
     match app {
         AppId::Fvcam => fvcam::model::table3_configs(1)
             .into_iter()
@@ -298,7 +300,7 @@ pub fn row_specs(app: AppId) -> Vec<RowSpec> {
                 procs: base.procs,
                 label: if base.pz == 1 { "1D".into() } else { format!("2D Pz={}", base.pz) },
                 spec: PointSpec { procs: base.procs, pz: Some(base.pz), n: None },
-                columns: fvcam_columns(),
+                columns,
             })
             .collect(),
         AppId::Gtc => gtc::model::TABLE4_CONFIGS
@@ -307,7 +309,7 @@ pub fn row_specs(app: AppId) -> Vec<RowSpec> {
                 procs,
                 label: format!("{ppc} p/c"),
                 spec: PointSpec::procs(procs),
-                columns: standard_columns(),
+                columns,
             })
             .collect(),
         AppId::Lbmhd => lbmhd::model::TABLE5_CONFIGS
@@ -316,7 +318,7 @@ pub fn row_specs(app: AppId) -> Vec<RowSpec> {
                 procs,
                 label: format!("{n}^3"),
                 spec: PointSpec { procs, pz: None, n: Some(n) },
-                columns: standard_columns(),
+                columns,
             })
             .collect(),
         AppId::Paratec => paratec::model::TABLE6_CONFIGS
@@ -325,7 +327,7 @@ pub fn row_specs(app: AppId) -> Vec<RowSpec> {
                 procs,
                 label: String::new(),
                 spec: PointSpec::procs(procs),
-                columns: standard_columns(),
+                columns,
             })
             .collect(),
     }

@@ -24,9 +24,9 @@ use crate::fftdist::DistFft;
 pub struct Nonlocal {
     /// Projector count.
     pub nproj: usize,
-    /// Projector values on this rank's G-vectors, row-major
-    /// `nproj × ng_local`.
-    pub beta: Vec<Complex64>,
+    /// Conjugated projector values conj(β) on this rank's G-vectors,
+    /// row-major `nproj × ng_local`: both nonlocal ZGEMMs read only this.
+    pub beta_conj: Vec<Complex64>,
     /// Coupling strengths D_p.
     pub d: Vec<f64>,
 }
@@ -35,7 +35,7 @@ impl Nonlocal {
     /// Builds a smooth deterministic projector set localized at low |G|
     /// (as real pseudopotential projectors are).
     pub fn model(fft: &DistFft, nproj: usize) -> Self {
-        let mut beta = Vec::with_capacity(nproj * fft.local_ng());
+        let mut beta_conj = Vec::with_capacity(nproj * fft.local_ng());
         for p in 0..nproj {
             for &ci in &fft.my_columns {
                 let col = &fft.sphere.columns[ci];
@@ -44,12 +44,12 @@ impl Nonlocal {
                     // Gaussian-ish radial shape, distinct phase per channel.
                     let mag = (-(ke) / (2.0 + p as f64)).exp();
                     let phase = 0.3 * (p as f64 + 1.0) * (ci as f64 * 0.11 + k as f64 * 0.07);
-                    beta.push(Complex64::cis(phase).scale(mag));
+                    beta_conj.push(Complex64::cis(phase).scale(mag).conj());
                 }
             }
         }
         let d = (0..nproj).map(|p| 0.5 / (1.0 + p as f64)).collect();
-        Nonlocal { nproj, beta, d }
+        Nonlocal { nproj, beta_conj, d }
     }
 }
 
@@ -152,9 +152,9 @@ impl Hamiltonian {
                 }
             }
             // betaᴴ-style product: proj = conj(β) · ψᵀ, implemented as
-            // zgemm(None) with conj applied through a scratch copy. The
-            // row-banded parallel path is bitwise identical to serial.
-            let beta_conj: Vec<Complex64> = self.nonlocal.beta.iter().map(|z| z.conj()).collect();
+            // zgemm(None) on the projectors, stored conjugated once by
+            // `Nonlocal::model`. The row-banded parallel path is bitwise
+            // identical to serial.
             par_zgemm(
                 &self.fft.threads,
                 Trans::None,
@@ -162,7 +162,7 @@ impl Hamiltonian {
                 nbands,
                 ng,
                 Complex64::ONE,
-                &beta_conj,
+                &self.nonlocal.beta_conj,
                 &psit,
                 Complex64::ZERO,
                 &mut proj,
@@ -194,7 +194,7 @@ impl Hamiltonian {
                 nbands,
                 npj,
                 Complex64::ONE,
-                &beta_conj,
+                &self.nonlocal.beta_conj,
                 &dproj,
                 Complex64::ZERO,
                 &mut add,

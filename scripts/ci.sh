@@ -101,6 +101,17 @@ for threads in 1 2 4; do
     ./target/release/repro diff baseline "$ART_DIR/$threads"
 done
 
+# The printers: every table and figure, and the shape validation against
+# the published numbers. Both must succeed, and no column may print a
+# placeholder where a platform label belongs.
+for cmd in report validate; do
+    ./target/release/repro $cmd > "$LOG" 2>&1 \
+        || { echo "ci: repro $cmd failed"; cat "$LOG"; exit 1; }
+    if grep -q '(n/a)' "$LOG"; then
+        echo "ci: repro $cmd prints an (n/a) column"; exit 1
+    fi
+done
+
 # What only a process can show: the CLI wiring and the log lines. Start
 # each server, read its bound address off the `listening on` line, drive
 # the admin surface through `repro post`, stop it, and require a graceful

@@ -7,7 +7,10 @@
 //! transition of a killed-then-restarted replica, (iv) every lifecycle
 //! entry point — fault plan, admin endpoints, direct calls — leaves the
 //! member table, each replica's liveness and `/metrics` in agreement.
+//! The retried GET those contracts are checked with (`common`) gets its
+//! own two tests at the end: a bounded budget, and a capped `Retry-After`.
 
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,7 +20,7 @@ use hec_serve::client::{self, RetryPolicy};
 use hec_serve::request::Point;
 
 mod common;
-use common::{cluster_cfg, expected_bodies, metric, metrics};
+use common::{cluster_cfg, expected_bodies, get_with_retry, metric, metrics};
 
 fn replica_field(base: &str, i: usize, field: &str) -> Json {
     let doc = metrics(base);
@@ -62,7 +65,7 @@ fn killing_a_replica_mid_load_loses_nothing_and_changes_no_bytes() {
                     for (k, (query, want)) in cases.iter().enumerate() {
                         let url = format!("{base}/eval?{query}");
                         let seed = (t as u64) << 32 ^ (round * 100 + k as u64);
-                        match client::get_with_retry(&url, &policy, seed) {
+                        match get_with_retry(&url, &policy, seed) {
                             Ok(out) if out.response.status == 200 => {
                                 assert_eq!(
                                     out.response.body, *want,
@@ -182,7 +185,7 @@ fn seeded_fault_plan_preserves_bytes_and_loses_nothing() {
     // the plan's horizon (40) is fully crossed and every event fires.
     for i in 0..56u64 {
         let (query, want) = &cases[(i as usize) % cases.len()];
-        let out = client::get_with_retry(&format!("{base}/eval?{query}"), &policy, i)
+        let out = get_with_retry(&format!("{base}/eval?{query}"), &policy, i)
             .unwrap_or_else(|e| panic!("request {i} ({query}) failed in transport: {e}"));
         assert_eq!(out.response.status, 200, "request {i} ({query}) -> {}", out.response.status);
         assert_eq!(out.response.body, *want, "request {i}: bytes drifted under faults");
@@ -366,4 +369,48 @@ fn every_workload_key_survives_any_single_kill() {
         assert_eq!(owners.len(), 2);
         assert_ne!(owners[0], owners[1], "{query} must have two distinct owners");
     }
+}
+
+#[test]
+fn get_with_retry_gives_up_against_a_dead_port() {
+    // Nothing listens on this port of TEST-NET; every attempt must
+    // fail fast and the call must return the transport error after
+    // exhausting its budget.
+    let policy =
+        RetryPolicy { base_ms: 1, cap_ms: 2, max_retries: 2, timeout: Duration::from_millis(200) };
+    let t0 = std::time::Instant::now();
+    let r = get_with_retry("http://127.0.0.1:1/healthz", &policy, 9);
+    assert!(r.is_err());
+    assert!(t0.elapsed() < Duration::from_secs(5));
+}
+
+#[test]
+fn retry_after_hint_is_capped_at_cap_ms() {
+    // A server advertising `Retry-After: 60` (seconds) must not
+    // stall the client for a minute per retry: the hint is honored
+    // but clamped to `cap_ms`. Mock listener: always 503.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut s) = stream else { break };
+            let mut buf = [0u8; 1024];
+            let _ = std::io::Read::read(&mut s, &mut buf);
+            let _ = s.write_all(
+                b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 60\r\n\
+                  Content-Length: 0\r\nConnection: close\r\n\r\n",
+            );
+        }
+    });
+    let policy =
+        RetryPolicy { base_ms: 1, cap_ms: 50, max_retries: 3, timeout: Duration::from_secs(5) };
+    let t0 = std::time::Instant::now();
+    let out = get_with_retry(&format!("http://{addr}/eval"), &policy, 7).unwrap();
+    let elapsed = t0.elapsed();
+    assert_eq!(out.response.status, 503, "budget exhausted, last 503 returned");
+    assert_eq!(out.attempts, 4, "initial attempt + max_retries");
+    // 3 capped sleeps of exactly 50 ms each — far from 3 x 60 s.
+    assert!(elapsed >= Duration::from_millis(120), "hint ignored? {elapsed:?}");
+    assert!(elapsed < Duration::from_secs(5), "cap not applied: {elapsed:?}");
+    drop(server); // listener thread exits with the test process
 }

@@ -22,7 +22,7 @@ use hec_serve::client::{self, RetryPolicy};
 use hec_serve::request::Point;
 
 mod common;
-use common::{cluster_cfg, expected_bodies, metric, metrics};
+use common::{cluster_cfg, expected_bodies, get_with_retry, metric, metrics};
 
 /// Member IDs listed in `cluster.replicas` (current epoch only).
 fn member_ids(base: &str) -> Vec<usize> {
@@ -67,7 +67,7 @@ fn request_in_order(base: &str, cases: &[(String, String)], i: u64) {
     let policy =
         RetryPolicy { base_ms: 5, cap_ms: 50, max_retries: 6, timeout: Duration::from_secs(10) };
     let (query, want) = &cases[(i as usize) % cases.len()];
-    let out = client::get_with_retry(&format!("{base}/eval?{query}"), &policy, i)
+    let out = get_with_retry(&format!("{base}/eval?{query}"), &policy, i)
         .unwrap_or_else(|e| panic!("request {i} ({query}) failed in transport: {e}"));
     assert_eq!(out.response.status, 200, "request {i} ({query})");
     assert_eq!(out.response.body, *want, "request {i}: bytes drifted under churn");

@@ -1,7 +1,8 @@
 //! Helpers shared by the serving-tier integration tests (`serve_e2e`,
 //! `serve_concurrency`, `cluster_e2e`, `cluster_elasticity`): the test
-//! cluster configuration, the byte-identity workload, and `/metrics`
-//! lookups by key path.
+//! cluster configuration, the byte-identity workload, `/metrics`
+//! lookups by key path, and the retried GET the cluster tests drive the
+//! router with.
 
 // Each test target compiles its own copy and uses a subset.
 #![allow(dead_code)]
@@ -10,6 +11,7 @@ use std::time::Duration;
 
 use hec_cluster::{ClusterConfig, FaultPlan};
 use hec_core::json::Json;
+use hec_core::retry::Backoff;
 use hec_serve::client::{self, RetryPolicy};
 use hec_serve::request::Point;
 use hec_serve::server::{self, ServeConfig};
@@ -62,4 +64,50 @@ pub fn metric(base: &str, path: &[&str]) -> f64 {
         v = v.get(p).unwrap_or_else(|| panic!("missing /metrics field {path:?}"));
     }
     v.as_f64().unwrap()
+}
+
+/// Outcome of a retried GET: the final response plus how many attempts
+/// it took.
+#[derive(Clone, Debug)]
+pub struct RetryOutcome {
+    /// The last response received.
+    pub response: client::Response,
+    /// Total attempts issued (1 = no retry was needed).
+    pub attempts: u32,
+}
+
+/// GET with bounded, seeded retries.
+///
+/// Transport errors and `503` responses are retried up to
+/// `policy.max_retries` times. A `503` carrying `Retry-After: N` sleeps
+/// `min(N seconds, policy.cap_ms)` — honoring the server's pacing hint
+/// without letting a 1-second hint starve a short run — otherwise the
+/// seeded exponential backoff paces the retry. Every other status
+/// returns immediately: a `400` will not get better by asking again.
+pub fn get_with_retry(url: &str, policy: &RetryPolicy, seed: u64) -> std::io::Result<RetryOutcome> {
+    let mut backoff = Backoff::new(seed, policy.base_ms, policy.cap_ms, policy.max_retries);
+    let mut attempts = 0u32;
+    let mut last_err: Option<std::io::Error> = None;
+    loop {
+        attempts += 1;
+        match client::request("GET", url, None, policy.timeout) {
+            Ok(resp) if resp.status == 503 => {
+                let hint = resp
+                    .retry_after_secs()
+                    .map(|s| Duration::from_millis((s.saturating_mul(1000)).min(policy.cap_ms)));
+                match backoff.next_delay() {
+                    Some(backoff_delay) => std::thread::sleep(hint.unwrap_or(backoff_delay)),
+                    None => return Ok(RetryOutcome { response: resp, attempts }),
+                }
+            }
+            Ok(resp) => return Ok(RetryOutcome { response: resp, attempts }),
+            Err(e) => match backoff.next_delay() {
+                Some(d) => {
+                    last_err = Some(e);
+                    std::thread::sleep(d);
+                }
+                None => return Err(last_err.unwrap_or(e)),
+            },
+        }
+    }
 }

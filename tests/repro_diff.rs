@@ -9,9 +9,10 @@
 
 use std::path::{Path, PathBuf};
 
-use bench::diff::{diff_dirs, run_cli, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE};
+use bench::diff::{
+    diff_dirs, findings_table, run_cli, FindingKind, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE,
+};
 use hec_core::json::Json;
-use report::diff::{findings_table, FindingKind};
 
 const BASELINE: &str = "baseline";
 
